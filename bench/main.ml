@@ -470,9 +470,8 @@ let lint_bench () =
 
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
-   the registry's hardest kernels, min-of-N interleaved-free reps, plus the
-   footprint-probe memo cold vs memoized on an optimizer-like access
-   pattern. Persists everything to BENCH_evaluate.json and exits non-zero
+   the registry's hardest kernels, min-of-N interleaved-free reps, plus
+   footprint-probe throughput on an optimizer-like access pattern. Persists everything to BENCH_evaluate.json and exits non-zero
    unless the hardest kernel clears the 2x evaluations/sec gate and every
    kernel's costs are bit-identical across evaluators. *)
 let evaluate_bench () =
@@ -543,9 +542,8 @@ let evaluate_bench () =
         let speedup_full = full_eps /. ref_eps in
         let speedup_score = score_eps /. ref_eps in
         if name = hardest then gate_speedup := speedup_score;
-        (* probe memo, cold vs warm: the optimizer's fit-test pattern — a
-           small pool of candidate extent vectors probed for every operand,
-           revisited many times within one search scope *)
+        (* footprint probes: the optimizer's fit-test pattern — a small
+           pool of candidate extent vectors probed for every operand *)
         let dims = Array.of_list (W.dim_names w) in
         let dim_idx = Hashtbl.create 16 in
         Array.iteri (fun i d -> Hashtbl.replace dim_idx d i) dims;
@@ -561,7 +559,7 @@ let evaluate_bench () =
             Array.iter
               (fun vec ->
                 Probe.set_extents probe (fun d -> vec.(Hashtbl.find dim_idx d));
-                List.iter (fun op -> ignore (Probe.footprint probe ~op ~level:0)) ops)
+                List.iter (fun op -> ignore (Probe.footprint probe ~op)) ops)
               pool
           done
         in
@@ -571,23 +569,17 @@ let evaluate_bench () =
           run_probes probe;
           Unix.gettimeofday () -. t0
         in
-        let cold = Probe.create ~memo:false w in
-        let warm = Probe.create ~memo:true w in
-        let cold_best = ref infinity and warm_best = ref infinity in
+        let probe = Probe.create w in
+        let probe_best = ref infinity in
         for _ = 1 to reps do
-          cold_best := Float.min !cold_best (probes_once cold);
-          warm_best := Float.min !warm_best (probes_once warm)
+          probe_best := Float.min !probe_best (probes_once probe)
         done;
-        let cold_pps = float_of_int nprobes /. !cold_best in
-        let warm_pps = float_of_int nprobes /. !warm_best in
-        let hits = Probe.hits warm and misses = Probe.misses warm in
+        let pps = float_of_int nprobes /. !probe_best in
         Printf.printf
           "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  %s\n%!" name
           ref_eps full_eps speedup_full score_eps speedup_score
           (if identical then "bit-identical" else "COSTS DIFFER");
-        Printf.printf
-          "        probes cold %9.0f/s  memoized %9.0f/s (%.2fx)  %d hits / %d misses\n%!"
-          cold_pps warm_pps (warm_pps /. cold_pps) hits misses;
+        Printf.printf "        probes %9.0f/s\n%!" pps;
         Json.Obj
           [
             ("kernel", Json.String name);
@@ -598,14 +590,7 @@ let evaluate_bench () =
             ("speedup_full", Json.Float speedup_full);
             ("speedup_score", Json.Float speedup_score);
             ("bit_identical", Json.Bool identical);
-            ( "probe",
-              Json.Obj
-                [
-                  ("cold_probes_per_s", Json.Float cold_pps);
-                  ("memoized_probes_per_s", Json.Float warm_pps);
-                  ("hits", Json.Int hits);
-                  ("misses", Json.Int misses);
-                ] );
+            ("probes_per_s", Json.Float pps);
           ])
       kernel_names
   in
@@ -648,7 +633,7 @@ let evaluate_bench () =
    cross-layer nearest-neighbor transfer buys a search that must still
    run. Persists per-layer evaluated counts and EDPs to
    BENCH_transfer.json and exits non-zero unless the warm resnet18 pass
-   evaluates >= 25% fewer mappings than cold with per-layer EDP equal or
+   evaluates >= 20% fewer mappings than cold with per-layer EDP equal or
    better on both catalogs. *)
 let transfer_bench () =
   let module Json = Sun_serve.Json in
@@ -733,7 +718,12 @@ let transfer_bench () =
   in
   let resnet, resnet_reduction, resnet_edp_ok = run_catalog "resnet18" "resnet18/" in
   let inception, _, inception_edp_ok = run_catalog "inception" "inception/" in
-  let gate = 0.25 in
+  (* 20%, down from 25% when cold searches started pruning with the same
+     admissible alpha-beta bound as warm ones: cold ResNet-18 evaluations
+     fell from 20574 to 19490 while warm stayed at 15238, so the relative
+     reduction dropped from 25.9% to 21.8% with no warm search doing more
+     work *)
+  let gate = 0.20 in
   let pass = resnet_reduction >= gate && resnet_edp_ok && inception_edp_ok in
   let out = "BENCH_transfer.json" in
   let oc = open_out out in

@@ -18,20 +18,43 @@ type report = {
 
 let rel_tol = 1e-6
 
-(* Committed-level energy at every boundary of a complete mapping must stay
-   below the mapping's true energy — otherwise the alpha-beta test could
-   prune a prefix of this very mapping while it is the optimum. *)
-let bound_chain_diags ctx nlevels m (cost : Model.cost) =
+(* The prefix the bottom-up search holds at boundary [k] on its way to
+   [m]: levels below [k] whole, level [k]'s order and spatial unrolls with
+   its temporal factors reset to 1, and every level above at the search's
+   initial value. *)
+let search_prefix w (m : M.t) ~k =
+  let dims = W.dim_names w in
+  let ones = List.map (fun d -> (d, 1)) dims in
+  {
+    M.levels =
+      Array.mapi
+        (fun l (lm : M.level_mapping) ->
+          if l < k then lm
+          else if l = k then { lm with M.temporal = ones }
+          else { M.temporal = ones; order = dims; spatial = ones })
+        m.M.levels;
+  }
+
+(* The search's prefix bounds at every boundary of a complete mapping must
+   stay below the mapping's true energy and cycles — otherwise the
+   alpha-beta test could prune a prefix of this very mapping while it is
+   the optimum. *)
+let bound_chain_diags w ctx nlevels m (cost : Model.cost) =
   let diags = ref [] in
-  for k = 1 to nlevels do
-    let lb = Model.energy_lower_bound_ctx ctx ~partial_levels:k m in
-    if lb > cost.Model.energy_pj *. (1.0 +. rel_tol) then
+  let check k what lb actual unit =
+    if lb > actual *. (1.0 +. rel_tol) then
       diags :=
-        D.error ~level:(k - 1) D.Bound_overshoot
-          (Printf.sprintf
-             "committed energy %.6e pJ at %d level(s) exceeds the mapping's total %.6e pJ" lb k
-             cost.Model.energy_pj)
+        D.error ~level:k D.Bound_overshoot
+          (Printf.sprintf "prefix %s bound %.6e%s at boundary %d exceeds the mapping's %.6e%s"
+             what lb unit k actual unit)
         :: !diags
+  in
+  for k = 0 to nlevels - 1 do
+    let energy_lb, cycles_lb =
+      Model.prefix_lower_bounds ctx ~fixed_levels:k (search_prefix w m ~k)
+    in
+    check k "energy" energy_lb cost.Model.energy_pj " pJ";
+    check k "cycles" cycles_lb cost.Model.cycles ""
   done;
   List.rev !diags
 
@@ -56,7 +79,7 @@ let check_bound ?(samples = 64) ?(seed = 0x5057) w a =
     | Error _ -> ()
     | Ok cost ->
       incr checked;
-      diags := !diags @ bound_chain_diags ctx nlevels m cost
+      diags := !diags @ bound_chain_diags w ctx nlevels m cost
   in
   for _ = 1 to samples do
     consider (Mapspace.sample space rng)
@@ -95,7 +118,7 @@ let differential w a =
         (* verify the bound chain only on mappings at or below the running
            optimum: those are exactly the ones pruning could cost us *)
         if cost.Model.edp <= !best *. (1.0 +. rel_tol) then
-          diags := !diags @ bound_chain_diags ctx nlevels m cost;
+          diags := !diags @ bound_chain_diags w ctx nlevels m cost;
         if cost.Model.edp < !best then best := cost.Model.edp)
     (Mapspace.enumerate space);
   let with_ab, without_ab = search_configs in

@@ -32,12 +32,10 @@ let rel_tol = 1e-9
 (* ------------------------------------------------------------------ *)
 
 (* Same semantic probe as [Pruning]: growing dim [d] changes operand
-   [op]'s footprint iff [d] indexes it. The memoized [Probe] serves it —
-   its footprint arithmetic mirrors [W.footprint] directly (bit-identical,
-   pinned by QCheck), so the oracle still derives reuse from the projection
-   arithmetic and not from the trie's or the evaluator's tables. One probe
-   per audit scope: the scan re-asks the same (operand, dim) questions for
-   every order and every suffix. *)
+   [op]'s footprint iff [d] indexes it. [Probe] serves it — its footprint
+   arithmetic mirrors [W.footprint] directly (bit-identical, pinned by
+   QCheck), so the oracle still derives reuse from the projection
+   arithmetic and not from the trie's or the evaluator's tables. *)
 let probe_changes_footprint probe (op : W.operand) d =
   Probe.changes_footprint probe ~op:op.W.name ~dim:d
 
@@ -212,7 +210,7 @@ let audit_frontier ~inject probe w a =
         let grow = W.indexing_dims op in
         if grow <> [] && part.A.capacity_words > 0 then begin
           let fits asg =
-            Probe.footprint_of probe ~op:op.W.name ~level:0 (fun d -> Tile_tree.factor_of asg d)
+            Probe.footprint_of probe ~op:op.W.name (fun d -> Tile_tree.factor_of asg d)
             <= cap +. 1e-9
           in
           let remaining d = W.bound w d in
@@ -351,15 +349,12 @@ let kernels () =
 let check_kernel ?(inject = No_injection) (name, w, a) =
   let ctx = Model.context w a in
   let space = Mapspace.create w a in
-  (* one probe per kernel audit: orders and frontier re-ask the same
-     (operand, vector) footprints many times over *)
   let probe = Probe.create w in
   let exhaustive_edp, enumerated = exhaustive_best ctx space in
   let orders_total, orders_kept, order_diags =
     audit_orders ~inject probe w ctx space ~exhaustive_edp
   in
   let frontier_checked, frontier_diags = audit_frontier ~inject probe w a in
-  Probe.flush_telemetry probe;
   let search_edp, best_diags = audit_best w a ~exhaustive_edp ~enumerated in
   {
     kernel = name;
@@ -423,6 +418,5 @@ let recheck ?binding w a m ~claimed_energy ~claimed_edp =
                ])
            (Array.to_list m.M.levels))
     in
-    Probe.flush_telemetry probe;
     legality @ cost_diags @ order_diags
   end

@@ -17,9 +17,8 @@ type report = {
    construction. Probing at extent 2 vs 1 suffices: every axis extent is
    affine in each dim extent with non-negative coefficients, so it either
    never moves or moves already at 2. The evaluations go through the
-   check-scoped [Probe] memo — bit-identical to direct [W.footprint]
-   recomputation (pinned by QCheck), and a suffix scan re-probes the same
-   (operand, dim) pairs for every candidate. *)
+   check-scoped [Probe] — bit-identical to direct [W.footprint]
+   recomputation (pinned by QCheck). *)
 let probe_changes_footprint probe (op : W.operand) d =
   Probe.changes_footprint probe ~op:op.W.name ~dim:d
 
@@ -49,7 +48,7 @@ let check (w : W.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let dims = W.dim_names w in
-  (* one probe per check: the memo lives and dies with this scope *)
+  (* one probe per check: its scratch lives and dies with this scope *)
   let probe = Probe.create w in
   let reuse = Reuse.analyze w in
   (* 1. the reuse table must agree with the footprint probe and partition
@@ -144,7 +143,6 @@ let check (w : W.t) =
               dims)
         c.Trie.reused_operands)
     candidates;
-  Probe.flush_telemetry probe;
   {
     workload = w.W.name;
     orderings = List.length candidates;

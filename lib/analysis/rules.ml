@@ -888,8 +888,8 @@ let daemon_rules () =
   [
     fd_leak_rule ~exempt:no_exemption;
     signal_rule ~exempt:no_exemption;
-    (* cost joined serve in SA063's scope when the probe memo landed: the
-       memo tables must never be walked in iteration order either *)
+    (* lib/cost is in SA063's scope too: the model's and the probes'
+       lookup tables must never be walked in iteration order either *)
     hashtbl_order_rule ~exempt:(fun p -> not (under_serve p || under_cost p));
     wallclock_rule ~exempt:(fun p ->
         (not (under_lib p)) || contains_sub p "stopwatch" || in_telemetry p);

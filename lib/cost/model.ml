@@ -105,6 +105,11 @@ type ctx = {
   part_level : int array;  (** by gid *)
   parts : A.partition array;  (** by gid *)
   nparts : int;
+  dram_floor_pj : float;
+      (** mandatory top-boundary energy: every tensor word crosses the
+          outermost boundary at least once, at no less than the cheapest
+          top-level per-word energy *)
+  dram_floor_cycles : float;  (** the same words through the top level's aggregate bandwidth *)
   (* per-context scratch; a context is single-in-flight: one evaluation
      uses it at a time (create one context per concurrent evaluator) *)
   lay : mlay;
@@ -197,6 +202,19 @@ let context ?(binding = Fun.id) w arch =
         else acc)
       None operands
   in
+  let dram_floor_pj, dram_floor_cycles =
+    match levels.(nlevels - 1).A.partitions with
+    | [] -> (0.0, 0.0)
+    | parts ->
+      let min_e =
+        List.fold_left
+          (fun acc (p : A.partition) -> Float.min acc (Float.min p.A.read_energy p.A.write_energy))
+          infinity parts
+      in
+      let sum_bw = List.fold_left (fun acc (p : A.partition) -> acc +. p.A.bandwidth) 0.0 parts in
+      let words = List.fold_left (fun acc op -> acc +. W.operand_size w op) 0.0 w.W.operands in
+      (words *. min_e, if sum_bw > 0.0 then words /. sum_bw else 0.0)
+  in
   let sc_score = { s_energy_pj = 0.0; s_cycles = 0.0; s_edp = 0.0 } in
   {
     w;
@@ -215,6 +233,8 @@ let context ?(binding = Fun.id) w arch =
     part_level = Array.of_list (List.rev !levels_rev);
     parts = Array.of_list (List.rev !parts_rev);
     nparts;
+    dram_floor_pj;
+    dram_floor_cycles;
     lay =
       {
         t = Array.make_matrix nlevels ndims 1;
@@ -833,72 +853,30 @@ let score_batch_ctx ctx ms = batch_over ctx ms ~f:score_copy
 
 let evaluate_batch_ctx ctx ms = batch_over ctx ms ~f:evaluate_lay
 
-let energy_lower_bound_ctx ctx ~partial_levels m =
-  let lay = convert_into ctx m in
-  let fs = ctx.fs in
-  let energy =
-    ref (U.charge (U.count ctx.macs) (U.rate ctx.arch.A.mac_energy : U.op U.rate U.t))
-  in
-  Array.iter
-    (fun info ->
-      let storing = info.storing in
-      let nst = Array.length storing in
-      if nst > 0 && storing.(0) < partial_levels then begin
-        let l0 = storing.(0) in
-        let { part; _ } = part_ref_at info l0 in
-        mac_streaming ctx lay info ~l0;
-        let reads = ctx.macs /. fs.f_denom in
-        let per_word : U.access U.rate U.t =
-          if info.is_output then U.(rate part.A.read_energy +: rate part.A.write_energy)
-          else U.rate part.A.read_energy
-        in
-        energy := U.(!energy +: charge (count reads) per_word)
-      end;
-      for i = 0 to nst - 2 do
-        let lc = storing.(i) and lp = storing.(i + 1) in
-        if lp < partial_levels then begin
-          chain_pair ctx lay info ~lc ~lp;
-          let reads = fs.f_reads and fills = fs.f_fills in
-          let rp = part_ref_at info lp in
-          let rc = part_ref_at info lc in
-          let dir = if info.is_output then 2.0 else 1.0 in
-          energy :=
-            U.(
-              !energy
-              +: charge (count (dir *. reads)) (rate rp.part.A.read_energy)
-              +: charge (count (dir *. fills)) (rate rc.part.A.write_energy))
-        end
-      done)
-    ctx.operands;
-  U.to_float !energy
-
-(* The seeded alpha-beta bound: like [energy_lower_bound_ctx] but (a) also
-   derives a bandwidth-cycles bound from the same boundary traffic and (b)
-   includes the boundary {e at} [partial_levels], not just those strictly
-   below it. Traffic at that boundary is computed with the uncommitted
-   upper temporal loops still at 1, and adding an outer iteration can only
-   re-stream a tile again (more traffic) or be absorbed by reuse (equal
-   traffic), never remove a fill — so the partial value lower-bounds every
-   completion's. The committed streaming reads are exact: the MAC count and
-   the committed unrolls fix them. Kept separate from the legacy bound so
-   unseeded searches stay bit-identical with earlier releases. *)
-let lower_bounds_ctx ctx ~partial_levels m =
+(* Why each term is admissible. The committed streaming reads are exact:
+   the MAC count and the committed unrolls fix them. Traffic at the
+   boundary {e at} [fixed_levels] is computed with the uncommitted upper
+   temporal loops still at 1; adding an outer iteration can only re-stream
+   a tile again (more traffic) or be absorbed by reuse (equal traffic),
+   never remove a fill. The top-boundary floor is added only while that
+   boundary is uncommitted, so its accesses are disjoint from the
+   committed ones. On the cycles side, no completion runs on more lanes
+   than the committed unrolls times the fanout still unassigned above. *)
+let prefix_lower_bounds ctx ~fixed_levels m =
   let lay = convert_into ctx m in
   let fs = ctx.fs in
   let energy =
     ref (U.charge (U.count ctx.macs) (U.rate ctx.arch.A.mac_energy : U.op U.rate U.t))
   in
   (* Instance-count upper bounds for the bandwidth side: spatial factors
-     at or below [partial_levels] are committed, every level above can
-     unroll at most its fanout. A partition's boundary traffic is shared
-     by at most this many copies, so [words / (bw x inst)] lower-bounds
-     the completed mapping's bandwidth cycles. Reuses the context's
-     [inst] scratch ([eval_core] reinitializes it each call). *)
+     at or below [fixed_levels] are committed, every level above can
+     unroll at most its fanout. Reuses the context's [inst] scratch
+     ([eval_core] reinitializes it each call). *)
   let inst = ctx.inst in
   inst.(ctx.nlevels - 1) <- 1.0;
   for l = ctx.nlevels - 2 downto 0 do
     let above =
-      if l + 1 <= partial_levels then float_of_int (spatial_product lay (l + 1))
+      if l + 1 <= fixed_levels then float_of_int (spatial_product lay (l + 1))
       else float_of_int ctx.levels.(l + 1).A.fanout
     in
     inst.(l) <- inst.(l + 1) *. above
@@ -914,7 +892,7 @@ let lower_bounds_ctx ctx ~partial_levels m =
     (fun info ->
       let storing = info.storing in
       let nst = Array.length storing in
-      if nst > 0 && storing.(0) <= partial_levels then begin
+      if nst > 0 && storing.(0) <= fixed_levels then begin
         let l0 = storing.(0) in
         let { part; _ } = part_ref_at info l0 in
         mac_streaming ctx lay info ~l0;
@@ -928,7 +906,7 @@ let lower_bounds_ctx ctx ~partial_levels m =
       end;
       for i = 0 to nst - 2 do
         let lc = storing.(i) and lp = storing.(i + 1) in
-        if lp <= partial_levels then begin
+        if lp <= fixed_levels then begin
           chain_pair ctx lay info ~lc ~lp;
           let reads = fs.f_reads and fills = fs.f_fills in
           let rp = part_ref_at info lp in
@@ -944,7 +922,17 @@ let lower_bounds_ctx ctx ~partial_levels m =
         end
       done)
     ctx.operands;
-  (U.to_float !energy, !bw_cycles)
+  let lanes = ref 1.0 in
+  for l = 0 to ctx.nlevels - 1 do
+    let f = if l <= fixed_levels then spatial_product lay l else ctx.levels.(l).A.fanout in
+    lanes := !lanes *. float_of_int f
+  done;
+  let compute_cycles = ctx.macs /. (!lanes *. float_of_int ctx.arch.A.mac_throughput) in
+  let fe, fc =
+    if fixed_levels < ctx.nlevels - 1 then (ctx.dram_floor_pj, ctx.dram_floor_cycles)
+    else (0.0, 0.0)
+  in
+  (U.to_float !energy +. fe, Float.max compute_cycles (Float.max !bw_cycles fc))
 
 (* ------------------------------------------------------------------ *)
 (* Convenience wrappers                                                 *)
@@ -961,9 +949,6 @@ let evaluate_exn ?binding w arch m =
   match evaluate ?binding w arch m with
   | Ok c -> c
   | Error msg -> invalid_arg ("Model.evaluate_exn: " ^ msg)
-
-let energy_lower_bound ?binding w arch ~partial_levels m =
-  energy_lower_bound_ctx (context ?binding w arch) ~partial_levels m
 
 let pp_cost ppf c =
   let pp_item ppf (name, pj) = Format.fprintf ppf "%s: %.3e pJ" name pj in

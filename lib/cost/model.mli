@@ -100,18 +100,23 @@ val score_batch_ctx : ctx -> Sun_mapping.Mapping.t array -> (score, string) resu
     [score_ctx], every [Ok] member holds a caller-owned copy — batches are
     read after the fact. *)
 
-val energy_lower_bound_ctx : ctx -> partial_levels:int -> Sun_mapping.Mapping.t -> float
+val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> float * float
+(** [(energy, cycles)] lower bounds for a bottom-up search prefix: levels
+    below [fixed_levels] are whole, level [fixed_levels] has its order and
+    spatial unrolls committed with its temporal factors still 1, and the
+    levels above are at their initial all-ones value. No completion of the
+    prefix costs less energy or fewer cycles.
 
-val lower_bounds_ctx :
-  ctx -> partial_levels:int -> Sun_mapping.Mapping.t -> float * float
-(** [(energy, bandwidth_cycles)] lower bounds for a partial mapping whose
-    levels at or below [partial_levels] are committed. The energy member is
-    exactly [energy_lower_bound_ctx]. The cycles member divides each
-    committed boundary's traffic by its partition's bandwidth times an
-    {e upper} bound on that partition's instance count (committed spatial
-    unrolls at or below [partial_levels], full fanout above), so no
-    completion of the prefix can run in fewer bandwidth cycles. Used by the
-    seeded alpha-beta test ({!Sun_core.Optimizer.optimize}'s [?seed]). *)
+    The energy member charges the MACs, the committed streaming reads and
+    every boundary at or below [fixed_levels], plus the mandatory
+    top-boundary floor (every tensor word crossing the outermost boundary
+    once, at the cheapest top-level energy) while that boundary is still
+    uncommitted. The cycles member is the largest of the compute bound on
+    the committed unrolls times the full fanout above, each committed
+    boundary's traffic over its bandwidth times an upper bound on its
+    instance count, and the top-boundary floor. This is the one bound behind
+    {!Sun_core.Optimizer}'s alpha-beta test; [sunstone check
+    --admissibility] verifies it against exhaustively enumerated mappings. *)
 
 val level_fill_fraction_ctx : ctx -> Sun_mapping.Mapping.t -> level:int -> float
 
@@ -136,13 +141,5 @@ val evaluate :
 
 val evaluate_exn :
   ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t -> cost
-
-val energy_lower_bound :
-  ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> partial_levels:int ->
-  Sun_mapping.Mapping.t -> float
-(** Energy charged by levels [0 .. partial_levels-1] plus the MACs, for a
-    mapping whose upper levels are placeholders. Monotone in the sense that
-    completing the mapping can only add energy — the alpha-beta bound used
-    by Sunstone's bottom-up search. *)
 
 val pp_cost : Format.formatter -> cost -> unit

@@ -1,11 +1,4 @@
 module W = Sun_tensor.Workload
-module Tel = Sun_telemetry.Metrics
-
-(* Pre-registered counter handles: one flag load each when telemetry is
-   disabled. Module-global handles are fork-safe by the snapshot-merge
-   protocol (DESIGN.md §3.4). *)
-let tel_hits = Tel.counter "model.probe_hits"
-let tel_misses = Tel.counter "model.probe_misses"
 
 (* Per tensor axis: (dim id, coefficient) terms, exactly [Model]'s op_info
    axes. A [W.Dim d] axis is [(d, 1)]: its extent 1 + 1*(v-1) = v is the
@@ -13,36 +6,17 @@ let tel_misses = Tel.counter "model.probe_misses"
    bit-identical to [W.footprint]. *)
 type op_axes = (int * int) array array
 
-(* One entry per operand. The memo is split per (operand, level) so a
-   lookup hashes only the int vector — the operand string is resolved once
-   per call through [ops], never rehashed as part of the key. [tbls] is
-   indexed by [level + 1] (level -1 holds the level-independent
-   [changes_footprint] probes) and grown on demand. *)
-type op_entry = {
-  axes : op_axes;
-  mutable tbls : (int array, float) Hashtbl.t array;
-}
-
 type t = {
   dims : string array;
   ndims : int;
   dim_of : (string, int) Hashtbl.t;
-  ops : (string, op_entry) Hashtbl.t;
-  memo : bool;
+  ops : (string, op_axes) Hashtbl.t;
   vec : int array;  (** scratch filled by [set_extents] *)
   ones : int array;
   bump : int array;  (** scratch for [changes_footprint] *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
-let memo_env_off () =
-  match Sys.getenv_opt "SUNSTONE_PROBE_MEMO" with
-  | Some ("off" | "0" | "false") -> true
-  | _ -> false
-
-let create ?memo (w : W.t) =
-  let memo = match memo with Some b -> b | None -> not (memo_env_off ()) in
+let create (w : W.t) =
   let dims = Array.of_list (W.dim_names w) in
   let ndims = Array.length dims in
   let dim_of = Hashtbl.create 8 in
@@ -61,114 +35,63 @@ let create ?memo (w : W.t) =
                    (List.map (fun (d, c) -> (Hashtbl.find dim_of d, c)) terms))
              op.W.indices)
       in
-      Hashtbl.replace ops op.W.name { axes; tbls = [||] })
+      Hashtbl.replace ops op.W.name axes)
     w.W.operands;
   {
     dims;
     ndims;
     dim_of;
     ops;
-    memo;
     vec = Array.make ndims 1;
     ones = Array.make ndims 1;
     bump = Array.make ndims 1;
-    hits = 0;
-    misses = 0;
   }
 
-let memo_enabled t = t.memo
-
-(* [Hashtbl.find] + the [Not_found] arm, not [find_opt]: the hit path of
-   the memo must not build a [Some] per probe, and raising/catching the
-   constant [Not_found] allocates nothing. *)
-let entry_of t op =
+let axes_of t op =
   match Hashtbl.find t.ops op with
-  | e -> e
+  | axes -> axes
   | exception Not_found ->
     (* sunstone-lint: allow SA070 unknown-operand failure is a caller bug, not a hot path *)
     invalid_arg (Printf.sprintf "Probe: unknown operand %s" op)
+
+(* Extent of one tensor axis, 1 + sum of c * (v_d - 1) over its terms.
+   Toplevel tail recursion with an int accumulator: the self-call compiles
+   to a jump with [acc] in a register. *)
+let rec axis_extent terms (vec : int array) j acc =
+  if j >= Array.length terms then acc
+  else
+    let d, c = Array.unsafe_get terms j in
+    axis_extent terms vec (j + 1) (acc + (c * (Array.unsafe_get vec d - 1)))
 
 (* Bit-identical to [W.footprint (fun d -> vec.(dim_of d)) op]: the axis
    extents are exact small integers, and the float product folds left in
    axis order like [W.footprint] does. *)
 let compute axes (vec : int array) =
-  let naxes = Array.length axes in
-  let rec go i acc =
-    if i >= naxes then acc
-    else begin
-      let terms = Array.unsafe_get axes i in
-      let m = Array.length terms in
-      let rec ext j e =
-        if j >= m then e
-        else
-          let d, c = Array.unsafe_get terms j in
-          ext (j + 1) (e + (c * (Array.unsafe_get vec d - 1)))
-      in
-      go (i + 1) (acc *. float_of_int (ext 0 1))
-    end
-  in
-  go 0 1.0
-
-let table_at entry level =
-  let ti = level + 1 in
-  let n = Array.length entry.tbls in
-  if ti >= n then begin
-    (* sunstone-lint: allow SA070 per-level table growth, once per level ever probed *)
-    let grown = Array.init (ti + 1) (fun i -> if i < n then entry.tbls.(i) else Hashtbl.create 64) in
-    entry.tbls <- grown
-  end;
-  entry.tbls.(ti)
-
-(* The memo's hit path returns the float already boxed inside the table —
-   no per-probe allocation at all. Misses pay [compute] plus the stored
-   key copy, amortized away by the sibling candidates sharing extents. *)
-(* sunstone-hot *)
-let lookup t ~op ~level (vec : int array) =
-  let entry = entry_of t op in
-  if not t.memo then compute entry.axes vec
-  else begin
-    let tbl = table_at entry level in
-    match Hashtbl.find tbl vec with
-    | fp ->
-      t.hits <- t.hits + 1;
-      fp
-    | exception Not_found ->
-      t.misses <- t.misses + 1;
-      let fp = compute entry.axes vec in
-      (* the caller reuses [vec] as scratch; the stored key must not alias it *)
-      (* sunstone-lint: allow SA070 miss path: the memo key must not alias caller scratch *)
-      Hashtbl.replace tbl (Array.copy vec) fp;
-      fp
-  end
+  (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
+  let fp = ref 1.0 in
+  for i = 0 to Array.length axes - 1 do
+    fp := !fp *. float_of_int (axis_extent (Array.unsafe_get axes i) vec 0 1)
+  done;
+  !fp
 
 let set_extents t extent =
   for i = 0 to t.ndims - 1 do
     t.vec.(i) <- extent t.dims.(i)
   done
 
-let footprint t ~op ~level = lookup t ~op ~level t.vec
+let footprint t ~op = compute (axes_of t op) t.vec
 
-let footprint_of t ~op ~level extent =
+let footprint_of t ~op extent =
   set_extents t extent;
-  lookup t ~op ~level t.vec
+  footprint t ~op
 
 let changes_footprint t ~op ~dim =
   match Hashtbl.find_opt t.dim_of dim with
   | None -> false
   | Some di ->
-    let base = lookup t ~op ~level:(-1) t.ones in
+    let axes = axes_of t op in
+    let base = compute axes t.ones in
     t.bump.(di) <- 2;
-    let bumped = lookup t ~op ~level:(-1) t.bump in
+    let bumped = compute axes t.bump in
     t.bump.(di) <- 1;
     bumped <> base
-
-let hits t = t.hits
-let misses t = t.misses
-
-let flush_telemetry t =
-  if Tel.enabled () then begin
-    Tel.add tel_hits t.hits;
-    Tel.add tel_misses t.misses
-  end;
-  t.hits <- 0;
-  t.misses <- 0

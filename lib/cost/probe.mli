@@ -1,57 +1,35 @@
-(** Memoized footprint probes, shared by one search or analysis scope.
+(** Footprint probes, shared by one search or analysis scope.
 
     The optimizer's tile-fit tests and the pruning/audit passes all reduce
     to the same primitive — the tile footprint of one operand at one extent
-    vector — and call it millions of times per search with heavy repetition
-    (sibling candidates share most of their extents). A [Probe.t] memoizes
-    those calls keyed on (operand, level, tile vector).
+    vector — and call it millions of times per search. A [Probe.t] resolves
+    the workload's dimension names and operand axes once, so each probe is
+    an integer walk over a scratch extent vector: no name lookups per
+    dimension and no list traversal.
 
-    Scope rule: a probe is created per search / per analysis check and
-    dropped with it — there is no invalidation. The memo key does not name
-    the workload, so a probe must never outlive the workload it was created
-    for (DESIGN.md §3.7).
-
-    Memoized results are bit-identical to direct recomputation via
-    {!Sun_tensor.Workload.footprint} (the QCheck suite pins this): the axis
-    extents are exact small integers and the float product folds in the
-    same order. Setting [SUNSTONE_PROBE_MEMO=off] (or [0]/[false]) in the
-    environment disables memoization for A/B parity runs — CI diffs the
-    two modes on the mixed batch fixture.
-
-    Hit/miss tallies are kept as plain fields and flushed to the
-    [model.probe_hits] / [model.probe_misses] telemetry counters once per
-    scope, so the cache is observable via [sunstone stats] without putting
-    an atomic bump on the hot path. *)
+    Results are bit-identical to {!Sun_tensor.Workload.footprint} (the
+    QCheck suite pins this): the axis extents are exact small integers and
+    the float product folds in the same order. A probe holds scratch state,
+    so it belongs to one search or check at a time (DESIGN.md §3.7). *)
 
 type t
 
-val create : ?memo:bool -> Sun_tensor.Workload.t -> t
-(** One probe per (workload, search scope). [memo] defaults to [true]
-    unless [SUNSTONE_PROBE_MEMO] is set to [off]/[0]/[false]. *)
-
-val memo_enabled : t -> bool
+val create : Sun_tensor.Workload.t -> t
+(** One probe per (workload, search scope). *)
 
 val set_extents : t -> (string -> int) -> unit
 (** Fill the probe's scratch extent vector, one call per candidate; the
-    per-operand {!footprint} lookups that follow reuse it without
+    per-operand {!footprint} calls that follow reuse it without
     re-resolving dimension names. *)
 
-val footprint : t -> op:string -> level:int -> float
-(** Footprint of [op] at the extents loaded by {!set_extents}, memoized
-    under (op, level, vector). Raises [Invalid_argument] on an operand the
-    workload does not name. *)
+val footprint : t -> op:string -> float
+(** Footprint of [op] at the extents loaded by {!set_extents}. Raises
+    [Invalid_argument] on an operand the workload does not name. *)
 
-val footprint_of : t -> op:string -> level:int -> (string -> int) -> float
+val footprint_of : t -> op:string -> (string -> int) -> float
 (** [set_extents] + [footprint] in one call, for single-operand probes. *)
 
 val changes_footprint : t -> op:string -> dim:string -> bool
 (** Does growing [dim] (1 → 2, all other extents 1) change [op]'s
-    footprint? The semantic reuse probe of the pruning/audit passes;
-    memoized like any other vector. [false] for unknown dims. *)
-
-val hits : t -> int
-val misses : t -> int
-
-val flush_telemetry : t -> unit
-(** Add the tallies to [model.probe_hits]/[model.probe_misses] (when
-    telemetry is enabled) and zero them. Call once per scope. *)
+    footprint? The semantic reuse probe of the pruning/audit passes.
+    [false] for unknown dims. *)

@@ -7,10 +7,10 @@
     initial incumbent (alpha) for the next: the parent-side classify phase
     calls {!find_seed} on every cacheable miss and ships the rescaled
     neighbor to the worker, which passes it to
-    {!Sun_core.Optimizer.optimize} as [?seed]. Seeding only tightens
-    alpha-beta pruning; an illegal seed is dropped silently by the
-    optimizer, so transfer can never make a result worse or a request
-    fail.
+    {!Sun_core.Optimizer.optimize} as [?seed]. An illegal seed is dropped
+    silently by the optimizer, so transfer never makes a request fail; the
+    seed-only pruning margin and second refinement are heuristics, so a
+    warm result is usually, not always, at least as good as a cold one.
 
     Neighbor selection: cached documents carry their
     {!Fingerprint.structural} family key, structural bound vector and dim

@@ -58,8 +58,7 @@ type search_state = {
   arch : A.t;
   cfg : config;
   ctx : Model.ctx;
-  probe : Probe.t;
-      (** memoized footprint probes, scoped to this search (DESIGN.md §3.7) *)
+  probe : Probe.t;  (** footprint probes, scoped to this search (DESIGN.md §3.7) *)
   dims : W.dim list;
   mutable fits : (float * string array) array array;
       (** per level: (capacity, stored operand names) per partition —
@@ -88,10 +87,6 @@ type search_state = {
           seed is never displaced, the post-search refinement also
           hill-climbs from here so a strong seed cannot strand the search
           at the seed's own local optimum ({!optimize}) *)
-  mutable floor_energy : float;
-      (** mandatory top-boundary traffic energy: every tensor word crosses
-          the outermost boundary at least once ({!dram_floors}) *)
-  mutable floor_cycles : float;  (** same floor as cycles through the top bandwidth *)
 }
 
 let ones dims = List.map (fun d -> (d, 1)) dims
@@ -128,9 +123,8 @@ let fit_table st =
              lvl.A.partitions))
 
 (* Does a tile with the given extents fit every partition of the level?
-   The extent vector is resolved once per call; the per-operand footprints
-   go through the search-scoped memo (sibling candidates share most of
-   their extent vectors). [Probe.footprint] is bit-identical to
+   The extent vector is resolved once per call into the search-scoped
+   probe's scratch. [Probe.footprint] is bit-identical to
    [W.footprint extent], so the sum matches [Listx.sum_by] exactly. The
    loops are index-driven over the prebuilt arrays — the old
    [List.for_all]/[List.fold_left] pair allocated two closures per call and
@@ -147,7 +141,7 @@ let extents_fit st ~level extent =
     (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
     let sum = ref 0.0 in
     for oi = 0 to Array.length ops - 1 do
-      sum := !sum +. Probe.footprint st.probe ~op:(Array.unsafe_get ops oi) ~level
+      sum := !sum +. Probe.footprint st.probe ~op:(Array.unsafe_get ops oi)
     done;
     if !sum > cap then ok := false;
     incr gi
@@ -196,8 +190,8 @@ let update_best st m (s : Model.score) =
 (* Track the best mapping the search itself produced, separately from the
    incumbent: a transferred seed can be strong enough that no enumerated
    candidate ever displaces it, and the final refinement then never sees
-   the enumeration's own best starting point. Gated on [seeded] so the
-   unseeded path stays bit-identical (one integer test per score). *)
+   the enumeration's own best starting point. Only seeded searches need
+   it, so unseeded ones skip the bookkeeping (one integer test per score). *)
 (* sunstone-hot *)
 let update_best_alt st m (s : Model.score) =
   if st.seeded > 0 then
@@ -303,51 +297,6 @@ let complete_at_top st levels =
   completed.(top) <- { top_lm with M.temporal };
   completed
 
-let min_cycles st = W.macs st.w /. float_of_int (A.total_fanout st.arch * st.arch.A.mac_throughput)
-
-(* Sharper admissible cycles bound for a bottom-up prefix: levels at or
-   below the boundary have their spatial unrolling fixed, so no completion
-   can run on more lanes than the committed unrolls times the fanout still
-   unassigned above — compute alone then needs at least
-   [macs / (throughput x that product)] cycles. Only seeded searches use
-   it ({!alpha_beta_prunes}): a transferred incumbent gives a finite alpha
-   from the very first pass, where this bound actually discriminates,
-   while unseeded searches keep the full-fanout bound so their results
-   stay bit-identical with earlier releases (the transfer-off parity gate
-   in ci.sh pins exactly that). *)
-let min_cycles_committed st ~fixed_levels levels =
-  let lanes = ref 1.0 in
-  for l = 0 to A.num_levels st.arch - 1 do
-    if l <= fixed_levels then
-      List.iter (fun (_, f) -> lanes := !lanes *. float_of_int f) levels.(l).M.spatial
-    else lanes := !lanes *. float_of_int (A.level st.arch l).A.fanout
-  done;
-  W.macs st.w /. (!lanes *. float_of_int st.arch.A.mac_throughput)
-
-(* Mandatory top-boundary traffic, independent of the mapping: every word
-   of every tensor crosses the outermost boundary at least once, costing
-   at least the cheapest top-level per-word energy and occupying the top
-   level's aggregate bandwidth. Both floors are admissible additions to
-   the committed-level bounds of {!alpha_beta_prunes}: the committed
-   bound only counts boundaries strictly below the top, so the two access
-   sets are disjoint. *)
-let dram_floors st =
-  let parts = (A.level st.arch (A.num_levels st.arch - 1)).A.partitions in
-  if parts = [] then (0.0, 0.0)
-  else begin
-    let min_e =
-      List.fold_left
-        (fun acc (p : A.partition) ->
-          Float.min acc (Float.min p.A.read_energy p.A.write_energy))
-        infinity parts
-    in
-    let sum_bw = List.fold_left (fun acc (p : A.partition) -> acc +. p.A.bandwidth) 0.0 parts in
-    let words =
-      List.fold_left (fun acc op -> acc +. W.operand_size st.w op) 0.0 st.w.W.operands
-    in
-    (words *. min_e, if sum_bw > 0.0 then words /. sum_bw else 0.0)
-  end
-
 (* A prefix with [edp_lb > incumbent * prune_margin] is cut once the seed
    has been displaced (see the margin computation below). 0.8 is the
    empirical knee on the ResNet-18/Inception-v3 transfer benchmark: it cuts
@@ -356,65 +305,35 @@ let dram_floors st =
    below) start pruning subtrees holding small genuine improvements. *)
 let prune_margin = 0.8
 
-(* Alpha-beta: prune a prefix whose committed-level energy already exceeds
-   the incumbent's total energy (with a little slack for latency trades).
-   Bottom-up this is a sharp test — with high reuse, most of the energy is
-   charged at the lowest levels, so the committed partial energy sits close
-   to the final energy (Section V-C). The hard EDP bound (committed energy
-   at best-case latency) is also applied. Returns [Some edp_lb] when the
-   prefix prunes, so the seeded beam can still rank it by its bound
-   without scoring it ({!select_beam}). *)
+(* Alpha-beta (Section V-C): prune a prefix whose optimistic EDP — the
+   product of {!Model.prefix_lower_bounds}' energy and cycles bounds —
+   already exceeds the incumbent's EDP. Both bounds are admissible, so on
+   its own the test never cuts a prefix holding a better completion
+   ([sunstone check --admissibility] pins this). Bottom-up the test is
+   sharp: with high reuse most of the energy is charged at the lowest
+   levels, so the committed energy sits close to the final energy. *)
 let alpha_beta_prunes st ~fixed_levels levels =
-  if not st.cfg.alpha_beta then None
-  else
-    match st.best with
-    | None -> None
-    | Some (_, best) ->
-      let energy_slack = 1.5 in
-      (* seeded searches fold in the mandatory top-boundary floors, the
-         committed-parallelism cycles bound and the committed-boundary
-         bandwidth bound; unseeded searches keep the original full-fanout
-         test so their results stay bit-identical with earlier releases
-         (the transfer-off parity gate pins this) *)
-      let lb, edp_lb =
-        if st.seeded > 0 then begin
-          let e_lb, bw_lb =
-            Model.lower_bounds_ctx st.ctx ~partial_levels:fixed_levels { M.levels }
-          in
-          (* the floors count the top boundary, which [lower_bounds_ctx]
-             already includes once [fixed_levels] reaches it — drop them
-             there to keep the two access sets disjoint *)
-          let fe, fc =
-            if fixed_levels < A.num_levels st.arch - 1 then (st.floor_energy, st.floor_cycles)
-            else (0.0, 0.0)
-          in
-          let cycles_lb =
-            Float.max (min_cycles_committed st ~fixed_levels levels) (Float.max bw_lb fc)
-          in
-          (e_lb, (e_lb +. fe) *. cycles_lb)
-        end
-        else
-          let e_lb = Model.energy_lower_bound_ctx st.ctx ~partial_levels:fixed_levels { M.levels } in
-          (e_lb, e_lb *. min_cycles st)
-      in
-      (* Seeded-only pruning margin, gated on displacement: while the
-         transferred seed is still the incumbent the test stays exact, so
-         the first enumerated improvement over the seed can never be
-         margin-pruned — a seed that happens to sit within a few percent
-         of the true optimum must not freeze the search at its own value.
-         Once some candidate has displaced the seed, prefixes whose
-         optimistic bound already lands within [prune_margin] of the
-         incumbent are dropped: their best case is a marginal win, and
-         spending full completions on them is where a warm search burns
-         the evaluations the seed was meant to save. Unseeded searches
-         ([st.seeded = 0]) never use the margin, keeping cold results
-         bit-identical with earlier releases. *)
-      let margin = if st.seeded > 0 && not st.best_is_seed then prune_margin else 1.0 in
-      if lb > best.Model.s_energy_pj *. energy_slack || edp_lb > best.Model.s_edp *. margin then begin
-        st.pruned <- st.pruned + 1;
-        Some edp_lb
-      end
-      else None
+  st.cfg.alpha_beta
+  &&
+  match st.best with
+  | None -> false
+  | Some (_, best) ->
+    let energy_lb, cycles_lb = Model.prefix_lower_bounds st.ctx ~fixed_levels { M.levels } in
+    (* Seeded-only pruning margin, gated on displacement: while the
+       transferred seed is still the incumbent the test stays exact, so
+       the first enumerated improvement over the seed can never be
+       margin-pruned — a seed that happens to sit within a few percent
+       of the true optimum must not freeze the search at its own value.
+       Once some candidate has displaced the seed, prefixes whose
+       optimistic bound already lands within [prune_margin] of the
+       incumbent are dropped: their best case is a marginal win, and
+       spending full completions on them is where a warm search burns
+       the evaluations the seed was meant to save. This is the one
+       inadmissible rule; unseeded searches never use it. *)
+    let margin = if st.seeded > 0 && not st.best_is_seed then prune_margin else 1.0 in
+    let prunes = energy_lb *. cycles_lb > best.Model.s_edp *. margin in
+    if prunes then st.pruned <- st.pruned + 1;
+    prunes
 
 (* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
    level-(k-1) tile, level-k spatial unrolling. *)
@@ -599,12 +518,11 @@ let select_beam st ~fixed_levels prefixes =
          the next prefix, so this path stays candidate-by-candidate *)
       List.filter_map
         (fun levels ->
-          match alpha_beta_prunes st ~fixed_levels levels with
-          | Some _ -> None
-          | None -> (
+          if alpha_beta_prunes st ~fixed_levels levels then None
+          else
             match score st (complete_at_top st levels) with
             | Some s -> Some (levels, s.Model.s_edp)
-            | None -> None))
+            | None -> None)
         prefixes
   in
   let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
@@ -911,10 +829,7 @@ let flush_telemetry st wall_seconds =
       (* >= 1.0: how much the search improved on the transferred alpha *)
       Tel.observe (Tel.histogram "transfer.alpha_ratio") (st.seed_edp /. best.Model.s_edp)
     | _ -> ()
-  end;
-  (* probe hit/miss tallies flow to model.probe_hits / model.probe_misses
-     (and reset) regardless, so stats stay per-search *)
-  Probe.flush_telemetry st.probe
+  end
 
 let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
   let timer = Sun_util.Stopwatch.start () in
@@ -943,18 +858,10 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
       seed_edp = nan;
       best_is_seed = false;
       best_alt = None;
-      floor_energy = 0.0;
-      floor_cycles = 0.0;
     }
   in
   st.fits <- fit_table st;
-  (match seed with
-  | None -> ()
-  | Some levels ->
-    let fe, fc = dram_floors st in
-    st.floor_energy <- fe;
-    st.floor_cycles <- fc;
-    install_seed st levels);
+  Option.iter (install_seed st) seed;
   (match config.direction with
   | Bottom_up -> optimize_bottom_up st
   | Top_down -> optimize_top_down st);
@@ -968,8 +875,9 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
      hill-climbing from the seed alone can strand the result at the seed's
      own local optimum while the unseeded search — refining from *its*
      winner — would have done better. Also refine from the enumeration's
-     best and keep whichever endpoint wins, so seeding can never make the
-     final mapping worse than the same search without the seed. *)
+     best and keep whichever endpoint wins. Together with the pruning
+     margin this is heuristic: a seeded result is usually, not always, at
+     least as good as the same search without the seed. *)
   (match (seed_survived, st.best, enumerated_best) with
   | true, Some (_, inc_s), Some (alt_m, alt_s)
     when config.refine && alt_s.Model.s_edp <= inc_s.Model.s_edp *. 1.5 ->

@@ -8,8 +8,8 @@
     fanout between them (maximal unrollings of the same reuse dimensions).
     Partial schedules are scored by completing them naively at DRAM and
     keeping the best [beam_width]; alpha-beta pruning discards prefixes
-    whose committed-level energy already exceeds the best complete schedule
-    found.
+    whose admissible EDP lower bound ({!Sun_cost.Model.prefix_lower_bounds})
+    already exceeds the best complete schedule found.
 
     Top-down (the Table VI ablation) runs the same per-level machinery from
     DRAM inward; because on-chip capacities are large, its per-pass frontier
@@ -76,9 +76,12 @@ val optimize :
 
     [?seed] warm-starts the search: the given levels are built and scored
     before enumeration and, if legal, installed as the initial incumbent,
-    so alpha-beta pruning has a finite alpha from the first pass. Seeding
-    can only tighten pruning — the final mapping's EDP is never worse than
-    the unseeded search's. An illegal or unscorable seed is dropped
+    so alpha-beta pruning has a finite alpha from the first pass. Seeded
+    and unseeded searches prune with the same admissible bound; a seeded
+    search adds two heuristics (a pruning margin once the seed is
+    displaced, and a second refinement from the best enumerated mapping),
+    so its EDP is usually, but not always, at most the unseeded one's.
+    An illegal or unscorable seed is dropped
     silently (the search runs exactly as unseeded); seed rejections are
     {e not} counted in [stats.build_errors]/[stats.eval_errors], which
     remain reserved for candidates the search itself generated. Telemetry:

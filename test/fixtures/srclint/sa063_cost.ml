@@ -1,9 +1,9 @@
 (* Fixture: SA063 hashtbl-iteration hazards in cost-model code.
    Never compiled; lexed by the linter only.
 
-   The probe memo (lib/cost/probe.ml) keeps per-operand hashtables, so
-   lib/cost joined lib/serve in SA063's scope: any Hashtbl.iter /
-   Hashtbl.fold over a memo table would make output depend on bucket
+   The cost model and its footprint probes (lib/cost) keep hashtables,
+   so lib/cost is in SA063's scope alongside lib/serve: any Hashtbl.iter /
+   Hashtbl.fold over such a table would make output depend on bucket
    order. This file stages three such hazards under a lib/cost path. *)
 
 let dump_memo buf tbl =

@@ -174,12 +174,24 @@ let test_breakdown_sums () =
   check_f "breakdown sums to energy" c.Model.energy_pj total;
   Alcotest.(check bool) "has MAC entry" true (List.mem_assoc "MAC" c.Model.breakdown)
 
+(* The search's alpha-beta bounds on the prefixes of a complete mapping. *)
+let prefix_bounds w arch m ~k =
+  Model.prefix_lower_bounds (Model.context w arch) ~fixed_levels:k
+    (Sun_analysis.Admissibility.search_prefix w m ~k)
+
 let test_lower_bound () =
   let full = Model.evaluate_exn conv arch algorithm4 in
-  let lb = Model.energy_lower_bound conv arch ~partial_levels:2 algorithm4 in
-  Alcotest.(check bool) "bound below total" true (lb <= full.Model.energy_pj +. 1e-6);
-  let lb1 = Model.energy_lower_bound conv arch ~partial_levels:1 algorithm4 in
-  Alcotest.(check bool) "bound monotone in levels" true (lb1 <= lb +. 1e-6)
+  for k = 0 to M.num_levels algorithm4 - 1 do
+    let e, c = prefix_bounds conv arch algorithm4 ~k in
+    Alcotest.(check bool) (Printf.sprintf "energy bound below total at %d" k) true
+      (e <= full.Model.energy_pj +. 1e-6);
+    Alcotest.(check bool) (Printf.sprintf "cycles bound below total at %d" k) true
+      (c <= full.Model.cycles +. 1e-6)
+  done;
+  (* committing level 1 adds its streaming reads and the L1 boundary *)
+  let e0, _ = prefix_bounds conv arch algorithm4 ~k:0 in
+  let e1, _ = prefix_bounds conv arch algorithm4 ~k:1 in
+  Alcotest.(check bool) "bound monotone in levels" true (e0 <= e1 +. 1e-6)
 
 (* Simba-like arch: weights bypass L2; the weight chain must be
    DRAM -> L1 -> Reg with no L2 transfer. *)
@@ -280,7 +292,11 @@ let qcheck_props =
         let w, m = build inputs in
         match Model.evaluate w big_arch m with
         | Ok c ->
-          Model.energy_lower_bound w big_arch ~partial_levels:2 m <= c.Model.energy_pj +. 1e-6
+          List.for_all
+            (fun k ->
+              let e, cycles = prefix_bounds w big_arch m ~k in
+              e <= c.Model.energy_pj +. 1e-6 && cycles <= c.Model.cycles +. 1e-6)
+            [ 0; 1; 2 ]
         | Error _ -> false);
   ]
 

@@ -1,8 +1,8 @@
 (* Golden bit-identity and hot-path coverage for the allocation-free
    evaluator: the rewritten [Model] must return byte-identical cost records
    to the frozen pre-rewrite evaluator ([Model_ref]) on every registry
-   workload under both the Eyeriss-like and Simba presets; the probe memo
-   must be indistinguishable from direct recomputation; the batch entry
+   workload under both the Eyeriss-like and Simba presets; footprint
+   probes must equal direct recomputation; the batch entry
    points must equal the scalar ones; and the gid assignment order of
    [Model.context] is pinned (serialized caches depend on it). *)
 
@@ -14,7 +14,6 @@ module Model = Sun_cost.Model
 module Ref = Sun_cost.Model_ref
 module Probe = Sun_cost.Probe
 module Opt = Sun_core.Optimizer
-module Tel = Sun_telemetry.Metrics
 
 let presets = [ ("conventional", P.conventional); ("simba", P.simba_like) ]
 
@@ -179,7 +178,7 @@ let test_probe_changes_footprint () =
   List.iter
     (fun wname ->
       let w = find_workload wname in
-      let probe = Probe.create ~memo:true w in
+      let probe = Probe.create w in
       let dims = W.dim_names w in
       List.iter
         (fun (op : W.operand) ->
@@ -198,30 +197,6 @@ let test_probe_changes_footprint () =
         (Probe.changes_footprint probe ~op:(List.hd w.W.operands).W.name ~dim:"no-such-dim"))
     [ "conv2d"; "mmc"; "mttkrp" ]
 
-(* probe telemetry: hits/misses flushed to the model.probe_* counters *)
-let test_probe_telemetry () =
-  let w = find_workload "matmul" in
-  Tel.set_enabled true;
-  Tel.reset ();
-  let probe = Probe.create ~memo:true w in
-  let ops = List.map (fun (op : W.operand) -> op.W.name) w.W.operands in
-  for _ = 1 to 3 do
-    List.iter (fun op -> ignore (Probe.footprint_of probe ~op ~level:0 (fun _ -> 2))) ops
-  done;
-  let hits = Probe.hits probe and misses = Probe.misses probe in
-  Alcotest.(check int) "misses: one per (op, vector)" (List.length ops) misses;
-  Alcotest.(check int) "hits: the revisits" (2 * List.length ops) hits;
-  Probe.flush_telemetry probe;
-  let snap = Tel.snapshot () in
-  let counter name =
-    match List.assoc_opt name snap.Tel.s_counters with Some v -> v | None -> 0
-  in
-  Tel.set_enabled false;
-  Tel.reset ();
-  Alcotest.(check int) "model.probe_hits" hits (counter "model.probe_hits");
-  Alcotest.(check int) "model.probe_misses" misses (counter "model.probe_misses");
-  Alcotest.(check int) "tallies reset by flush" 0 (Probe.hits probe + Probe.misses probe)
-
 (* ------------------------------------------------------------------ *)
 (* Gc ground truth: the dynamic oracle the SA070 static lint is pinned  *)
 (* to. Each side covers the other's blind spots — the lint sees code the *)
@@ -231,7 +206,7 @@ let test_probe_telemetry () =
 (* ------------------------------------------------------------------ *)
 
 (* Minor-heap words per call, after a warmup that faults in lazy state
-   (probe memo entries, grow-on-demand scratch) and pays any one-time
+   (grow-on-demand scratch) and pays any one-time
    boxing. [reps] large enough to expose even a single boxed float. *)
 let words_per_call ~reps f =
   for _ = 1 to 100 do
@@ -336,29 +311,23 @@ let test_static_dynamic_agreement () =
 
 let qcheck_props =
   let open QCheck in
-  let memo_matches_direct wname =
+  let probe_matches_direct wname =
     let w = find_workload wname in
     let dims = W.dim_names w in
     let ndims = List.length dims in
-    let memo = Probe.create ~memo:true w in
-    let nomemo = Probe.create ~memo:false w in
+    let probe = Probe.create w in
     Test.make ~count:200
-      ~name:(Printf.sprintf "probe memo = direct recomputation (%s)" wname)
+      ~name:(Printf.sprintf "probe = W.footprint (%s)" wname)
       (list_of_size (Gen.return ndims) (int_range 1 8))
       (fun extents ->
         let tbl = List.combine dims extents in
         let ext d = List.assoc d tbl in
         List.for_all
           (fun (op : W.operand) ->
-            let direct = W.footprint ext op in
-            let a = Probe.footprint_of memo ~op:op.W.name ~level:0 ext in
-            let b = Probe.footprint_of nomemo ~op:op.W.name ~level:0 ext in
-            (* second memoized ask exercises the hit path *)
-            let a2 = Probe.footprint_of memo ~op:op.W.name ~level:0 ext in
-            bits a = bits direct && bits b = bits direct && bits a2 = bits direct)
+            bits (Probe.footprint_of probe ~op:op.W.name ext) = bits (W.footprint ext op))
           w.W.operands)
   in
-  [ memo_matches_direct "conv2d"; memo_matches_direct "mmc" ]
+  [ probe_matches_direct "conv2d"; probe_matches_direct "mmc" ]
 
 let () =
   Alcotest.run "model hot path"
@@ -375,7 +344,6 @@ let () =
       ( "probe",
         [
           Alcotest.test_case "changes_footprint = derivation" `Quick test_probe_changes_footprint;
-          Alcotest.test_case "telemetry counters" `Quick test_probe_telemetry;
         ] );
       ( "gc oracle",
         [

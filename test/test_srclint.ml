@@ -346,8 +346,8 @@ let lexer_extents_prop =
         toks;
       true)
 
-(* SA063's production scope is lib/serve plus lib/cost (the probe memo
-   keeps hashtables in the hot path). Stage the cost fixture under both a
+(* SA063's production scope is lib/serve plus lib/cost (the cost model
+   and its probes keep hashtables on the search path). Stage the cost fixture under both a
    lib/cost/ and a lib/arch/ path and scan with the *scoped* rules: the
    same source must fire in cost and stay silent in arch. *)
 let test_sa063_cost_scope () =

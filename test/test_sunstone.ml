@@ -308,6 +308,25 @@ let test_optimizer_seeded () =
     Alcotest.(check int) "evaluated identical to unseeded" unseeded.Opt.stats.Opt.evaluated
       r.Opt.stats.Opt.evaluated
 
+(* Alpha-beta fires on a cold search: the admissible prefix bounds cut
+   hundreds of ResNet-18 conv3_x prefixes without changing the winner —
+   the EDP bits are the ones the unpruned beam found. *)
+let test_cold_alpha_beta_prunes () =
+  let w =
+    match Sun_serve.Registry.find_workload "resnet18/conv3_x" with
+    | Ok w -> w
+    | Error msg -> Alcotest.fail msg
+  in
+  match Opt.optimize w P.conventional with
+  | Error msg -> Alcotest.failf "conv3_x failed: %s" msg
+  | Ok r ->
+    Alcotest.(check bool)
+      (Printf.sprintf "pruned %d > 0" r.Opt.stats.Opt.pruned_alpha_beta)
+      true
+      (r.Opt.stats.Opt.pruned_alpha_beta > 0);
+    Alcotest.(check string) "EDP bits (7.5157e13)" "0x1.116b635fc8189p+46"
+      (Printf.sprintf "%h" r.Opt.cost.Model.edp)
+
 (* Regression for the stale-snapshot refine bug: moves were generated
    against the mapping from the start of the refinement round even after a
    move was accepted, so a later move could divide a factor the earlier
@@ -403,6 +422,7 @@ let () =
           Alcotest.test_case "conv on simba" `Quick test_optimizer_simba;
           Alcotest.test_case "non-DNN workloads" `Quick test_optimizer_non_dnn;
           Alcotest.test_case "seeded search" `Quick test_optimizer_seeded;
+          Alcotest.test_case "cold alpha-beta prunes" `Quick test_cold_alpha_beta_prunes;
           Alcotest.test_case "refine produces no build errors" `Quick test_refine_no_build_errors;
           Alcotest.test_case "top-down variant" `Quick test_top_down_works;
           Alcotest.test_case "intra-level orders" `Quick test_intra_orders_same_quality;
