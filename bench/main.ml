@@ -545,8 +545,6 @@ let evaluate_bench () =
         (* footprint probes: the optimizer's fit-test pattern — a small
            pool of candidate extent vectors probed for every operand *)
         let dims = Array.of_list (W.dim_names w) in
-        let dim_idx = Hashtbl.create 16 in
-        Array.iteri (fun i d -> Hashtbl.replace dim_idx d i) dims;
         let nvec = 64 in
         let pool =
           Array.init nvec (fun v ->
@@ -555,11 +553,13 @@ let evaluate_bench () =
         let ops = List.map (fun (op : W.operand) -> op.W.name) w.W.operands in
         let probe_rounds = 200 in
         let run_probes probe =
+          let ext = Probe.extents probe in
+          let axes = List.map (fun op -> Probe.axes probe ~op) ops in
           for _ = 1 to probe_rounds do
             Array.iter
               (fun vec ->
-                Probe.set_extents probe (fun d -> vec.(Hashtbl.find dim_idx d));
-                List.iter (fun op -> ignore (Probe.footprint probe ~op)) ops)
+                Array.blit vec 0 ext 0 (Array.length vec);
+                List.iter (fun ax -> ignore (Probe.footprint probe ax)) axes)
               pool
           done
         in

@@ -19,6 +19,12 @@ echo "== dune runtest"
 # both directions, or the suite fails.
 dune runtest
 
+echo "== bench/perf smoke (every benchmark code path on tiny inputs)"
+# About a second. Exits 1 on a missing, unitless or non-finite metric or on
+# a failed output check (wrong EDP, a failed request), so a search change
+# that breaks what the benchmark checks fails here rather than in a run.
+dune exec bench/perf/perf.exe -- --smoke >/dev/null
+
 echo "== lint (srclint source scan over lib/, bin/ and bench/)"
 dune exec bin/lint_src.exe -- lib bin bench
 

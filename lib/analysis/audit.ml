@@ -209,12 +209,19 @@ let audit_frontier ~inject probe w a =
         let cap = float_of_int part.A.capacity_words in
         let grow = W.indexing_dims op in
         if grow <> [] && part.A.capacity_words > 0 then begin
+          let ops = [| Probe.axes probe ~op:op.W.name |] in
+          let grow_idx = Array.of_list (List.map (Probe.dim_index probe) grow) in
+          let ext = Probe.extents probe in
+          let fits_factors factors =
+            Array.fill ext 0 (Array.length ext) 1;
+            Array.iteri (fun g d -> ext.(d) <- factors.(g)) grow_idx;
+            Probe.fits probe ops ~capacity:(cap +. 1e-9)
+          in
           let fits asg =
-            Probe.footprint_of probe ~op:op.W.name (fun d -> Tile_tree.factor_of asg d)
-            <= cap +. 1e-9
+            fits_factors (Array.of_list (List.map (Tile_tree.factor_of asg) grow))
           in
           let remaining d = W.bound w d in
-          let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits () in
+          let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits:fits_factors () in
           let frontier =
             match inject with
             | Shrink_frontier -> (

@@ -84,7 +84,7 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
         if config.allow_spatial_reduction then dims
         else List.filter (fun d -> W.is_indexing out d) dims
       in
-      let fits a = product a <= fanout in
+      let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
       let o = Tree.search ~max_steps:24 ~grow_dims:grow ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
       List.filter
@@ -93,7 +93,8 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
     in
     (* tile candidates at a memory level meeting the utilization floor *)
     let tile_choices ~level ~floor ~base remaining =
-      let fits a =
+      let fits factors =
+        let a = Tree.assignment ~grow_dims:dims factors in
         let extent d = base d * Tree.factor_of a d in
         fill_fraction w arch binding ~level extent <= 1.0 +. 1e-9
       in

@@ -34,7 +34,7 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
     (* preset CK unrolling per spatial level, widened only on underfill *)
     let spatial_choices lvl remaining =
       let fanout = (A.level arch lvl).A.fanout in
-      let fits a = product a <= fanout in
+      let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
       let o = Tree.search ~max_steps:24 ~grow_dims:preset ~remaining ~fits () in
       examined := !examined + o.Tree.explored;
       let threshold = config.min_pe_utilization *. float_of_int fanout in
@@ -143,7 +143,8 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
           if level >= num_levels - 1 then try_mapping spatials tiles
           else begin
             let base_here d = base d * s_at level d in
-            let fits a =
+            let fits factors =
+              let a = Tree.assignment ~grow_dims:dims factors in
               let extent d = base_here d * Tree.factor_of a d in
               fits_level ~level extent
             in

@@ -4,23 +4,21 @@ module W = Sun_tensor.Workload
    axes. A [W.Dim d] axis is [(d, 1)]: its extent 1 + 1*(v-1) = v is the
    same exact integer [W.axis_extent] computes, so the product below is
    bit-identical to [W.footprint]. *)
-type op_axes = (int * int) array array
+type axes = (int * int) array array
 
 type t = {
-  dims : string array;
-  ndims : int;
   dim_of : (string, int) Hashtbl.t;
-  ops : (string, op_axes) Hashtbl.t;
-  vec : int array;  (** scratch filled by [set_extents] *)
+  ops : (string, axes) Hashtbl.t;
+  vec : int array;  (** scratch extent vector, see [extents] *)
   ones : int array;
   bump : int array;  (** scratch for [changes_footprint] *)
 }
 
 let create (w : W.t) =
-  let dims = Array.of_list (W.dim_names w) in
-  let ndims = Array.length dims in
+  let names = W.dim_names w in
+  let ndims = List.length names in
   let dim_of = Hashtbl.create 8 in
-  Array.iteri (fun i d -> Hashtbl.replace dim_of d i) dims;
+  List.iteri (fun i d -> Hashtbl.replace dim_of d i) names;
   let ops = Hashtbl.create 8 in
   List.iter
     (fun (op : W.operand) ->
@@ -38,8 +36,6 @@ let create (w : W.t) =
       Hashtbl.replace ops op.W.name axes)
     w.W.operands;
   {
-    dims;
-    ndims;
     dim_of;
     ops;
     vec = Array.make ndims 1;
@@ -47,12 +43,15 @@ let create (w : W.t) =
     bump = Array.make ndims 1;
   }
 
-let axes_of t op =
-  match Hashtbl.find t.ops op with
-  | axes -> axes
-  | exception Not_found ->
-    (* sunstone-lint: allow SA070 unknown-operand failure is a caller bug, not a hot path *)
-    invalid_arg (Printf.sprintf "Probe: unknown operand %s" op)
+let dim_index t d =
+  match Hashtbl.find_opt t.dim_of d with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Probe: unknown dimension %s" d)
+
+let axes t ~op =
+  match Hashtbl.find_opt t.ops op with
+  | Some axes -> axes
+  | None -> invalid_arg (Printf.sprintf "Probe: unknown operand %s" op)
 
 (* Extent of one tensor axis, 1 + sum of c * (v_d - 1) over its terms.
    Toplevel tail recursion with an int accumulator: the self-call compiles
@@ -67,29 +66,38 @@ let rec axis_extent terms (vec : int array) j acc =
    extents are exact small integers, and the float product folds left in
    axis order like [W.footprint] does. *)
 let compute axes (vec : int array) =
-  (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
   let fp = ref 1.0 in
   for i = 0 to Array.length axes - 1 do
     fp := !fp *. float_of_int (axis_extent (Array.unsafe_get axes i) vec 0 1)
   done;
   !fp
 
-let set_extents t extent =
-  for i = 0 to t.ndims - 1 do
-    t.vec.(i) <- extent t.dims.(i)
-  done
+let extents t = t.vec
 
-let footprint t ~op = compute (axes_of t op) t.vec
+let footprint t axes = compute axes t.vec
 
-let footprint_of t ~op extent =
-  set_extents t extent;
-  footprint t ~op
+(* [compute] inlined by hand: a float returned from a call is boxed, so
+   the footprints are folded into the sum inside this one function and
+   only the int verdict leaves it. Same products, same left-to-right sum
+   as [Listx.sum_by (W.footprint ...)]. *)
+let fits t ops ~capacity =
+  (* sunstone-lint: allow SA070 non-escaping refs are Simplif-eliminated, no allocation *)
+  let sum = ref 0.0 and fp = ref 1.0 in
+  for oi = 0 to Array.length ops - 1 do
+    let op = Array.unsafe_get ops oi in
+    fp := 1.0;
+    for i = 0 to Array.length op - 1 do
+      fp := !fp *. float_of_int (axis_extent (Array.unsafe_get op i) t.vec 0 1)
+    done;
+    sum := !sum +. !fp
+  done;
+  not (!sum > capacity)
 
 let changes_footprint t ~op ~dim =
   match Hashtbl.find_opt t.dim_of dim with
   | None -> false
   | Some di ->
-    let axes = axes_of t op in
+    let axes = axes t ~op in
     let base = compute axes t.ones in
     t.bump.(di) <- 2;
     let bumped = compute axes t.bump in

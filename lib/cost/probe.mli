@@ -2,10 +2,10 @@
 
     The optimizer's tile-fit tests and the pruning/audit passes all reduce
     to the same primitive — the tile footprint of one operand at one extent
-    vector — and call it millions of times per search. A [Probe.t] resolves
-    the workload's dimension names and operand axes once, so each probe is
-    an integer walk over a scratch extent vector: no name lookups per
-    dimension and no list traversal.
+    vector — and call it millions of times per search. A [Probe.t] numbers
+    the workload's dimensions and resolves each operand's axes to those
+    numbers once, so a probe is an integer walk over an extent vector: no
+    name lookups per dimension and no list traversal.
 
     Results are bit-identical to {!Sun_tensor.Workload.footprint} (the
     QCheck suite pins this): the axis extents are exact small integers and
@@ -14,20 +14,33 @@
 
 type t
 
+type axes
+(** One operand's axes, resolved to dimension indices. *)
+
 val create : Sun_tensor.Workload.t -> t
 (** One probe per (workload, search scope). *)
 
-val set_extents : t -> (string -> int) -> unit
-(** Fill the probe's scratch extent vector, one call per candidate; the
-    per-operand {!footprint} calls that follow reuse it without
-    re-resolving dimension names. *)
+val dim_index : t -> string -> int
+(** Position of a dimension in {!Sun_tensor.Workload.dim_names}, which is
+    its slot in {!extents}. Raises [Invalid_argument] on a dimension the
+    workload does not name. *)
 
-val footprint : t -> op:string -> float
-(** Footprint of [op] at the extents loaded by {!set_extents}. Raises
-    [Invalid_argument] on an operand the workload does not name. *)
+val axes : t -> op:string -> axes
+(** Resolve an operand once per scope. Raises [Invalid_argument] on an
+    operand the workload does not name. *)
 
-val footprint_of : t -> op:string -> (string -> int) -> float
-(** [set_extents] + [footprint] in one call, for single-operand probes. *)
+val extents : t -> int array
+(** The probe's scratch extent vector, indexed by {!dim_index} and all
+    ones at creation. Callers write a candidate's extents into it, then
+    call {!footprint} once per operand. *)
+
+val footprint : t -> axes -> float
+(** Footprint of the resolved operand at the extents in {!extents}. *)
+
+val fits : t -> axes array -> capacity:float -> bool
+(** Do the operands' footprints at the extents in {!extents} sum to at
+    most [capacity]? The sum is bit-identical to adding up {!footprint}
+    in array order, and the call allocates nothing. *)
 
 val changes_footprint : t -> op:string -> dim:string -> bool
 (** Does growing [dim] (1 → 2, all other extents 1) change [op]'s

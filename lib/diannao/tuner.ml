@@ -41,7 +41,8 @@ let tune w seed =
         (fun spatial ->
           let u d = Tree.factor_of spatial d in
           let remaining d = W.bound w d / u d in
-          let fits assignment =
+          let fits factors =
+            let assignment = Tree.assignment ~grow_dims:dims factors in
             let extent d = u d * Tree.factor_of assignment d in
             List.for_all
               (fun (o : W.operand) -> W.footprint extent o <= cap_of w o.W.name)

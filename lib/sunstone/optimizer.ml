@@ -60,9 +60,12 @@ type search_state = {
   ctx : Model.ctx;
   probe : Probe.t;  (** footprint probes, scoped to this search (DESIGN.md §3.7) *)
   dims : W.dim list;
-  mutable fits : (float * string array) array array;
-      (** per level: (capacity, stored operand names) per partition —
-          arrays, so the fit test loops without list closures *)
+  mutable fits : (float * Probe.axes array) array array;
+      (** per level: (capacity, stored operands' resolved axes) per
+          partition — arrays, so the fit test loops without list closures *)
+  mutable fit_level : int;  (** [tile_fits] scratch, set per tile search: the level tiled *)
+  mutable fit_base : int array;  (** extent already placed below it, per probe dim *)
+  mutable fit_grow : int array;  (** probe dim of each grow dim, in grow order *)
   mutable examined : int;
   mutable evaluated : int;
   mutable pruned : int;
@@ -100,8 +103,8 @@ let initial_levels st =
   Array.init (A.num_levels st.arch) (fun _ ->
       { M.temporal = ones st.dims; order = st.dims; spatial = ones st.dims })
 
-(* Per level: the partitions to check and the operands each one holds,
-   resolved once so the tile-tree fit test is a tight loop. *)
+(* Per level: the partitions to check and the axes of the operands each
+   one holds, resolved once so the tile-tree fit test is a tight loop. *)
 let fit_table st =
   Array.init (A.num_levels st.arch) (fun level ->
       let lvl = A.level st.arch level in
@@ -119,34 +122,49 @@ let fit_table st =
                    st.w.W.operands
                in
                ( float_of_int p.A.capacity_words +. 1e-9,
-                 Array.of_list (List.map (fun (op : W.operand) -> op.W.name) ops) ))
+                 Array.of_list
+                   (List.map (fun (op : W.operand) -> Probe.axes st.probe ~op:op.W.name) ops) ))
              lvl.A.partitions))
 
-(* Does a tile with the given extents fit every partition of the level?
-   The extent vector is resolved once per call into the search-scoped
-   probe's scratch. [Probe.footprint] is bit-identical to
-   [W.footprint extent], so the sum matches [Listx.sum_by] exactly. The
-   loops are index-driven over the prebuilt arrays — the old
-   [List.for_all]/[List.fold_left] pair allocated two closures per call and
-   boxed the float accumulator on every element — and the local refs below
-   are compiled to registers (Simplif eliminates non-escaping refs). *)
+(* Does the tile with the given grow-dim factors fit every partition of
+   [st.fit_level]? Each grow dim's extent is its base times its factor;
+   the other dims were loaded into the probe's extent vector by
+   [set_tile_scope]. [Probe.fits] sums footprints bit-identically to
+   [Listx.sum_by W.footprint]. The loops are index-driven over the
+   prebuilt arrays, and the local refs below are compiled to registers
+   (Simplif eliminates non-escaping refs). *)
 (* sunstone-hot *)
-let extents_fit st ~level extent =
-  Probe.set_extents st.probe extent;
-  let groups = st.fits.(level) in
+let tile_fits st factors =
+  let ext = Probe.extents st.probe and base = st.fit_base and grow = st.fit_grow in
+  for g = 0 to Array.length grow - 1 do
+    let d = Array.unsafe_get grow g in
+    ext.(d) <- Array.unsafe_get base d * factors.(g)
+  done;
+  let groups = st.fits.(st.fit_level) in
   (* sunstone-lint: allow SA070 non-escaping refs are Simplif-eliminated, no allocation *)
   let ok = ref true and gi = ref 0 in
   while !ok && !gi < Array.length groups do
-    let cap, ops = groups.(!gi) in
-    (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
-    let sum = ref 0.0 in
-    for oi = 0 to Array.length ops - 1 do
-      sum := !sum +. Probe.footprint st.probe ~op:(Array.unsafe_get ops oi)
-    done;
-    if !sum > cap then ok := false;
+    let capacity, ops = groups.(!gi) in
+    ok := Probe.fits st.probe ops ~capacity;
     incr gi
   done;
   !ok
+
+(* Point [tile_fits] at tiles of [level] over [grow]: every dim starts
+   from its [base] extent (indexed by probe dim), and the tile multiplies
+   the grow dims' extents by its factors. *)
+let set_tile_scope st ~level ~base ~grow =
+  Array.blit base 0 (Probe.extents st.probe) 0 (Array.length base);
+  st.fit_level <- level;
+  st.fit_base <- base;
+  st.fit_grow <- Array.of_list (List.map (Probe.dim_index st.probe) grow)
+
+(* The frontier of fitting tiles at [level] over [grow]. *)
+let search_tiles st ~level ~base ~grow ~remaining =
+  set_tile_scope st ~level ~base ~grow;
+  let out = Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining ~fits:(tile_fits st) () in
+  st.examined <- st.examined + out.Tile_tree.explored;
+  out.Tile_tree.frontier
 
 (* Breaking exact dim coverage (doubling one temporal factor) makes
    [Mapping.make] reject the candidate, which on natural search paths never
@@ -338,15 +356,13 @@ let alpha_beta_prunes st ~fixed_levels levels =
 (* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
    level-(k-1) tile, level-k spatial unrolling. *)
 let bottom_up_pass st ~orders ~k prefix_levels =
-  let placed_tbl = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      (* everything already fixed strictly below the new tile, including the
-         spatial factors of levels <= k-1 *)
-      Hashtbl.replace placed_tbl d (M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d))
-    st.dims;
-  let placed d = Hashtbl.find placed_tbl d in
-  let remaining d = W.bound st.w d / placed d in
+  (* everything already fixed strictly below the new tile, including the
+     spatial factors of levels <= k-1, indexed by probe dim *)
+  let placed =
+    Array.of_list
+      (List.map (fun d -> M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d) st.dims)
+  in
+  let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit_candidate ~tile ~order ~spatial =
@@ -382,13 +398,7 @@ let bottom_up_pass st ~orders ~k prefix_levels =
     match Hashtbl.find_opt tile_memo key with
     | Some tiles -> tiles
     | None ->
-      let fits assignment =
-        let extent d = placed d * Tile_tree.factor_of assignment d in
-        extents_fit st ~level:(k - 1) extent
-      in
-      let out = Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining ~fits () in
-      st.examined <- st.examined + out.Tile_tree.explored;
-      let tiles = cap_frontier out.Tile_tree.frontier in
+      let tiles = cap_frontier (search_tiles st ~level:(k - 1) ~base:placed ~grow ~remaining) in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
       Hashtbl.add tile_memo key tiles;
       tiles
@@ -592,6 +602,7 @@ let top_down_pass st ~orders ~k prefix_levels =
      below sits as level k's temporal factor; this pass splits it into
      t_k x s_k x A_{k-1} *)
   let below d = M.temporal_factor { M.levels = prefix_levels } ~level:k d in
+  let all_ones = Array.make (List.length st.dims) 1 in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit ~order ~spatial ~tile =
@@ -622,13 +633,9 @@ let top_down_pass st ~orders ~k prefix_levels =
         let rem d = below d / Tile_tree.factor_of spatial d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
-        let fits assignment =
-          extents_fit st ~level:(k - 1) (fun d -> Tile_tree.factor_of assignment d)
-        in
-        let out = Tile_tree.search ~max_steps:20 ~grow_dims:st.dims ~remaining:rem ~fits () in
-        st.examined <- st.examined + out.Tile_tree.explored;
-        st.tile_candidates <- st.tile_candidates + List.length out.Tile_tree.frontier;
-        List.iter (fun tile -> emit ~order:o.Order_trie.order ~spatial ~tile) out.Tile_tree.frontier)
+        let tiles = search_tiles st ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem in
+        st.tile_candidates <- st.tile_candidates + List.length tiles;
+        List.iter (fun tile -> emit ~order:o.Order_trie.order ~spatial ~tile) tiles)
       out_unroll.Unroll.candidates
   in
   List.iter (fun o -> List.iter (expand o) (operand_choices o)) orders;
@@ -831,8 +838,7 @@ let flush_telemetry st wall_seconds =
     | _ -> ()
   end
 
-let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
-  let timer = Sun_util.Stopwatch.start () in
+let create_state ~config ~inject w arch =
   let st =
     {
       w;
@@ -842,6 +848,9 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
       probe = Probe.create w;
       dims = W.dim_names w;
       fits = [||];
+      fit_level = 0;
+      fit_base = [||];
+      fit_grow = [||];
       examined = 0;
       evaluated = 0;
       pruned = 0;
@@ -861,6 +870,16 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
     }
   in
   st.fits <- fit_table st;
+  st
+
+let tile_fit_test w arch ~level ~grow =
+  let st = create_state ~config:default_config ~inject:No_injection w arch in
+  set_tile_scope st ~level ~base:(Array.make (List.length st.dims) 1) ~grow;
+  tile_fits st
+
+let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
+  let timer = Sun_util.Stopwatch.start () in
+  let st = create_state ~config ~inject w arch in
   Option.iter (install_seed st) seed;
   (match config.direction with
   | Bottom_up -> optimize_bottom_up st

@@ -87,3 +87,16 @@ val optimize :
     remain reserved for candidates the search itself generated. Telemetry:
     [transfer.seeded], [transfer.seed_rejected] counters and a
     [transfer.alpha_ratio] histogram (seed EDP / final EDP, >= 1). *)
+
+val tile_fit_test :
+  Sun_tensor.Workload.t ->
+  Sun_arch.Arch.t ->
+  level:int ->
+  grow:Sun_tensor.Workload.dim list ->
+  int array ->
+  bool
+(** [tile_fit_test w arch ~level ~grow] is the search's tile-fit test at
+    [level] with nothing placed below it: applied to a factor vector
+    indexed like [grow], it tells whether that tile fits every partition
+    of the level. For the allocation oracle and tests; the partial
+    application sets up the search-scoped state once. *)

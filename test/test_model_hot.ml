@@ -247,6 +247,27 @@ let test_gc_score_ctx_zero_alloc () =
         ])
     presets
 
+(* The optimizer's tile-fit test runs once per lattice point of every
+   tile-frontier search; both verdicts must be allocation-free. *)
+let test_gc_tile_fit_zero_alloc () =
+  List.iter
+    (fun (pname, arch) ->
+      let w = find_workload "conv2d" in
+      let grow = W.dim_names w in
+      let fit = Opt.tile_fit_test w arch ~level:0 ~grow in
+      List.iter
+        (fun (what, factors, want) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s tile fits" pname what) want (fit factors);
+          let words = words_per_call ~reps:2000 (fun () -> ignore (fit factors)) in
+          if words <> 0.0 then
+            Alcotest.failf "tile fit allocates %.2f words/call (%s, %s tile) — want 0" words pname
+              what)
+        [
+          ("unit", Array.make (List.length grow) 1, true);
+          ("whole-layer", Array.of_list (List.map (W.bound w) grow), false);
+        ])
+    presets
+
 let test_gc_edf_zero_alloc () =
   let q = Sun_serve.Edf.create () in
   (* pre-warm capacity: steady-state daemons reach a working-set size and
@@ -322,9 +343,11 @@ let qcheck_props =
       (fun extents ->
         let tbl = List.combine dims extents in
         let ext d = List.assoc d tbl in
+        List.iter (fun d -> (Probe.extents probe).(Probe.dim_index probe d) <- ext d) dims;
         List.for_all
           (fun (op : W.operand) ->
-            bits (Probe.footprint_of probe ~op:op.W.name ext) = bits (W.footprint ext op))
+            bits (Probe.footprint probe (Probe.axes probe ~op:op.W.name))
+            = bits (W.footprint ext op))
           w.W.operands)
   in
   [ probe_matches_direct "conv2d"; probe_matches_direct "mmc" ]
@@ -352,6 +375,7 @@ let () =
           Alcotest.test_case "Edf push/pop is allocation-free" `Quick
             test_gc_edf_zero_alloc;
           Alcotest.test_case "static lint agrees" `Quick test_static_dynamic_agreement;
+          Alcotest.test_case "tile fit is allocation-free" `Quick test_gc_tile_fit_zero_alloc;
         ] );
       ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -78,8 +78,8 @@ let test_trie_covers_deeper_reuse () =
    the frontier is K=2, P=2 (footprint 8: ofmap 4 + weight 2 + ifmap 2). *)
 let test_tile_tree_fig5 () =
   let remaining = function "P" -> 14 | "K" -> 4 | _ -> 1 in
-  let fits a =
-    let k = Tree.factor_of a "K" and p = Tree.factor_of a "P" in
+  let fits v =
+    let p = v.(0) and k = v.(1) in
     (* C = R = 1 tile: ofmap k*p, weight k, ifmap p *)
     (k * p) + k + p <= 8
   in
@@ -99,7 +99,11 @@ let test_tile_tree_root_too_big () =
 let test_tile_tree_factors_divide () =
   let remaining = function "A" -> 12 | "B" -> 9 | _ -> 1 in
   let fits a = Tree.factor_of a "A" * Tree.factor_of a "B" <= 10 in
-  let out = Tree.search ~grow_dims:[ "A"; "B" ] ~remaining ~fits () in
+  let out =
+    Tree.search ~grow_dims:[ "A"; "B" ] ~remaining
+      ~fits:(fun v -> fits (Tree.assignment ~grow_dims:[ "A"; "B" ] v))
+      ()
+  in
   List.iter
     (fun tile ->
       Alcotest.(check bool) "A divides" true (12 mod Tree.factor_of tile "A" = 0);
@@ -118,6 +122,23 @@ let test_tile_tree_factors_divide () =
           | None -> ())
         [ "A"; "B" ])
     out.Tree.frontier
+
+(* A ladder keeps both 1 and the full extent, so fewer than two rungs is
+   a caller error; two rungs are exactly those ends. *)
+let test_tile_tree_max_steps_floor () =
+  List.iter
+    (fun max_steps ->
+      match
+        Tree.search ~max_steps ~grow_dims:[ "K" ] ~remaining:(fun _ -> 8) ~fits:(fun _ -> true) ()
+      with
+      | _ -> Alcotest.failf "max_steps %d accepted" max_steps
+      | exception Invalid_argument _ -> ())
+    [ 0; 1 ];
+  let out =
+    Tree.search ~max_steps:2 ~grow_dims:[ "K" ] ~remaining:(fun _ -> 8) ~fits:(fun _ -> true) ()
+  in
+  Alcotest.(check (list (list (pair string int)))) "two rungs: 1 and the full extent"
+    [ [ ("K", 8) ] ] out.Tree.frontier
 
 (* ---------------------------- unroll ------------------------------ *)
 
@@ -346,6 +367,32 @@ let test_refine_no_build_errors () =
       ("mttkrp/conventional", C.mttkrp ~i:64 ~j:32 ~k:16 ~l:16 (), P.conventional);
     ]
 
+(* The search's counts and winner on two cold simba layers, pinned: a
+   tile-tree change that alters a frontier, its order or [explored] moves
+   these counts or the EDP bits. *)
+let test_search_counts_pinned () =
+  List.iter
+    (fun (name, examined, evaluated, pruned, eval_errors, edp_bits) ->
+      let w =
+        match Sun_serve.Registry.find_workload name with
+        | Ok w -> w
+        | Error msg -> Alcotest.fail msg
+      in
+      match Opt.optimize w P.simba_like with
+      | Error msg -> Alcotest.failf "%s failed: %s" name msg
+      | Ok r ->
+        let s = r.Opt.stats in
+        Alcotest.(check int) (name ^ ": examined") examined s.Opt.examined;
+        Alcotest.(check int) (name ^ ": evaluated") evaluated s.Opt.evaluated;
+        Alcotest.(check int) (name ^ ": pruned_alpha_beta") pruned s.Opt.pruned_alpha_beta;
+        Alcotest.(check int) (name ^ ": eval_errors") eval_errors s.Opt.eval_errors;
+        Alcotest.(check int64) (name ^ ": EDP bits") edp_bits
+          (Int64.bits_of_float r.Opt.cost.Model.edp))
+    [
+      ("resnet18/conv5_x", 5290, 799, 108, 14, 0x42d5dd361cc82342L);
+      ("sddmm/cant", 8533, 131, 12, 0, 0x4524feb5d88f0380L);
+    ]
+
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
    dimensions, so every variant reaches comparable unrollings). *)
@@ -368,6 +415,58 @@ let test_intra_orders_same_quality () =
         (v <= best *. 1.3))
     [ ("ordering-first", a); ("tiling-first", b); ("unrolling-first", c) ]
 
+(* Random tiling trees: 1-7 grow dims with random extents, a random ladder
+   thinning, and a monotone fit test shaped like a buffer check — a sum of
+   per-operand products of factors within a capacity. The last operand
+   spans every dim, so the capacity bounds the whole lattice walk. *)
+let tile_tree_case =
+  let open QCheck.Gen in
+  let extents = [| 1; 2; 3; 4; 6; 8; 12; 16; 24; 30; 36; 48; 60; 64; 96; 120; 128; 720 |] in
+  let* n = 1 -- 7 in
+  let* remaining = list_repeat n (map (fun i -> extents.(i)) (0 -- (Array.length extents - 1))) in
+  let* max_steps = frequency [ (1, return max_int); (4, 2 -- 24) ] in
+  let* operands = list_size (0 -- 2) (list_repeat n bool) in
+  let* capacity = 0 -- 400 in
+  return (remaining, max_steps, operands @ [ List.init n (fun _ -> true) ], capacity)
+
+let print_tile_tree_case (remaining, max_steps, operands, capacity) =
+  Printf.sprintf "remaining=[%s] max_steps=%d operands=[%s] capacity=%d"
+    (String.concat ";" (List.map string_of_int remaining))
+    max_steps
+    (String.concat ";"
+       (List.map
+          (fun op -> String.concat "" (List.map (fun b -> if b then "1" else "0") op))
+          operands))
+    capacity
+
+(* The rung-index search returns the reference walk's frontier, in the same
+   order, with the same [explored] — and tests no lattice point twice. *)
+let prop_tile_tree_matches_reference (remaining, max_steps, operands, capacity) =
+  let grow_dims = List.mapi (fun i _ -> Printf.sprintf "d%d" i) remaining in
+  let remaining_of d = List.assoc d (List.combine grow_dims remaining) in
+  let fits_factors factors =
+    List.fold_left
+      (fun acc op ->
+        acc + List.fold_left ( * ) 1 (List.filteri (fun i _ -> List.nth op i) factors))
+      0 operands
+    <= capacity
+  in
+  let ref_frontier, ref_explored =
+    Tile_tree_ref.search ~max_steps ~grow_dims ~remaining:remaining_of
+      ~fits:(fun a -> fits_factors (List.map (Tile_tree_ref.factor_of a) grow_dims))
+      ()
+  in
+  let tested = Hashtbl.create 64 and retested = ref 0 in
+  let out =
+    Tree.search ~max_steps ~grow_dims ~remaining:remaining_of
+      ~fits:(fun v ->
+        let point = Array.to_list v in
+        if Hashtbl.mem tested point then incr retested else Hashtbl.add tested point ();
+        fits_factors point)
+      ()
+  in
+  out.Tree.frontier = ref_frontier && out.Tree.explored = ref_explored && !retested = 0
+
 let qcheck_props =
   let open QCheck in
   [
@@ -386,6 +485,9 @@ let qcheck_props =
         let cands = Trie.candidates w in
         let reused = List.concat_map (fun c -> c.Trie.reused_operands) cands in
         List.for_all (fun (op : W.operand) -> List.mem op.W.name reused) w.W.operands);
+    Test.make ~name:"tile tree = reference walk, each point tested once" ~count:200
+      (make ~print:print_tile_tree_case tile_tree_case)
+      prop_tile_tree_matches_reference;
   ]
 
 let () =
@@ -404,6 +506,7 @@ let () =
           Alcotest.test_case "fig 5 frontier" `Quick test_tile_tree_fig5;
           Alcotest.test_case "root too big" `Quick test_tile_tree_root_too_big;
           Alcotest.test_case "divisibility and maximality" `Quick test_tile_tree_factors_divide;
+          Alcotest.test_case "max_steps below two rejected" `Quick test_tile_tree_max_steps_floor;
         ] );
       ( "unroll",
         [
@@ -426,6 +529,7 @@ let () =
           Alcotest.test_case "refine produces no build errors" `Quick test_refine_no_build_errors;
           Alcotest.test_case "top-down variant" `Quick test_top_down_works;
           Alcotest.test_case "intra-level orders" `Quick test_intra_orders_same_quality;
+          Alcotest.test_case "cold simba counts pinned" `Quick test_search_counts_pinned;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
