@@ -389,85 +389,6 @@ let telemetry_bench () =
   Printf.printf "telemetry: wrote %s\n" out;
   if not pass then exit 1
 
-(* Time a full srclint scan of the shipping tree (lib/, bin/, bench/),
-   min-of-N over a warmed page cache, and persist the corpus size plus the
-   best wall time to BENCH_lint.json. Exits non-zero if the tree is not
-   clean, so ci.sh can gate on the same run it times. *)
-let lint_bench () =
-  let module Srclint = Sun_analysis.Srclint in
-  let module Json = Sun_serve.Json in
-  let roots =
-    List.filter (fun p -> Sys.file_exists p && Sys.is_directory p) [ "lib"; "bin"; "bench" ]
-  in
-  if roots = [] then begin
-    Printf.eprintf "lint: no lib/, bin/ or bench/ under %s\n" (Sys.getcwd ());
-    exit 2
-  end;
-  let scan () = Srclint.scan ~roots () in
-  let r = scan () in
-  let reps = 5 in
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Sun_util.Stopwatch.monotonic_now () in
-    ignore (scan ());
-    best := Float.min !best (Sun_util.Stopwatch.monotonic_now () -. t0)
-  done;
-  let hits = List.length r.Srclint.hits in
-  let stale = List.length r.Srclint.stale in
-  let throughput = float_of_int r.Srclint.tokens_seen /. !best in
-  Printf.printf
-    "lint: %d files, %d tokens, %d hit(s), %d stale, min-of-%d %.4fs (%.0f ktok/s)\n%!"
-    r.Srclint.files_scanned r.Srclint.tokens_seen hits stale reps !best
-    (throughput /. 1e3);
-  let out = "BENCH_lint.json" in
-  (* regression gate against the committed baseline, before overwriting it:
-     the interprocedural passes must not halve the scan throughput *)
-  let regressed =
-    match
-      if Sys.file_exists out then Json.of_string (In_channel.with_open_text out In_channel.input_all)
-      else Error "no baseline"
-    with
-    | Error _ -> false
-    | Ok j -> (
-      let get f conv = Result.bind (Result.bind (Json.field "lint" j) (Json.field f)) conv in
-      match (get "tokens" Json.as_int, get "wall_s" Json.as_float) with
-      | Ok tokens, Ok wall_s when tokens > 0 && wall_s > 0.0 ->
-        let baseline = float_of_int tokens /. wall_s in
-        if throughput < 0.5 *. baseline then begin
-          Printf.eprintf
-            "lint: throughput %.0f tok/s is below 0.5x the %s baseline (%.0f tok/s)\n"
-            throughput out baseline;
-          true
-        end
-        else begin
-          Printf.printf "lint: throughput gate ok (%.2fx the committed baseline)\n%!"
-            (throughput /. baseline);
-          false
-        end
-      | _ -> false)
-  in
-  let oc = open_out out in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ( "lint",
-              Json.Obj
-                [
-                  ("reps", Json.Int reps);
-                  ("files", Json.Int r.Srclint.files_scanned);
-                  ("tokens", Json.Int r.Srclint.tokens_seen);
-                  ("hits", Json.Int hits);
-                  ("suppressed", Json.Int r.Srclint.suppressed);
-                  ("stale", Json.Int stale);
-                  ("wall_s", Json.Float !best);
-                ] );
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "lint: wrote %s\n" out;
-  if hits > 0 || regressed then exit 1
-
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
    the registry's hardest kernels, min-of-N interleaved-free reps, plus
@@ -761,7 +682,6 @@ let () =
   | [ "audit" ] -> audit_bench ()
   | [ "telemetry" ] -> telemetry_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
-  | [ "lint" ] -> lint_bench ()
   | [ "transfer" ] -> transfer_bench ()
   | [] -> List.iter (fun (name, driver) -> run_experiment name driver) Sun_experiments.Figures.all
   | names ->
@@ -772,7 +692,7 @@ let () =
         | None ->
           Printf.eprintf
             "unknown experiment %S; known: %s, 'micro', 'serve', 'serve-daemon', 'audit', \
-             'telemetry', 'evaluate', 'lint' or 'transfer'\n"
+             'telemetry', 'evaluate' or 'transfer'\n"
             name
             (String.concat ", " known);
           exit 2)

@@ -25,43 +25,11 @@ echo "== bench/perf smoke (every benchmark code path on tiny inputs)"
 # that breaks what the benchmark checks fails here rather than in a run.
 dune exec bench/perf/perf.exe -- --smoke >/dev/null
 
-echo "== lint (srclint source scan over lib/, bin/ and bench/)"
-dune exec bin/lint_src.exe -- lib bin bench
-
-echo "== sunstone check --src (the same scan through the CLI, JSON path)"
+echo "== sunstone check --src (srclint scan of lib/, bin/ and bench/)"
+# The rules themselves are gated by test_srclint in dune runtest: every
+# fixture must fire, the cross-module pairs must need the directory scan,
+# and SA063's lib/cost scope must neither over- nor under-reach.
 dune exec bin/sunstone_cli.exe -- check --src --json >/dev/null
-
-echo "== srclint injection (every daemon-era and hot-path rule must fire on its fixture)"
-# The linter itself is gated the same way as the audit oracles: each
-# deliberately-bad fixture must turn the exit code non-zero, or the rule
-# is vacuous. The fixtures are never compiled, only lexed by the linter.
-for fixture in sa060_block sa061_fd sa062_signal sa063_det sa064_swallow \
-  sa070_hot sa071_io sa072_rec sa073_unresolved sa074_stale; do
-  if dune exec bin/lint_src.exe -- --unscoped "test/fixtures/srclint/$fixture.ml" >/dev/null 2>&1; then
-    echo "srclint injection: $fixture.ml did not fail the lint" >&2
-    exit 1
-  fi
-done
-echo "srclint injection: ok (all 10 injected faults detected)"
-
-echo "== srclint cross-module (interprocedural passes see across files)"
-# The whole point of the project-graph passes: the root file of each pair
-# is provably clean on its own (the old per-file analysis finds nothing)
-# and the hazard only appears when the directory scan resolves the dotted
-# call into the sibling module.
-for pair in sa060_cross:feeder sa070_cross:ticker; do
-  dir=${pair%%:*}
-  root=${pair##*:}
-  if ! dune exec bin/lint_src.exe -- --unscoped "test/fixtures/srclint/$dir/$root.ml" >/dev/null 2>&1; then
-    echo "srclint cross-module: $dir/$root.ml alone was flagged (single-file scan should be clean)" >&2
-    exit 1
-  fi
-  if dune exec bin/lint_src.exe -- --unscoped "test/fixtures/srclint/$dir" >/dev/null 2>&1; then
-    echo "srclint cross-module: $dir did not fail the whole-directory lint" >&2
-    exit 1
-  fi
-done
-echo "srclint cross-module: ok (both pairs clean alone, caught together)"
 
 echo "== sunstone check (static analysis over the registry)"
 dune exec bin/sunstone_cli.exe -- check --admissibility
@@ -105,6 +73,18 @@ if ! diff -u "$PARITY_TMP/seq.norm" "$PARITY_TMP/par.norm"; then
   exit 1
 fi
 echo "batch parity: ok ($(wc -l <"$PARITY_TMP/seq.norm" | tr -d ' ') responses identical)"
+
+echo "== golden parity (batch --jobs 1 vs committed golden fixture)"
+# The fixture has no shape-family mates, so transfer never seeds and the
+# responses are pinned byte-identical (modulo wall_s) to the golden file.
+# Any change to the search or its alpha-beta bound that moves a mapping or
+# cost fails here.
+strip_wall_s test/fixtures/batch_mixed_expected.jsonl "$PARITY_TMP/golden.norm"
+if ! diff -u "$PARITY_TMP/golden.norm" "$PARITY_TMP/seq.norm"; then
+  echo "golden parity: responses drifted from test/fixtures/batch_mixed_expected.jsonl" >&2
+  exit 1
+fi
+echo "golden parity: ok"
 
 echo "== telemetry counter parity (--metrics at --jobs 1 vs --jobs 4)"
 # Workers ship their telemetry back as snapshots merged by the parent, so
@@ -197,35 +177,12 @@ dune exec bench/main.exe -- serve-daemon
 echo "== bench telemetry (overhead budget)"
 dune exec bench/main.exe -- telemetry
 
-echo "== bench lint (scan throughput >= 0.5x committed baseline, clean-tree gate)"
-dune exec bench/main.exe -- lint
-
 echo "== bench evaluate (cost-model hot path, >=2x gate on hardest kernel)"
 dune exec bench/main.exe -- evaluate
 if ! [ -s BENCH_evaluate.json ]; then
   echo "bench evaluate: BENCH_evaluate.json missing or empty" >&2
   exit 1
 fi
-
-echo "== transfer-off parity (SUNSTONE_TRANSFER=off vs committed golden fixture)"
-# The warm-start kill switch must restore cold-search behavior exactly:
-# with SUNSTONE_TRANSFER=off the batch pipeline's responses are pinned
-# byte-identical (modulo wall_s) to the golden fixture. Seeded and
-# unseeded searches share one admissible alpha-beta bound, so any change
-# to that bound, or a seed-only rule (the displacement margin, the second
-# refine) leaking into unseeded searches, fails here.
-set +e
-SUNSTONE_TRANSFER=off dune exec bin/sunstone_cli.exe -- batch \
-  -i test/fixtures/batch_mixed.jsonl \
-  -o "$PARITY_TMP/transfer-off.jsonl" --cache-dir "$PARITY_TMP/cache-transfer-off" --jobs 1 2>/dev/null
-set -e
-strip_wall_s "$PARITY_TMP/transfer-off.jsonl" "$PARITY_TMP/transfer-off.norm"
-strip_wall_s test/fixtures/batch_mixed_expected.jsonl "$PARITY_TMP/transfer-golden.norm"
-if ! diff -u "$PARITY_TMP/transfer-golden.norm" "$PARITY_TMP/transfer-off.norm"; then
-  echo "transfer-off parity: responses drifted from the pre-transfer golden fixture" >&2
-  exit 1
-fi
-echo "transfer-off parity: ok ($(wc -l <"$PARITY_TMP/transfer-off.norm" | tr -d ' ') responses identical)"
 
 echo "== bench transfer (warm >= 20% fewer evaluations, EDP equal-or-better per layer)"
 # Cold vs steady-state warm over the ResNet-18 and Inception-v3 catalogs.
@@ -237,23 +194,6 @@ if ! [ -s BENCH_transfer.json ]; then
   echo "bench transfer: BENCH_transfer.json missing or empty" >&2
   exit 1
 fi
-
-echo "== srclint SA063 scope (lib/cost in, lib/arch out)"
-# The hashtbl-order rule covers lib/serve and lib/cost. The same fixture
-# must trip the scoped scanner under a lib/cost path and pass under
-# lib/arch, proving the scope extension neither over- nor under-reaches.
-mkdir -p "$PARITY_TMP/scope/lib/cost" "$PARITY_TMP/scope2/lib/arch"
-cp test/fixtures/srclint/sa063_cost.ml "$PARITY_TMP/scope/lib/cost/"
-cp test/fixtures/srclint/sa063_cost.ml "$PARITY_TMP/scope2/lib/arch/"
-if dune exec bin/lint_src.exe -- "$PARITY_TMP/scope/lib" >/dev/null 2>&1; then
-  echo "srclint scope: SA063 fixture under lib/cost was NOT flagged" >&2
-  exit 1
-fi
-if ! dune exec bin/lint_src.exe -- "$PARITY_TMP/scope2/lib" >/dev/null 2>&1; then
-  echo "srclint scope: SA063 fixture under lib/arch was flagged (overreach)" >&2
-  exit 1
-fi
-echo "srclint scope: ok (SA063 fires in lib/cost, silent in lib/arch)"
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

@@ -249,8 +249,7 @@ let batch_cmd =
        ~doc:
          "Schedule a JSONL stream of requests through the mapping cache. Cache misses whose \
           shape family has a cached member are warm-started from the nearest neighbor's \
-          mapping; set SUNSTONE_TRANSFER=off to disable transfer and reproduce cold searches \
-          exactly.")
+          mapping; $(b,--no-cache) runs every request as a cold search.")
     Term.(
       const run $ input_arg $ output_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ beam_arg
       $ top_down_arg $ metrics_arg)
@@ -573,11 +572,7 @@ let audit_cmd =
     in
     Arg.(value & opt (some inject_conv) None & info [ "inject" ] ~docv:"RULE" ~doc)
   in
-  let src_arg =
-    let doc = "Repository root for the fork-safety source scan (its lib/ subtree is scanned)." in
-    Arg.(value & opt string "." & info [ "src" ] ~docv:"DIR" ~doc)
-  in
-  let run kernels json inject src metrics =
+  let run kernels json inject metrics =
     with_metrics metrics @@ fun () ->
     let inject = Option.value ~default:Audit.No_injection inject in
     let audits =
@@ -608,43 +603,14 @@ let audit_cmd =
           })
         (Sun_analysis.Unitlint.check_presets ())
     in
-    let forksafe =
-      let root = Filename.concat src "lib" in
-      if Sys.file_exists root && Sys.is_directory root then begin
-        let r = Sun_analysis.Forksafe.scan ~root () in
-        [
-          {
-            pass = "forksafe";
-            subject = root;
-            note =
-              Printf.sprintf "%d files scanned, %d suppressed inline"
-                r.Sun_analysis.Forksafe.files_scanned r.Sun_analysis.Forksafe.suppressed;
-            diags = Sun_analysis.Forksafe.diagnostics r;
-          };
-        ]
-      end
-      else
-        [
-          {
-            pass = "forksafe";
-            subject = root;
-            note = "";
-            diags =
-              [
-                Diag.info Diag.Audit_skipped
-                  (Printf.sprintf "source scan skipped: %s is not a directory" root);
-              ];
-          };
-        ]
-    in
-    print_check_results ~json (audits @ units @ forksafe)
+    print_check_results ~json (audits @ units)
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Run the mapspace auditor: differential trie/tiling oracles against brute force, the \
-          cost-model unit lint, and the fork-safety source scan")
-    Term.(const run $ kernels_arg $ json_arg $ inject_arg $ src_arg $ metrics_arg)
+         "Run the mapspace auditor: differential trie/tiling oracles against brute force and \
+          the cost-model unit lint")
+    Term.(const run $ kernels_arg $ json_arg $ inject_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sunstone stats: pretty-print a --metrics dump                        *)
@@ -825,7 +791,7 @@ let serve_cmd =
          "Run a long-lived scheduling daemon: the batch pipeline behind a socket, with \
           per-request deadlines, admission control and graceful drain on SIGTERM. Like batch, \
           cache misses are warm-started from nearest-neighbor cached mappings of the same \
-          shape family (SUNSTONE_TRANSFER=off disables)")
+          shape family ($(b,--no-cache) disables both)")
     Term.(
       const run $ listen_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ max_queue_arg $ beam_arg
       $ top_down_arg $ metrics_arg)

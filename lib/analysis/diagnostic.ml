@@ -22,7 +22,6 @@ type code =
   | Frontier_incomplete
   | Best_mismatch
   | Cost_drift
-  | Audit_skipped
   | Marshal_outside_pool
   | Fork_outside_pool
   | Shared_channel_write
@@ -74,7 +73,6 @@ let code_id = function
   | Frontier_incomplete -> "SA035"
   | Best_mismatch -> "SA036"
   | Cost_drift -> "SA037"
-  | Audit_skipped -> "SA038"
   | Marshal_outside_pool -> "SA040"
   | Fork_outside_pool -> "SA041"
   | Shared_channel_write -> "SA042"
@@ -117,7 +115,6 @@ let code_name = function
   | Frontier_incomplete -> "frontier-incomplete"
   | Best_mismatch -> "pruned-best-mismatch"
   | Cost_drift -> "cost-drift"
-  | Audit_skipped -> "audit-skipped"
   | Marshal_outside_pool -> "marshal-outside-pool"
   | Fork_outside_pool -> "fork-outside-pool"
   | Shared_channel_write -> "shared-channel-write"
@@ -144,7 +141,7 @@ let all_codes =
     Nonpositive_factor; Pruning_unsound; Bound_overshoot; Optimum_pruned; Arch_malformed;
     Config_invalid; Workload_malformed; Operand_unstored; Order_not_subsumed; Trie_incomplete;
     Frontier_not_maximal; Frontier_overflow; Frontier_incomplete; Best_mismatch; Cost_drift;
-    Audit_skipped; Marshal_outside_pool; Fork_outside_pool; Shared_channel_write;
+    Marshal_outside_pool; Fork_outside_pool; Shared_channel_write;
     Toplevel_mutable; Partial_function; Unit_nonfinite; Unit_negative; Unit_implausible;
     Blocking_in_loop; Fd_leak; Signal_unsafe; Nondeterminism; Exception_swallowed;
     Stale_suppression; Hot_allocation; Hot_io; Hot_nontail; Hot_unresolved; Hot_stale;
@@ -174,7 +171,6 @@ let code_summary = function
   | Frontier_incomplete -> "frontier differs from the brute-force maximal set"
   | Best_mismatch -> "pruned-search best differs from the exhaustive best"
   | Cost_drift -> "a served mapping's claimed cost differs on re-evaluation"
-  | Audit_skipped -> "an audit oracle was skipped (bounds exceeded)"
   | Marshal_outside_pool -> "Marshal used outside the fork pool module"
   | Fork_outside_pool -> "Unix.fork used outside the fork pool module"
   | Shared_channel_write -> "stdout/stderr write from library (worker-reachable) code"
@@ -202,7 +198,7 @@ let code_scope = function
   | Pruning_unsound | Bound_overshoot | Optimum_pruned -> "search pruning"
   | Arch_malformed | Config_invalid | Workload_malformed -> "registry well-formedness"
   | Order_not_subsumed | Trie_incomplete | Frontier_not_maximal | Frontier_overflow
-  | Frontier_incomplete | Best_mismatch | Cost_drift | Audit_skipped ->
+  | Frontier_incomplete | Best_mismatch | Cost_drift ->
     "mapspace audit"
   | Marshal_outside_pool | Fork_outside_pool | Shared_channel_write | Toplevel_mutable
   | Partial_function ->
@@ -216,7 +212,7 @@ let code_scope = function
     "src: (* sunstone-hot *) roots, whole program"
 
 let nominal_severity = function
-  | Stale_suppression | Audit_skipped -> Warning
+  | Stale_suppression -> Warning
   | _ -> Error
 
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"

@@ -31,7 +31,6 @@ type code =
   | Frontier_incomplete  (** SA035: frontier differs from the brute-force maximal set *)
   | Best_mismatch  (** SA036: pruned-search best differs from the exhaustive best *)
   | Cost_drift  (** SA037: a served mapping's claimed cost differs on re-evaluation *)
-  | Audit_skipped  (** SA038: an audit oracle was skipped (bounds exceeded) *)
   | Marshal_outside_pool  (** SA040: [Marshal] used outside the fork pool module *)
   | Fork_outside_pool  (** SA041: [Unix.fork] used outside the fork pool module *)
   | Shared_channel_write  (** SA042: stdout/stderr write from library (worker-reachable) code *)

@@ -11,7 +11,7 @@ type rule = {
 
 (* Iterative substring search: no [String.sub] allocation per position and
    no recursion, so a pathological multi-megabyte line cannot blow the
-   stack (the old [Forksafe.contains_sub] recursed once per position). *)
+   stack. *)
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   if m = 0 || m > n then false

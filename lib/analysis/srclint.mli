@@ -26,7 +26,7 @@ type report = {
 val walk : string -> string list
 (** [*.ml] files under a directory root (skipping [_build] and
     dot-directories), or the root itself when it is a [.ml] file — the
-    latter lets ci.sh point the scanner at a single bad fixture. *)
+    latter lets the tests point the scanner at a single bad fixture. *)
 
 val hit_string : hit -> string
 (** Grep-style ["path:line:text"]. *)

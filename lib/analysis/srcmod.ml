@@ -11,7 +11,6 @@ type binding = {
   b_name : string;
   b_line : int;
   b_params : bool;
-  b_start : int;
   b_body_start : int;
   b_body_end : int;
 }
@@ -194,7 +193,6 @@ let parse_structure (lx : Lexer.t) =
               b_name = name;
               b_line = tok.Lexer.t_line;
               b_params = params;
-              b_start = start;
               b_body_start = !eq + 1;
               b_body_end = limit - 1;
             }
@@ -226,9 +224,6 @@ let of_source ~path src =
 
 let line_text t ln =
   if ln >= 1 && ln <= Array.length t.sm_lines then String.trim t.sm_lines.(ln - 1) else ""
-
-let enclosing_binding t idx =
-  List.find_opt (fun b -> b.b_start <= idx && idx <= b.b_body_end) t.sm_bindings
 
 let binding_named t name = List.find_opt (fun b -> b.b_name = name) t.sm_bindings
 
@@ -398,36 +393,3 @@ let project_reachable ?(stop = fun _ _ -> false) p ~file root =
       done;
       List.rev !order
     end
-
-let reachable_from t root =
-  match binding_named t root with
-  | None -> []
-  | Some _ ->
-    let visited = Hashtbl.create 16 in
-    let order = ref [] in
-    let queue = Queue.create () in
-    Queue.add (root, [ root ]) queue;
-    Hashtbl.replace visited root [ root ];
-    while not (Queue.is_empty queue) do
-      let name, chain = Queue.take queue in
-      order := (name, chain) :: !order;
-      match binding_named t name with
-      | None -> ()
-      | Some b ->
-        List.iter
-          (fun occ ->
-            if
-              occ.o_bare
-              && occ.o_index >= b.b_body_start
-              && occ.o_index <= b.b_body_end
-            then
-              match occ.o_path with
-              | [ callee ] when binding_named t callee <> None ->
-                if not (Hashtbl.mem visited callee) then begin
-                  Hashtbl.replace visited callee (chain @ [ callee ]);
-                  Queue.add (callee, chain @ [ callee ]) queue
-                end
-              | _ -> ())
-          t.sm_occurrences
-    done;
-    List.rev !order

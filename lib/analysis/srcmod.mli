@@ -9,8 +9,9 @@
       stripped, so rules match on canonical paths;
     - {b toplevel bindings}: column-0 [let]/[and] items with their name,
       parameter-ness, and body token span — the unit of reachability;
-    - {b the intra-module call graph}: binding → bare references to other
-      toplevel bindings, used by the SA060 event-loop reachability pass.
+    - {b the call graph}: binding → references to other toplevel
+      bindings, stitched across files by {!project_of_files} for the SA060
+      and SA070–SA074 reachability passes.
 
     Like the lexer this is deliberately an approximation: local shadowing
     inside a body is not tracked, and patterns more exotic than tuples keep
@@ -30,7 +31,6 @@ type binding = {
   b_name : string;
   b_line : int;
   b_params : bool;  (** the binding abstracts over parameters *)
-  b_start : int;  (** token index of the [let]/[and] keyword *)
   b_body_start : int;  (** first token after the binding-level [=] *)
   b_body_end : int;  (** last token of the body, inclusive *)
 }
@@ -50,21 +50,12 @@ val of_source : path:string -> string -> t
 val line_text : t -> int -> string
 (** The raw source line (1-based), trimmed; [""] when out of range. *)
 
-val enclosing_binding : t -> int -> binding option
-(** The toplevel binding whose span contains the given token index. *)
-
 val binding_named : t -> string -> binding option
 
 val matches : t -> string list -> occurrence -> bool
 (** Does this occurrence denote the [needle] path? Exact resolved-path
     equality, plus the [open M] case: a bare [x] matches [[M; x]] when [M]
     is opened and no toplevel binding shadows [x]. *)
-
-val reachable_from : t -> string -> (string * string list) list
-(** Toplevel bindings reachable from the named root through bare
-    references, as [(name, call chain from the root)] pairs; the root
-    itself is included with a singleton chain. Empty when the root does
-    not exist. *)
 
 (** {1 Whole-program call graph}
 

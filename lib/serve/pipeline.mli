@@ -75,9 +75,8 @@
     completion timing once [jobs >= 2]. On batches containing family
     mates (same structure, arch and config, different bounds) the chosen
     {e mapping} may therefore differ across job counts — always with
-    equal-or-better EDP, and always identically when
-    [SUNSTONE_TRANSFER=off]. Batches without family mates are entirely
-    unaffected. *)
+    equal-or-better EDP, and always identically without a cache.
+    Batches without family mates are entirely unaffected. *)
 
 type outcome = Hit | Computed | Failed
 

@@ -4,13 +4,6 @@ module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
 module Opt = Sun_core.Optimizer
 
-(* Kill switch, read per call so tests can flip it with [Unix.putenv]:
-   anything but off/0/false (including unset) leaves transfer on. *)
-let enabled () =
-  match Sys.getenv_opt "SUNSTONE_TRANSFER" with
-  | Some ("off" | "0" | "false") -> false
-  | _ -> true
-
 (* The fields the pipeline adds to every stored document so the cache can
    index it by shape family and {!seed_of_doc} can line its dims up with a
    future family member's. *)
@@ -161,26 +154,24 @@ let seed_of_doc ~config (w : W.t) (a : A.t) doc =
 let neighbor_candidates = 3
 
 let find_seed ?(exclude_self = false) ~cache ~config w a =
-  if not (enabled ()) then None
-  else
-    let family = Fingerprint.structural ~config w a in
-    let bounds = Fingerprint.structural_bounds w in
-    let exclude_bounds = if exclude_self then Some bounds else None in
-    let docs = Cache.nearest_many ?exclude_bounds cache ~family ~bounds ~k:neighbor_candidates in
-    let scored =
-      List.filter_map
-        (fun doc ->
-          match seed_of_doc ~config w a doc with
-          | None -> None
-          | Some levels -> (
-            match M.make w levels with
-            | Error _ -> None
-            | Ok m -> (
-              match Model.evaluate ~binding:config.Opt.binding w a m with
-              | Ok c -> Some (c.Model.edp, levels)
-              | Error _ -> None)))
-        docs
-    in
-    match List.sort (fun (e, _) (e', _) -> compare e e') scored with
-    | (_, levels) :: _ -> Some levels
-    | [] -> None
+  let family = Fingerprint.structural ~config w a in
+  let bounds = Fingerprint.structural_bounds w in
+  let exclude_bounds = if exclude_self then Some bounds else None in
+  let docs = Cache.nearest_many ?exclude_bounds cache ~family ~bounds ~k:neighbor_candidates in
+  let scored =
+    List.filter_map
+      (fun doc ->
+        match seed_of_doc ~config w a doc with
+        | None -> None
+        | Some levels -> (
+          match M.make w levels with
+          | Error _ -> None
+          | Ok m -> (
+            match Model.evaluate ~binding:config.Opt.binding w a m with
+            | Ok c -> Some (c.Model.edp, levels)
+            | Error _ -> None)))
+      docs
+  in
+  match List.sort (fun (e, _) (e', _) -> compare e e') scored with
+  | (_, levels) :: _ -> Some levels
+  | [] -> None

@@ -26,22 +26,14 @@
     serialize the growth through the outermost boundary and waste the
     neighbor's locality.
 
-    Kill switch: [SUNSTONE_TRANSFER=off] (or [0]/[false]) disables
-    transfer entirely — {!find_seed} returns [None] and batch output is
-    byte-identical to the pre-transfer pipeline, which ci.sh pins against
-    a golden fixture. Transfer is on by default.
-
     Determinism: with [--jobs 1] (and in any sequential replay) seeding is
     deterministic — each request sees exactly the completed requests
     before it. With parallel workers, whether a neighbor is already cached
     when a request classifies depends on completion timing, so seeded
     parallel runs are not byte-reproducible (final EDP is still equal or
     better per request); fixtures that pin byte parity across job counts
-    must not contain family mates, or must set the kill switch. *)
-
-val enabled : unit -> bool
-(** [SUNSTONE_TRANSFER] kill switch, re-read on every call; [true] unless
-    the variable is [off]/[0]/[false]. *)
+    must not contain family mates. A run without a cache ([--no-cache])
+    never seeds: every search in it is cold. *)
 
 val family_fields :
   config:Sun_core.Optimizer.config ->
@@ -76,7 +68,7 @@ val find_seed :
   Sun_tensor.Workload.t ->
   Sun_arch.Arch.t ->
   Sun_mapping.Mapping.level_mapping list option
-(** The full parent-side transfer probe: kill switch, family digest,
+(** The full parent-side transfer probe: family digest,
     {!Cache.nearest}, {!seed_of_doc}. Read-only with respect to the cache
     (no stats, no LRU refresh). [exclude_self] (default [false]) skips
     cached members with exactly the query's structural bounds, so a

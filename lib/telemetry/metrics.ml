@@ -1,9 +1,9 @@
 (* Process-global single-writer metrics registry. Toplevel mutable state is
-   normally a fork-safety hazard (Forksafe SA043) and is forbidden in lib/;
-   this module is the sanctioned exception the scanner exempts by path: the
-   registry is never shared between processes, it is *copied* by fork, and
-   worker copies flow back to the parent as explicit snapshot values merged
-   on frame receipt (see DESIGN.md §3.4). *)
+   normally a fork-safety hazard (srclint SA043, run by [sunstone check
+   --src]) and is forbidden in lib/; this module is the sanctioned exception
+   the rule exempts by path: the registry is never shared between processes,
+   it is *copied* by fork, and worker copies flow back to the parent as
+   explicit snapshot values merged on frame receipt (see DESIGN.md §3.4). *)
 
 type counter = { mutable c_value : int }
 

@@ -51,7 +51,6 @@ let test_code_table () =
       (D.Frontier_incomplete, "SA035", "frontier-incomplete");
       (D.Best_mismatch, "SA036", "pruned-best-mismatch");
       (D.Cost_drift, "SA037", "cost-drift");
-      (D.Audit_skipped, "SA038", "audit-skipped");
       (D.Marshal_outside_pool, "SA040", "marshal-outside-pool");
       (D.Fork_outside_pool, "SA041", "fork-outside-pool");
       (D.Shared_channel_write, "SA042", "shared-channel-write");
@@ -107,7 +106,7 @@ let test_diagnostic_json () =
   Alcotest.(check bool) "no operand key" true (get "operand" = None)
 
 let test_diagnostic_roundtrip () =
-  Alcotest.(check int) "code table is exhaustive" 41 (List.length D.all_codes);
+  Alcotest.(check int) "code table is exhaustive" 40 (List.length D.all_codes);
   (* every code, every severity, assorted locations: decode ∘ encode = id *)
   List.iteri
     (fun i code ->

@@ -4,7 +4,6 @@ module Opt = Sun_core.Optimizer
 module D = Sun_analysis.Diagnostic
 module Audit = Sun_analysis.Audit
 module Unitlint = Sun_analysis.Unitlint
-module Forksafe = Sun_analysis.Forksafe
 module J = Sun_serve.Json
 module Pipeline = Sun_serve.Pipeline
 module Cache = Sun_serve.Cache
@@ -205,77 +204,6 @@ let test_unitlint_synthetic () =
   Alcotest.(check bool) "SA052 is a warning" true (not (D.has_errors diags))
 
 (* ------------------------------------------------------------------ *)
-(* Fork-safety scanner                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let with_temp_tree f =
-  let dir = Filename.temp_file "sun_forksafe" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let test_forksafe_violations () =
-  with_temp_tree (fun dir ->
-      let path = Filename.concat dir "bad.ml" in
-      write_lines path
-        [
-          "let table = Hashtbl.create 17";
-          "let first xs = List.hd xs";
-          "let log msg = print_endline msg";
-          "(* a comment mentioning Unix.fork does not count *)";
-          "let snapshot v = Marshal.to_string v []";
-        ];
-      let r = Forksafe.scan ~root:dir () in
-      Alcotest.(check int) "one file scanned" 1 r.Forksafe.files_scanned;
-      let diags = Forksafe.diagnostics r in
-      Alcotest.(check bool) "toplevel mutable (SA043)" true (has_code "SA043" diags);
-      Alcotest.(check bool) "partial function (SA044)" true (has_code "SA044" diags);
-      Alcotest.(check bool) "shared channel write (SA042)" true (has_code "SA042" diags);
-      Alcotest.(check bool) "marshal outside pool (SA040)" true (has_code "SA040" diags);
-      Alcotest.(check bool) "commented fork is ignored" true (not (has_code "SA041" diags));
-      (* an inline allow on the Marshal site suppresses exactly that hit *)
-      write_lines path
-        [
-          "let table = Hashtbl.create 17";
-          "let first xs = List.hd xs";
-          "let log msg = print_endline msg";
-          "(* a comment mentioning Unix.fork does not count *)";
-          "(* sunstone-lint: allow SA040 snapshotting is this fixture's whole point *)";
-          "let snapshot v = Marshal.to_string v []";
-        ];
-      let r' = Forksafe.scan ~root:dir () in
-      Alcotest.(check bool) "inline-suppressed hit gone" true
-        (not (has_code "SA040" (Forksafe.diagnostics r')));
-      Alcotest.(check int) "suppression counted" 1 r'.Forksafe.suppressed)
-
-let test_forksafe_lib_clean () =
-  (* the shipping library must satisfy its own checker; dune runs tests
-     from the sandboxed build dir, so walk up to the source root *)
-  let root =
-    let rec find d =
-      if Sys.file_exists (Filename.concat d "dune-project") then Some d
-      else
-        let parent = Filename.dirname d in
-        if parent = d then None else find parent
-    in
-    find (Sys.getcwd ())
-  in
-  match root with
-  | None -> () (* no source tree visible from the sandbox: nothing to scan *)
-  | Some root ->
-    let lib = Filename.concat root "lib" in
-    if Sys.file_exists lib then begin
-      let r = Forksafe.scan ~root:lib () in
-      Alcotest.(check (list string)) "lib/ is fork-safe" []
-        (List.map Forksafe.hit_string r.Forksafe.hits);
-      Alcotest.(check bool) "scanned the tree" true (r.Forksafe.files_scanned > 20)
-    end
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sun_audit"
@@ -295,10 +223,5 @@ let () =
         [
           Alcotest.test_case "presets are clean" `Quick test_unitlint_presets_clean;
           Alcotest.test_case "synthetic faults" `Quick test_unitlint_synthetic;
-        ] );
-      ( "forksafe",
-        [
-          Alcotest.test_case "planted violations" `Quick test_forksafe_violations;
-          Alcotest.test_case "lib/ scans clean" `Quick test_forksafe_lib_clean;
         ] );
     ]

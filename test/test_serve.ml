@@ -1105,21 +1105,12 @@ let test_transfer_find_seed () =
   Alcotest.(check bool) "probe finds own bounds without exclusion" true
     (Transfer.find_seed ~cache ~config conv1d toy <> None);
   Alcotest.(check bool) "exclude_self leaves nothing" true
-    (Transfer.find_seed ~exclude_self:true ~cache ~config conv1d toy = None);
-  (* kill switch: read per call, so flipping the env var disables transfer
-     without touching the cache *)
-  Unix.putenv "SUNSTONE_TRANSFER" "off";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SUNSTONE_TRANSFER" "on")
-    (fun () ->
-      Alcotest.(check bool) "SUNSTONE_TRANSFER=off yields no seed" true
-        (Transfer.find_seed ~cache ~config target toy = None));
-  Alcotest.(check bool) "back on after the flip" true
-    (Transfer.find_seed ~cache ~config target toy <> None)
+    (Transfer.find_seed ~exclude_self:true ~cache ~config conv1d toy = None)
 
 (* End-to-end: a batch holding two family mates. The second request must be
    seeded from the first's cached result (visible in telemetry), and the
-   final EDP with transfer on must be at least as good as with it off. *)
+   final EDP must be at least as good as a cacheless run's, which never
+   seeds. *)
 let test_pipeline_transfer_seeding () =
   let small = J.to_string (Codec.encode_workload conv1d) in
   let big =
@@ -1149,19 +1140,14 @@ let test_pipeline_transfer_seeding () =
         (List.assoc_opt "transfer.seeded" snap.Tel.s_counters, r_on))
   in
   Alcotest.(check (option int)) "second family mate was seeded" (Some 1) seeded;
-  Unix.putenv "SUNSTONE_TRANSFER" "off";
-  let _, r_off, _ =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "SUNSTONE_TRANSFER" "on")
-      (fun () -> run_batch ~cache:(Cache.create ()) requests)
-  in
+  let _, r_cold, _ = run_batch requests in
   List.iter2
-    (fun on off ->
+    (fun on cold ->
       Alcotest.(check bool)
-        (Printf.sprintf "transfer-on EDP %.6g <= transfer-off %.6g" (edp_of on) (edp_of off))
+        (Printf.sprintf "seeded EDP %.6g <= cold %.6g" (edp_of on) (edp_of cold))
         true
-        (edp_of on <= edp_of off *. (1.0 +. 1e-9)))
-    r_on r_off
+        (edp_of on <= edp_of cold *. (1.0 +. 1e-9)))
+    r_on r_cold
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry counter parity across --jobs                              *)
@@ -1777,7 +1763,7 @@ let () =
       ( "transfer",
         [
           Alcotest.test_case "seed_of_doc renames and rescales" `Quick test_transfer_seed_of_doc;
-          Alcotest.test_case "find_seed and kill switch" `Quick test_transfer_find_seed;
+          Alcotest.test_case "find_seed" `Quick test_transfer_find_seed;
           Alcotest.test_case "pipeline seeds family mates" `Quick test_pipeline_transfer_seeding;
         ] );
       ( "parpool",

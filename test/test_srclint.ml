@@ -3,7 +3,6 @@ module Lexer = Sun_analysis.Lexer
 module Srcmod = Sun_analysis.Srcmod
 module Rules = Sun_analysis.Rules
 module Srclint = Sun_analysis.Srclint
-module Forksafe = Sun_analysis.Forksafe
 
 let has_code id diags = List.exists (fun (d : D.t) -> D.code_id d.D.code = id) diags
 
@@ -35,7 +34,7 @@ let test_lexer_basics () =
   (match lx.Lexer.comments with
   | [ c ] ->
     Alcotest.(check bool) "nested text kept" true
-      (Forksafe.contains_sub c.Lexer.c_text "nested");
+      (Rules.contains_sub c.Lexer.c_text "nested");
     Alcotest.(check int) "comment line" 1 c.Lexer.c_line
   | _ -> Alcotest.fail "expected exactly one comment");
   Alcotest.(check bool) "comment words are not tokens" false
@@ -90,7 +89,11 @@ let test_srcmod_resolution () =
        (fun (o : Srcmod.occurrence) ->
          o.Srcmod.o_path = [ "Sun_telemetry"; "Metrics"; "count" ])
        sm.Srcmod.sm_occurrences);
-  let reach = Srcmod.reachable_from sm "serve" in
+  let reach =
+    List.map
+      (fun (_, (b : Srcmod.binding), chain) -> (b.Srcmod.b_name, chain))
+      (Srcmod.project_reachable (Srcmod.project_of_files [ sm ]) ~file:0 "serve")
+  in
   Alcotest.(check bool) "serve reaches a" true (List.mem_assoc "a" reach);
   Alcotest.(check bool) "serve does not reach unused" false (List.mem_assoc "unused" reach);
   (match List.assoc_opt "a" reach with
@@ -129,28 +132,68 @@ let test_suppression_semantics () =
         (List.map (fun (d : D.t) -> d.D.message) r.Srclint.stale))
 
 (* ------------------------------------------------------------------ *)
+(* Fork-hygiene rules (SA040-SA044) on planted violations               *)
+(* ------------------------------------------------------------------ *)
+
+let test_forksafe_violations () =
+  let planted =
+    [
+      "let table = Hashtbl.create 17";
+      "let first xs = List.hd xs";
+      "let log msg = print_endline msg";
+      "(* a comment mentioning Unix.fork does not count *)";
+    ]
+  in
+  let scan lines =
+    with_temp_file (String.concat "\n" lines ^ "\n") (fun path ->
+        Srclint.scan ~rules:(Rules.forksafe_rules ()) ~roots:[ path ] ())
+  in
+  let r = scan (planted @ [ "let snapshot v = Marshal.to_string v []" ]) in
+  Alcotest.(check int) "one file scanned" 1 r.Srclint.files_scanned;
+  let diags = Srclint.diagnostics r in
+  Alcotest.(check bool) "toplevel mutable (SA043)" true (has_code "SA043" diags);
+  Alcotest.(check bool) "partial function (SA044)" true (has_code "SA044" diags);
+  Alcotest.(check bool) "shared channel write (SA042)" true (has_code "SA042" diags);
+  Alcotest.(check bool) "marshal outside pool (SA040)" true (has_code "SA040" diags);
+  Alcotest.(check bool) "commented fork is ignored" false (has_code "SA041" diags);
+  (* an inline allow on the Marshal site suppresses exactly that hit *)
+  let r' =
+    scan
+      (planted
+      @ [
+          "(* sunstone-lint: allow SA040 snapshotting is this fixture's whole point *)";
+          "let snapshot v = Marshal.to_string v []";
+        ])
+  in
+  Alcotest.(check bool) "inline-suppressed hit gone" false
+    (has_code "SA040" (Srclint.diagnostics r'));
+  Alcotest.(check int) "suppression counted" 1 r'.Srclint.suppressed
+
+(* ------------------------------------------------------------------ *)
 (* Fixtures: every daemon-era rule demonstrably fires                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The fixtures and the production tree live in the source checkout, found
+   by walking up from the test's working directory. A missing checkout or
+   fixture is a failure, never a silent pass: these cases are the only gate
+   that each rule fires on its fixture. *)
 let source_root () =
   let rec find d =
-    if Sys.file_exists (Filename.concat d "dune-project") then Some d
+    if Sys.file_exists (Filename.concat d "dune-project") then d
     else
       let parent = Filename.dirname d in
-      if parent = d then None else find parent
+      if parent = d then Alcotest.failf "no dune-project above %s" (Sys.getcwd ())
+      else find parent
   in
   find (Sys.getcwd ())
 
-let scan_fixture root name =
-  let path = Filename.concat root (Filename.concat "test/fixtures/srclint" name) in
-  if Sys.file_exists path then
-    Some (Srclint.scan ~rules:(unscoped_rules ()) ~roots:[ path ] ())
-  else None
+let fixture_path name =
+  let path = Filename.concat (source_root ()) (Filename.concat "test/fixtures/srclint" name) in
+  if not (Sys.file_exists path) then Alcotest.failf "fixture %s is missing" path;
+  path
 
 let with_fixture name f =
-  match source_root () with
-  | None -> () (* no source tree visible from the sandbox: nothing to scan *)
-  | Some root -> ( match scan_fixture root name with None -> () | Some r -> f r)
+  f (Srclint.scan ~rules:(unscoped_rules ()) ~roots:[ fixture_path name ] ())
 
 let test_fixture_sa060 () =
   with_fixture "sa060_block.ml" (fun r ->
@@ -162,7 +205,7 @@ let test_fixture_sa060 () =
       with
       | Some h ->
         Alcotest.(check bool) "message names the call chain" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "serve -> helper")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "serve -> helper")
       | None -> Alcotest.fail "SA060 hit missing")
 
 let test_fixture_sa061 () =
@@ -175,7 +218,7 @@ let test_fixture_sa061 () =
       with
       | Some h ->
         Alcotest.(check bool) "names the leaked binding" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "fd_leaked")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "fd_leaked")
       | None -> Alcotest.fail "SA061 hit missing")
 
 let test_fixture_sa062 () =
@@ -236,7 +279,7 @@ let test_fixture_sa072 () =
       match hit_with_code "SA072" r with
       | Some h ->
         Alcotest.(check bool) "names the recursive binding" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "'sum'")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "'sum'")
       | None -> Alcotest.fail "SA072 hit missing")
 
 let test_fixture_sa073 () =
@@ -249,7 +292,7 @@ let test_fixture_sa074 () =
       match hit_with_code "SA074" r with
       | Some h ->
         Alcotest.(check bool) "explains the function requirement" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "must be functions")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "must be functions")
       | None -> Alcotest.fail "SA074 hit missing")
 
 (* The tentpole's reason to exist: the same root file is provably clean
@@ -265,7 +308,7 @@ let test_cross_module_sa060 () =
       match hit_with_code "SA060" r with
       | Some h ->
         Alcotest.(check bool) "chain crosses the module boundary" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "serve -> Pump.next")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "serve -> Pump.next")
       | None -> Alcotest.fail "SA060 hit missing")
 
 let test_cross_module_sa070 () =
@@ -277,7 +320,7 @@ let test_cross_module_sa070 () =
       match hit_with_code "SA070" r with
       | Some h ->
         Alcotest.(check bool) "chain crosses the module boundary" true
-          (Forksafe.contains_sub h.Srclint.h_diag.D.message "tick_hot -> Gen.step")
+          (Rules.contains_sub h.Srclint.h_diag.D.message "tick_hot -> Gen.step")
       | None -> Alcotest.fail "SA070 hit missing")
 
 (* ------------------------------------------------------------------ *)
@@ -351,80 +394,67 @@ let lexer_extents_prop =
    lib/cost/ and a lib/arch/ path and scan with the *scoped* rules: the
    same source must fire in cost and stay silent in arch. *)
 let test_sa063_cost_scope () =
-  match source_root () with
-  | None -> ()
-  | Some root ->
-    let fixture = Filename.concat root "test/fixtures/srclint/sa063_cost.ml" in
-    if Sys.file_exists fixture then begin
-      let src = In_channel.with_open_text fixture In_channel.input_all in
-      let tmp = Filename.temp_file "sun_sa063" "" in
-      Sys.remove tmp;
-      Fun.protect
-        ~finally:(fun () ->
-          let rm p = if Sys.file_exists p then Sys.remove p in
-          rm (Filename.concat tmp "lib/cost/sa063_cost.ml");
-          rm (Filename.concat tmp "lib/arch/sa063_cost.ml");
-          let rmdir p = if Sys.file_exists p then Sys.rmdir p in
-          rmdir (Filename.concat tmp "lib/cost");
-          rmdir (Filename.concat tmp "lib/arch");
-          rmdir (Filename.concat tmp "lib");
-          rmdir tmp)
-        (fun () ->
-          let mkdir p = try Sys.mkdir p 0o755 with Sys_error _ -> () in
-          List.iter
-            (fun sub ->
-              let dir = Filename.concat tmp sub in
-              mkdir tmp;
-              mkdir (Filename.dirname dir);
-              mkdir dir;
-              Out_channel.with_open_text (Filename.concat dir "sa063_cost.ml")
-                (fun oc -> Out_channel.output_string oc src))
-            [ "lib/cost"; "lib/arch" ];
-          let scan sub =
-            Srclint.scan ~rules:(Rules.default_rules ())
-              ~roots:[ Filename.concat tmp sub ] ()
-          in
-          Alcotest.(check int) "fires under lib/cost" 3
-            (count_code "SA063" (scan "lib/cost"));
-          Alcotest.(check int) "silent under lib/arch" 0
-            (count_code "SA063" (scan "lib/arch")))
-    end
+  let src = In_channel.with_open_text (fixture_path "sa063_cost.ml") In_channel.input_all in
+  let tmp = Filename.temp_file "sun_sa063" "" in
+  Sys.remove tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      let rm p = if Sys.file_exists p then Sys.remove p in
+      rm (Filename.concat tmp "lib/cost/sa063_cost.ml");
+      rm (Filename.concat tmp "lib/arch/sa063_cost.ml");
+      let rmdir p = if Sys.file_exists p then Sys.rmdir p in
+      rmdir (Filename.concat tmp "lib/cost");
+      rmdir (Filename.concat tmp "lib/arch");
+      rmdir (Filename.concat tmp "lib");
+      rmdir tmp)
+    (fun () ->
+      let mkdir p = try Sys.mkdir p 0o755 with Sys_error _ -> () in
+      List.iter
+        (fun sub ->
+          let dir = Filename.concat tmp sub in
+          mkdir tmp;
+          mkdir (Filename.dirname dir);
+          mkdir dir;
+          Out_channel.with_open_text (Filename.concat dir "sa063_cost.ml") (fun oc ->
+              Out_channel.output_string oc src))
+        [ "lib/cost"; "lib/arch" ];
+      let scan sub =
+        Srclint.scan ~rules:(Rules.default_rules ()) ~roots:[ Filename.concat tmp sub ] ()
+      in
+      Alcotest.(check int) "fires under lib/cost" 3 (count_code "SA063" (scan "lib/cost"));
+      Alcotest.(check int) "silent under lib/arch" 0 (count_code "SA063" (scan "lib/arch")))
 
 (* ------------------------------------------------------------------ *)
 (* The shipping tree satisfies the full production rule set             *)
 (* ------------------------------------------------------------------ *)
 
 let test_tree_clean () =
-  match source_root () with
-  | None -> ()
-  | Some root ->
-    let roots =
-      List.filter Sys.file_exists
-        (List.map (Filename.concat root) [ "lib"; "bin"; "bench" ])
-    in
-    if roots <> [] then begin
-      let r = Srclint.scan ~rules:(Rules.default_rules ()) ~roots () in
-      Alcotest.(check (list string)) "production scan is clean" []
-        (List.map Srclint.hit_string r.Srclint.hits);
-      Alcotest.(check (list string)) "no stale suppressions" []
-        (List.map (fun (d : D.t) -> d.D.message) r.Srclint.stale);
-      Alcotest.(check bool) "scanned the whole tree" true (r.Srclint.files_scanned > 40)
-    end
+  let root = source_root () in
+  let roots = List.map (Filename.concat root) [ "lib"; "bin"; "bench" ] in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Alcotest.failf "source subtree %s is missing" d)
+    roots;
+  let r = Srclint.scan ~rules:(Rules.default_rules ()) ~roots () in
+  Alcotest.(check (list string)) "production scan is clean" []
+    (List.map Srclint.hit_string r.Srclint.hits);
+  Alcotest.(check (list string)) "no stale suppressions" []
+    (List.map (fun (d : D.t) -> d.D.message) r.Srclint.stale);
+  Alcotest.(check bool) "scanned the whole tree" true (r.Srclint.files_scanned > 40)
 
 (* ------------------------------------------------------------------ *)
 (* contains_sub: iterative, survives pathological lines                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_contains_sub () =
-  Alcotest.(check bool) "finds" true (Forksafe.contains_sub "abcdef" "cde");
-  Alcotest.(check bool) "misses" false (Forksafe.contains_sub "abcdef" "xyz");
-  Alcotest.(check bool) "empty needle" false (Forksafe.contains_sub "abc" "");
-  Alcotest.(check bool) "needle longer than hay" false (Forksafe.contains_sub "ab" "abc");
+  Alcotest.(check bool) "finds" true (Rules.contains_sub "abcdef" "cde");
+  Alcotest.(check bool) "misses" false (Rules.contains_sub "abcdef" "xyz");
+  Alcotest.(check bool) "empty needle" false (Rules.contains_sub "abc" "");
+  Alcotest.(check bool) "needle longer than hay" false (Rules.contains_sub "ab" "abc");
   let mega = String.make 2_000_000 'a' in
   Alcotest.(check bool) "worst case self-similar miss" false
-    (Forksafe.contains_sub mega (String.make 64 'a' ^ "b"));
+    (Rules.contains_sub mega (String.make 64 'a' ^ "b"));
   Alcotest.(check bool) "finds at the very end" true
-    (Forksafe.contains_sub (mega ^ "needle") "needle")
+    (Rules.contains_sub (mega ^ "needle") "needle")
 
 let test_walk_single_file () =
   with_temp_file "let fine x = x\n" (fun path ->
@@ -449,6 +479,8 @@ let () =
         [
           Alcotest.test_case "inline forms and reasons" `Quick test_suppression_semantics;
         ] );
+      ( "forksafe",
+        [ Alcotest.test_case "planted violations" `Quick test_forksafe_violations ] );
       ( "fixtures",
         [
           Alcotest.test_case "SA060 blocking in loop" `Quick test_fixture_sa060;
