@@ -552,10 +552,11 @@ let evaluate_bench () =
    ([~exclude_self]); the exact-fingerprint repeat is the pipeline's cache
    hit, which skips the search entirely, so the bench isolates what
    cross-layer nearest-neighbor transfer buys a search that must still
-   run. Persists per-layer evaluated counts and EDPs to
-   BENCH_transfer.json and exits non-zero unless the warm resnet18 pass
+   run. Persists per-layer evaluated counts, search wall seconds and EDPs
+   to BENCH_transfer.json and exits non-zero unless the warm resnet18 pass
    evaluates >= 20% fewer mappings than cold with per-layer EDP equal or
-   better on both catalogs. *)
+   better on both catalogs. The wall seconds are reported, not gated: one
+   search per layer and side is too few samples to gate on. *)
 let transfer_bench () =
   let module Json = Sun_serve.Json in
   let module Cache = Sun_serve.Cache in
@@ -573,7 +574,8 @@ let transfer_bench () =
   in
   let search ?seed w =
     match Opt.optimize ~config ?seed w arch with
-    | Ok r -> (r.Opt.stats.Opt.evaluated, r.Opt.cost.Model.edp, r.Opt.mapping)
+    | Ok r ->
+      (r.Opt.stats.Opt.evaluated, r.Opt.stats.Opt.wall_seconds, r.Opt.cost.Model.edp, r.Opt.mapping)
     | Error msg ->
       Printf.eprintf "transfer: optimize failed: %s\n" msg;
       exit 2
@@ -583,7 +585,7 @@ let transfer_bench () =
     let cold = List.map (fun (n, w) -> (n, search w)) layers in
     let cache = Cache.create ~capacity:(List.length layers + 1) () in
     List.iter2
-      (fun (n, w) (_, (_, _, m)) ->
+      (fun (n, w) (_, (_, _, _, m)) ->
         Cache.store cache n
           (Json.Obj
              (("mapping", Codec.encode_mapping m) :: Transfer.family_fields ~config w arch)))
@@ -596,13 +598,16 @@ let transfer_bench () =
         layers
     in
     let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
-    let cold_evals = sum (fun (_, (e, _, _)) -> e) cold in
-    let warm_evals = sum (fun (_, (e, _, _), _) -> e) warm in
+    let cold_evals = sum (fun (_, (e, _, _, _)) -> e) cold in
+    let warm_evals = sum (fun (_, (e, _, _, _), _) -> e) warm in
+    let sum_s f = List.fold_left (fun acc x -> acc +. f x) 0.0 in
+    let cold_s = sum_s (fun (_, (_, t, _, _)) -> t) cold in
+    let warm_s = sum_s (fun (_, (_, t, _, _), _) -> t) warm in
     let seeded = sum (fun (_, _, s) -> if s then 1 else 0) warm in
     let edp_ok = ref true in
     let rows =
       List.map2
-        (fun (n, (ce, cedp, _)) (_, (we, wedp, _), s) ->
+        (fun (n, (ce, ct, cedp, _)) (_, (we, wt, wedp, _), s) ->
           (* "equal or better" up to float-print jitter: one part in 1e9 *)
           if wedp > cedp *. (1.0 +. 1e-9) then begin
             Printf.eprintf "transfer: %s warm EDP %.6g worse than cold %.6g\n" n wedp cedp;
@@ -614,6 +619,8 @@ let transfer_bench () =
               ("seeded", Json.Bool s);
               ("cold_evaluated", Json.Int ce);
               ("warm_evaluated", Json.Int we);
+              ("cold_search_s", Json.Float ct);
+              ("warm_search_s", Json.Float wt);
               ("cold_edp", Json.Float cedp);
               ("warm_edp", Json.Float wedp);
             ])
@@ -624,8 +631,9 @@ let transfer_bench () =
       else 1.0 -. (float_of_int warm_evals /. float_of_int cold_evals)
     in
     Printf.printf
-      "transfer: %-10s %d layers, %d seeded; evaluated cold %d -> warm %d (%.1f%% fewer)\n%!"
-      name (List.length layers) seeded cold_evals warm_evals (100.0 *. reduction);
+      "transfer: %-10s %d layers, %d seeded; evaluated cold %d -> warm %d (%.1f%% fewer); \
+       search %.2f s cold, %.2f s warm\n%!"
+      name (List.length layers) seeded cold_evals warm_evals (100.0 *. reduction) cold_s warm_s;
     ( Json.Obj
         [
           ("layers", Json.Int (List.length layers));
@@ -633,6 +641,8 @@ let transfer_bench () =
           ("cold_evaluated", Json.Int cold_evals);
           ("warm_evaluated", Json.Int warm_evals);
           ("reduction", Json.Float reduction);
+          ("cold_search_s", Json.Float cold_s);
+          ("warm_search_s", Json.Float warm_s);
           ("per_layer", Json.List rows);
         ],
       reduction, !edp_ok )

@@ -142,17 +142,8 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
             })
       in
       (* place the residual at DRAM *)
+      let base_levels = M.complete_at_top w base_levels in
       let top = num_levels - 1 in
-      let m0 = { M.levels = base_levels } in
-      let residual d = W.bound w d / M.tile_at m0 ~level:top d in
-      base_levels.(top) <-
-        {
-          (base_levels.(top)) with
-          M.temporal =
-            List.map
-              (fun (d, f) -> (d, f * residual d))
-              base_levels.(top).M.temporal;
-        };
       let eval levels =
         incr examined;
         match M.make w (Array.to_list levels) with

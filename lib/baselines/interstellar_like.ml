@@ -80,13 +80,7 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
             })
       in
       let top = num_levels - 1 in
-      let m0 = { M.levels } in
-      let residual d = W.bound w d / M.tile_at m0 ~level:top d in
-      levels.(top) <-
-        {
-          (levels.(top)) with
-          M.temporal = List.map (fun (d, f) -> (d, f * residual d)) levels.(top).M.temporal;
-        };
+      let levels = M.complete_at_top w levels in
       (* greedy per-level order refinement, inner to outer *)
       let eval ls =
         incr examined;

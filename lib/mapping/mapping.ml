@@ -20,13 +20,6 @@ let tile_at t ~level d =
   done;
   !acc
 
-let tile_at_top t d =
-  let acc = ref 1 in
-  for j = 0 to num_levels t - 1 do
-    acc := !acc * temporal_factor t ~level:j d * spatial_factor t ~level:j d
-  done;
-  !acc
-
 let spatial_product t ~level =
   List.fold_left (fun acc (_, f) -> acc * f) 1 t.levels.(level).spatial
 
@@ -39,58 +32,119 @@ let total_spatial t =
 
 let footprint_at (_ : W.t) t ~level op = W.footprint (fun d -> tile_at t ~level d) op
 
-(* Result-chained so no exception escapes library code: the first violated
-   rule becomes the Error payload. *)
 let ( let* ) = Result.bind
 
-let validate w levels =
-  let dims = W.dim_names w in
-  let sorted_dims = List.sort String.compare dims in
-  let first_error f xs =
-    List.fold_left (fun acc x -> match acc with Error _ -> acc | Ok () -> f x) (Ok ()) xs
-  in
-  let check_level (i, (lm : level_mapping)) =
-    let known_factors assoc kind =
-      first_error
-        (fun (d, f) ->
-          if not (List.mem d dims) then
-            Error (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
-          else if f < 1 then
-            Error (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
-          else Ok ())
-        assoc
-    in
-    (* the mli contract: factor lists cover exactly the workload dims, once
-       each — a silently missing dim would default to factor 1 downstream *)
-    let covers assoc kind =
-      if List.sort String.compare (List.map fst assoc) <> sorted_dims then
-        Error
-          (Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind)
-      else Ok ()
-    in
-    let* () = known_factors lm.temporal "temporal" in
-    let* () = known_factors lm.spatial "spatial" in
-    let* () = covers lm.temporal "temporal" in
-    let* () = covers lm.spatial "spatial" in
-    if List.sort String.compare lm.order <> sorted_dims then
-      Error (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
-    else Ok ()
-  in
-  let* () = first_error check_level (List.mapi (fun i lm -> (i, lm)) levels) in
-  let t = { levels = Array.of_list levels } in
-  let* () =
-    first_error
-      (fun d ->
-        let placed = tile_at_top t d in
-        let bound = W.bound w d in
-        if placed <> bound then
-          Error (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d placed bound)
-        else Ok ())
-      dims
-  in
-  Ok t
+let dim_position dims pos d =
+  let n = Array.length dims in
+  if pos < n && (dims.(pos) == d || String.equal dims.(pos) d) then pos
+  else begin
+    let j = ref 0 in
+    while !j < n && not (String.equal dims.(!j) d) do
+      incr j
+    done;
+    if !j < n then !j else -1
+  end
 
-let make w levels = validate w levels
+(* Multiply each entry's factor into [placed] at its dim's position;
+   entries naming no workload dim are skipped. *)
+let multiply_into dims placed assoc =
+  List.iteri
+    (fun pos (d, f) ->
+      let j = dim_position dims pos d in
+      if j >= 0 then placed.(j) <- placed.(j) * f)
+    assoc
+
+let complete_at_top w levels =
+  let top = Array.length levels - 1 in
+  if top < 0 then levels
+  else begin
+    let dims = Array.of_list (W.dim_names w) in
+    let placed = Array.make (Array.length dims) 1 in
+    Array.iter
+      (fun lm ->
+        multiply_into dims placed lm.temporal;
+        multiply_into dims placed lm.spatial)
+      levels;
+    let top_temporal = Array.make (Array.length dims) 1 in
+    multiply_into dims top_temporal levels.(top).temporal;
+    let completed = Array.copy levels in
+    completed.(top) <-
+      {
+        (levels.(top)) with
+        temporal =
+          List.mapi (fun j (d, bound) -> (d, top_temporal.(j) * (bound / placed.(j)))) w.W.dims;
+      };
+    completed
+  end
+
+(* One pass over each level's lists, resolving every entry's dim to its
+   workload position: [seen] counts the entries per dim and [placed]
+   accumulates each dim's factor product. The checks run in a fixed order
+   — per level: known dims and positive factors (temporal, then spatial, in
+   list order), coverage (temporal, spatial), order; then the per-dim
+   products in workload order — so the first violated rule is the Error
+   payload and no exception escapes library code. *)
+let make w levels =
+  let dims = Array.of_list (W.dim_names w) in
+  let n = Array.length dims in
+  let placed = Array.make n 1 in
+  let seen_temporal = Array.make n 0 and seen_spatial = Array.make n 0 in
+  let rec factors i kind seen pos = function
+    | [] -> Ok ()
+    | (d, f) :: rest ->
+      let j = dim_position dims pos d in
+      if j < 0 then Error (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
+      else if f < 1 then Error (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
+      else begin
+        seen.(j) <- seen.(j) + 1;
+        placed.(j) <- placed.(j) * f;
+        factors i kind seen (pos + 1) rest
+      end
+  in
+  (* the mli contract: factor lists cover exactly the workload dims, once
+     each — a silently missing dim would default to factor 1 downstream *)
+  let covers i kind seen =
+    if Array.for_all (fun c -> c = 1) seen then Ok ()
+    else
+      Error
+        (Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind)
+  in
+  (* [seen] doubles as the order's visited marks *)
+  let rec permutes seen pos = function
+    | [] -> Array.for_all (fun c -> c = 1) seen
+    | d :: rest ->
+      let j = dim_position dims pos d in
+      j >= 0
+      && seen.(j) = 0
+      &&
+      (seen.(j) <- 1;
+       permutes seen (pos + 1) rest)
+  in
+  let rec check_levels i = function
+    | [] -> Ok ()
+    | lm :: rest ->
+      Array.fill seen_temporal 0 n 0;
+      Array.fill seen_spatial 0 n 0;
+      let* () = factors i "temporal" seen_temporal 0 lm.temporal in
+      let* () = factors i "spatial" seen_spatial 0 lm.spatial in
+      let* () = covers i "temporal" seen_temporal in
+      let* () = covers i "spatial" seen_spatial in
+      Array.fill seen_temporal 0 n 0;
+      if not (permutes seen_temporal 0 lm.order) then
+        Error (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
+      else check_levels (i + 1) rest
+  in
+  let rec check_products j = function
+    | [] -> Ok ()
+    | (d, bound) :: rest ->
+      if placed.(j) <> bound then
+        Error (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d placed.(j) bound)
+      else check_products (j + 1) rest
+  in
+  let* () = check_levels 0 levels in
+  let* () = check_products 0 w.W.dims in
+  Ok { levels = Array.of_list levels }
+
 
 let make_exn w levels =
   match make w levels with Ok t -> t | Error msg -> invalid_arg ("Mapping.make_exn: " ^ msg)

@@ -30,7 +30,17 @@ val make : Sun_tensor.Workload.t -> level_mapping list -> (t, string) result
 (** Structural validation: factor lists cover exactly the workload dims with
     positive factors, orders are permutations of the dims, and per-dimension
     factor products equal the workload bounds. (Capacity and fanout checks
-    need the architecture and live in the cost model.) *)
+    need the architecture and live in the cost model.)
+
+    Entries may come in any order. Lists in workload order are the cheap
+    case: each entry's dim is matched at its own list position first, and
+    any other order costs a scan of the dims per misplaced entry. A
+    rejection names the first violated rule, checked level by level (dims
+    known and factors positive, temporal then spatial, in list order; then
+    coverage, temporal then spatial; then the order), then dim by dim in
+    workload order for the products. This is the validator for external
+    input too ([Codec] decodes through it), so every rule is checked on every
+    call. *)
 
 val make_exn : Sun_tensor.Workload.t -> level_mapping list -> t
 
@@ -43,9 +53,6 @@ val tile_at : t -> level:int -> dim -> int
 (** Extent of [d] inside the level-[l] buffer tile: product of temporal and
     spatial factors of levels [<= l]. *)
 
-val tile_at_top : t -> dim -> int
-(** Product over all levels; equals the workload bound for valid mappings. *)
-
 val spatial_product : t -> level:int -> int
 (** Product of all spatial factors at the level: parallel instances used. *)
 
@@ -54,6 +61,19 @@ val total_spatial : t -> int
 val footprint_at :
   Sun_tensor.Workload.t -> t -> level:int -> Sun_tensor.Workload.operand -> float
 (** Words of the operand resident in one level-[l] buffer instance. *)
+
+val dim_position : dim array -> int -> dim -> int
+(** [dim_position dims pos d] is the index of [d] in [dims], or [-1] if it
+    is absent. Index [pos] is tried first (physical, then string equality)
+    and the array is scanned only on a miss, so resolving the entry at
+    position [pos] of a list in [dims] order costs one comparison. *)
+
+val complete_at_top : Sun_tensor.Workload.t -> level_mapping array -> level_mapping array
+(** [complete_at_top w levels] places each dim's residual at the outermost
+    level: a copy of [levels] whose top temporal factor of [d], listed in
+    workload order, is the old one times [bound d] over the product of
+    every factor of [d] already placed. Entries naming no workload dim are
+    ignored; [levels] itself is not modified. *)
 
 val single_level : Sun_tensor.Workload.t -> num_levels:int -> t
 (** The degenerate mapping placing the whole problem at the outermost level

@@ -60,6 +60,13 @@ type search_state = {
   ctx : Model.ctx;
   probe : Probe.t;  (** footprint probes, scoped to this search (DESIGN.md §3.7) *)
   dims : W.dim list;
+  dim_array : W.dim array;  (** [dims], for {!M.dim_position} *)
+  grows : W.dim list array;
+      (** the distinct grow-dim lists an operand choice can select
+          ({!grow_index}), the unrestricted one first; a list's index
+          keys the per-pass tile and unroll memos *)
+  grow_pos : int array array;  (** per grow list, each dim's position in [dims] *)
+  grow_of_op : (string * int) list;  (** operand name -> index into [grows] *)
   mutable fits : (float * Probe.axes array) array array;
       (** per level: (capacity, stored operands' resolved axes) per
           partition — arrays, so the fit test loops without list closures *)
@@ -94,10 +101,7 @@ type search_state = {
 
 let ones dims = List.map (fun d -> (d, 1)) dims
 
-let fill dims assoc =
-  List.map (fun d -> match List.assoc_opt d assoc with Some f -> (d, f) | None -> (d, 1)) dims
-
-let copy_levels levels = Array.map (fun lm -> lm) levels
+let copy_levels = Array.copy
 
 let initial_levels st =
   Array.init (A.num_levels st.arch) (fun _ ->
@@ -284,10 +288,41 @@ let install_seed st levels_list =
 
 (* The grow dimensions of the Tiling / Unrolling Principles: the indexing
    dimensions of the operand temporally reused at the boundary. With no
-   reused operand the principles give no restriction. *)
-let grow_dims_of st = function
-  | Some op_name -> W.indexing_dims (W.find_operand st.w op_name)
-  | None -> st.dims
+   reused operand the principles give no restriction. An operand choice
+   selects its grow list by index into [st.grows]. *)
+let grow_index st = function Some op_name -> List.assoc op_name st.grow_of_op | None -> 0
+
+(* A tile or unrolling over grow list [g] (one entry per dim of the list,
+   in list order) as factors of every workload dim, in workload order.
+   Entry [i] is matched at the position of the list's [i]-th dim first, so
+   no dim is resolved by name. *)
+let fill st g assignment =
+  let pos = st.grow_pos.(g) in
+  let factors = Array.make (Array.length st.dim_array) 1 in
+  List.iteri
+    (fun i (d, f) ->
+      let j = M.dim_position st.dim_array pos.(i) d in
+      if j >= 0 then factors.(j) <- f)
+    assignment;
+  List.mapi (fun j d -> (d, factors.(j))) st.dims
+
+(* [grows], [grow_pos] and [grow_of_op] of the search state: operands
+   indexed by the same dims share one grow list, and so one memo entry. *)
+let grow_table (w : W.t) dims dim_array =
+  let grows = ref [ dims ] in
+  let index_of g =
+    match List.find_index (List.equal String.equal g) (List.rev !grows) with
+    | Some i -> i
+    | None ->
+      grows := g :: !grows;
+      List.length !grows - 1
+  in
+  let grow_of_op =
+    List.map (fun (op : W.operand) -> (op.W.name, index_of (W.indexing_dims op))) w.W.operands
+  in
+  let grows = Array.of_list (List.rev !grows) in
+  let positions g = Array.of_list (List.map (M.dim_position dim_array 0) g) in
+  (grows, Array.map positions grows, grow_of_op)
 
 let operand_choices (o : Order_trie.candidate) =
   match o.Order_trie.reused_operands with [] -> [ None ] | ops -> List.map (fun x -> Some x) ops
@@ -295,25 +330,6 @@ let operand_choices (o : Order_trie.candidate) =
 (* ------------------------------------------------------------------ *)
 (* Bottom-up                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Complete a prefix by dumping every unplaced factor at DRAM. *)
-let complete_at_top st levels =
-  let completed = copy_levels levels in
-  let top = A.num_levels st.arch - 1 in
-  let m = { M.levels = completed } in
-  let residual =
-    List.map (fun d -> (d, W.bound st.w d / M.tile_at m ~level:top d)) st.dims
-  in
-  let top_lm = completed.(top) in
-  let temporal =
-    List.map
-      (fun (d, f) ->
-        let cur = match List.assoc_opt d top_lm.M.temporal with Some c -> c | None -> 1 in
-        (d, cur * f))
-      residual
-  in
-  completed.(top) <- { top_lm with M.temporal };
-  completed
 
 (* A prefix with [edp_lb > incumbent * prune_margin] is cut once the seed
    has been displaced (see the margin computation below). 0.8 is the
@@ -365,51 +381,52 @@ let bottom_up_pass st ~orders ~k prefix_levels =
   let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
-  let emit_candidate ~tile ~order ~spatial =
+  let emit_candidate g ~tile ~order ~spatial =
     st.examined <- st.examined + 1;
     let levels = copy_levels prefix_levels in
-    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st.dims tile };
-    levels.(k) <- { (levels.(k)) with M.order = order; M.spatial = fill st.dims spatial };
+    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st g tile };
+    levels.(k) <- { (levels.(k)) with M.order = order; M.spatial = fill st g spatial };
     results := levels :: !results
   in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
-     monotonicity the Tiling Principle exploits). *)
+     monotonicity the Tiling Principle exploits). The sort is stable, so
+     equal volumes keep their frontier order. *)
   let cap_frontier frontier =
     let max_keep = 40 in
     if List.length frontier <= max_keep then frontier
-    else begin
-      let volume a = List.fold_left (fun acc (_, f) -> acc * f) 1 a in
-      let sorted = List.sort (fun a b -> compare (volume b) (volume a)) frontier in
-      Listx.take max_keep sorted
-    end
+    else
+      List.map (fun a -> (List.fold_left (fun acc (_, f) -> acc * f) 1 a, a)) frontier
+      |> List.stable_sort (fun (va, _) (vb, _) -> Int.compare vb va)
+      |> Listx.take max_keep |> List.map snd
   in
   (* Distinct orders often share the reused operand, hence the same grow
      set; tile and unroll candidate sets depend only on that set (plus any
-     already-chosen factors) for a given prefix, so memoize them per pass. *)
-  let tile_memo : (string, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
-  let unroll_memo : (string, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
-  let memo_key grow chosen =
-    String.concat "," grow ^ "/"
-    ^ String.concat "," (List.map (fun (d, f) -> d ^ string_of_int f) chosen)
-  in
-  let tiles_for grow ~chosen ~remaining =
-    let key = memo_key grow chosen in
+     already-chosen factors) for a given prefix, so memoize them per pass.
+     The chosen factors are always an entry of the same grow set's other
+     memoized list, whose entries are distinct, so the grow index and the
+     entry's position ([-1] for none) identify the key. *)
+  let tile_memo : (int, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
+  let unroll_memo : (int, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
+  let memo_key g chosen = g + (Array.length st.grows * (chosen + 1)) in
+  let tiles_for g ~chosen ~remaining =
+    let key = memo_key g chosen in
     match Hashtbl.find_opt tile_memo key with
     | Some tiles -> tiles
     | None ->
+      let grow = st.grows.(g) in
       let tiles = cap_frontier (search_tiles st ~level:(k - 1) ~base:placed ~grow ~remaining) in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
       Hashtbl.add tile_memo key tiles;
       tiles
   in
-  let unrolls_for grow ~chosen ~remaining =
-    let key = memo_key grow chosen in
+  let unrolls_for g ~chosen ~remaining =
+    let key = memo_key g chosen in
     match Hashtbl.find_opt unroll_memo key with
     | Some unrolls -> unrolls
     | None ->
       let out =
-        Unroll.candidates ~fanout ~dims:grow ~remaining
+        Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining
           ~min_utilization:st.cfg.min_spatial_utilization ()
       in
       st.examined <- st.examined + out.Unroll.explored;
@@ -418,25 +435,25 @@ let bottom_up_pass st ~orders ~k prefix_levels =
       out.Unroll.candidates
   in
   let expand_order_op (o : Order_trie.candidate) op_choice =
-    let grow = grow_dims_of st op_choice in
+    let g = grow_index st op_choice in
     match st.cfg.intra with
     | Ordering_first | Tiling_first ->
-      let tiles = tiles_for grow ~chosen:[] ~remaining in
-      List.iter
-        (fun tile ->
+      let tiles = tiles_for g ~chosen:(-1) ~remaining in
+      List.iteri
+        (fun i tile ->
           let after_tile d = remaining d / Tile_tree.factor_of tile d in
-          let unrolls = unrolls_for grow ~chosen:tile ~remaining:after_tile in
+          let unrolls = unrolls_for g ~chosen:i ~remaining:after_tile in
           List.iter
-            (fun spatial -> emit_candidate ~tile ~order:o.Order_trie.order ~spatial)
+            (fun spatial -> emit_candidate g ~tile ~order:o.Order_trie.order ~spatial)
             unrolls)
         tiles
     | Unrolling_first ->
-      let unrolls = unrolls_for grow ~chosen:[] ~remaining in
-      List.iter
-        (fun spatial ->
+      let unrolls = unrolls_for g ~chosen:(-1) ~remaining in
+      List.iteri
+        (fun i spatial ->
           let rem d = remaining d / Tile_tree.factor_of spatial d in
-          let tiles = tiles_for grow ~chosen:spatial ~remaining:rem in
-          List.iter (fun tile -> emit_candidate ~tile ~order:o.Order_trie.order ~spatial) tiles)
+          let tiles = tiles_for g ~chosen:i ~remaining:rem in
+          List.iter (fun tile -> emit_candidate g ~tile ~order:o.Order_trie.order ~spatial) tiles)
         unrolls
   in
   List.iter (fun o -> List.iter (expand_order_op o) (operand_choices o)) orders;
@@ -451,9 +468,9 @@ let lane_pass st prefix_levels =
     let results = ref [] in
     List.iter
       (fun (op : W.operand) ->
-        let grow = W.indexing_dims op in
+        let g = grow_index st (Some op.W.name) in
         let out =
-          Unroll.candidates ~fanout ~dims:grow
+          Unroll.candidates ~fanout ~dims:st.grows.(g)
             ~remaining:(fun d -> W.bound st.w d)
             ~min_utilization:st.cfg.min_spatial_utilization ()
         in
@@ -463,50 +480,58 @@ let lane_pass st prefix_levels =
           (fun spatial ->
             st.examined <- st.examined + 1;
             let levels = copy_levels prefix_levels in
-            levels.(0) <- { (levels.(0)) with M.spatial = fill st.dims spatial };
+            levels.(0) <- { (levels.(0)) with M.spatial = fill st g spatial };
             results := levels :: !results)
           out.Unroll.candidates)
       st.w.W.operands;
     !results
   end
 
-let dedup_prefixes prefixes =
+(* Candidate identity without building keys. Every candidate lists each
+   level's factors in workload dim order, so a factor's list position names
+   its dim: two candidates are the same when, level by level, their
+   temporal factors, order and spatial factors match position by position.
+   The hashes below read exactly those fields in place. *)
+let mix h x = (h * 31) + x
+
+let hash_factors h assoc = List.fold_left (fun h (_, f) -> mix h f) h assoc
+
+let rec hash_order dims h pos = function
+  | [] -> h
+  | d :: rest -> hash_order dims (mix h (M.dim_position dims pos d)) (pos + 1) rest
+
+let same_factors a b = List.equal (fun (_, f) (_, g) -> f = g) a b
+
+let same_levels same a b = Array.length a = Array.length b && Array.for_all2 same a b
+
+(* A first-occurrence test on an int [hash]: entries whose hashes collide
+   are compared with [same] before one counts as already seen. *)
+let first_seen ~hash ~same =
   let seen = Hashtbl.create 64 in
-  let buf = Buffer.create 128 in
-  let canonical levels =
-    Buffer.clear buf;
-    Array.iter
-      (fun lm ->
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.temporal;
-        Buffer.add_char buf '|';
-        List.iter
-          (fun d ->
-            Buffer.add_string buf d;
-            Buffer.add_char buf ',')
-          lm.M.order;
-        Buffer.add_char buf '|';
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.spatial;
-        Buffer.add_char buf ';')
-      levels;
-    Buffer.contents buf
+  fun x ->
+    let h = hash x in
+    if List.exists (same x) (Hashtbl.find_all seen h) then false
+    else begin
+      Hashtbl.add seen h x;
+      true
+    end
+
+let dedup_prefixes st prefixes =
+  let hash levels =
+    Array.fold_left
+      (fun h (lm : M.level_mapping) ->
+        let h = hash_factors h lm.temporal in
+        let h = hash_order st.dim_array h 0 lm.order in
+        mix (hash_factors h lm.spatial) (-1))
+      0 levels
   in
-  List.filter
-    (fun levels ->
-      let key = canonical levels in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    prefixes
+  let same =
+    same_levels (fun (a : M.level_mapping) (b : M.level_mapping) ->
+        same_factors a.temporal b.temporal
+        && List.equal String.equal a.order b.order
+        && same_factors a.spatial b.spatial)
+  in
+  List.filter (first_seen ~hash ~same) prefixes
 
 (* Score prefixes by their naive completion and keep the beam. The naive
    completion is a poor predictor of how a spatial-unrolling style plays
@@ -522,7 +547,7 @@ let select_beam st ~fixed_levels prefixes =
          which routes seeded searches through the pruning path below. *)
       List.map
         (fun (levels, s) -> (levels, s.Model.s_edp))
-        (score_batch st (List.map (fun levels -> (levels, complete_at_top st levels)) prefixes))
+        (score_batch st (List.map (fun levels -> (levels, M.complete_at_top st.w levels)) prefixes))
     else
       (* the incumbent tightens mid-pass and feeds the alpha-beta test of
          the next prefix, so this path stays candidate-by-candidate *)
@@ -530,37 +555,22 @@ let select_beam st ~fixed_levels prefixes =
         (fun levels ->
           if alpha_beta_prunes st ~fixed_levels levels then None
           else
-            match score st (complete_at_top st levels) with
+            match score st (M.complete_at_top st.w levels) with
             | Some s -> Some (levels, s.Model.s_edp)
             | None -> None)
         prefixes
   in
   let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
-  let spatial_key levels =
-    let buf = Buffer.create 32 in
-    Array.iter
-      (fun lm ->
-        List.iter
-          (fun (_, f) ->
-            Buffer.add_string buf (string_of_int f);
-            Buffer.add_char buf ',')
-          lm.M.spatial;
-        Buffer.add_char buf ';')
-      levels;
-    Buffer.contents buf
+  (* a prefix's spatial signature: every level's spatial factors *)
+  let new_signature =
+    first_seen
+      ~hash:
+        (Array.fold_left (fun h (lm : M.level_mapping) -> mix (hash_factors h lm.spatial) (-1)) 0)
+      ~same:
+        (same_levels (fun (a : M.level_mapping) (b : M.level_mapping) ->
+             same_factors a.spatial b.spatial))
   in
-  let seen_keys = Hashtbl.create 16 in
-  let diverse, rest =
-    List.partition
-      (fun (levels, _) ->
-        let key = spatial_key levels in
-        if Hashtbl.mem seen_keys key then false
-        else begin
-          Hashtbl.add seen_keys key ();
-          true
-        end)
-      sorted
-  in
+  let diverse, rest = List.partition (fun (levels, _) -> new_signature levels) sorted in
   List.map fst (Listx.take st.cfg.beam_width (diverse @ rest))
 
 (* Order candidates come with the trie's visit/prune tallies, so the
@@ -577,13 +587,13 @@ let optimize_bottom_up st =
   let start = [ initial_levels st ] in
   let after_lanes =
     let cands = List.concat_map (lane_pass st) start in
-    select_beam st ~fixed_levels:0 (dedup_prefixes cands)
+    select_beam st ~fixed_levels:0 (dedup_prefixes st cands)
   in
   let rec run k prefixes =
     if k > top then prefixes
     else begin
       let cands = List.concat_map (bottom_up_pass st ~orders ~k) prefixes in
-      let kept = select_beam st ~fixed_levels:k (dedup_prefixes cands) in
+      let kept = select_beam st ~fixed_levels:k (dedup_prefixes st cands) in
       run (k + 1) (if kept = [] then prefixes else kept)
     end
   in
@@ -605,7 +615,7 @@ let top_down_pass st ~orders ~k prefix_levels =
   let all_ones = Array.make (List.length st.dims) 1 in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
-  let emit ~order ~spatial ~tile =
+  let emit g ~order ~spatial ~tile =
     st.examined <- st.examined + 1;
     let levels = copy_levels prefix_levels in
     let t_k d =
@@ -614,16 +624,17 @@ let top_down_pass st ~orders ~k prefix_levels =
     levels.(k) <-
       {
         M.order;
-        M.spatial = fill st.dims spatial;
+        M.spatial = fill st g spatial;
         M.temporal = List.map (fun d -> (d, t_k d)) st.dims;
       };
-    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st.dims tile };
+    (* tiles grow every dim: grow list 0 *)
+    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st 0 tile };
     results := levels :: !results
   in
   let expand (o : Order_trie.candidate) op_choice =
-    let grow = grow_dims_of st op_choice in
+    let g = grow_index st op_choice in
     let out_unroll =
-      Unroll.candidates ~fanout ~dims:grow ~remaining:below
+      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below
         ~min_utilization:st.cfg.min_spatial_utilization ()
     in
     st.examined <- st.examined + out_unroll.Unroll.explored;
@@ -635,7 +646,7 @@ let top_down_pass st ~orders ~k prefix_levels =
            instances and does not occupy any single buffer *)
         let tiles = search_tiles st ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem in
         st.tile_candidates <- st.tile_candidates + List.length tiles;
-        List.iter (fun tile -> emit ~order:o.Order_trie.order ~spatial ~tile) tiles)
+        List.iter (fun tile -> emit g ~order:o.Order_trie.order ~spatial ~tile) tiles)
       out_unroll.Unroll.candidates
   in
   List.iter (fun o -> List.iter (expand o) (operand_choices o)) orders;
@@ -653,9 +664,9 @@ let lane_pass_split st levels =
     in
     List.iter
       (fun (op : W.operand) ->
-        let grow = W.indexing_dims op in
+        let g = grow_index st (Some op.W.name) in
         let out =
-          Unroll.candidates ~fanout ~dims:grow ~remaining:below
+          Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below
             ~min_utilization:st.cfg.min_spatial_utilization ()
         in
         st.examined <- st.examined + out.Unroll.explored;
@@ -667,7 +678,7 @@ let lane_pass_split st levels =
             let temporal =
               List.map (fun d -> (d, below d / Tile_tree.factor_of spatial d)) st.dims
             in
-            ls.(0) <- { (ls.(0)) with M.spatial = fill st.dims spatial; M.temporal = temporal };
+            ls.(0) <- { (ls.(0)) with M.spatial = fill st g spatial; M.temporal = temporal };
             results := ls :: !results)
           out.Unroll.candidates)
       st.w.W.operands;
@@ -701,7 +712,7 @@ let optimize_top_down st =
     if k < 1 then prefixes
     else begin
       let cands = List.concat_map (top_down_pass st ~orders ~k) prefixes in
-      let kept = select (dedup_prefixes cands) in
+      let kept = select (dedup_prefixes st cands) in
       run (k - 1) (if kept = [] then prefixes else kept)
     end
   in
@@ -839,6 +850,9 @@ let flush_telemetry st wall_seconds =
   end
 
 let create_state ~config ~inject w arch =
+  let dims = W.dim_names w in
+  let dim_array = Array.of_list dims in
+  let grows, grow_pos, grow_of_op = grow_table w dims dim_array in
   let st =
     {
       w;
@@ -846,7 +860,11 @@ let create_state ~config ~inject w arch =
       cfg = config;
       ctx = Model.context ~binding:config.binding w arch;
       probe = Probe.create w;
-      dims = W.dim_names w;
+      dims;
+      dim_array;
+      grows;
+      grow_pos;
+      grow_of_op;
       fits = [||];
       fit_level = 0;
       fit_base = [||];

@@ -152,6 +152,124 @@ let test_pp_roundtrip_info () =
   Alcotest.(check bool) "mentions L2 loops" true (contains s "for P in 2");
   Alcotest.(check bool) "mentions L1 tile loop" true (contains s "for R in 3")
 
+let test_complete_at_top () =
+  (* a prefix with only level 0 tiled: the residual lands at the top level,
+     whose own temporal factors are kept and whose list comes back in
+     workload order *)
+  let prefix =
+    [|
+      lm [ ("K", 2); ("P", 7); ("R", 3) ];
+      lm ~spatial:[ ("C", 2) ] [];
+      { M.temporal = [ ("P", 2); ("K", 1); ("R", 1); ("C", 1) ]; order = dims; spatial = ones };
+    |]
+  in
+  let completed = M.complete_at_top conv1d prefix in
+  Alcotest.(check (list (pair string int)))
+    "top temporal" [ ("K", 2); ("C", 2); ("P", 2); ("R", 1) ] completed.(2).M.temporal;
+  Alcotest.(check bool) "lower levels shared" true (completed.(0) == prefix.(0));
+  Alcotest.(check (list (pair string int)))
+    "input untouched" [ ("P", 2); ("K", 1); ("R", 1); ("C", 1) ] prefix.(2).M.temporal;
+  match M.make conv1d (Array.to_list completed) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "completion rejected: %s" msg
+
+(* Random [Mapping.make] inputs for the differential against
+   [Mapping_ref]: a workload of 1-6 dims, a canonical mapping of 1-4
+   levels (each bound split into per-level temporal x spatial divisors),
+   then 0-3 corruptions of the kinds the validator must catch or accept —
+   entries moved to the list head (refine's [set]), shuffled lists, dropped,
+   duplicated and unknown dims, factors <= 0 and wrong products. Dim names
+   are sometimes fresh copies, so matching cannot rely on sharing. *)
+let make_case =
+  let open QCheck.Gen in
+  let pool = [| "A"; "B"; "C"; "D"; "E"; "F" |] in
+  let* n = 1 -- 6 in
+  let* bounds = list_repeat n (oneofl [ 1; 2; 3; 4; 6; 8; 12 ]) in
+  let names = Array.to_list (Array.sub pool 0 n) in
+  let w =
+    W.make ~name:"rand" ~dims:(List.combine names bounds)
+      ~operands:[ { W.name = "out"; kind = `Output; indices = List.map (fun d -> W.Dim d) names } ]
+  in
+  let* nlevels = 1 -- 4 in
+  (* per dim, one (temporal, spatial) pair per level multiplying to the bound *)
+  let split b =
+    let rec go rem l =
+      if l = 1 then
+        map (fun s -> [ (rem / s, s) ]) (oneofl (Sun_util.Factor.divisors rem))
+      else
+        let* t = oneofl (Sun_util.Factor.divisors rem) in
+        let* s = oneofl (Sun_util.Factor.divisors (rem / t)) in
+        map (fun rest -> (t, s) :: rest) (go (rem / (t * s)) (l - 1))
+    in
+    go b nlevels
+  in
+  let* splits = flatten_l (List.map split bounds) in
+  let* fresh = bool in
+  let name d = if fresh then String.init (String.length d) (String.get d) else d in
+  let* orders = list_repeat nlevels (shuffle_l names) in
+  let levels =
+    List.init nlevels (fun l ->
+        let pick f = List.map2 (fun d sp -> (name d, f (List.nth sp l))) names splits in
+        {
+          M.temporal = pick fst;
+          order = List.map name (List.nth orders l);
+          spatial = pick snd;
+        })
+  in
+  let corrupt_assoc assoc =
+    let* i = 0 -- max 0 (List.length assoc - 1) in
+    let nth = List.nth_opt assoc i in
+    let without = List.filteri (fun j _ -> j <> i) assoc in
+    oneof
+      [
+        (match nth with Some e -> return (e :: without) | None -> return assoc);
+        shuffle_l assoc;
+        return without;
+        (match nth with Some e -> return (e :: assoc) | None -> return assoc);
+        map (fun f -> ("Z", f) :: assoc) (1 -- 2);
+        map
+          (fun f -> List.mapi (fun j (d, g) -> if j = i then (d, f) else (d, g)) assoc)
+          (oneofl [ 0; -1; -3 ]);
+        return (List.mapi (fun j (d, g) -> if j = i then (d, g * 2) else (d, g)) assoc);
+      ]
+  in
+  let corrupt_order order =
+    let* i = 0 -- max 0 (List.length order - 1) in
+    let without = List.filteri (fun j _ -> j <> i) order in
+    oneof
+      [
+        shuffle_l order;
+        return without;
+        return (match List.nth_opt order i with Some d -> d :: order | None -> order);
+        return ("Z" :: without);
+      ]
+  in
+  let corrupt levels =
+    let* l = 0 -- (List.length levels - 1) in
+    let* field = 0 -- 2 in
+    let lm = List.nth levels l in
+    let* lm' =
+      match field with
+      | 0 -> map (fun temporal -> { lm with M.temporal }) (corrupt_assoc lm.M.temporal)
+      | 1 -> map (fun spatial -> { lm with M.spatial }) (corrupt_assoc lm.M.spatial)
+      | _ -> map (fun order -> { lm with M.order }) (corrupt_order lm.M.order)
+    in
+    return (List.mapi (fun j x -> if j = l then lm' else x) levels)
+  in
+  let* k = frequency [ (2, return 0); (3, return 1); (1, 2 -- 3) ] in
+  let rec apply k levels = if k = 0 then return levels else corrupt levels >>= apply (k - 1) in
+  map (fun levels -> (w, levels)) (apply k levels)
+
+let print_make_case (w, levels) =
+  let assoc xs = String.concat " " (List.map (fun (d, f) -> Printf.sprintf "%s:%d" d f) xs) in
+  Printf.sprintf "dims [%s]\n%s" (assoc w.W.dims)
+    (String.concat "\n"
+       (List.mapi
+          (fun i lm ->
+            Printf.sprintf "L%d temporal [%s] order [%s] spatial [%s]" i (assoc lm.M.temporal)
+              (String.concat " " lm.M.order) (assoc lm.M.spatial))
+          levels))
+
 let qcheck_props =
   let open QCheck in
   let factor_split n =
@@ -164,6 +282,14 @@ let qcheck_props =
       Gen.(0 -- 100)
   in
   [
+    Test.make ~name:"make agrees with the list-based reference" ~count:2000
+      (make ~print:print_make_case make_case)
+      (fun (w, levels) ->
+        match (M.make w levels, Mapping_ref.make w levels) with
+        | Ok a, Ok b -> a.M.levels = b.M.levels
+        | Error a, Error b -> String.equal a b || Test.fail_reportf "%S vs reference %S" a b
+        | Ok _, Error e -> Test.fail_reportf "accepted; reference rejects: %s" e
+        | Error e, Ok _ -> Test.fail_reportf "rejected (%s); reference accepts" e);
     Test.make ~name:"tile_at top always equals bound" ~count:100
       (make Gen.(tup2 (factor_split 12) (factor_split 8)))
       (fun ((k1, k2), (p1, p2)) ->
@@ -210,6 +336,7 @@ let () =
           Alcotest.test_case "factor product mismatch" `Quick test_make_product_mismatch;
           Alcotest.test_case "duplicate dims in order" `Quick test_make_duplicate_order;
           Alcotest.test_case "single_level" `Quick test_single_level;
+          Alcotest.test_case "complete_at_top" `Quick test_complete_at_top;
         ] );
       ( "geometry",
         [

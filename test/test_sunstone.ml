@@ -367,30 +367,35 @@ let test_refine_no_build_errors () =
       ("mttkrp/conventional", C.mttkrp ~i:64 ~j:32 ~k:16 ~l:16 (), P.conventional);
     ]
 
-(* The search's counts and winner on two cold simba layers, pinned: a
-   tile-tree change that alters a frontier, its order or [explored] moves
-   these counts or the EDP bits. *)
+(* The search's counts and winner on cold layers, pinned: a tile-tree
+   change that alters a frontier, its order or [explored], or a candidate
+   bookkeeping change that drops a different set of duplicates, moves these
+   counts or the EDP bits. The conventional row drops no duplicate
+   candidate and prunes hundreds of prefixes by alpha-beta. No row may
+   have a build error. *)
 let test_search_counts_pinned () =
   List.iter
-    (fun (name, examined, evaluated, pruned, eval_errors, edp_bits) ->
+    (fun (name, arch, examined, evaluated, pruned, eval_errors, edp_bits) ->
       let w =
         match Sun_serve.Registry.find_workload name with
         | Ok w -> w
         | Error msg -> Alcotest.fail msg
       in
-      match Opt.optimize w P.simba_like with
+      match Opt.optimize w arch with
       | Error msg -> Alcotest.failf "%s failed: %s" name msg
       | Ok r ->
         let s = r.Opt.stats in
         Alcotest.(check int) (name ^ ": examined") examined s.Opt.examined;
         Alcotest.(check int) (name ^ ": evaluated") evaluated s.Opt.evaluated;
         Alcotest.(check int) (name ^ ": pruned_alpha_beta") pruned s.Opt.pruned_alpha_beta;
+        Alcotest.(check int) (name ^ ": build_errors") 0 s.Opt.build_errors;
         Alcotest.(check int) (name ^ ": eval_errors") eval_errors s.Opt.eval_errors;
         Alcotest.(check int64) (name ^ ": EDP bits") edp_bits
           (Int64.bits_of_float r.Opt.cost.Model.edp))
     [
-      ("resnet18/conv5_x", 5290, 799, 108, 14, 0x42d5dd361cc82342L);
-      ("sddmm/cant", 8533, 131, 12, 0, 0x4524feb5d88f0380L);
+      ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 0x42d5dd361cc82342L);
+      ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 0x4524feb5d88f0380L);
+      ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 0x42d342cebd032a45L);
     ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
