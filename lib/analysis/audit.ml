@@ -7,7 +7,6 @@ module Trie = Sun_core.Order_trie
 module Tile_tree = Sun_core.Tile_tree
 module Mapspace = Sun_search.Mapspace
 module Probe = Sun_cost.Probe
-module Factor = Sun_util.Factor
 module Listx = Sun_util.Listx
 module D = Diagnostic
 
@@ -212,6 +211,7 @@ let audit_frontier ~inject probe w a =
           let ops = [| Probe.axes probe ~op:op.W.name |] in
           let grow_idx = Array.of_list (List.map (Probe.dim_index probe) grow) in
           let ext = Probe.extents probe in
+          (* monotone, as Tile_tree.search needs: the footprint grows with extents *)
           let fits_factors factors =
             Array.fill ext 0 (Array.length ext) 1;
             Array.iteri (fun g d -> ext.(d) <- factors.(g)) grow_idx;
@@ -221,76 +221,92 @@ let audit_frontier ~inject probe w a =
             fits_factors (Array.of_list (List.map (Tile_tree.factor_of asg) grow))
           in
           let remaining d = W.bound w d in
-          let outcome = Tile_tree.search ~grow_dims:grow ~remaining ~fits:fits_factors () in
-          let frontier =
-            match inject with
-            | Shrink_frontier -> (
-              match List.rev outcome.Tile_tree.frontier with
-              | _ :: rest -> List.rev rest
-              | [] -> [])
-            | _ -> outcome.Tile_tree.frontier
+          let ladders max_steps =
+            List.map (fun d -> Tile_tree.ladder ~max_steps (remaining d)) grow
           in
-          (* brute force: maximal fitting points of the divisor grid *)
-          let grid =
-            Listx.cartesian
-              (List.map (fun d -> List.map (fun f -> (d, f)) (Factor.divisors (W.bound w d))) grow)
+          (* the full divisor ladders, and the optimizer's thinned ones
+             wherever thinning drops a rung *)
+          let thinnings =
+            if ladders Opt.tile_max_steps = ladders max_int then [ max_int ]
+            else [ max_int; Opt.tile_max_steps ]
           in
-          let fitting = List.filter fits grid in
-          let maximal =
-            List.filter
-              (fun p ->
-                not (List.exists (fun q -> q <> p && point_leq grow p q) fitting))
-              fitting
-          in
-          let canon ps = List.sort compare (List.map (canonical_point grow) ps) in
-          let frontier_c = canon frontier and maximal_c = canon maximal in
           List.iter
-            (fun pt ->
-              incr checked;
-              let asg = pt in
-              if not (fits asg) then
-                add
-                  (D.error ~operand:op.W.name D.Frontier_overflow
-                     (Printf.sprintf "frontier tile %s of %s overflows its %d-word partition"
-                        (string_of_point pt) op.W.name part.A.capacity_words))
-              else
-                List.iter
-                  (fun d ->
-                    let f = Tile_tree.factor_of asg d in
-                    let next =
-                      List.find_opt (fun x -> x > f) (Factor.divisors (W.bound w d))
-                    in
-                    match next with
-                    | Some f' when fits ((d, f') :: List.remove_assoc d asg) ->
-                      add
-                        (D.error ~operand:op.W.name ~dim:d D.Frontier_not_maximal
-                           (Printf.sprintf
-                              "frontier tile %s of %s still fits with %s grown %d -> %d"
-                              (string_of_point pt) op.W.name d f f'))
-                    | _ -> ())
-                  grow)
-            frontier_c;
-          List.iter
-            (fun pt ->
-              if not (List.mem pt frontier_c) then
-                add
-                  (D.error ~operand:op.W.name D.Frontier_incomplete
-                     (Printf.sprintf
-                        "maximal fitting tile %s of %s is missing from the tiling frontier"
-                        (string_of_point pt) op.W.name)))
-            maximal_c;
-          List.iter
-            (fun pt ->
-              if not (List.mem pt maximal_c) then
-                add
-                  (D.error ~operand:op.W.name D.Frontier_incomplete
-                     (Printf.sprintf
-                        "frontier tile %s of %s is not in the brute-force maximal fitting set"
-                        (string_of_point pt) op.W.name)))
-            frontier_c
+            (fun max_steps ->
+              let ladder d = Tile_tree.ladder ~max_steps (remaining d) in
+              let where =
+                if max_steps = max_int then op.W.name
+                else Printf.sprintf "%s (%d-rung ladders)" op.W.name max_steps
+              in
+              let outcome =
+                Tile_tree.search ~max_steps ~grow_dims:grow ~remaining ~fits:fits_factors ()
+              in
+              let frontier =
+                match inject with
+                | Shrink_frontier -> (
+                  match List.rev outcome.Tile_tree.frontier with
+                  | _ :: rest -> List.rev rest
+                  | [] -> [])
+                | _ -> outcome.Tile_tree.frontier
+              in
+              (* brute force: maximal fitting points of the ladder grid *)
+              let grid =
+                Listx.cartesian (List.map (fun d -> List.map (fun f -> (d, f)) (ladder d)) grow)
+              in
+              let fitting = List.filter fits grid in
+              let maximal =
+                List.filter
+                  (fun p -> not (List.exists (fun q -> q <> p && point_leq grow p q) fitting))
+                  fitting
+              in
+              let canon ps = List.sort compare (List.map (canonical_point grow) ps) in
+              let frontier_c = canon frontier and maximal_c = canon maximal in
+              List.iter
+                (fun pt ->
+                  incr checked;
+                  let asg = pt in
+                  if not (fits asg) then
+                    add
+                      (D.error ~operand:op.W.name D.Frontier_overflow
+                         (Printf.sprintf "frontier tile %s of %s overflows its %d-word partition"
+                            (string_of_point pt) where part.A.capacity_words))
+                  else
+                    List.iter
+                      (fun d ->
+                        let f = Tile_tree.factor_of asg d in
+                        match List.find_opt (fun x -> x > f) (ladder d) with
+                        | Some f' when fits ((d, f') :: List.remove_assoc d asg) ->
+                          add
+                            (D.error ~operand:op.W.name ~dim:d D.Frontier_not_maximal
+                               (Printf.sprintf
+                                  "frontier tile %s of %s still fits with %s grown %d -> %d"
+                                  (string_of_point pt) where d f f'))
+                        | _ -> ())
+                      grow)
+                frontier_c;
+              List.iter
+                (fun pt ->
+                  if not (List.mem pt frontier_c) then
+                    add
+                      (D.error ~operand:op.W.name D.Frontier_incomplete
+                         (Printf.sprintf
+                            "maximal fitting tile %s of %s is missing from the tiling frontier"
+                            (string_of_point pt) where)))
+                maximal_c;
+              List.iter
+                (fun pt ->
+                  if not (List.mem pt maximal_c) then
+                    add
+                      (D.error ~operand:op.W.name D.Frontier_incomplete
+                         (Printf.sprintf
+                            "frontier tile %s of %s is not in the brute-force maximal fitting set"
+                            (string_of_point pt) where)))
+                frontier_c)
+            thinnings
         end)
     w.W.operands;
   (!checked, !diags)
+
+let check_frontier ?(inject = No_injection) w a = audit_frontier ~inject (Probe.create w) w a
 
 (* ------------------------------------------------------------------ *)
 (* Pruned-best vs exhaustive-best (SA036)                               *)

@@ -14,7 +14,9 @@
       innermost level must contain exactly the maximal fitting points of
       the full divisor grid — every frontier point fits, cannot grow by one
       ladder rung in any dimension, and the set equals the brute-force
-      maximal set.
+      maximal set. Where thinning to {!Sun_core.Optimizer.tile_max_steps}
+      rungs changes a ladder, the same check runs again over the thinned
+      grid the optimizer searches.
     - {b optimality} (SA036): the pruned search's best EDP must equal the
       exhaustive optimum over {!Sun_search.Mapspace.enumerate_active_orders}
       to within 1e-9 relative.
@@ -56,6 +58,12 @@ val check_kernel :
 
 val check_kernels : ?inject:injection -> ?limit:int -> unit -> kernel_report list
 (** The first [limit] bundled kernels (all when omitted or non-positive). *)
+
+val check_frontier :
+  ?inject:injection -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> int * Diagnostic.t list
+(** The tiling oracle alone, on any workload small enough to brute-force
+    its ladder grids: the frontier points checked and the diagnostics. The
+    bundled kernels' extents are too small for thinning to drop a rung. *)
 
 val recheck :
   ?binding:Sun_cost.Model.binding ->

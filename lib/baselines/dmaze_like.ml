@@ -93,6 +93,7 @@ let run ?(config = fast) ?(binding = Fun.id) w arch =
     in
     (* tile candidates at a memory level meeting the utilization floor *)
     let tile_choices ~level ~floor ~base remaining =
+      (* monotone, as Tile_tree.search needs: footprints grow with extents *)
       let fits factors =
         let a = Tree.assignment ~grow_dims:dims factors in
         let extent d = base d * Tree.factor_of a d in

@@ -137,6 +137,7 @@ let run ?(config = default) ?(binding = Fun.id) w arch =
           if level >= num_levels - 1 then try_mapping spatials tiles
           else begin
             let base_here d = base d * s_at level d in
+            (* monotone, as Tile_tree.search needs: footprints grow with extents *)
             let fits factors =
               let a = Tree.assignment ~grow_dims:dims factors in
               let extent d = base_here d * Tree.factor_of a d in

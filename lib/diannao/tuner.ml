@@ -41,6 +41,7 @@ let tune w seed =
         (fun spatial ->
           let u d = Tree.factor_of spatial d in
           let remaining d = W.bound w d / u d in
+          (* monotone, as Tile_tree.search needs: footprints grow with extents *)
           let fits factors =
             let assignment = Tree.assignment ~grow_dims:dims factors in
             let extent d = u d * Tree.factor_of assignment d in

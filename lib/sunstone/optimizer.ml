@@ -163,10 +163,15 @@ let set_tile_scope st ~level ~base ~grow =
   st.fit_base <- base;
   st.fit_grow <- Array.of_list (List.map (Probe.dim_index st.probe) grow)
 
-(* The frontier of fitting tiles at [level] over [grow]. *)
+let tile_max_steps = 20
+
+(* The frontier of fitting tiles at [level] over [grow]. [tile_fits] is
+   monotone: a footprint only grows with a factor. *)
 let search_tiles st ~level ~base ~grow ~remaining =
   set_tile_scope st ~level ~base ~grow;
-  let out = Tile_tree.search ~max_steps:20 ~grow_dims:grow ~remaining ~fits:(tile_fits st) () in
+  let out =
+    Tile_tree.search ~max_steps:tile_max_steps ~grow_dims:grow ~remaining ~fits:(tile_fits st) ()
+  in
   st.examined <- st.examined + out.Tile_tree.explored;
   out.Tile_tree.frontier
 

@@ -88,6 +88,10 @@ val optimize :
     [transfer.seeded], [transfer.seed_rejected] counters and a
     [transfer.alpha_ratio] histogram (seed EDP / final EDP, >= 1). *)
 
+val tile_max_steps : int
+(** Rungs per dimension of the tile ladders the search walks: every tile
+    search passes it to {!Tile_tree.search} as [max_steps]. *)
+
 val tile_fit_test :
   Sun_tensor.Workload.t ->
   Sun_arch.Arch.t ->

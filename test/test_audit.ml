@@ -11,6 +11,11 @@ module Cache = Sun_serve.Cache
 let ok = function Ok v -> v | Error m -> Alcotest.failf "unexpected error: %s" m
 let has_code id diags = List.exists (fun (d : D.t) -> D.code_id d.D.code = id) diags
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let report_diags reports =
   List.concat_map (fun r -> r.Audit.diagnostics) reports
 
@@ -66,11 +71,6 @@ let test_inject_order () =
   Alcotest.(check bool) "SA031 fires" true (has_code "SA031" diags);
   Alcotest.(check bool) "SA031 is an error" true (D.has_errors diags);
   (* the diagnostic carries the cost certificate *)
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "certificate names the exhaustive best" true
     (List.exists
        (fun (d : D.t) ->
@@ -81,6 +81,23 @@ let test_inject_frontier () =
   let diags = report_diags (Audit.check_kernels ~inject:Audit.Shrink_frontier ~limit:1 ()) in
   Alcotest.(check bool) "SA035 fires" true (has_code "SA035" diags);
   Alcotest.(check bool) "frontier loss is an error" true (D.has_errors diags)
+
+(* 720 has 30 divisors, so the optimizer's 20-rung ladders drop some:
+   the tiling oracle checks the thinned grid too, and a frontier point
+   lost there is caught there. *)
+let test_frontier_thinned_ladders () =
+  let w = Sun_tensor.Catalog.matmul ~m:720 ~n:720 ~k:720 () in
+  let a = Sun_arch.Presets.toy ~l1_words:64 () in
+  let checked, diags = Audit.check_frontier w a in
+  Alcotest.(check (list string)) "audits clean" [] (List.map (fun (d : D.t) -> d.D.message) diags);
+  (* per operand: 13 maximal tiles on the full ladders, 9 on the thinned *)
+  Alcotest.(check int) "frontier points, full and thinned ladders" (3 * (13 + 9)) checked;
+  let _, diags = Audit.check_frontier ~inject:Audit.Shrink_frontier w a in
+  Alcotest.(check bool) "SA035 fires on a thinned ladder" true
+    (List.exists
+       (fun (d : D.t) ->
+         D.code_id d.D.code = "SA035" && contains ~needle:"(20-rung ladders)" d.D.message)
+       diags)
 
 (* ------------------------------------------------------------------ *)
 (* Serve-side recheck                                                   *)
@@ -213,6 +230,7 @@ let () =
           Alcotest.test_case "golden constants (all kernels)" `Slow test_golden_differential;
           Alcotest.test_case "order injection raises SA031" `Quick test_inject_order;
           Alcotest.test_case "frontier injection raises SA035" `Quick test_inject_frontier;
+          Alcotest.test_case "frontier on thinned ladders" `Quick test_frontier_thinned_ladders;
         ] );
       ( "recheck",
         [

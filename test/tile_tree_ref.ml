@@ -1,8 +1,8 @@
-(* Reference tiling-tree search: the assoc-list walk [Sun_core.Tile_tree]
-   replaced. It names every dimension on every step and re-tests a child's
-   fit from each parent that reaches it, which is what the rung-index search
-   avoids. Kept as the oracle the QCheck property in test_sunstone pins the
-   frontier, its order and [explored] to. *)
+(* Reference tiling-tree search: a depth-first walk of every fitting tile,
+   by dimension name, testing each child's fit from every parent that
+   reaches it. Kept as the oracle the QCheck property in test_sunstone pins
+   [Sun_core.Tile_tree.search]'s frontier, its order, [explored] and its
+   fit-test count to. *)
 
 module Factor = Sun_util.Factor
 
