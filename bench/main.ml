@@ -322,73 +322,6 @@ let audit_bench () =
   close_out oc;
   Printf.printf "audit: wrote %s\n" out
 
-(* Telemetry overhead: the instrumentation promises to be ~free when
-   disabled (the default), so time the same searches with telemetry off and
-   on, interleaved min-of-N to shed scheduler noise, and assert the
-   *enabled* cost stays within the 2%% budget — the disabled path does
-   strictly less work (one flag load per site), so it is bounded by the
-   same measurement. Persists the curve to BENCH_telemetry.json and exits
-   non-zero on a budget violation so ci.sh can gate on it. *)
-let telemetry_bench () =
-  let module Tel = Sun_telemetry.Metrics in
-  let module Json = Sun_serve.Json in
-  let workloads =
-    List.filteri (fun i _ -> i < 2) (Sun_workloads.Resnet18.layers ())
-    |> List.map (fun l -> l.Sun_workloads.Resnet18.workload)
-  in
-  let arch = Sun_arch.Presets.simba_like in
-  let search () =
-    List.iter (fun w -> ignore (Sun_core.Optimizer.optimize w arch)) workloads
-  in
-  let time_once () =
-    let started = Unix.gettimeofday () in
-    search ();
-    Unix.gettimeofday () -. started
-  in
-  let reps = 9 in
-  Printf.printf "telemetry: %d resnet18 searches on simba, interleaved min-of-%d\n%!"
-    (List.length workloads) reps;
-  (* warm up allocators and caches before anything is timed *)
-  search ();
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to reps do
-    Tel.set_enabled false;
-    off := Float.min !off (time_once ());
-    Tel.set_enabled true;
-    Tel.reset ();
-    on := Float.min !on (time_once ())
-  done;
-  Tel.set_enabled false;
-  let budget = 0.02 in
-  let overhead = (!on -. !off) /. !off in
-  (* sub-millisecond searches would make the ratio pure noise *)
-  let pass = !on <= (!off *. (1.0 +. budget)) +. 1e-4 in
-  Printf.printf "  disabled %8.4fs  enabled %8.4fs  overhead %+.2f%% (budget %.0f%%)  %s\n%!"
-    !off !on (100.0 *. overhead) (100.0 *. budget)
-    (if pass then "ok" else "OVER BUDGET");
-  let out = "BENCH_telemetry.json" in
-  let oc = open_out out in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ( "telemetry",
-              Json.Obj
-                [
-                  ("reps", Json.Int reps);
-                  ("searches", Json.Int (List.length workloads));
-                  ("disabled_s", Json.Float !off);
-                  ("enabled_s", Json.Float !on);
-                  ("overhead_frac", Json.Float overhead);
-                  ("budget_frac", Json.Float budget);
-                  ("pass", Json.Bool pass);
-                ] );
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "telemetry: wrote %s\n" out;
-  if not pass then exit 1
-
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
    the registry's hardest kernels, min-of-N interleaved-free reps, plus
@@ -690,7 +623,6 @@ let () =
   | [ "serve" ] -> serve_bench ()
   | [ "serve-daemon" ] -> serve_daemon_bench ()
   | [ "audit" ] -> audit_bench ()
-  | [ "telemetry" ] -> telemetry_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
   | [] -> List.iter (fun (name, driver) -> run_experiment name driver) Sun_experiments.Figures.all
@@ -702,7 +634,7 @@ let () =
         | None ->
           Printf.eprintf
             "unknown experiment %S; known: %s, 'micro', 'serve', 'serve-daemon', 'audit', \
-             'telemetry', 'evaluate' or 'transfer'\n"
+             'evaluate' or 'transfer'\n"
             name
             (String.concat ", " known);
           exit 2)

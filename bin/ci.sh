@@ -174,8 +174,24 @@ echo "serve daemon: ok (parity, warm replay, SIGHUP re-open, clean drain)"
 echo "== bench serve-daemon (latency percentiles + warm hit rate)"
 dune exec bench/main.exe -- serve-daemon
 
-echo "== bench telemetry (overhead budget)"
-dune exec bench/main.exe -- telemetry
+echo "== telemetry overhead (bench/perf paired median on resnet18-simba, <= 2%)"
+# bench/perf's traced run searches every resnet18-simba layer twice, with
+# telemetry off and on, alternating which goes first, and reports the
+# median of the per-layer paired overheads. Telemetry must stay within a
+# 2% budget of an uninstrumented search on that median.
+dune exec bench/perf/perf.exe -- --workload resnet18-simba --trace 1 \
+  --out "$PARITY_TMP/trace.json" >"$PARITY_TMP/trace.jsonl" 2>/dev/null
+overhead=$(sed -n -E 's/.*"telemetry\.overhead_frac":\{"value":([-+0-9.eE]+),.*/\1/p' \
+  "$PARITY_TMP/trace.jsonl")
+if [ -z "$overhead" ]; then
+  echo "telemetry overhead: no finite telemetry.overhead_frac in the bench/perf output" >&2
+  exit 1
+fi
+if ! awk -v x="$overhead" 'BEGIN { exit !(x <= 0.02) }'; then
+  echo "telemetry overhead: paired median $overhead exceeds the 0.02 budget" >&2
+  exit 1
+fi
+echo "telemetry overhead: ok (paired median $overhead, budget 0.02)"
 
 echo "== bench evaluate (cost-model hot path, >=2x gate on hardest kernel)"
 dune exec bench/main.exe -- evaluate

@@ -31,8 +31,9 @@ type score = {
 }
 
 (* A fresh, caller-owned copy of a (possibly context-owned) score. *)
-(* sunstone-lint: allow SA070 copying is this function's whole point; batch members must outlive the context scratch *)
 let copy_score s = { s_energy_pj = s.s_energy_pj; s_cycles = s.s_cycles; s_edp = s.s_edp }
+
+type bounds = { mutable lb_energy_pj : float; mutable lb_cycles : float }
 
 (* ------------------------------------------------------------------ *)
 (* Context: everything derivable from (workload, arch, binding) alone   *)
@@ -86,6 +87,10 @@ type fscratch = {
   mutable f_mac : float;  (** eval_core result: MAC energy (pJ) *)
   mutable f_fp : float;  (** [footprint_into] result *)
   mutable f_esum : float;  (** eval_core's per-gid energy sum (pJ) *)
+  mutable f_lb_energy : float;  (** [bounds_into]'s committed energy (pJ) *)
+  mutable f_lb_words : float;  (** [bump_bw]'s argument: words through a boundary *)
+  mutable f_lb_bw : float;  (** [bounds_into]'s committed bandwidth cycles *)
+  mutable f_lb_lanes : float;  (** [bounds_into]'s lane upper bound *)
 }
 
 type ctx = {
@@ -121,6 +126,7 @@ type ctx = {
   sc_words : U.access U.count U.Arr.arr;  (** per gid *)
   sc_score : score;  (** the context-owned score [score_ctx] returns *)
   sc_score_ok : (score, string) result;  (** preallocated [Ok sc_score] *)
+  sc_bounds : bounds;  (** the context-owned record [prefix_lower_bounds_rows] returns *)
   mutable sc_violation : string option;  (** first validation violation *)
   mutable sc_stopped : bool;  (** chain_pair's reuse-scan state *)
 }
@@ -262,12 +268,17 @@ let context ?(binding = Fun.id) w arch =
         f_mac = 0.0;
         f_fp = 1.0;
         f_esum = 0.0;
+        f_lb_energy = 0.0;
+        f_lb_words = 0.0;
+        f_lb_bw = 0.0;
+        f_lb_lanes = 1.0;
       };
     sc_used = U.Arr.make nparts;
     sc_energy = U.Arr.make nparts;
     sc_words = U.Arr.make nparts;
     sc_score;
     sc_score_ok = Ok sc_score;
+    sc_bounds = { lb_energy_pj = 0.0; lb_cycles = 0.0 };
     sc_violation = None;
     sc_stopped = false;
   }
@@ -315,29 +326,12 @@ let rec fill_order ctx row i = function
 let rec sprod_loop srow d n acc =
   if d >= n then acc else sprod_loop srow (d + 1) n (acc * Array.unsafe_get srow d)
 
-(* Overwrite the context's layout scratch with mapping [m]. *)
-let convert_into ctx (m : M.t) =
-  let lay = ctx.lay in
-  let n = ctx.nlevels in
-  for l = 0 to n - 1 do
-    let lm = m.M.levels.(l) in
-    let trow = lay.t.(l) and srow = lay.s.(l) in
-    (* manual reset: [Array.fill] is a C call, twice per level per candidate *)
-    for d = 0 to ctx.ndims - 1 do
-      Array.unsafe_set trow d 1;
-      Array.unsafe_set srow d 1
-    done;
-    fill_factors ctx trow 0 lm.M.temporal;
-    fill_factors ctx srow 0 lm.M.spatial;
-    let olen = List.length lm.M.order in
-    (* sunstone-lint: allow SA070 order row grows to the largest olen seen, then steady state *)
-    if olen > Array.length lay.order.(l) then lay.order.(l) <- Array.make olen 0;
-    lay.olen.(l) <- olen;
-    ignore (fill_order ctx lay.order.(l) 0 lm.M.order);
-    lay.sprod.(l) <- sprod_loop srow 0 ctx.ndims 1
-  done;
-  for l = 0 to n - 1 do
+(* Per-level spatial products and cumulative tile extents of the factor
+   rows already in the layout scratch. *)
+let finish_lay ctx lay =
+  for l = 0 to ctx.nlevels - 1 do
     let crow = lay.cum.(l) and trow = lay.t.(l) and srow = lay.s.(l) in
+    lay.sprod.(l) <- sprod_loop srow 0 ctx.ndims 1;
     if l = 0 then
       for d = 0 to ctx.ndims - 1 do
         Array.unsafe_set crow d (Array.unsafe_get trow d * Array.unsafe_get srow d)
@@ -351,6 +345,54 @@ let convert_into ctx (m : M.t) =
     end
   done;
   lay
+
+(* The order scratch row of [l], grown to hold [olen] entries. *)
+let order_row lay l olen =
+  (* sunstone-lint: allow SA070 order row grows to the largest olen seen, then steady state *)
+  if olen > Array.length lay.order.(l) then lay.order.(l) <- Array.make olen 0;
+  lay.olen.(l) <- olen;
+  lay.order.(l)
+
+(* Overwrite the context's layout scratch with mapping [m]. *)
+let convert_into ctx (m : M.t) =
+  let lay = ctx.lay in
+  for l = 0 to ctx.nlevels - 1 do
+    let lm = m.M.levels.(l) in
+    let trow = lay.t.(l) and srow = lay.s.(l) in
+    (* manual reset: [Array.fill] is a C call, twice per level per candidate *)
+    for d = 0 to ctx.ndims - 1 do
+      Array.unsafe_set trow d 1;
+      Array.unsafe_set srow d 1
+    done;
+    fill_factors ctx trow 0 lm.M.temporal;
+    fill_factors ctx srow 0 lm.M.spatial;
+    ignore (fill_order ctx (order_row lay l (List.length lm.M.order)) 0 lm.M.order)
+  done;
+  finish_lay ctx lay
+
+(* Overwrite the context's layout scratch with packed rows: the same
+   matrices [convert_into] builds from the named levels, copied row by row.
+   The caller has checked the level count. *)
+let load_rows ctx (r : M.Rows.t) =
+  let lay = ctx.lay in
+  for l = 0 to ctx.nlevels - 1 do
+    let trow = lay.t.(l) and srow = lay.s.(l) in
+    let tr = r.M.Rows.temporal.(l) and sr = r.M.Rows.spatial.(l) and o = r.M.Rows.order.(l) in
+    for d = 0 to ctx.ndims - 1 do
+      Array.unsafe_set trow d tr.(d);
+      Array.unsafe_set srow d sr.(d)
+    done;
+    let orow = order_row lay l (Array.length o) in
+    for i = 0 to Array.length o - 1 do
+      let d = Array.unsafe_get o i in
+      (* the evaluator indexes per-dim tables unchecked *)
+      if d < 0 || d >= ctx.ndims then
+        (* sunstone-lint: allow SA070 defensive failure, unreachable for checked rows *)
+        invalid_arg "Model: order entry is not a dim position";
+      Array.unsafe_set orow i d
+    done
+  done;
+  finish_lay ctx lay
 
 (* Toplevel tail recursion with an int accumulator: the self-call compiles
    to a jump with [acc] in a register. (A float accumulator would NOT be
@@ -773,25 +815,43 @@ let tel_evaluations = Sun_telemetry.Metrics.counter "model.evaluations"
 
 let tel_rejected = Sun_telemetry.Metrics.counter "model.evaluate_rejected"
 
-(* Shared evaluate/score front end without telemetry, so the batch entry
-   points can count once per batch. Returns [true] when the converted
-   layout (in [ctx.lay]) validated; on [false] the violation is readable
-   through [violation_message]. A boolean instead of [(mlay, string) result]
+(* Shared evaluate/score front end: [true] when the layout loaded into
+   [ctx.lay] validated; on [false] the violation is readable through
+   [violation_message]. A boolean instead of [(mlay, string) result]
    because the [Ok lay] wrapper was the last per-call allocation of the
    accepted score path. *)
-let prepare ctx m =
-  if M.num_levels m <> ctx.nlevels then begin
-    ctx.sc_violation <-
-      Some
-        (* sunstone-lint: allow SA070 rejected-candidate path only *)
-        (Printf.sprintf "mapping has %d levels, architecture has %d" (M.num_levels m) ctx.nlevels);
-    false
-  end
-  else
-    match validate_lay ctx (convert_into ctx m) with Ok () -> true | Error _ -> false
+let level_count_ok ctx nlevels =
+  nlevels = ctx.nlevels
+  || begin
+       ctx.sc_violation <-
+         Some
+           (* sunstone-lint: allow SA070 rejected-candidate path only *)
+           (Printf.sprintf "mapping has %d levels, architecture has %d" nlevels ctx.nlevels);
+       false
+     end
+
+let lay_ok ctx lay = match validate_lay ctx lay with Ok () -> true | Error _ -> false
+
+let prepare ctx m = level_count_ok ctx (M.num_levels m) && lay_ok ctx (convert_into ctx m)
+
+let prepare_rows ctx (r : M.Rows.t) =
+  level_count_ok ctx (Array.length r.M.Rows.temporal) && lay_ok ctx (load_rows ctx r)
 
 let violation_message ctx =
   match ctx.sc_violation with Some msg -> msg | None -> "mapping is valid"
+
+(* The accepted path writes the context-owned score and returns the
+   preallocated [Ok]; telemetry counts each call once. *)
+let score_prepared ctx ok =
+  if ok then begin
+    Sun_telemetry.Metrics.incr tel_evaluations;
+    score_into ctx ctx.lay;
+    ctx.sc_score_ok
+  end
+  else begin
+    Sun_telemetry.Metrics.incr tel_rejected;
+    Error (violation_message ctx)
+  end
 
 (* sunstone-hot *)
 let evaluate_ctx ctx m =
@@ -805,53 +865,21 @@ let evaluate_ctx ctx m =
   end
 
 (* sunstone-hot *)
-let score_ctx ctx m =
-  if prepare ctx m then begin
-    Sun_telemetry.Metrics.incr tel_evaluations;
-    score_into ctx ctx.lay;
-    ctx.sc_score_ok
-  end
-  else begin
-    Sun_telemetry.Metrics.incr tel_rejected;
-    Error (violation_message ctx)
-  end
-
-(* Caller-owned copy of the context score, for batch results. *)
-let score_copy ctx lay =
-  score_into ctx lay;
-  copy_score ctx.sc_score
-
-(* Batch entry points: one telemetry flush for the whole sibling set. The
-   context's scratch is reused across the batch, which is the point — the
-   per-candidate cost is the arithmetic, not setup. Each member's result is
-   a caller-owned copy, never the context's scratch record: the beam search
-   reads whole batches after the fact. *)
-let batch_over ctx ms ~f =
-  (* sunstone-lint: allow SA070 per-batch counters, amortized over the members *)
-  let ok = ref 0 and rejected = ref 0 in
-  let out =
-    (* sunstone-lint: allow SA070 one result array per batch, amortized over the members *)
-    Array.map
-      (* sunstone-lint: allow SA070 one closure per batch, amortized over the members *)
-      (fun m ->
-        if prepare ctx m then begin
-          incr ok;
-          Ok (f ctx ctx.lay)
-        end
-        else begin
-          incr rejected;
-          Error (violation_message ctx)
-        end)
-      ms
-  in
-  Sun_telemetry.Metrics.add tel_evaluations !ok;
-  Sun_telemetry.Metrics.add tel_rejected !rejected;
-  out
+let score_ctx ctx m = score_prepared ctx (prepare ctx m)
 
 (* sunstone-hot *)
-let score_batch_ctx ctx ms = batch_over ctx ms ~f:score_copy
+let score_rows ctx r = score_prepared ctx (prepare_rows ctx r)
 
-let evaluate_batch_ctx ctx ms = batch_over ctx ms ~f:evaluate_lay
+(* The bandwidth side of the bound: the largest committed boundary's
+   traffic over its bandwidth times the instance bound, in [fs.f_lb_bw].
+   The words arrive in [fs.f_lb_words]: a float argument would be boxed at
+   every call. *)
+let bump_bw ctx (part : A.partition) l =
+  let fs = ctx.fs in
+  if part.A.bandwidth > 0.0 then begin
+    let c = fs.f_lb_words /. (part.A.bandwidth *. ctx.inst.(l)) in
+    if c > fs.f_lb_bw then fs.f_lb_bw <- c
+  end
 
 (* Why each term is admissible. The committed streaming reads are exact:
    the MAC count and the committed unrolls fix them. Traffic at the
@@ -861,13 +889,16 @@ let evaluate_batch_ctx ctx ms = batch_over ctx ms ~f:evaluate_lay
    never remove a fill. The top-boundary floor is added only while that
    boundary is uncommitted, so its accesses are disjoint from the
    committed ones. On the cycles side, no completion runs on more lanes
-   than the committed unrolls times the fanout still unassigned above. *)
-let prefix_lower_bounds ctx ~fixed_levels m =
-  let lay = convert_into ctx m in
+   than the committed unrolls times the fanout still unassigned above.
+
+   The bound of [lay] lands in [ctx.sc_bounds]. Every accumulator is a
+   scratch field and every loop a [for], so the walk allocates nothing;
+   the float operations are those of the closure-and-[ref] form it
+   replaced, in the same order. *)
+(* sunstone-hot *)
+let bounds_into ctx lay ~fixed_levels =
   let fs = ctx.fs in
-  let energy =
-    ref (U.charge (U.count ctx.macs) (U.rate ctx.arch.A.mac_energy : U.op U.rate U.t))
-  in
+  fs.f_lb_energy <- U.to_float (U.charge (U.count ctx.macs) (U.rate ctx.arch.A.mac_energy));
   (* Instance-count upper bounds for the bandwidth side: spatial factors
      at or below [fixed_levels] are committed, every level above can
      unroll at most its fanout. Reuses the context's [inst] scratch
@@ -876,63 +907,81 @@ let prefix_lower_bounds ctx ~fixed_levels m =
   inst.(ctx.nlevels - 1) <- 1.0;
   for l = ctx.nlevels - 2 downto 0 do
     let above =
-      if l + 1 <= fixed_levels then float_of_int (spatial_product lay (l + 1))
-      else float_of_int ctx.levels.(l + 1).A.fanout
+      if l + 1 <= fixed_levels then spatial_product lay (l + 1) else ctx.levels.(l + 1).A.fanout
     in
-    inst.(l) <- inst.(l + 1) *. above
+    inst.(l) <- inst.(l + 1) *. float_of_int above
   done;
-  let bw_cycles = ref 0.0 in
-  let bump words (part : A.partition) l =
-    if part.A.bandwidth > 0.0 then begin
-      let c = words /. (part.A.bandwidth *. inst.(l)) in
-      if c > !bw_cycles then bw_cycles := c
-    end
-  in
-  Array.iter
-    (fun info ->
-      let storing = info.storing in
-      let nst = Array.length storing in
-      if nst > 0 && storing.(0) <= fixed_levels then begin
-        let l0 = storing.(0) in
-        let { part; _ } = part_ref_at info l0 in
-        mac_streaming ctx lay info ~l0;
-        let reads = ctx.macs /. fs.f_denom in
-        let per_word : U.access U.rate U.t =
-          if info.is_output then U.(rate part.A.read_energy +: rate part.A.write_energy)
-          else U.rate part.A.read_energy
-        in
-        energy := U.(!energy +: charge (count reads) per_word);
-        bump reads part l0
-      end;
-      for i = 0 to nst - 2 do
-        let lc = storing.(i) and lp = storing.(i + 1) in
-        if lp <= fixed_levels then begin
-          chain_pair ctx lay info ~lc ~lp;
-          let reads = fs.f_reads and fills = fs.f_fills in
-          let rp = part_ref_at info lp in
-          let rc = part_ref_at info lc in
-          let dir = if info.is_output then 2.0 else 1.0 in
-          energy :=
-            U.(
-              !energy
-              +: charge (count (dir *. reads)) (rate rp.part.A.read_energy)
-              +: charge (count (dir *. fills)) (rate rc.part.A.write_energy));
-          bump (dir *. reads) rp.part lp;
-          bump (dir *. fills) rc.part lc
-        end
-      done)
-    ctx.operands;
-  let lanes = ref 1.0 in
+  fs.f_lb_bw <- 0.0;
+  for oi = 0 to Array.length ctx.operands - 1 do
+    let info = ctx.operands.(oi) in
+    let storing = info.storing in
+    let nst = Array.length storing in
+    if nst > 0 && storing.(0) <= fixed_levels then begin
+      let l0 = storing.(0) in
+      let { part; _ } = part_ref_at info l0 in
+      mac_streaming ctx lay info ~l0;
+      let reads = ctx.macs /. fs.f_denom in
+      (* the per-word rate branches the whole statement: a let-bound [if]
+         join of two computed floats is boxed *)
+      if info.is_output then
+        fs.f_lb_energy <-
+          U.to_float
+            U.(pj fs.f_lb_energy
+               +: charge (count reads) (rate part.A.read_energy +: rate part.A.write_energy))
+      else
+        fs.f_lb_energy <-
+          U.to_float U.(pj fs.f_lb_energy +: charge (count reads) (rate part.A.read_energy));
+      fs.f_lb_words <- reads;
+      bump_bw ctx part l0
+    end;
+    for i = 0 to nst - 2 do
+      let lc = storing.(i) and lp = storing.(i + 1) in
+      if lp <= fixed_levels then begin
+        chain_pair ctx lay info ~lc ~lp;
+        let reads = fs.f_reads and fills = fs.f_fills in
+        let rp = part_ref_at info lp in
+        let rc = part_ref_at info lc in
+        let dir = if info.is_output then 2.0 else 1.0 in
+        fs.f_lb_energy <-
+          U.to_float
+            U.(pj fs.f_lb_energy
+               +: charge (count (dir *. reads)) (rate rp.part.A.read_energy)
+               +: charge (count (dir *. fills)) (rate rc.part.A.write_energy));
+        fs.f_lb_words <- dir *. reads;
+        bump_bw ctx rp.part lp;
+        fs.f_lb_words <- dir *. fills;
+        bump_bw ctx rc.part lc
+      end
+    done
+  done;
+  fs.f_lb_lanes <- 1.0;
   for l = 0 to ctx.nlevels - 1 do
     let f = if l <= fixed_levels then spatial_product lay l else ctx.levels.(l).A.fanout in
-    lanes := !lanes *. float_of_int f
+    fs.f_lb_lanes <- fs.f_lb_lanes *. float_of_int f
   done;
-  let compute_cycles = ctx.macs /. (!lanes *. float_of_int ctx.arch.A.mac_throughput) in
-  let fe, fc =
-    if fixed_levels < ctx.nlevels - 1 then (ctx.dram_floor_pj, ctx.dram_floor_cycles)
-    else (0.0, 0.0)
-  in
-  (U.to_float !energy +. fe, Float.max compute_cycles (Float.max !bw_cycles fc))
+  let compute_cycles = ctx.macs /. (fs.f_lb_lanes *. float_of_int ctx.arch.A.mac_throughput) in
+  let b = ctx.sc_bounds in
+  (* the top-boundary floor joins while that boundary is uncommitted; the
+     maxima are [Float.max] spelled out (the call boxes its arguments),
+     exact here because every operand is finite and positive or +0 *)
+  if fixed_levels < ctx.nlevels - 1 then begin
+    b.lb_energy_pj <- fs.f_lb_energy +. ctx.dram_floor_pj;
+    let bw = if fs.f_lb_bw >= ctx.dram_floor_cycles then fs.f_lb_bw else ctx.dram_floor_cycles in
+    b.lb_cycles <- (if compute_cycles >= bw then compute_cycles else bw)
+  end
+  else begin
+    b.lb_energy_pj <- fs.f_lb_energy;
+    b.lb_cycles <- (if compute_cycles >= fs.f_lb_bw then compute_cycles else fs.f_lb_bw)
+  end
+
+let prefix_lower_bounds ctx ~fixed_levels m =
+  bounds_into ctx (convert_into ctx m) ~fixed_levels;
+  (ctx.sc_bounds.lb_energy_pj, ctx.sc_bounds.lb_cycles)
+
+(* sunstone-hot *)
+let prefix_lower_bounds_rows ctx ~fixed_levels r =
+  bounds_into ctx (load_rows ctx r) ~fixed_levels;
+  ctx.sc_bounds
 
 (* ------------------------------------------------------------------ *)
 (* Convenience wrappers                                                 *)

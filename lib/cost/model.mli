@@ -86,19 +86,22 @@ val score_ctx : ctx -> Sun_mapping.Mapping.t -> (score, string) result
     hot path. Same error strings as [evaluate_ctx]. An accepted call
     allocates nothing: [Ok s] is a preallocated result holding the
     context-owned score record, overwritten by the next [score_ctx] /
-    [score_batch_ctx] call on this context. Read the fields immediately,
+    [score_rows] call on this context. Read the fields immediately,
     or {!copy_score} to retain. The zero-allocation contract is pinned by
     the [Gc.minor_words] harness in [test/test_model_hot.ml] and by the
     SA070 hot-path lint. *)
 
-val evaluate_batch_ctx : ctx -> Sun_mapping.Mapping.t array -> (cost, string) result array
-
-val score_batch_ctx : ctx -> Sun_mapping.Mapping.t array -> (score, string) result array
-(** Batch forms: evaluate sibling candidates through one context and one
-    telemetry flush, in array order. Equivalent to mapping the scalar
-    functions; the batch amortizes the per-call bookkeeping. Unlike
-    [score_ctx], every [Ok] member holds a caller-owned copy — batches are
-    read after the fact. *)
+val score_rows : ctx -> Sun_mapping.Mapping.Rows.t -> (score, string) result
+(** [score_ctx] on packed rows, the search's candidate form: the rows are
+    copied into the same layout scratch the named levels convert into,
+    then validated and scored by the same code, so an accepted call returns
+    the same score bits and a rejected one the same error string as
+    [score_ctx] on the mapping the rows stand for. Every factor row must
+    hold one factor per workload dim and every order entry must be a dim
+    position ([Invalid_argument] otherwise); factor products are not
+    checked ({!Sun_mapping.Mapping.Rows.valid} does that). An accepted call
+    allocates nothing and returns the same context-owned record as
+    [score_ctx]. *)
 
 val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> float * float
 (** [(energy, cycles)] lower bounds for a bottom-up search prefix: levels
@@ -117,6 +120,13 @@ val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> fl
     instance count, and the top-boundary floor. This is the one bound behind
     {!Sun_core.Optimizer}'s alpha-beta test; [sunstone check
     --admissibility] verifies it against exhaustively enumerated mappings. *)
+
+type bounds = { mutable lb_energy_pj : float; mutable lb_cycles : float }
+
+val prefix_lower_bounds_rows : ctx -> fixed_levels:int -> Sun_mapping.Mapping.Rows.t -> bounds
+(** {!prefix_lower_bounds} on packed rows (with {!score_rows}'
+    preconditions): the same two floats, in a context-owned record the next
+    call overwrites. Allocates nothing. *)
 
 val level_fill_fraction_ctx : ctx -> Sun_mapping.Mapping.t -> level:int -> float
 

@@ -146,6 +146,57 @@ let make w levels =
   Ok { levels = Array.of_list levels }
 
 
+module Rows = struct
+  type t = { temporal : int array array; spatial : int array array; order : int array array }
+
+  (* Toplevel loops with int accumulators: the per-candidate check
+     allocates nothing. *)
+  let rec positive row j n = j >= n || (Array.unsafe_get row j >= 1 && positive row (j + 1) n)
+
+  let rec distinct_before row i j =
+    j >= i || (row.(j) <> row.(i) && distinct_before row i (j + 1))
+
+  let rec permutation row i n =
+    i >= n
+    ||
+    let p = row.(i) in
+    p >= 0 && p < n && distinct_before row i 0 && permutation row (i + 1) n
+
+  let rec levels_ok r l n =
+    l < 0
+    ||
+    let t = r.temporal.(l) and s = r.spatial.(l) and o = r.order.(l) in
+    Array.length t = n
+    && Array.length s = n
+    && Array.length o = n
+    && positive t 0 n && positive s 0 n && permutation o 0 n
+    && levels_ok r (l - 1) n
+
+  let rec product r l j acc =
+    if l < 0 then acc else product r (l - 1) j (acc * r.temporal.(l).(j) * r.spatial.(l).(j))
+
+  let rec products_ok r bounds j =
+    j >= Array.length bounds
+    || (product r (Array.length r.temporal - 1) j 1 = bounds.(j) && products_ok r bounds (j + 1))
+
+  let valid ~bounds r =
+    let nl = Array.length r.temporal in
+    Array.length r.spatial = nl
+    && Array.length r.order = nl
+    && levels_ok r (nl - 1) (Array.length bounds)
+    && products_ok r bounds 0
+
+  let to_levels w r =
+    let dims = Array.of_list (W.dim_names w) in
+    let factors row = List.mapi (fun j d -> (d, row.(j))) (Array.to_list dims) in
+    List.init (Array.length r.temporal) (fun l : level_mapping ->
+        {
+          temporal = factors r.temporal.(l);
+          order = List.map (fun p -> dims.(p)) (Array.to_list r.order.(l));
+          spatial = factors r.spatial.(l);
+        })
+end
+
 let make_exn w levels =
   match make w levels with Ok t -> t | Error msg -> invalid_arg ("Mapping.make_exn: " ^ msg)
 

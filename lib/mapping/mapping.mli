@@ -75,6 +75,27 @@ val complete_at_top : Sun_tensor.Workload.t -> level_mapping array -> level_mapp
     every factor of [d] already placed. Entries naming no workload dim are
     ignored; [levels] itself is not modified. *)
 
+(** A mapping's levels packed by workload dim position: the search's
+    candidate representation. Level [l]'s [temporal.(l).(j)] and
+    [spatial.(l).(j)] are the factors of the workload's [j]-th dim (in
+    [W.dim_names] order), and [order.(l)] lists dim positions, outermost
+    first. Searches share rows between candidates and never mutate one. *)
+module Rows : sig
+  type t = { temporal : int array array; spatial : int array array; order : int array array }
+
+  val valid : bounds:int array -> t -> bool
+  (** [valid ~bounds r] applies {!make}'s rules to the rows, allocating
+      nothing: every factor row has one positive factor per dim, every
+      order is a permutation of the dim positions, and each dim's factors
+      multiply to its bound ([bounds] in workload dim order). Among rows
+      whose factor rows hold one entry per dim, it accepts exactly those
+      whose named levels ({!to_levels}) {!make} accepts. *)
+
+  val to_levels : Sun_tensor.Workload.t -> t -> level_mapping list
+  (** The named levels the rows stand for, lists in workload dim order.
+      Order entries must be dim positions. *)
+end
+
 val single_level : Sun_tensor.Workload.t -> num_levels:int -> t
 (** The degenerate mapping placing the whole problem at the outermost level
     (everything streams from DRAM): temporal factors all at the top, orders

@@ -1,6 +1,7 @@
 module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
 module M = Sun_mapping.Mapping
+module Rows = M.Rows
 module Model = Sun_cost.Model
 module Probe = Sun_cost.Probe
 module Listx = Sun_util.Listx
@@ -61,6 +62,7 @@ type search_state = {
   probe : Probe.t;  (** footprint probes, scoped to this search (DESIGN.md §3.7) *)
   dims : W.dim list;
   dim_array : W.dim array;  (** [dims], for {!M.dim_position} *)
+  bounds : int array;  (** each dim's bound, by dim position: the rows' products *)
   grows : W.dim list array;
       (** the distinct grow-dim lists an operand choice can select
           ({!grow_index}), the unrestricted one first; a list's index
@@ -76,16 +78,17 @@ type search_state = {
   mutable examined : int;
   mutable evaluated : int;
   mutable pruned : int;
-  mutable build_errors : int;  (** [Mapping.make] rejections, no longer silent *)
-  mutable eval_errors : int;  (** [Model.evaluate_ctx] rejections, no longer silent *)
+  mutable build_errors : int;  (** candidates breaking [Mapping.make]'s rules, no longer silent *)
+  mutable eval_errors : int;  (** cost-model rejections, no longer silent *)
   mutable orders_kept : int;
   mutable orders_dropped : int;
   mutable tile_candidates : int;  (** tile-tree frontier tiles emitted *)
   mutable unroll_candidates : int;  (** spatial unroll choices emitted *)
   mutable inject : injection;
   mutable best : (M.t * Model.score) option;
-      (** incumbent: scored on the allocation-free path, fully evaluated
-          once at the end of the search *)
+      (** incumbent: scored on the allocation-free path, built as a
+          [Mapping.t] when it takes the slot, fully evaluated once at the
+          end of the search *)
   mutable seeded : int;  (** transferred seeds installed as the incumbent *)
   mutable seed_rejected : int;  (** transferred seeds that failed to build or score *)
   mutable seed_edp : float;  (** EDP of the installed seed, for the alpha ratio *)
@@ -99,13 +102,22 @@ type search_state = {
           at the seed's own local optimum ({!optimize}) *)
 }
 
-let ones dims = List.map (fun d -> (d, 1)) dims
+(* Every factor 1 and the identity order, one shared row each. *)
+let initial_rows st =
+  let n = Array.length st.dim_array and nl = A.num_levels st.arch in
+  let ones = Array.make n 1 in
+  {
+    Rows.temporal = Array.make nl ones;
+    spatial = Array.make nl ones;
+    order = Array.make nl (Array.init n Fun.id);
+  }
 
-let copy_levels = Array.copy
-
-let initial_levels st =
-  Array.init (A.num_levels st.arch) (fun _ ->
-      { M.temporal = ones st.dims; order = st.dims; spatial = ones st.dims })
+(* [rows] with entry [l] replaced: candidates share every row they do not
+   change, and no row is mutated once built. *)
+let set rows l row =
+  let a = Array.copy rows in
+  a.(l) <- row;
+  a
 
 (* Per level: the partitions to check and the axes of the operands each
    one holds, resolved once so the tile-tree fit test is a tight loop. *)
@@ -175,103 +187,82 @@ let search_tiles st ~level ~base ~grow ~remaining =
   st.examined <- st.examined + out.Tile_tree.explored;
   out.Tile_tree.frontier
 
-(* Breaking exact dim coverage (doubling one temporal factor) makes
-   [Mapping.make] reject the candidate, which on natural search paths never
+(* Breaking exact dim coverage (doubling one temporal factor) makes the
+   row check reject the candidate, which on natural search paths never
    happens — every factor choice divides the bounds exactly. *)
-let corrupt_first_build levels =
-  match levels with
-  | [] -> []
-  | lm :: rest ->
-    let temporal =
-      match lm.M.temporal with (d, f) :: tl -> (d, f * 2) :: tl | [] -> lm.M.temporal
-    in
-    { lm with M.temporal } :: rest
+let corrupt_first_build (c : Rows.t) =
+  if Array.length c.Rows.temporal = 0 || Array.length c.Rows.temporal.(0) = 0 then c
+  else begin
+    let row = Array.copy c.Rows.temporal.(0) in
+    row.(0) <- row.(0) * 2;
+    { c with Rows.temporal = set c.Rows.temporal 0 row }
+  end
 
-let build st levels =
-  let levels_list =
-    match st.inject with
-    | No_injection -> Array.to_list levels
-    | Corrupt_first_build ->
-      st.inject <- No_injection;
-      corrupt_first_build (Array.to_list levels)
-  in
-  match M.make st.w levels_list with
-  | Error _ ->
-    st.build_errors <- st.build_errors + 1;
-    None
-  | Ok m ->
-    st.evaluated <- st.evaluated + 1;
-    Some m
+(* Would a score take the incumbent (or best-alternative) slot? *)
+let improves slot (s : Model.score) =
+  match slot with Some (_, b) -> not (b.Model.s_edp <= s.Model.s_edp) | None -> true
 
-(* [s] may be the context-owned record [Model.score_ctx] overwrites on the
-   next call, so adopting it as the incumbent copies. *)
-(* sunstone-hot *)
-let update_best st m (s : Model.score) =
-  match st.best with
-  | Some (_, best) when best.Model.s_edp <= s.Model.s_edp -> ()
-  | _ ->
-    (* sunstone-lint: allow SA070 improvement path: one copied incumbent per new best *)
+(* Install [m] in the slots [s] improves: the incumbent, and when seeded
+   the best {e enumerated} mapping, which is tracked separately because a
+   transferred seed can be strong enough that no enumerated candidate ever
+   displaces it, and the final refinement then never sees the
+   enumeration's own best starting point. [s] may be the context-owned
+   record [Model.score_rows] overwrites on the next call, so each slot
+   keeps a copy. *)
+let adopt st ~best ~alt m (s : Model.score) =
+  if best then begin
     st.best <- Some (m, Model.copy_score s);
     st.best_is_seed <- false
+  end;
+  if alt then st.best_alt <- Some (m, Model.copy_score s)
 
-(* Track the best mapping the search itself produced, separately from the
-   incumbent: a transferred seed can be strong enough that no enumerated
-   candidate ever displaces it, and the final refinement then never sees
-   the enumeration's own best starting point. Only seeded searches need
-   it, so unseeded ones skip the bookkeeping (one integer test per score). *)
-(* sunstone-hot *)
-let update_best_alt st m (s : Model.score) =
-  if st.seeded > 0 then
-    match st.best_alt with
-    | Some (_, b) when b.Model.s_edp <= s.Model.s_edp -> ()
-    | _ ->
-      (* sunstone-lint: allow SA070 improvement path: one copied alternative per new best *)
-      st.best_alt <- Some (m, Model.copy_score s)
-
-(* Score a structurally complete mapping; updates the incumbent. Build and
-   evaluation rejections are counted, never swallowed: a mapspace bug must
-   look different from legitimate pruning in the stats. Scoring runs on the
-   allocation-free [score_ctx] path: same energy/cycles/EDP bits as a full
-   evaluation, no transfer/breakdown assembly. *)
-let score st levels =
-  match build st levels with
-  | None -> None
-  | Some m -> (
-    match Model.score_ctx st.ctx m with
+(* Score a structurally complete candidate; updates the incumbent. Rows
+   failing [Mapping.make]'s rules and cost-model rejections are counted,
+   never swallowed: a mapspace bug must look different from legitimate
+   pruning in the stats. Scoring runs on the allocation-free
+   [Model.score_rows] path: same energy/cycles/EDP bits as a full
+   evaluation, no transfer/breakdown assembly. Only a candidate that
+   takes a slot is built as a [Mapping.t]. *)
+let score st c =
+  let c =
+    match st.inject with
+    | No_injection -> c
+    | Corrupt_first_build ->
+      st.inject <- No_injection;
+      corrupt_first_build c
+  in
+  if not (Rows.valid ~bounds:st.bounds c) then begin
+    st.build_errors <- st.build_errors + 1;
+    None
+  end
+  else begin
+    st.evaluated <- st.evaluated + 1;
+    match Model.score_rows st.ctx c with
     | Error _ ->
       st.eval_errors <- st.eval_errors + 1;
       None
     | Ok s ->
-      update_best st m s;
-      update_best_alt st m s;
-      Some s)
-
-(* Batch-score sibling candidates through one [Model.score_batch_ctx]
-   call. Builds, scores and incumbent updates all happen in list order —
-   the same sequence the scalar [score] would produce, so tie-breaking and
-   stats are unchanged. Only passes with no incumbent-dependent pruning
-   between siblings may batch (alpha-beta consults the incumbent mid-pass
-   and must stay sequential). Returns [(tag, score)] for the survivors. *)
-let score_batch st tagged =
-  let built =
-    List.filter_map
-      (fun (tag, levels) ->
-        match build st levels with None -> None | Some m -> Some (tag, m))
-      tagged
-  in
-  let results = Model.score_batch_ctx st.ctx (Array.of_list (List.map snd built)) in
-  List.concat
-    (List.mapi
-       (fun i (tag, m) ->
-         match results.(i) with
+      let best = improves st.best s and alt = st.seeded > 0 && improves st.best_alt s in
+      (if best || alt then
+         match M.make st.w (Rows.to_levels st.w c) with
+         | Ok m -> adopt st ~best ~alt m s
          | Error _ ->
-           st.eval_errors <- st.eval_errors + 1;
-           []
-         | Ok s ->
-           update_best st m s;
-           update_best_alt st m s;
-           [ (tag, s) ])
-       built)
+           (* unreachable: [Rows.valid] accepts exactly what [make] does *)
+           st.build_errors <- st.build_errors + 1);
+      Some s
+  end
+
+(* [score] for a refinement move, which edits the incumbent's named
+   levels: [Mapping.make] validates it. *)
+let score_levels st levels =
+  match M.make st.w (Array.to_list levels) with
+  | Error _ -> st.build_errors <- st.build_errors + 1
+  | Ok m -> (
+    st.evaluated <- st.evaluated + 1;
+    match Model.score_ctx st.ctx m with
+    | Error _ -> st.eval_errors <- st.eval_errors + 1
+    | Ok s ->
+      adopt st ~best:(improves st.best s) ~alt:(st.seeded > 0 && improves st.best_alt s) m s)
 
 (* Install a transferred mapping (a rescaled neighbor from the cache) as
    the initial incumbent, so the very first alpha-beta tests already have a
@@ -288,7 +279,7 @@ let install_seed st levels_list =
     | Ok s ->
       st.seeded <- st.seeded + 1;
       st.seed_edp <- s.Model.s_edp;
-      update_best st m s;
+      adopt st ~best:(improves st.best s) ~alt:false m s;
       st.best_is_seed <- true)
 
 (* The grow dimensions of the Tiling / Unrolling Principles: the indexing
@@ -298,18 +289,18 @@ let install_seed st levels_list =
 let grow_index st = function Some op_name -> List.assoc op_name st.grow_of_op | None -> 0
 
 (* A tile or unrolling over grow list [g] (one entry per dim of the list,
-   in list order) as factors of every workload dim, in workload order.
-   Entry [i] is matched at the position of the list's [i]-th dim first, so
-   no dim is resolved by name. *)
-let fill st g assignment =
+   in list order) as a row of factors of every workload dim. Entry [i] is
+   matched at the position of the list's [i]-th dim first, so no dim is
+   resolved by name. *)
+let row_of st g assignment =
   let pos = st.grow_pos.(g) in
-  let factors = Array.make (Array.length st.dim_array) 1 in
+  let row = Array.make (Array.length st.dim_array) 1 in
   List.iteri
     (fun i (d, f) ->
       let j = M.dim_position st.dim_array pos.(i) d in
-      if j >= 0 then factors.(j) <- f)
+      if j >= 0 then row.(j) <- f)
     assignment;
-  List.mapi (fun j d -> (d, factors.(j))) st.dims
+  row
 
 (* [grows], [grow_pos] and [grow_of_op] of the search state: operands
    indexed by the same dims share one grow list, and so one memo entry. *)
@@ -332,6 +323,21 @@ let grow_table (w : W.t) dims dim_array =
 let operand_choices (o : Order_trie.candidate) =
   match o.Order_trie.reused_operands with [] -> [ None ] | ops -> List.map (fun x -> Some x) ops
 
+(* {!M.complete_at_top} on rows: each dim's residual goes to the outermost
+   level, times the top temporal factor already there. *)
+let complete_at_top st (c : Rows.t) =
+  let nl = Array.length c.Rows.temporal and n = Array.length st.bounds in
+  let top = c.Rows.temporal.(nl - 1) in
+  let row = Array.make n 1 in
+  for j = 0 to n - 1 do
+    let placed = ref 1 in
+    for l = 0 to nl - 1 do
+      placed := !placed * c.Rows.temporal.(l).(j) * c.Rows.spatial.(l).(j)
+    done;
+    row.(j) <- top.(j) * (st.bounds.(j) / !placed)
+  done;
+  { c with Rows.temporal = set c.Rows.temporal (nl - 1) row }
+
 (* ------------------------------------------------------------------ *)
 (* Bottom-up                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -345,19 +351,19 @@ let operand_choices (o : Order_trie.candidate) =
 let prune_margin = 0.8
 
 (* Alpha-beta (Section V-C): prune a prefix whose optimistic EDP — the
-   product of {!Model.prefix_lower_bounds}' energy and cycles bounds —
+   product of {!Model.prefix_lower_bounds_rows}' energy and cycles bounds —
    already exceeds the incumbent's EDP. Both bounds are admissible, so on
    its own the test never cuts a prefix holding a better completion
    ([sunstone check --admissibility] pins this). Bottom-up the test is
    sharp: with high reuse most of the energy is charged at the lowest
    levels, so the committed energy sits close to the final energy. *)
-let alpha_beta_prunes st ~fixed_levels levels =
+let alpha_beta_prunes st ~fixed_levels c =
   st.cfg.alpha_beta
   &&
   match st.best with
   | None -> false
   | Some (_, best) ->
-    let energy_lb, cycles_lb = Model.prefix_lower_bounds st.ctx ~fixed_levels { M.levels } in
+    let lb = Model.prefix_lower_bounds_rows st.ctx ~fixed_levels c in
     (* Seeded-only pruning margin, gated on displacement: while the
        transferred seed is still the incumbent the test stays exact, so
        the first enumerated improvement over the seed can never be
@@ -370,28 +376,35 @@ let alpha_beta_prunes st ~fixed_levels levels =
        the evaluations the seed was meant to save. This is the one
        inadmissible rule; unseeded searches never use it. *)
     let margin = if st.seeded > 0 && not st.best_is_seed then prune_margin else 1.0 in
-    let prunes = energy_lb *. cycles_lb > best.Model.s_edp *. margin in
+    let prunes = lb.Model.lb_energy_pj *. lb.Model.lb_cycles > best.Model.s_edp *. margin in
     if prunes then st.pruned <- st.pruned + 1;
     prunes
 
 (* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
-   level-(k-1) tile, level-k spatial unrolling. *)
-let bottom_up_pass st ~orders ~k prefix_levels =
+   level-(k-1) tile, level-k spatial unrolling. [orders] pairs each order
+   candidate with its row. *)
+let bottom_up_pass st ~orders ~k (prefix : Rows.t) =
   (* everything already fixed strictly below the new tile, including the
      spatial factors of levels <= k-1, indexed by probe dim *)
-  let placed =
-    Array.of_list
-      (List.map (fun d -> M.tile_at { M.levels = prefix_levels } ~level:(k - 1) d) st.dims)
-  in
+  let placed = Array.make (Array.length st.dim_array) 1 in
+  for l = 0 to k - 1 do
+    let t = prefix.Rows.temporal.(l) and s = prefix.Rows.spatial.(l) in
+    for j = 0 to Array.length placed - 1 do
+      placed.(j) <- placed.(j) * t.(j) * s.(j)
+    done
+  done;
   let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
-  let emit_candidate g ~tile ~order ~spatial =
+  let emit_candidate ~tile ~order ~spatial =
     st.examined <- st.examined + 1;
-    let levels = copy_levels prefix_levels in
-    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st g tile };
-    levels.(k) <- { (levels.(k)) with M.order = order; M.spatial = fill st g spatial };
-    results := levels :: !results
+    results :=
+      {
+        Rows.temporal = set prefix.Rows.temporal (k - 1) tile;
+        spatial = set prefix.Rows.spatial k spatial;
+        order = set prefix.Rows.order k order;
+      }
+      :: !results
   in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
@@ -407,13 +420,15 @@ let bottom_up_pass st ~orders ~k prefix_levels =
   in
   (* Distinct orders often share the reused operand, hence the same grow
      set; tile and unroll candidate sets depend only on that set (plus any
-     already-chosen factors) for a given prefix, so memoize them per pass.
-     The chosen factors are always an entry of the same grow set's other
-     memoized list, whose entries are distinct, so the grow index and the
-     entry's position ([-1] for none) identify the key. *)
-  let tile_memo : (int, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
-  let unroll_memo : (int, Tile_tree.assignment list) Hashtbl.t = Hashtbl.create 8 in
+     already-chosen factors) for a given prefix, so memoize them per pass,
+     each assignment next to its row. The chosen factors are always an
+     entry of the same grow set's other memoized list, whose entries are
+     distinct, so the grow index and the entry's position ([-1] for none)
+     identify the key. *)
+  let tile_memo : (int, (Tile_tree.assignment * int array) list) Hashtbl.t = Hashtbl.create 8 in
+  let unroll_memo : (int, (Tile_tree.assignment * int array) list) Hashtbl.t = Hashtbl.create 8 in
   let memo_key g chosen = g + (Array.length st.grows * (chosen + 1)) in
+  let with_rows g = List.map (fun a -> (a, row_of st g a)) in
   let tiles_for g ~chosen ~remaining =
     let key = memo_key g chosen in
     match Hashtbl.find_opt tile_memo key with
@@ -422,6 +437,7 @@ let bottom_up_pass st ~orders ~k prefix_levels =
       let grow = st.grows.(g) in
       let tiles = cap_frontier (search_tiles st ~level:(k - 1) ~base:placed ~grow ~remaining) in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
+      let tiles = with_rows g tiles in
       Hashtbl.add tile_memo key tiles;
       tiles
   in
@@ -436,39 +452,38 @@ let bottom_up_pass st ~orders ~k prefix_levels =
       in
       st.examined <- st.examined + out.Unroll.explored;
       st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
-      Hashtbl.add unroll_memo key out.Unroll.candidates;
-      out.Unroll.candidates
+      let unrolls = with_rows g out.Unroll.candidates in
+      Hashtbl.add unroll_memo key unrolls;
+      unrolls
   in
-  let expand_order_op (o : Order_trie.candidate) op_choice =
+  let expand_order_op order op_choice =
     let g = grow_index st op_choice in
     match st.cfg.intra with
     | Ordering_first | Tiling_first ->
       let tiles = tiles_for g ~chosen:(-1) ~remaining in
       List.iteri
-        (fun i tile ->
-          let after_tile d = remaining d / Tile_tree.factor_of tile d in
+        (fun i (tile_a, tile) ->
+          let after_tile d = remaining d / Tile_tree.factor_of tile_a d in
           let unrolls = unrolls_for g ~chosen:i ~remaining:after_tile in
-          List.iter
-            (fun spatial -> emit_candidate g ~tile ~order:o.Order_trie.order ~spatial)
-            unrolls)
+          List.iter (fun (_, spatial) -> emit_candidate ~tile ~order ~spatial) unrolls)
         tiles
     | Unrolling_first ->
       let unrolls = unrolls_for g ~chosen:(-1) ~remaining in
       List.iteri
-        (fun i spatial ->
-          let rem d = remaining d / Tile_tree.factor_of spatial d in
+        (fun i (spatial_a, spatial) ->
+          let rem d = remaining d / Tile_tree.factor_of spatial_a d in
           let tiles = tiles_for g ~chosen:i ~remaining:rem in
-          List.iter (fun tile -> emit_candidate g ~tile ~order:o.Order_trie.order ~spatial) tiles)
+          List.iter (fun (_, tile) -> emit_candidate ~tile ~order ~spatial) tiles)
         unrolls
   in
-  List.iter (fun o -> List.iter (expand_order_op o) (operand_choices o)) orders;
+  List.iter (fun (o, order) -> List.iter (expand_order_op order) (operand_choices o)) orders;
   !results
 
 (* Spatial unrolling below the innermost memory (e.g. Simba's vector
    lanes): one candidate set per protected operand. *)
-let lane_pass st prefix_levels =
+let lane_pass st (prefix : Rows.t) =
   let fanout = (A.level st.arch 0).A.fanout in
-  if fanout <= 1 then [ prefix_levels ]
+  if fanout <= 1 then [ prefix ]
   else begin
     let results = ref [] in
     List.iter
@@ -484,30 +499,28 @@ let lane_pass st prefix_levels =
         List.iter
           (fun spatial ->
             st.examined <- st.examined + 1;
-            let levels = copy_levels prefix_levels in
-            levels.(0) <- { (levels.(0)) with M.spatial = fill st g spatial };
-            results := levels :: !results)
+            results :=
+              { prefix with Rows.spatial = set prefix.Rows.spatial 0 (row_of st g spatial) }
+              :: !results)
           out.Unroll.candidates)
       st.w.W.operands;
     !results
   end
 
-(* Candidate identity without building keys. Every candidate lists each
-   level's factors in workload dim order, so a factor's list position names
-   its dim: two candidates are the same when, level by level, their
-   temporal factors, order and spatial factors match position by position.
-   The hashes below read exactly those fields in place. *)
+(* Candidate identity: two candidates are the same when, level by level,
+   their temporal rows, orders and spatial rows hold the same ints. Rows
+   are shared, so most equal rows are the same array. *)
 let mix h x = (h * 31) + x
 
-let hash_factors h assoc = List.fold_left (fun h (_, f) -> mix h f) h assoc
+let rec hash_from row i h = if i >= Array.length row then h else hash_from row (i + 1) (mix h row.(i))
 
-let rec hash_order dims h pos = function
-  | [] -> h
-  | d :: rest -> hash_order dims (mix h (M.dim_position dims pos d)) (pos + 1) rest
+let hash_row h row = hash_from row 0 h
 
-let same_factors a b = List.equal (fun (_, f) (_, g) -> f = g) a b
+let rec same_from a b i = i >= Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
 
-let same_levels same a b = Array.length a = Array.length b && Array.for_all2 same a b
+let same_row a b = a == b || (Array.length a = Array.length b && same_from a b 0)
+
+let same_rows a b = a == b || (Array.length a = Array.length b && Array.for_all2 same_row a b)
 
 (* A first-occurrence test on an int [hash]: entries whose hashes collide
    are compared with [same] before one counts as already seen. *)
@@ -521,88 +534,107 @@ let first_seen ~hash ~same =
       true
     end
 
-let dedup_prefixes st prefixes =
-  let hash levels =
-    Array.fold_left
-      (fun h (lm : M.level_mapping) ->
-        let h = hash_factors h lm.temporal in
-        let h = hash_order st.dim_array h 0 lm.order in
-        mix (hash_factors h lm.spatial) (-1))
-      0 levels
+let dedup_candidates cands =
+  let hash (c : Rows.t) =
+    let h = ref 0 in
+    for l = 0 to Array.length c.Rows.temporal - 1 do
+      let h' = hash_row (hash_row !h c.Rows.temporal.(l)) c.Rows.order.(l) in
+      h := mix (hash_row h' c.Rows.spatial.(l)) (-1)
+    done;
+    !h
   in
-  let same =
-    same_levels (fun (a : M.level_mapping) (b : M.level_mapping) ->
-        same_factors a.temporal b.temporal
-        && List.equal String.equal a.order b.order
-        && same_factors a.spatial b.spatial)
+  let same (a : Rows.t) (b : Rows.t) =
+    same_rows a.Rows.temporal b.Rows.temporal
+    && same_rows a.Rows.order b.Rows.order
+    && same_rows a.Rows.spatial b.Rows.spatial
   in
-  List.filter (first_seen ~hash ~same) prefixes
+  List.filter (first_seen ~hash ~same) cands
+
+(* Scored candidates in ascending order of their key; equal keys keep
+   their list order. *)
+let rank scored =
+  let ranked = Array.of_list scored in
+  Array.stable_sort (fun (_, a) (_, b) -> Float.compare a b) ranked;
+  Array.map fst ranked
 
 (* Score prefixes by their naive completion and keep the beam. The naive
    completion is a poor predictor of how a spatial-unrolling style plays
    out at the upper levels, so the beam is diversity-preserving: the best
    prefix of every distinct spatial signature is seated first, and the
-   remaining slots go to the global ranking. *)
+   remaining slots go to the global ranking. The incumbent tightens
+   mid-pass and feeds the alpha-beta test of the next prefix, so prefixes
+   are bounded and scored one by one. *)
 let select_beam st ~fixed_levels prefixes =
   let scored =
-    if fixed_levels = 0 && st.best = None then
-      (* no incumbent yet, hence no alpha-beta below the first boundary:
-         the sibling completions batch through one scoring call. A
-         transferred seed makes [st.best] finite before this first pass,
-         which routes seeded searches through the pruning path below. *)
-      List.map
-        (fun (levels, s) -> (levels, s.Model.s_edp))
-        (score_batch st (List.map (fun levels -> (levels, M.complete_at_top st.w levels)) prefixes))
-    else
-      (* the incumbent tightens mid-pass and feeds the alpha-beta test of
-         the next prefix, so this path stays candidate-by-candidate *)
-      List.filter_map
-        (fun levels ->
-          if alpha_beta_prunes st ~fixed_levels levels then None
-          else
-            match score st (M.complete_at_top st.w levels) with
-            | Some s -> Some (levels, s.Model.s_edp)
-            | None -> None)
-        prefixes
+    List.filter_map
+      (fun c ->
+        if alpha_beta_prunes st ~fixed_levels c then None
+        else
+          match score st (complete_at_top st c) with
+          | Some s -> Some (c, s.Model.s_edp)
+          | None -> None)
+      prefixes
   in
-  let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
   (* a prefix's spatial signature: every level's spatial factors *)
   let new_signature =
     first_seen
-      ~hash:
-        (Array.fold_left (fun h (lm : M.level_mapping) -> mix (hash_factors h lm.spatial) (-1)) 0)
-      ~same:
-        (same_levels (fun (a : M.level_mapping) (b : M.level_mapping) ->
-             same_factors a.spatial b.spatial))
+      ~hash:(fun (c : Rows.t) ->
+        Array.fold_left (fun h row -> mix (hash_row h row) (-1)) 0 c.Rows.spatial)
+      ~same:(fun (a : Rows.t) (b : Rows.t) -> same_rows a.Rows.spatial b.Rows.spatial)
   in
-  let diverse, rest = List.partition (fun (levels, _) -> new_signature levels) sorted in
-  List.map fst (Listx.take st.cfg.beam_width (diverse @ rest))
+  let ranked = rank scored in
+  let n = Array.length ranked and beam = st.cfg.beam_width in
+  let seated = Array.make n false and kept = ref [] and nkept = ref 0 in
+  let seat i =
+    seated.(i) <- true;
+    kept := ranked.(i) :: !kept;
+    incr nkept
+  in
+  (* the first prefix of each signature in rank order, until the beam is
+     full; only if every signature is seated with room left does the rest
+     of the ranking fill it *)
+  let i = ref 0 in
+  while !nkept < beam && !i < n do
+    if new_signature ranked.(!i) then seat !i;
+    incr i
+  done;
+  let i = ref 0 in
+  while !nkept < beam && !i < n do
+    if not seated.(!i) then seat !i;
+    incr i
+  done;
+  List.rev !kept
 
 (* Order candidates come with the trie's visit/prune tallies, so the
-   kept/dropped split the paper's Table VI accounts for is observable. *)
+   kept/dropped split the paper's Table VI accounts for is observable.
+   Each comes paired with its order row. *)
 let order_candidates st =
   let orders, ostats = Order_trie.candidates_with_stats st.w in
   st.orders_kept <- st.orders_kept + List.length orders;
   st.orders_dropped <- st.orders_dropped + ostats.Order_trie.nodes_pruned;
-  orders
+  List.map
+    (fun (o : Order_trie.candidate) ->
+      (o, Array.of_list (List.mapi (M.dim_position st.dim_array) o.Order_trie.order)))
+    orders
 
 let optimize_bottom_up st =
   let orders = order_candidates st in
   let top = A.num_levels st.arch - 1 in
-  let start = [ initial_levels st ] in
+  let start = [ initial_rows st ] in
   let after_lanes =
     let cands = List.concat_map (lane_pass st) start in
-    select_beam st ~fixed_levels:0 (dedup_prefixes st cands)
+    select_beam st ~fixed_levels:0 (dedup_candidates cands)
   in
   let rec run k prefixes =
     if k > top then prefixes
     else begin
       let cands = List.concat_map (bottom_up_pass st ~orders ~k) prefixes in
-      let kept = select_beam st ~fixed_levels:k (dedup_prefixes st cands) in
-      run (k + 1) (if kept = [] then prefixes else kept)
+      match select_beam st ~fixed_levels:k (dedup_candidates cands) with
+      | [] -> run (k + 1) prefixes
+      | kept -> run (k + 1) kept
     end
   in
-  ignore (run 1 (if after_lanes = [] then start else after_lanes))
+  ignore (run 1 (match after_lanes with [] -> start | _ -> after_lanes))
 
 (* ------------------------------------------------------------------ *)
 (* Top-down (Table VI ablation)                                        *)
@@ -612,79 +644,81 @@ let optimize_bottom_up st =
    extent [A_{k-1}] still to be laid out below the current boundary; it is
    carried as the temporal factor of level k-1 in the prefix and split
    further by the next pass. *)
-let top_down_pass st ~orders ~k prefix_levels =
+let top_down_pass st ~orders ~k (prefix : Rows.t) =
   (* invariant: the aggregate extent still to be laid out at level k and
-     below sits as level k's temporal factor; this pass splits it into
+     below sits as level k's temporal row; this pass splits it into
      t_k x s_k x A_{k-1} *)
-  let below d = M.temporal_factor { M.levels = prefix_levels } ~level:k d in
-  let all_ones = Array.make (List.length st.dims) 1 in
+  let below = prefix.Rows.temporal.(k) in
+  let below_of d = below.(Probe.dim_index st.probe d) in
+  let all_ones = Array.make (Array.length st.dim_array) 1 in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
-  let emit g ~order ~spatial ~tile =
+  let emit ~order ~spatial ~tile =
     st.examined <- st.examined + 1;
-    let levels = copy_levels prefix_levels in
-    let t_k d =
-      below d / (Tile_tree.factor_of spatial d * Tile_tree.factor_of tile d)
-    in
-    levels.(k) <-
+    let t_k = Array.mapi (fun j b -> b / (spatial.(j) * tile.(j))) below in
+    let temporal = set prefix.Rows.temporal k t_k in
+    temporal.(k - 1) <- tile;
+    results :=
       {
-        M.order;
-        M.spatial = fill st g spatial;
-        M.temporal = List.map (fun d -> (d, t_k d)) st.dims;
-      };
-    (* tiles grow every dim: grow list 0 *)
-    levels.(k - 1) <- { (levels.(k - 1)) with M.temporal = fill st 0 tile };
-    results := levels :: !results
+        Rows.temporal;
+        spatial = set prefix.Rows.spatial k spatial;
+        order = set prefix.Rows.order k order;
+      }
+      :: !results
   in
-  let expand (o : Order_trie.candidate) op_choice =
+  let expand order op_choice =
     let g = grow_index st op_choice in
     let out_unroll =
-      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below
+      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below_of
         ~min_utilization:st.cfg.min_spatial_utilization ()
     in
     st.examined <- st.examined + out_unroll.Unroll.explored;
     st.unroll_candidates <- st.unroll_candidates + List.length out_unroll.Unroll.candidates;
     List.iter
-      (fun spatial ->
-        let rem d = below d / Tile_tree.factor_of spatial d in
+      (fun spatial_a ->
+        let spatial = row_of st g spatial_a in
+        let rem d = below_of d / Tile_tree.factor_of spatial_a d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
         let tiles = search_tiles st ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem in
         st.tile_candidates <- st.tile_candidates + List.length tiles;
-        List.iter (fun tile -> emit g ~order:o.Order_trie.order ~spatial ~tile) tiles)
+        (* tiles grow every dim: grow list 0 *)
+        List.iter (fun tile -> emit ~order ~spatial ~tile:(row_of st 0 tile)) tiles)
       out_unroll.Unroll.candidates
   in
-  List.iter (fun o -> List.iter (expand o) (operand_choices o)) orders;
+  List.iter (fun (o, order) -> List.iter (expand order) (operand_choices o)) orders;
   !results
 
 (* Split the innermost aggregate over the lane fanout at the end of a
    top-down walk. *)
-let lane_pass_split st levels =
+let lane_pass_split st (c : Rows.t) =
   let fanout = (A.level st.arch 0).A.fanout in
-  if fanout <= 1 then [ levels ]
+  if fanout <= 1 then [ c ]
   else begin
     let results = ref [] in
-    let below d =
-      match List.assoc_opt d levels.(0).M.temporal with Some f -> f | None -> 1
-    in
+    let below = c.Rows.temporal.(0) in
+    let below_of d = below.(Probe.dim_index st.probe d) in
     List.iter
       (fun (op : W.operand) ->
         let g = grow_index st (Some op.W.name) in
         let out =
-          Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below
+          Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below_of
             ~min_utilization:st.cfg.min_spatial_utilization ()
         in
         st.examined <- st.examined + out.Unroll.explored;
         st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
         List.iter
-          (fun spatial ->
+          (fun spatial_a ->
             st.examined <- st.examined + 1;
-            let ls = copy_levels levels in
-            let temporal =
-              List.map (fun d -> (d, below d / Tile_tree.factor_of spatial d)) st.dims
-            in
-            ls.(0) <- { (ls.(0)) with M.spatial = fill st g spatial; M.temporal = temporal };
-            results := ls :: !results)
+            let spatial = row_of st g spatial_a in
+            let temporal = Array.mapi (fun j b -> b / spatial.(j)) below in
+            results :=
+              {
+                c with
+                Rows.temporal = set c.Rows.temporal 0 temporal;
+                spatial = set c.Rows.spatial 0 spatial;
+              }
+              :: !results)
           out.Unroll.candidates)
       st.w.W.operands;
     !results
@@ -696,38 +730,34 @@ let optimize_top_down st =
   let orders = order_candidates st in
   let top = A.num_levels st.arch - 1 in
   let start =
-    let levels = initial_levels st in
-    levels.(top) <-
-      { (levels.(top)) with M.temporal = List.map (fun (d, b) -> (d, b)) st.w.W.dims };
-    [ levels ]
+    let c = initial_rows st in
+    [ { c with Rows.temporal = set c.Rows.temporal top st.bounds } ]
   in
   let select prefixes =
     (* rank by energy: the spatial unrolling of the inner passes is still
        unassigned, so every prefix shares the same (serial) cycle count and
        EDP cannot discriminate *)
     let scored =
-      List.map
-        (fun (levels, s) -> (levels, s.Model.s_energy_pj))
-        (score_batch st (List.map (fun levels -> (levels, copy_levels levels)) prefixes))
+      List.filter_map
+        (fun c -> match score st c with Some s -> Some (c, s.Model.s_energy_pj) | None -> None)
+        prefixes
     in
-    let sorted = List.sort (fun (_, a) (_, b) -> compare a b) scored in
-    List.map fst (Listx.take st.cfg.beam_width sorted)
+    let ranked = rank scored in
+    Array.to_list (Array.sub ranked 0 (min st.cfg.beam_width (Array.length ranked)))
   in
   let rec run k prefixes =
     if k < 1 then prefixes
     else begin
       let cands = List.concat_map (top_down_pass st ~orders ~k) prefixes in
-      let kept = select (dedup_prefixes st cands) in
-      run (k - 1) (if kept = [] then prefixes else kept)
+      match select (dedup_candidates cands) with
+      | [] -> run (k - 1) prefixes
+      | kept -> run (k - 1) kept
     end
   in
-  let final = run top start in
-  (* split the innermost aggregate over the lane fanout; the splits of one
-     prefix are sibling candidates, batched through one scoring call *)
+  (* split the innermost aggregate over the lane fanout *)
   List.iter
-    (fun levels ->
-      ignore (score_batch st (List.map (fun ls -> ((), ls)) (lane_pass_split st levels))))
-    final
+    (fun c -> List.iter (fun split -> ignore (score st split)) (lane_pass_split st c))
+    (run top start)
 
 (* ------------------------------------------------------------------ *)
 (* Local refinement                                                    *)
@@ -745,10 +775,10 @@ let refine st =
   let set assoc d f = (d, f) :: List.remove_assoc d assoc in
   let try_improve levels =
     st.examined <- st.examined + 1;
-    ignore (score st levels)
+    score_levels st levels
   in
   (* First-improvement hill-climb: every move is applied to the *current*
-     incumbent, which [score] may have just replaced — the old round-start
+     incumbent, which [score_levels] may have just replaced — the old round-start
      snapshot went stale the moment a move was accepted, and moves built
      from it both wasted evaluations on superseded neighborhoods and, when
      the snapshot's factor no longer divided the incumbent's, produced
@@ -765,7 +795,7 @@ let refine st =
       let base = m.M.levels in
       let src = factor base.(l).M.temporal d in
       if src > 1 && src mod p = 0 then begin
-        let levels = copy_levels base in
+        let levels = Array.copy base in
         levels.(l) <- { (levels.(l)) with M.temporal = set levels.(l).M.temporal d (src / p) };
         levels.(l') <-
           { (levels.(l')) with
@@ -784,7 +814,7 @@ let refine st =
         let tmp = ord'.(i) in
         ord'.(i) <- ord'.(i + 1);
         ord'.(i + 1) <- tmp;
-        let levels = copy_levels base in
+        let levels = Array.copy base in
         levels.(l) <- { (levels.(l)) with M.order = Array.to_list ord' };
         try_improve levels
       end
@@ -867,6 +897,7 @@ let create_state ~config ~inject w arch =
       probe = Probe.create w;
       dims;
       dim_array;
+      bounds = Array.of_list (List.map (W.bound w) dims);
       grows;
       grow_pos;
       grow_of_op;
@@ -909,7 +940,7 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
   | Top_down -> optimize_top_down st);
   let seed_survived = st.best_is_seed in
   (* captured before the refinement below: refining the seed scores
-     seed-neighborhood mappings through [update_best_alt], which would
+     seed-neighborhood mappings into [best_alt], which would
      overwrite the enumeration's best with a seed lookalike *)
   let enumerated_best = st.best_alt in
   if config.refine then refine st;

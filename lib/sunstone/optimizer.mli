@@ -11,6 +11,11 @@
     whose admissible EDP lower bound ({!Sun_cost.Model.prefix_lower_bounds})
     already exceeds the best complete schedule found.
 
+    Candidates are packed rows ({!Sun_mapping.Mapping.Rows}) that share
+    every level they do not change; passes generate, deduplicate, bound,
+    score and rank them as rows, and a [Mapping.t] is built only for the
+    seed, each new incumbent, refinement moves and the result.
+
     Top-down (the Table VI ablation) runs the same per-level machinery from
     DRAM inward; because on-chip capacities are large, its per-pass frontier
     is far bigger and the partial-energy bound is weaker, which is exactly
@@ -45,20 +50,27 @@ type stats = {
   evaluated : int;  (** complete mappings scored with the cost model *)
   pruned_alpha_beta : int;
   build_errors : int;
-      (** candidates [Mapping.make] rejected — 0 on a healthy mapspace; a
-          nonzero count means a search pass emitted structurally broken
-          levels, which used to be silently indistinguishable from pruning *)
+      (** candidates breaking [Mapping.make]'s structural rules — 0 on a
+          healthy mapspace; a nonzero count means a search pass emitted
+          structurally broken levels, which used to be silently
+          indistinguishable from pruning. Search candidates are packed rows
+          checked by {!Sun_mapping.Mapping.Rows.valid}, which accepts
+          exactly what [Mapping.make] does; refinement moves go through
+          [Mapping.make] itself. *)
   eval_errors : int;
-      (** candidates [Model.evaluate_ctx] rejected after building *)
+      (** structurally sound candidates the cost model rejected (capacity
+          or fanout): [Model.score_rows], or [Model.score_ctx] for
+          refinement moves *)
   wall_seconds : float;
 }
 
 type result = { mapping : Sun_mapping.Mapping.t; cost : Sun_cost.Model.cost; stats : stats }
 
 type injection = No_injection | Corrupt_first_build
-(** Test hook for the error accounting: [Corrupt_first_build] breaks the
-    first scored candidate's dim coverage so [Mapping.make] fails exactly
-    once ([stats.build_errors >= 1]) while the search still succeeds. *)
+(** Test hook for the error accounting: [Corrupt_first_build] doubles one
+    factor of the first candidate a search pass scores, so the row check
+    fails exactly once ([stats.build_errors >= 1]) while the search still
+    succeeds. *)
 
 val optimize :
   ?config:config ->

@@ -270,6 +270,109 @@ let print_make_case (w, levels) =
               (String.concat " " lm.M.order) (assoc lm.M.spatial))
           levels))
 
+(* Random packed rows for the row check: valid rows of a 1-6 dim workload
+   over 1-4 levels (the split [make_case] uses, orders as dim positions),
+   then 0-2 corruptions: a factor set to 0 or below, two factors of one dim
+   both negated (the product is kept, so only the sign test can reject
+   it), a factor doubled, an order entry repeated (overwriting another or
+   appended) or missing. *)
+let rows_case =
+  let open QCheck.Gen in
+  let pool = [| "A"; "B"; "C"; "D"; "E"; "F" |] in
+  let* n = 1 -- 6 in
+  let* bounds = list_repeat n (oneofl [ 1; 2; 3; 4; 6; 8; 12 ]) in
+  let names = Array.to_list (Array.sub pool 0 n) in
+  let w =
+    W.make ~name:"rand" ~dims:(List.combine names bounds)
+      ~operands:[ { W.name = "out"; kind = `Output; indices = List.map (fun d -> W.Dim d) names } ]
+  in
+  let* nlevels = 1 -- 4 in
+  let split b =
+    let rec go rem l =
+      if l = 1 then map (fun s -> [ (rem / s, s) ]) (oneofl (Sun_util.Factor.divisors rem))
+      else
+        let* t = oneofl (Sun_util.Factor.divisors rem) in
+        let* s = oneofl (Sun_util.Factor.divisors (rem / t)) in
+        map (fun rest -> (t, s) :: rest) (go (rem / (t * s)) (l - 1))
+    in
+    go b nlevels
+  in
+  let* splits = flatten_l (List.map split bounds) in
+  let splits = Array.of_list (List.map Array.of_list splits) in
+  let* orders = list_repeat nlevels (shuffle_l (List.init n Fun.id)) in
+  let factors f = Array.init nlevels (fun l -> Array.init n (fun j -> f splits.(j).(l))) in
+  let rows =
+    {
+      M.Rows.temporal = factors fst;
+      spatial = factors snd;
+      order = Array.of_list (List.map Array.of_list orders);
+    }
+  in
+  let replace a i x =
+    let a = Array.copy a in
+    a.(i) <- x;
+    a
+  in
+  let corrupt (r : M.Rows.t) =
+    let* l = 0 -- (nlevels - 1) in
+    let* j = 0 -- (n - 1) in
+    let* j' = 0 -- (n - 1) in
+    let factor f =
+      let* spatial = bool in
+      let rows = if spatial then r.M.Rows.spatial else r.M.Rows.temporal in
+      let changed = replace rows l (replace rows.(l) j (f rows.(l).(j))) in
+      return
+        (if spatial then { r with M.Rows.spatial = changed }
+         else { r with M.Rows.temporal = changed })
+    in
+    let order o = return { r with M.Rows.order = replace r.M.Rows.order l o } in
+    (* an earlier corruption may have changed this order's length *)
+    let o = r.M.Rows.order.(l) in
+    let len = Array.length o in
+    let i = j mod max 1 len and i' = j' mod max 1 len in
+    oneof
+      ([
+         (let* f = oneofl [ 0; -1; -3 ] in
+          factor (fun _ -> f));
+         factor (fun f -> f * 2);
+         (* two distinct slots of dim [j]: slot [2l] is level [l]'s temporal
+            factor, [2l + 1] its spatial one *)
+         (let* a = 0 -- ((2 * nlevels) - 1) in
+          let* b = 0 -- ((2 * nlevels) - 2) in
+          let b = if b >= a then b + 1 else b in
+          let negate (r : M.Rows.t) slot =
+            let l = slot / 2 in
+            if slot mod 2 = 0 then
+              let t = r.M.Rows.temporal in
+              { r with M.Rows.temporal = replace t l (replace t.(l) j (-t.(l).(j))) }
+            else
+              let s = r.M.Rows.spatial in
+              { r with M.Rows.spatial = replace s l (replace s.(l) j (-s.(l).(j))) }
+          in
+          return (negate (negate r a) b));
+       ]
+      @
+      if len = 0 then []
+      else
+        [
+          order (replace o i o.(i'));
+          order (Array.append o [| o.(i') |]);
+          order (Array.of_list (List.filteri (fun x _ -> x <> i) (Array.to_list o)));
+        ])
+  in
+  let* k = frequency [ (2, return 0); (3, return 1); (1, return 2) ] in
+  let rec apply k r = if k = 0 then return r else corrupt r >>= apply (k - 1) in
+  map (fun r -> (w, r)) (apply k rows)
+
+let print_rows_case (w, (r : M.Rows.t)) =
+  let row a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "dims [%s]\n%s"
+    (String.concat " " (List.map (fun (d, b) -> Printf.sprintf "%s:%d" d b) w.W.dims))
+    (String.concat "\n"
+       (List.init (Array.length r.M.Rows.temporal) (fun l ->
+            Printf.sprintf "L%d temporal [%s] order [%s] spatial [%s]" l (row r.M.Rows.temporal.(l))
+              (row r.M.Rows.order.(l)) (row r.M.Rows.spatial.(l)))))
+
 let qcheck_props =
   let open QCheck in
   let factor_split n =
@@ -290,6 +393,15 @@ let qcheck_props =
         | Error a, Error b -> String.equal a b || Test.fail_reportf "%S vs reference %S" a b
         | Ok _, Error e -> Test.fail_reportf "accepted; reference rejects: %s" e
         | Error e, Ok _ -> Test.fail_reportf "rejected (%s); reference accepts" e);
+    Test.make ~name:"row check agrees with make" ~count:2000
+      (make ~print:print_rows_case rows_case)
+      (fun (w, r) ->
+        let bounds = Array.of_list (List.map snd w.W.dims) in
+        match M.make w (M.Rows.to_levels w r) with
+        | Ok _ -> M.Rows.valid ~bounds r || Test.fail_report "row check rejects; make accepts"
+        | Error e ->
+          (not (M.Rows.valid ~bounds r))
+          || Test.fail_reportf "row check accepts; make rejects: %s" e);
     Test.make ~name:"tile_at top always equals bound" ~count:100
       (make Gen.(tup2 (factor_split 12) (factor_split 8)))
       (fun ((k1, k2), (p1, p2)) ->

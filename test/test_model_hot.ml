@@ -44,6 +44,18 @@ let split_mapping w ~num_levels =
   let mids = List.init (num_levels - 2) (fun _ -> lm ones) in
   M.make w ((bottom :: mids) @ [ top ])
 
+(* The same split with the peeled factors unrolled spatially at level 1
+   and every order reversed, so every dim's spatial factor and order
+   position matters. *)
+let unrolled_mapping w ~num_levels =
+  let dims = W.dim_names w in
+  let ones = List.map (fun d -> (d, 1)) dims in
+  let lm ?(spatial = ones) temporal = { M.temporal; order = List.rev dims; spatial } in
+  let peel = List.map (fun d -> (d, smallest_factor (W.bound w d))) dims in
+  let top = lm (List.map (fun d -> (d, W.bound w d / smallest_factor (W.bound w d))) dims) in
+  M.make w
+    ((lm ones :: lm ~spatial:peel ones :: List.init (num_levels - 3) (fun _ -> lm ones)) @ [ top ])
+
 (* [Ref]'s cost/transfer types are re-exported equalities of [Model]'s, so
    one comparator covers both. *)
 let check_cost what (c : Model.cost) (c' : Model.cost) =
@@ -137,41 +149,86 @@ let test_gid_order () =
     [ ("L1", 0); ("L2", 1); ("DRAM", 2) ]
     (Array.to_list (Model.partitions (Model.context w P.conventional)))
 
-(* batch entry points = scalar entry points, including rejected members *)
-let test_batch_equals_scalar () =
-  let w = find_workload "matmul" in
-  let arch = P.conventional in
-  let nl = List.length arch.A.levels in
-  let streaming = M.single_level w ~num_levels:nl in
-  let split =
-    match split_mapping w ~num_levels:nl with
-    | Ok m -> m
-    | Error msg -> Alcotest.fail msg
+(* A mapping's levels packed by dim position, the optimizer's candidate
+   form. *)
+let to_rows w (m : M.t) =
+  let dims = Array.of_list (W.dim_names w) in
+  let pos = M.dim_position dims 0 in
+  let row assoc =
+    let r = Array.make (Array.length dims) 1 in
+    List.iter (fun (d, f) -> r.(pos d) <- f) assoc;
+    r
   in
-  let short = M.single_level w ~num_levels:(nl - 1) in
-  let ms = [| streaming; split; short; streaming |] in
-  let ctx = Model.context w arch in
-  let batch = Model.evaluate_batch_ctx ctx ms in
-  Array.iteri
-    (fun i m ->
-      let what = Printf.sprintf "batch member %d" i in
-      match (batch.(i), Model.evaluate_ctx ctx m) with
-      | Ok c, Ok c' -> check_cost what c c'
-      | Error e, Error e' -> Alcotest.(check string) what e' e
-      | _ -> Alcotest.failf "%s: batch and scalar disagree on acceptance" what)
-    ms;
-  let sbatch = Model.score_batch_ctx ctx ms in
-  Array.iteri
-    (fun i m ->
-      let what = Printf.sprintf "score batch member %d" i in
-      match (sbatch.(i), Model.score_ctx ctx m) with
-      | Ok s, Ok s' ->
-        check_bits (what ^ ": energy") s'.Model.s_energy_pj s.Model.s_energy_pj;
-        check_bits (what ^ ": cycles") s'.Model.s_cycles s.Model.s_cycles;
-        check_bits (what ^ ": edp") s'.Model.s_edp s.Model.s_edp
-      | Error e, Error e' -> Alcotest.(check string) what e' e
-      | _ -> Alcotest.failf "%s: batch and scalar disagree on acceptance" what)
-    ms
+  let per_level f = Array.map f m.M.levels in
+  {
+    M.Rows.temporal = per_level (fun lm -> row lm.M.temporal);
+    spatial = per_level (fun lm -> row lm.M.spatial);
+    order = per_level (fun lm -> Array.of_list (List.map pos lm.M.order));
+  }
+
+(* The row entry points against the named-level ones on the same
+   mapping: bit-identical score triples or the same error string, and
+   bit-identical bounds at every [fixed_levels]. *)
+let compare_rows what w (arch : A.t) ctx m =
+  let rows = to_rows w m in
+  (match (Model.score_ctx ctx m, Model.score_rows ctx rows) with
+  | Ok s, Ok s' ->
+    (* both calls return the same context-owned record: copy the first *)
+    let s = Model.copy_score s in
+    ignore (Model.score_rows ctx rows);
+    check_bits (what ^ ": row score energy") s.Model.s_energy_pj s'.Model.s_energy_pj;
+    check_bits (what ^ ": row score cycles") s.Model.s_cycles s'.Model.s_cycles;
+    check_bits (what ^ ": row score edp") s.Model.s_edp s'.Model.s_edp
+  | Error e, Error e' -> Alcotest.(check string) (what ^ ": row score error") e e'
+  | Ok _, Error e -> Alcotest.failf "%s: score_rows rejects (%s), score_ctx accepts" what e
+  | Error e, Ok _ -> Alcotest.failf "%s: score_rows accepts, score_ctx rejects (%s)" what e);
+  (* the bound is defined on mappings with the architecture's levels *)
+  if M.num_levels m = List.length arch.A.levels then
+    for fixed_levels = 0 to M.num_levels m - 1 do
+      let energy, cycles = Model.prefix_lower_bounds ctx ~fixed_levels m in
+      let b = Model.prefix_lower_bounds_rows ctx ~fixed_levels rows in
+      let what = Printf.sprintf "%s: bound at fixed_levels %d" what fixed_levels in
+      check_bits (what ^ " energy") energy b.Model.lb_energy_pj;
+      check_bits (what ^ " cycles") cycles b.Model.lb_cycles
+    done
+
+(* every registry workload x preset on the streaming, split, unrolled and
+   short-by-one-level mappings, plus optimizer-chosen mappings *)
+let test_rows_equal_scalar () =
+  List.iter
+    (fun (aname, arch) ->
+      let nl = List.length arch.A.levels in
+      List.iter
+        (fun (wname, w) ->
+          let ctx = Model.context w arch in
+          let what mname = Printf.sprintf "%s on %s (%s)" wname aname mname in
+          compare_rows (what "streaming") w arch ctx (M.single_level w ~num_levels:nl);
+          compare_rows (what "short") w arch ctx (M.single_level w ~num_levels:(nl - 1));
+          List.iter
+            (fun (mname, m) ->
+              match m with Ok m -> compare_rows (what mname) w arch ctx m | Error _ -> ())
+            [
+              ("split", split_mapping w ~num_levels:nl);
+              ("unrolled", unrolled_mapping w ~num_levels:nl);
+            ])
+        (Sun_serve.Registry.workloads ()))
+    presets;
+  List.iter
+    (fun (wname, aname, arch) ->
+      let w = find_workload wname in
+      match Opt.optimize w arch with
+      | Error msg -> Alcotest.failf "optimize %s on %s: %s" wname aname msg
+      | Ok r ->
+        compare_rows
+          (Printf.sprintf "%s on %s (optimized)" wname aname)
+          w arch (Model.context w arch) r.Opt.mapping)
+    [
+      ("conv1d", "conventional", P.conventional);
+      ("matmul", "conventional", P.conventional);
+      ("conv2d", "simba", P.simba_like);
+      ("resnet18/conv4_x", "simba", P.simba_like);
+      ("mttkrp", "simba", P.simba_like);
+    ]
 
 (* the probe's reuse answer equals the two-footprint derivation it replaced *)
 let test_probe_changes_footprint () =
@@ -244,6 +301,46 @@ let test_gc_score_ctx_zero_alloc () =
           ("split", match split_mapping w ~num_levels:nl with
                     | Ok m -> m
                     | Error e -> Alcotest.fail e);
+        ])
+    presets
+
+(* The search's row entry points: an accepted row score and a bound call
+   (at every [fixed_levels]) allocate nothing, on the shapes above plus a
+   searched mapping with spatial unrolling and reordered loops. *)
+let test_gc_rows_zero_alloc () =
+  List.iter
+    (fun (pname, arch) ->
+      let w = find_workload "conv2d" in
+      let nl = List.length arch.A.levels in
+      let ctx = Model.context w arch in
+      let searched =
+        match Opt.optimize w arch with Ok r -> r.Opt.mapping | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun (mname, m) ->
+          let rows = to_rows w m in
+          if Model.validate_ctx ctx m = Ok () then begin
+            let score () =
+              match Model.score_rows ctx rows with Ok _ -> () | Error e -> Alcotest.fail e
+            in
+            let words = words_per_call ~reps:2000 score in
+            if words <> 0.0 then
+              Alcotest.failf "score_rows allocates %.2f words/call (%s, %s) — want 0" words pname
+                mname
+          end;
+          for fixed_levels = 0 to nl - 1 do
+            let bound () = ignore (Model.prefix_lower_bounds_rows ctx ~fixed_levels rows) in
+            let words = words_per_call ~reps:2000 bound in
+            if words <> 0.0 then
+              Alcotest.failf
+                "prefix_lower_bounds_rows allocates %.2f words/call (%s, %s, fixed %d) — want 0" words
+                pname mname fixed_levels
+          done)
+        [
+          ("single_level", M.single_level w ~num_levels:nl);
+          ( "split",
+            match split_mapping w ~num_levels:nl with Ok m -> m | Error e -> Alcotest.fail e );
+          ("searched", searched);
         ])
     presets
 
@@ -362,8 +459,8 @@ let () =
         ] );
       ( "context",
         [ Alcotest.test_case "gid assignment order" `Quick test_gid_order ] );
-      ( "batch",
-        [ Alcotest.test_case "batch = scalar" `Quick test_batch_equals_scalar ] );
+      ( "rows",
+        [ Alcotest.test_case "row entry points = scalar" `Quick test_rows_equal_scalar ] );
       ( "probe",
         [
           Alcotest.test_case "changes_footprint = derivation" `Quick test_probe_changes_footprint;
@@ -372,6 +469,8 @@ let () =
         [
           Alcotest.test_case "score_ctx is allocation-free" `Quick
             test_gc_score_ctx_zero_alloc;
+          Alcotest.test_case "row score and bound are allocation-free" `Quick
+            test_gc_rows_zero_alloc;
           Alcotest.test_case "Edf push/pop is allocation-free" `Quick
             test_gc_edf_zero_alloc;
           Alcotest.test_case "static lint agrees" `Quick test_static_dynamic_agreement;

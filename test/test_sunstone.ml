@@ -374,7 +374,7 @@ let test_refine_no_build_errors () =
    candidate and prunes hundreds of prefixes by alpha-beta. On the mttkrp
    row no simba buffer holds an operand, so every tile lattice fits whole
    and is counted whole in [examined]. No row may have a build error. *)
-let test_search_counts_pinned () =
+let check_counts_pinned ?(config = Opt.default_config) rows =
   List.iter
     (fun (name, arch, examined, evaluated, pruned, eval_errors, edp_bits) ->
       let w =
@@ -382,7 +382,7 @@ let test_search_counts_pinned () =
         | Ok w -> w
         | Error msg -> Alcotest.fail msg
       in
-      match Opt.optimize w arch with
+      match Opt.optimize ~config w arch with
       | Error msg -> Alcotest.failf "%s failed: %s" name msg
       | Ok r ->
         let s = r.Opt.stats in
@@ -393,12 +393,30 @@ let test_search_counts_pinned () =
         Alcotest.(check int) (name ^ ": eval_errors") eval_errors s.Opt.eval_errors;
         Alcotest.(check int64) (name ^ ": EDP bits") edp_bits
           (Int64.bits_of_float r.Opt.cost.Model.edp))
+    rows
+
+let test_search_counts_pinned () =
+  check_counts_pinned
     [
       ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 0x42d5dd361cc82342L);
       ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 0x4524feb5d88f0380L);
       ("mttkrp/poisson1", P.simba_like, 693984, 1024, 0, 0, 0x44f28447a0000000L);
       ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 0x42d342cebd032a45L);
     ]
+
+(* The same pin for the paths the default configuration does not take: a
+   top-down search (its passes, energy-ranked beam and final lane split)
+   and the two tile-before-unroll intra orders, all on simba, whose vector
+   lanes add the innermost unrolling pass. *)
+let test_other_paths_counts_pinned () =
+  let on intra = { Opt.default_config with Opt.intra } in
+  check_counts_pinned
+    ~config:{ Opt.default_config with Opt.direction = Opt.Top_down }
+    [ ("resnet18/conv5_x", P.simba_like, 130327, 3480, 0, 6, 0x42dd89738756e948L) ];
+  check_counts_pinned ~config:(on Opt.Ordering_first)
+    [ ("resnet18/conv4_x", P.simba_like, 2848, 699, 112, 35, 0x42be3c1af0d3949cL) ];
+  check_counts_pinned ~config:(on Opt.Tiling_first)
+    [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 0x42c9001a799ed6d6L) ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
@@ -553,6 +571,8 @@ let () =
           Alcotest.test_case "top-down variant" `Quick test_top_down_works;
           Alcotest.test_case "intra-level orders" `Quick test_intra_orders_same_quality;
           Alcotest.test_case "cold simba counts pinned" `Quick test_search_counts_pinned;
+          Alcotest.test_case "top-down and intra-order counts pinned" `Quick
+            test_other_paths_counts_pinned;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
