@@ -331,7 +331,7 @@ let audit_bench () =
 let evaluate_bench () =
   let module W = Sun_tensor.Workload in
   let module Model = Sun_cost.Model in
-  let module Ref = Sun_cost.Model_ref in
+  let module Ref = Model_ref in
   let module Probe = Sun_cost.Probe in
   let module Json = Sun_serve.Json in
   let arch_name = "conventional" in

@@ -153,7 +153,7 @@ module Rows = struct
      allocates nothing. *)
   let rec positive row j n = j >= n || (Array.unsafe_get row j >= 1 && positive row (j + 1) n)
 
-  let rec distinct_before row i j =
+  let rec distinct_before (row : int array) i j =
     j >= i || (row.(j) <> row.(i) && distinct_before row i (j + 1))
 
   let rec permutation row i n =

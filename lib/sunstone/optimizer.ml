@@ -41,6 +41,7 @@ type stats = {
   pruned_alpha_beta : int;
   build_errors : int;
   eval_errors : int;
+  tile_fit_tests : int;
   wall_seconds : float;
 }
 
@@ -84,6 +85,7 @@ type search_state = {
   mutable orders_dropped : int;
   mutable tile_candidates : int;  (** tile-tree frontier tiles emitted *)
   mutable unroll_candidates : int;  (** spatial unroll choices emitted *)
+  mutable tile_fit_tests : int;  (** [tile_fits] calls *)
   mutable inject : injection;
   mutable best : (M.t * Model.score) option;
       (** incumbent: scored on the allocation-free path, built as a
@@ -151,6 +153,7 @@ let fit_table st =
    (Simplif eliminates non-escaping refs). *)
 (* sunstone-hot *)
 let tile_fits st factors =
+  st.tile_fit_tests <- st.tile_fit_tests + 1;
   let ext = Probe.extents st.probe and base = st.fit_base and grow = st.fit_grow in
   for g = 0 to Array.length grow - 1 do
     let d = Array.unsafe_get grow g in
@@ -178,11 +181,13 @@ let set_tile_scope st ~level ~base ~grow =
 let tile_max_steps = 20
 
 (* The frontier of fitting tiles at [level] over [grow]. [tile_fits] is
-   monotone: a footprint only grows with a factor. *)
-let search_tiles st ~level ~base ~grow ~remaining =
+   monotone: a footprint only grows with a factor. [scope] must hold only
+   searches of the same [level], [base] and [grow]. *)
+let search_tiles st ~scope ~level ~base ~grow ~remaining =
   set_tile_scope st ~level ~base ~grow;
   let out =
-    Tile_tree.search ~max_steps:tile_max_steps ~grow_dims:grow ~remaining ~fits:(tile_fits st) ()
+    Tile_tree.search ~max_steps:tile_max_steps ~scope ~grow_dims:grow ~remaining
+      ~fits:(tile_fits st) ()
   in
   st.examined <- st.examined + out.Tile_tree.explored;
   out.Tile_tree.frontier
@@ -380,10 +385,49 @@ let alpha_beta_prunes st ~fixed_levels c =
     if prunes then st.pruned <- st.pruned + 1;
     prunes
 
+(* Candidate identity: two candidates are the same when, level by level,
+   their temporal rows, orders and spatial rows hold the same ints. Rows
+   are shared, so most equal rows are the same array. *)
+let mix h x = (h * 31) + x
+
+let rec hash_from row i h = if i >= Array.length row then h else hash_from row (i + 1) (mix h row.(i))
+
+let hash_row h row = hash_from row 0 h
+
+let rec same_from (a : int array) b i =
+  i >= Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
+
+let same_row a b = a == b || (Array.length a = Array.length b && same_from a b 0)
+
+let same_rows a b = a == b || (Array.length a = Array.length b && Array.for_all2 same_row a b)
+
+(* The tiling scopes of one pass ({!Tile_tree.scope}): tile searches at the
+   pass's level share a fit test when the extents fixed below the tile are
+   the same row and they grow the same list. [pass_scopes st row g ~extent]
+   is the scope of that row and grow list [g], created on first use over
+   [extent] of each dim of the list. *)
+let pass_scopes st =
+  let seen = ref [] in
+  fun row g ~extent ->
+    let slots =
+      match List.find_opt (fun (r, _) -> same_row r row) !seen with
+      | Some (_, slots) -> slots
+      | None ->
+        let slots = Array.make (Array.length st.grows) None in
+        seen := (row, slots) :: !seen;
+        slots
+    in
+    match slots.(g) with
+    | Some scope -> scope
+    | None ->
+      let scope = Tile_tree.scope (Array.of_list (List.map extent st.grows.(g))) in
+      slots.(g) <- Some scope;
+      scope
+
 (* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
    level-(k-1) tile, level-k spatial unrolling. [orders] pairs each order
    candidate with its row. *)
-let bottom_up_pass st ~orders ~k (prefix : Rows.t) =
+let bottom_up_pass st ~scopes ~orders ~k (prefix : Rows.t) =
   (* everything already fixed strictly below the new tile, including the
      spatial factors of levels <= k-1, indexed by probe dim *)
   let placed = Array.make (Array.length st.dim_array) 1 in
@@ -394,6 +438,9 @@ let bottom_up_pass st ~orders ~k (prefix : Rows.t) =
     done
   done;
   let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
+  (* a scope spans the extents left above [placed], which every search of
+     this prefix's tiles divides *)
+  let scope_for g = scopes placed g ~extent:remaining in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit_candidate ~tile ~order ~spatial =
@@ -435,7 +482,10 @@ let bottom_up_pass st ~orders ~k (prefix : Rows.t) =
     | Some tiles -> tiles
     | None ->
       let grow = st.grows.(g) in
-      let tiles = cap_frontier (search_tiles st ~level:(k - 1) ~base:placed ~grow ~remaining) in
+      let scope = scope_for g in
+      let tiles =
+        cap_frontier (search_tiles st ~scope ~level:(k - 1) ~base:placed ~grow ~remaining)
+      in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
       let tiles = with_rows g tiles in
       Hashtbl.add tile_memo key tiles;
@@ -507,30 +557,17 @@ let lane_pass st (prefix : Rows.t) =
     !results
   end
 
-(* Candidate identity: two candidates are the same when, level by level,
-   their temporal rows, orders and spatial rows hold the same ints. Rows
-   are shared, so most equal rows are the same array. *)
-let mix h x = (h * 31) + x
-
-let rec hash_from row i h = if i >= Array.length row then h else hash_from row (i + 1) (mix h row.(i))
-
-let hash_row h row = hash_from row 0 h
-
-let rec same_from a b i = i >= Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
-
-let same_row a b = a == b || (Array.length a = Array.length b && same_from a b 0)
-
-let same_rows a b = a == b || (Array.length a = Array.length b && Array.for_all2 same_row a b)
+module Int_table = Hashtbl.Make (Int)
 
 (* A first-occurrence test on an int [hash]: entries whose hashes collide
    are compared with [same] before one counts as already seen. *)
 let first_seen ~hash ~same =
-  let seen = Hashtbl.create 64 in
+  let seen = Int_table.create 64 in
   fun x ->
     let h = hash x in
-    if List.exists (same x) (Hashtbl.find_all seen h) then false
+    if List.exists (same x) (Int_table.find_all seen h) then false
     else begin
-      Hashtbl.add seen h x;
+      Int_table.add seen h x;
       true
     end
 
@@ -628,7 +665,8 @@ let optimize_bottom_up st =
   let rec run k prefixes =
     if k > top then prefixes
     else begin
-      let cands = List.concat_map (bottom_up_pass st ~orders ~k) prefixes in
+      let scopes = pass_scopes st in
+      let cands = List.concat_map (bottom_up_pass st ~scopes ~orders ~k) prefixes in
       match select_beam st ~fixed_levels:k (dedup_candidates cands) with
       | [] -> run (k + 1) prefixes
       | kept -> run (k + 1) kept
@@ -644,12 +682,14 @@ let optimize_bottom_up st =
    extent [A_{k-1}] still to be laid out below the current boundary; it is
    carried as the temporal factor of level k-1 in the prefix and split
    further by the next pass. *)
-let top_down_pass st ~orders ~k (prefix : Rows.t) =
+let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
   (* invariant: the aggregate extent still to be laid out at level k and
      below sits as level k's temporal row; this pass splits it into
      t_k x s_k x A_{k-1} *)
   let below = prefix.Rows.temporal.(k) in
   let below_of d = below.(Probe.dim_index st.probe d) in
+  (* tiles grow every dim: grow list 0 *)
+  let scope = scopes below 0 ~extent:below_of in
   let all_ones = Array.make (Array.length st.dim_array) 1 in
   let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
@@ -680,9 +720,10 @@ let top_down_pass st ~orders ~k (prefix : Rows.t) =
         let rem d = below_of d / Tile_tree.factor_of spatial_a d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
-        let tiles = search_tiles st ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem in
+        let tiles =
+          search_tiles st ~scope ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem
+        in
         st.tile_candidates <- st.tile_candidates + List.length tiles;
-        (* tiles grow every dim: grow list 0 *)
         List.iter (fun tile -> emit ~order ~spatial ~tile:(row_of st 0 tile)) tiles)
       out_unroll.Unroll.candidates
   in
@@ -748,7 +789,8 @@ let optimize_top_down st =
   let rec run k prefixes =
     if k < 1 then prefixes
     else begin
-      let cands = List.concat_map (top_down_pass st ~orders ~k) prefixes in
+      let scopes = pass_scopes st in
+      let cands = List.concat_map (top_down_pass st ~scopes ~orders ~k) prefixes in
       match select (dedup_candidates cands) with
       | [] -> run (k - 1) prefixes
       | kept -> run (k - 1) kept
@@ -871,6 +913,7 @@ let flush_telemetry st wall_seconds =
     Tel.count "optimizer.orders_dropped" st.orders_dropped;
     Tel.count "optimizer.tile_candidates" st.tile_candidates;
     Tel.count "optimizer.unroll_candidates" st.unroll_candidates;
+    Tel.count "optimizer.tile_fit_tests" st.tile_fit_tests;
     Tel.observe (Tel.histogram "optimizer.search_s") wall_seconds;
     (* transfer.* lives outside the optimizer.* namespace: seed availability
        depends on cross-request cache state, which the jobs-N counter-parity
@@ -914,6 +957,7 @@ let create_state ~config ~inject w arch =
       orders_dropped = 0;
       tile_candidates = 0;
       unroll_candidates = 0;
+      tile_fit_tests = 0;
       inject;
       best = None;
       seeded = 0;
@@ -992,6 +1036,7 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
             pruned_alpha_beta = st.pruned;
             build_errors = st.build_errors;
             eval_errors = st.eval_errors;
+            tile_fit_tests = st.tile_fit_tests;
             wall_seconds;
           };
       }

@@ -61,6 +61,11 @@ type stats = {
       (** structurally sound candidates the cost model rejected (capacity
           or fanout): [Model.score_rows], or [Model.score_ctx] for
           refinement moves *)
+  tile_fit_tests : int;
+      (** calls of the tile-fit test across every tile-frontier search:
+          the buffer-capacity checks {!Tile_tree.search} could not settle
+          from its scope's verdict table (flushed as
+          [optimizer.tile_fit_tests]) *)
   wall_seconds : float;
 }
 

@@ -26,57 +26,121 @@ let ladder ?(max_steps = max_int) extent =
     Sun_util.Listx.unique compare picked
   end
 
-(* Packed lattice keys are sums of strides, so their low bits are far from
-   uniform; a multiply-xorshift spreads them over the table's buckets
-   without the generic [Hashtbl.hash] C call. *)
-module Points = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash key =
-    let h = key * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
-end)
-
-(* A lattice point is one rung per grow dim, packed mixed-radix into an
-   int: growing dim [i] by one rung adds [stride.(i)] to the key. The
-   fitting points form a down-set D, since [fits] is monotone. Unless the
-   top corner fits (D is then the whole lattice), D is swept as a
-   staircase of lines: every prefix of rungs for dims 0..n-2 that fits
-   with the last dim at rung 0, in descending lexicographic order, and on
-   each the last dim's highest fitting rung. A line's end point is on the
-   frontier when no earlier dim grows from it, so the frontier comes out
-   in descending lexicographic order too. Only points of D and points one
-   rung above D are tested, and [verdicts] holds every tested point, so
-   no point is tested twice. *)
-let search ?(max_steps = max_int) ~grow_dims ~remaining ~fits () =
-  check_steps "search" max_steps;
-  let ladders =
-    Array.of_list (List.map (fun d -> Array.of_list (ladder ~max_steps (remaining d))) grow_dims)
+(* Mixed-radix strides over [radices] and the number of points they span,
+   or [None] when that number exceeds [max_int]. *)
+let strides radices =
+  let n = Array.length radices in
+  let stride = Array.make n 1 in
+  let rec go i size =
+    if i = n then Some (stride, size)
+    else if size > max_int / radices.(i) then None
+    else begin
+      stride.(i) <- size;
+      go (i + 1) (size * radices.(i))
+    end
   in
-  let n = Array.length ladders in
-  let stride = Array.make n 1 and lattice = ref 1 in
-  Array.iteri
+  go 0 1
+
+(* A scope's key space: each grow dim's factor is keyed by its index among
+   the divisors of the scope's extent, packed mixed-radix with [stride].
+   Built by the first search whose corner test fails. *)
+type keys =
+  | Unbuilt
+  | Too_large
+  | Built of { divisors : int array array; stride : int array; verdicts : Verdicts.t }
+
+type scope = { extents : int array; mutable keys : keys }
+
+let scope extents = { extents = Array.copy extents; keys = Unbuilt }
+
+let build_keys extents =
+  let divisors = Array.map (fun e -> Array.of_list (Factor.divisors e)) extents in
+  match strides (Array.map Array.length divisors) with
+  | Some (stride, _) -> Built { divisors; stride; verdicts = Verdicts.create () }
+  | None -> Too_large
+
+(* Each rung's share of a point's key: the index of its factor among the
+   key space's [values] for that dim, times the dim's stride. Every rung
+   is one of the values, which ascend like the rungs. *)
+let offsets values stride ladders =
+  Array.mapi
     (fun i ladder ->
-      let radix = Array.length ladder in
-      if !lattice > max_int / radix then invalid_arg "Tile_tree.search: lattice too large";
-      stride.(i) <- !lattice;
-      lattice := !lattice * radix)
-    ladders;
+      let v = values.(i) in
+      let rec index j f = if v.(j) = f then j else index (j + 1) f in
+      let j = ref 0 in
+      Array.map
+        (fun f ->
+          j := index !j f;
+          !j * stride.(i))
+        ladder)
+    ladders
+
+(* The key space and verdict table a search keys its points in: its
+   scope's, or, without a scope or when the scope's divisor lattice
+   overflows an int, a private one over its own ladders. *)
+let key_space scope ~ladders ~stride =
+  let own () = (ladders, stride, Verdicts.create ()) in
+  match scope with
+  | None -> own ()
+  | Some s -> (
+    (match s.keys with Unbuilt -> s.keys <- build_keys s.extents | Too_large | Built _ -> ());
+    match s.keys with
+    | Built { divisors; stride; verdicts } -> (divisors, stride, verdicts)
+    | Unbuilt | Too_large -> own ())
+
+(* A lattice point is one rung per grow dim, keyed by the sum of its
+   rungs' offsets: growing dim [i] from rung [r] adds
+   [off.(i).(r + 1) - off.(i).(r)]. The fitting points form a down-set D,
+   since [fits] is monotone. Unless the top corner fits (D is then the
+   whole lattice), D is swept as a staircase of lines: every prefix of
+   rungs for dims 0..n-2 that fits with the last dim at rung 0, in
+   descending lexicographic order, and on each the last dim's highest
+   fitting rung. A line's end point is on the frontier when no earlier
+   dim grows from it, so the frontier comes out in descending
+   lexicographic order too. Only points of D and points one rung above D
+   are tested. [verdicts] holds the corner and every point the sweep
+   tests, so within one scope only the root and corner tests repeat. *)
+let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
+  check_steps "search" max_steps;
+  let tops = Array.of_list (List.map remaining grow_dims) in
+  let n = Array.length tops in
+  Option.iter
+    (fun s ->
+      if Array.length s.extents <> n then
+        invalid_arg
+          (Printf.sprintf "Tile_tree.search: scope has %d extents for %d grow dims"
+             (Array.length s.extents) n);
+      Array.iteri
+        (fun i top ->
+          if s.extents.(i) mod top <> 0 then
+            invalid_arg
+              (Printf.sprintf "Tile_tree.search: remaining %d does not divide the scope's %d" top
+                 s.extents.(i)))
+        tops)
+    scope;
+  let ladders = Array.map (fun top -> Array.of_list (ladder ~max_steps top)) tops in
+  let stride, lattice =
+    match strides (Array.map Array.length ladders) with
+    | Some space -> space
+    | None -> invalid_arg "Tile_tree.search: lattice too large"
+  in
   let factors = Array.make n 1 in
   if not (fits factors) then { frontier = []; explored = 1 }
   else begin
-    Array.iteri (fun i ladder -> factors.(i) <- ladder.(Array.length ladder - 1)) ladders;
-    if !lattice = 1 || fits factors then
-      { frontier = [ assignment ~grow_dims factors ]; explored = !lattice }
+    Array.blit tops 0 factors 0 n;
+    if lattice = 1 || fits factors then
+      { frontier = [ assignment ~grow_dims factors ]; explored = lattice }
     else begin
       Array.fill factors 0 n 1;
-      let verdicts = Points.create 64 in
-      Points.add verdicts (!lattice - 1) false;
+      let values, stride, verdicts = key_space scope ~ladders ~stride in
+      let off = offsets values stride ladders in
+      Verdicts.add verdicts
+        (Array.fold_left (fun key o -> key + o.(Array.length o - 1)) 0 off)
+        false;
       let rung = Array.make n 0 and key = ref 0 in
       let set i r =
-        key := !key + ((r - rung.(i)) * stride.(i));
+        let o = off.(i) in
+        key := !key + o.(r) - o.(rung.(i));
         rung.(i) <- r;
         factors.(i) <- ladders.(i).(r)
       in
@@ -85,15 +149,16 @@ let search ?(max_steps = max_int) ~grow_dims ~remaining ~fits () =
         let r = rung.(i) in
         r + 1 < Array.length ladders.(i)
         &&
-        let point = !key + stride.(i) in
-        match Points.find verdicts point with
-        | fit -> fit
-        | exception Not_found ->
+        let o = off.(i) in
+        let point = !key - o.(r) + o.(r + 1) in
+        match Verdicts.find verdicts point with
+        | -1 ->
           factors.(i) <- ladders.(i).(r + 1);
           let fit = fits factors in
           factors.(i) <- ladders.(i).(r);
-          Points.add verdicts point fit;
+          Verdicts.add verdicts point fit;
           fit
+        | verdict -> verdict = 1
       in
       let rec earlier_grows i = i >= 0 && (grows i || earlier_grows (i - 1)) in
       let last = n - 1 in

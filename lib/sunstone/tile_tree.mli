@@ -39,8 +39,25 @@ type outcome = {
           Table I's "examined nodes" count. *)
 }
 
+type scope
+(** A tiling scope: tile searches that share one fit predicate, and with it
+    one table of fit verdicts. *)
+
+val scope : int array -> scope
+(** [scope extents] is an empty scope over grow dims whose extents, in
+    grow-dim order, are [extents]. Every search given the scope must pass
+    the same grow dims and an extensionally equal [fits], and its
+    [remaining] extent of each grow dim must divide the scope's. Each
+    search then reuses the verdicts that earlier searches in the scope
+    recorded. The table keys a point by its factors' positions among the
+    divisors of the scope's extents; it is built by the first search whose
+    top corner does not fit, so a scope whose searches all fit whole costs
+    nothing beyond the record. When that divisor lattice has more than
+    [max_int] points, the scope's searches each keep a private table. *)
+
 val search :
   ?max_steps:int ->
+  ?scope:scope ->
   grow_dims:dim list ->
   remaining:(dim -> int) ->
   fits:(int array -> bool) ->
@@ -56,12 +73,17 @@ val search :
     never keep or mutate it. [fits] must be pure and monotone: if a factor
     vector fits, every vector below it (no factor larger) fits too, so the
     fitting tiles form a down-set. The search relies on this to skip
-    testing most of that down-set: it calls [fits] at most once per
-    lattice point, and only on fitting points, on points one rung above a
-    fitting point, and on the top corner (every factor at its extent).
+    testing most of that down-set: it tests the all-ones root and the top
+    corner (every factor at its extent), and past those only fitting
+    points and points one rung above a fitting point. Apart from each
+    search's root and corner tests, [fits] is called at most once per
+    point per scope. A search without [?scope] has a private scope over
+    its own ladders.
 
     [max_steps] keeps ladders short: dimensions in the tens of thousands
     (the non-DNN tensor workloads) otherwise make the lattice large for no
     meaningful gain in tile choice. Raises [Invalid_argument] when
-    [max_steps < 2], which cannot keep both ends of a ladder, or when the
-    lattice has more than [max_int] points. *)
+    [max_steps < 2], which cannot keep both ends of a ladder, when the
+    lattice has more than [max_int] points, or when [scope] does not match
+    [grow_dims] in length or has an extent that [remaining] does not
+    divide. *)

@@ -9,7 +9,8 @@
 module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
 module M = Sun_mapping.Mapping
-module U = Units
+module Model = Sun_cost.Model
+module U = Sun_cost.Units
 
 type binding = string -> string
 

@@ -1,8 +1,8 @@
 (** Frozen pre-rewrite reference evaluator.
 
     A verbatim copy (minus telemetry) of the cost model evaluator as it
-    stood before the allocation-free rewrite of {!Model}. It exists to be
-    measured and tested against:
+    stood before the allocation-free rewrite of {!Sun_cost.Model}. It
+    exists to be measured and tested against:
 
     - the golden bit-identity suite asserts [Model.evaluate_ctx] returns
       byte-identical cost records vs [Model_ref.evaluate_ctx] on every
@@ -10,12 +10,13 @@
     - [bench evaluate] reports the rewrite's evaluations/sec against this
       baseline and gates the ≥2× target in CI.
 
-    The cost and transfer types are re-exported equalities with {!Model}'s,
-    so results compare directly. Do not optimize this module. *)
+    The cost and transfer types are re-exported equalities with
+    {!Sun_cost.Model}'s, so results compare directly. Do not optimize this
+    module. *)
 
 type binding = string -> string
 
-type transfer = Model.transfer = {
+type transfer = Sun_cost.Model.transfer = {
   operand : string;
   from_level : int;
   to_level : int;
@@ -24,7 +25,7 @@ type transfer = Model.transfer = {
   noc_deliveries : float;
 }
 
-type cost = Model.cost = {
+type cost = Sun_cost.Model.cost = {
   energy_pj : float;
   cycles : float;
   edp : float;

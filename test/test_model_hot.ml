@@ -11,7 +11,7 @@ module A = Sun_arch.Arch
 module P = Sun_arch.Presets
 module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
-module Ref = Sun_cost.Model_ref
+module Ref = Model_ref
 module Probe = Sun_cost.Probe
 module Opt = Sun_core.Optimizer
 
@@ -394,6 +394,39 @@ let test_gc_edf_zero_alloc () =
   if words <> 0.0 then
     Alcotest.failf "Edf push/pop allocates %.2f words/pair — want 0" words
 
+(* A tile search looks up every point it may test in its scope's verdict
+   table and adds each miss. Pre-warmed to 10,000 keys, the table has
+   32,768 slots, so 6,384 more keys fit before it doubles: lookups (hits
+   and misses) and inserts of new keys below that capacity allocate
+   nothing. *)
+let test_gc_verdicts_zero_alloc () =
+  let module V = Sun_core.Verdicts in
+  let t = V.create () in
+  let warm = 10_000 in
+  for key = 0 to warm - 1 do
+    V.add t (key * 7) (key land 1 = 0)
+  done;
+  let probe = ref 0 in
+  let lookup () =
+    probe := (!probe + 1) mod warm;
+    (* keys that are multiples of 7 are present, the rest absent *)
+    ignore (V.find t (!probe * 7));
+    ignore (V.find t ((!probe * 7) + 3))
+  in
+  let words = words_per_call ~reps:2000 lookup /. 2.0 in
+  if words <> 0.0 then Alcotest.failf "Verdicts.find allocates %.2f words/lookup — want 0" words;
+  let next = ref (warm * 7) in
+  let insert () =
+    V.add t !next true;
+    next := !next + 7
+  in
+  let words = words_per_call ~reps:2000 insert in
+  if words <> 0.0 then Alcotest.failf "Verdicts.add allocates %.2f words/insert — want 0" words;
+  Alcotest.(check int) "every key recorded" (warm + 2100) (V.length t);
+  Alcotest.(check int) "a recorded fit" 1 (V.find t (warm * 7));
+  Alcotest.(check int) "a recorded misfit" 0 (V.find t 7);
+  Alcotest.(check int) "an absent key" (-1) (V.find t 3)
+
 (* Static/dynamic agreement: the production tree must carry zero SA070
    diagnostics (the static side of the gate) while the Gc assertions above
    hold (the dynamic side). A disagreement in either direction — a finding
@@ -475,6 +508,8 @@ let () =
             test_gc_edf_zero_alloc;
           Alcotest.test_case "static lint agrees" `Quick test_static_dynamic_agreement;
           Alcotest.test_case "tile fit is allocation-free" `Quick test_gc_tile_fit_zero_alloc;
+          Alcotest.test_case "verdict table is allocation-free" `Quick
+            test_gc_verdicts_zero_alloc;
         ] );
       ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -125,6 +125,33 @@ let test_tile_tree_factors_divide () =
 
 (* A ladder keeps both 1 and the full extent, so fewer than two rungs is
    a caller error; two rungs are exactly those ends. *)
+(* A scope is checked against each search, and a scope whose divisor
+   lattice overflows an int (240 divisors per dim, 8 dims) leaves its
+   searches to private tables with the same results. *)
+let test_tile_tree_scope () =
+  let grow_dims = [ "K"; "C" ] in
+  let rejects what scope remaining =
+    match Tree.search ~scope ~grow_dims ~remaining ~fits:(fun _ -> true) () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "remaining 8 in a scope of 12" (Tree.scope [| 12; 12 |]) (fun _ -> 8);
+  rejects "two grow dims in a one-dim scope" (Tree.scope [| 12 |]) (fun _ -> 12);
+  let grow_dims = List.init 8 (Printf.sprintf "d%d") in
+  let remaining _ = 720720 in
+  let fits v = Array.fold_left ( + ) 0 v <= 1441440 in
+  let scope = Tree.scope (Array.make 8 720720) in
+  let alone = Tree.search ~max_steps:3 ~grow_dims ~remaining ~fits () in
+  List.iter
+    (fun round ->
+      let out = Tree.search ~max_steps:3 ~scope ~grow_dims ~remaining ~fits () in
+      Alcotest.(check (list (list (pair string int))))
+        (Printf.sprintf "frontier, search %d" round)
+        alone.Tree.frontier out.Tree.frontier;
+      Alcotest.(check int) (Printf.sprintf "explored, search %d" round) alone.Tree.explored
+        out.Tree.explored)
+    [ 1; 2 ]
+
 let test_tile_tree_max_steps_floor () =
   List.iter
     (fun max_steps ->
@@ -373,10 +400,13 @@ let test_refine_no_build_errors () =
    counts or the EDP bits. The conventional row drops no duplicate
    candidate and prunes hundreds of prefixes by alpha-beta. On the mttkrp
    row no simba buffer holds an operand, so every tile lattice fits whole
-   and is counted whole in [examined]. No row may have a build error. *)
+   and is counted whole in [examined]. No row may have a build error. The
+   tile-fit column counts the buffer checks the tile searches made: a
+   change to which points a search tests, or to which searches share a
+   tiling scope, moves it without moving the rest of the row. *)
 let check_counts_pinned ?(config = Opt.default_config) rows =
   List.iter
-    (fun (name, arch, examined, evaluated, pruned, eval_errors, edp_bits) ->
+    (fun (name, arch, examined, evaluated, pruned, eval_errors, tile_fit_tests, edp_bits) ->
       let w =
         match Sun_serve.Registry.find_workload name with
         | Ok w -> w
@@ -391,6 +421,7 @@ let check_counts_pinned ?(config = Opt.default_config) rows =
         Alcotest.(check int) (name ^ ": pruned_alpha_beta") pruned s.Opt.pruned_alpha_beta;
         Alcotest.(check int) (name ^ ": build_errors") 0 s.Opt.build_errors;
         Alcotest.(check int) (name ^ ": eval_errors") eval_errors s.Opt.eval_errors;
+        Alcotest.(check int) (name ^ ": tile_fit_tests") tile_fit_tests s.Opt.tile_fit_tests;
         Alcotest.(check int64) (name ^ ": EDP bits") edp_bits
           (Int64.bits_of_float r.Opt.cost.Model.edp))
     rows
@@ -398,10 +429,10 @@ let check_counts_pinned ?(config = Opt.default_config) rows =
 let test_search_counts_pinned () =
   check_counts_pinned
     [
-      ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 0x42d5dd361cc82342L);
-      ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 0x4524feb5d88f0380L);
-      ("mttkrp/poisson1", P.simba_like, 693984, 1024, 0, 0, 0x44f28447a0000000L);
-      ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 0x42d342cebd032a45L);
+      ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 1400, 0x42d5dd361cc82342L);
+      ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 168, 0x4524feb5d88f0380L);
+      ("mttkrp/poisson1", P.simba_like, 693984, 1024, 0, 0, 745, 0x44f28447a0000000L);
+      ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 638, 0x42d342cebd032a45L);
     ]
 
 (* The same pin for the paths the default configuration does not take: a
@@ -412,11 +443,11 @@ let test_other_paths_counts_pinned () =
   let on intra = { Opt.default_config with Opt.intra } in
   check_counts_pinned
     ~config:{ Opt.default_config with Opt.direction = Opt.Top_down }
-    [ ("resnet18/conv5_x", P.simba_like, 130327, 3480, 0, 6, 0x42dd89738756e948L) ];
+    [ ("resnet18/conv5_x", P.simba_like, 130327, 3480, 0, 6, 2140, 0x42dd89738756e948L) ];
   check_counts_pinned ~config:(on Opt.Ordering_first)
-    [ ("resnet18/conv4_x", P.simba_like, 2848, 699, 112, 35, 0x42be3c1af0d3949cL) ];
+    [ ("resnet18/conv4_x", P.simba_like, 2848, 699, 112, 35, 1259, 0x42be3c1af0d3949cL) ];
   check_counts_pinned ~config:(on Opt.Tiling_first)
-    [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 0x42c9001a799ed6d6L) ]
+    [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 2738, 0x42c9001a799ed6d6L) ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
@@ -508,6 +539,62 @@ let prop_tile_tree_matches_reference (remaining, max_steps, operands, capacity) 
   && !calls = Hashtbl.length tested
   && !calls <= Hashtbl.length ref_tested + 1
 
+(* Several searches sharing one tiling scope: a random extent, a monotone
+   buffer-shaped fit test, and per search a [remaining] vector of divisors
+   of the extent with its own ladder thinning, often down to a few rungs. *)
+let scoped_case =
+  let open QCheck.Gen in
+  let extents = [| 1; 2; 4; 6; 12; 16; 24; 36; 60; 64; 120; 720 |] in
+  let* n = 1 -- 5 in
+  let* extent = list_repeat n (oneofa extents) in
+  let search =
+    let* remaining =
+      flatten_l (List.map (fun e -> oneofl (Sun_util.Factor.divisors e)) extent)
+    in
+    let* max_steps = frequency [ (1, return max_int); (3, 2 -- 6) ] in
+    return (remaining, max_steps)
+  in
+  let* searches = list_size (2 -- 6) search in
+  let* operands = list_size (0 -- 2) (list_repeat n bool) in
+  let operands = operands @ [ List.init n (fun _ -> true) ] in
+  let* capacity = 0 -- 400 in
+  return (extent, searches, operands, capacity)
+
+let print_scoped_case (extent, searches, operands, capacity) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "extent=[%s] searches=[%s] %s"
+    (ints extent)
+    (String.concat " "
+       (List.map (fun (r, m) -> Printf.sprintf "([%s],%d)" (ints r) m) searches))
+    (print_tile_tree_case (extent, 0, operands, capacity))
+
+(* Each search in a scope returns the reference walk's frontier, order and
+   [explored]; across the scope, [fits] runs at most once per distinct
+   point, plus each search's root and corner tests. *)
+let prop_scoped_matches_reference (extent, searches, operands, capacity) =
+  let grow_dims = List.mapi (fun i _ -> Printf.sprintf "d%d" i) extent in
+  let fits_factors factors = footprint operands factors <= capacity in
+  let scope = Tree.scope (Array.of_list extent) in
+  let tested = Hashtbl.create 64 and calls = ref 0 in
+  let fits v =
+    let point = Array.to_list v in
+    incr calls;
+    Hashtbl.replace tested point ();
+    fits_factors point
+  in
+  List.for_all
+    (fun (remaining, max_steps) ->
+      let remaining_of d = List.assoc d (List.combine grow_dims remaining) in
+      let ref_frontier, ref_explored =
+        Tile_tree_ref.search ~max_steps ~grow_dims ~remaining:remaining_of
+          ~fits:(fun a -> fits_factors (List.map (Tile_tree_ref.factor_of a) grow_dims))
+          ()
+      in
+      let out = Tree.search ~max_steps ~scope ~grow_dims ~remaining:remaining_of ~fits () in
+      out.Tree.frontier = ref_frontier && out.Tree.explored = ref_explored)
+    searches
+  && !calls <= Hashtbl.length tested + (2 * List.length searches)
+
 let qcheck_props =
   let open QCheck in
   [
@@ -529,6 +616,9 @@ let qcheck_props =
     Test.make ~name:"tile tree = reference walk, each point tested once" ~count:200
       (make ~print:print_tile_tree_case tile_tree_case)
       prop_tile_tree_matches_reference;
+    Test.make ~name:"scoped tile searches = reference walk, shared verdicts" ~count:200
+      (make ~print:print_scoped_case scoped_case)
+      prop_scoped_matches_reference;
   ]
 
 let () =
@@ -548,6 +638,7 @@ let () =
           Alcotest.test_case "root too big" `Quick test_tile_tree_root_too_big;
           Alcotest.test_case "divisibility and maximality" `Quick test_tile_tree_factors_divide;
           Alcotest.test_case "max_steps below two rejected" `Quick test_tile_tree_max_steps_floor;
+          Alcotest.test_case "scope checks and overflow fallback" `Quick test_tile_tree_scope;
         ] );
       ( "unroll",
         [
