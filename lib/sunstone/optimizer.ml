@@ -42,6 +42,7 @@ type stats = {
   build_errors : int;
   eval_errors : int;
   tile_fit_tests : int;
+  shared_verdicts : int;
   wall_seconds : float;
 }
 
@@ -86,6 +87,7 @@ type search_state = {
   mutable tile_candidates : int;  (** tile-tree frontier tiles emitted *)
   mutable unroll_candidates : int;  (** spatial unroll choices emitted *)
   mutable tile_fit_tests : int;  (** [tile_fits] calls *)
+  mutable shared_verdicts : int;  (** candidates whose outcome came from their group *)
   mutable inject : injection;
   mutable best : (M.t * Model.score) option;
       (** incumbent: scored on the allocation-free path, built as a
@@ -328,21 +330,6 @@ let grow_table (w : W.t) dims dim_array =
 let operand_choices (o : Order_trie.candidate) =
   match o.Order_trie.reused_operands with [] -> [ None ] | ops -> List.map (fun x -> Some x) ops
 
-(* {!M.complete_at_top} on rows: each dim's residual goes to the outermost
-   level, times the top temporal factor already there. *)
-let complete_at_top st (c : Rows.t) =
-  let nl = Array.length c.Rows.temporal and n = Array.length st.bounds in
-  let top = c.Rows.temporal.(nl - 1) in
-  let row = Array.make n 1 in
-  for j = 0 to n - 1 do
-    let placed = ref 1 in
-    for l = 0 to nl - 1 do
-      placed := !placed * c.Rows.temporal.(l).(j) * c.Rows.spatial.(l).(j)
-    done;
-    row.(j) <- top.(j) * (st.bounds.(j) / !placed)
-  done;
-  { c with Rows.temporal = set c.Rows.temporal (nl - 1) row }
-
 (* ------------------------------------------------------------------ *)
 (* Bottom-up                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -354,36 +341,6 @@ let complete_at_top st (c : Rows.t) =
    stays equal or better than the cold search's; tighter margins (0.75 and
    below) start pruning subtrees holding small genuine improvements. *)
 let prune_margin = 0.8
-
-(* Alpha-beta (Section V-C): prune a prefix whose optimistic EDP — the
-   product of {!Model.prefix_lower_bounds_rows}' energy and cycles bounds —
-   already exceeds the incumbent's EDP. Both bounds are admissible, so on
-   its own the test never cuts a prefix holding a better completion
-   ([sunstone check --admissibility] pins this). Bottom-up the test is
-   sharp: with high reuse most of the energy is charged at the lowest
-   levels, so the committed energy sits close to the final energy. *)
-let alpha_beta_prunes st ~fixed_levels c =
-  st.cfg.alpha_beta
-  &&
-  match st.best with
-  | None -> false
-  | Some (_, best) ->
-    let lb = Model.prefix_lower_bounds_rows st.ctx ~fixed_levels c in
-    (* Seeded-only pruning margin, gated on displacement: while the
-       transferred seed is still the incumbent the test stays exact, so
-       the first enumerated improvement over the seed can never be
-       margin-pruned — a seed that happens to sit within a few percent
-       of the true optimum must not freeze the search at its own value.
-       Once some candidate has displaced the seed, prefixes whose
-       optimistic bound already lands within [prune_margin] of the
-       incumbent are dropped: their best case is a marginal win, and
-       spending full completions on them is where a warm search burns
-       the evaluations the seed was meant to save. This is the one
-       inadmissible rule; unseeded searches never use it. *)
-    let margin = if st.seeded > 0 && not st.best_is_seed then prune_margin else 1.0 in
-    let prunes = lb.Model.lb_energy_pj *. lb.Model.lb_cycles > best.Model.s_edp *. margin in
-    if prunes then st.pruned <- st.pruned + 1;
-    prunes
 
 (* Candidate identity: two candidates are the same when, level by level,
    their temporal rows, orders and spatial rows hold the same ints. Rows
@@ -424,139 +381,6 @@ let pass_scopes st =
       slots.(g) <- Some scope;
       scope
 
-(* Candidates for one bottom-up pass at boundary [k]: level-k ordering,
-   level-(k-1) tile, level-k spatial unrolling. [orders] pairs each order
-   candidate with its row. *)
-let bottom_up_pass st ~scopes ~orders ~k (prefix : Rows.t) =
-  (* everything already fixed strictly below the new tile, including the
-     spatial factors of levels <= k-1, indexed by probe dim *)
-  let placed = Array.make (Array.length st.dim_array) 1 in
-  for l = 0 to k - 1 do
-    let t = prefix.Rows.temporal.(l) and s = prefix.Rows.spatial.(l) in
-    for j = 0 to Array.length placed - 1 do
-      placed.(j) <- placed.(j) * t.(j) * s.(j)
-    done
-  done;
-  let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
-  (* a scope spans the extents left above [placed], which every search of
-     this prefix's tiles divides *)
-  let scope_for g = scopes placed g ~extent:remaining in
-  let fanout = (A.level st.arch k).A.fanout in
-  let results = ref [] in
-  let emit_candidate ~tile ~order ~spatial =
-    st.examined <- st.examined + 1;
-    results :=
-      {
-        Rows.temporal = set prefix.Rows.temporal (k - 1) tile;
-        spatial = set prefix.Rows.spatial k spatial;
-        order = set prefix.Rows.order k order;
-      }
-      :: !results
-  in
-  (* At capacious levels the maximal-tile frontier can be huge; keep the
-     largest-volume tiles (more volume = fewer refills from above, the same
-     monotonicity the Tiling Principle exploits). The sort is stable, so
-     equal volumes keep their frontier order. *)
-  let cap_frontier frontier =
-    let max_keep = 40 in
-    if List.length frontier <= max_keep then frontier
-    else
-      List.map (fun a -> (List.fold_left (fun acc (_, f) -> acc * f) 1 a, a)) frontier
-      |> List.stable_sort (fun (va, _) (vb, _) -> Int.compare vb va)
-      |> Listx.take max_keep |> List.map snd
-  in
-  (* Distinct orders often share the reused operand, hence the same grow
-     set; tile and unroll candidate sets depend only on that set (plus any
-     already-chosen factors) for a given prefix, so memoize them per pass,
-     each assignment next to its row. The chosen factors are always an
-     entry of the same grow set's other memoized list, whose entries are
-     distinct, so the grow index and the entry's position ([-1] for none)
-     identify the key. *)
-  let tile_memo : (int, (Tile_tree.assignment * int array) list) Hashtbl.t = Hashtbl.create 8 in
-  let unroll_memo : (int, (Tile_tree.assignment * int array) list) Hashtbl.t = Hashtbl.create 8 in
-  let memo_key g chosen = g + (Array.length st.grows * (chosen + 1)) in
-  let with_rows g = List.map (fun a -> (a, row_of st g a)) in
-  let tiles_for g ~chosen ~remaining =
-    let key = memo_key g chosen in
-    match Hashtbl.find_opt tile_memo key with
-    | Some tiles -> tiles
-    | None ->
-      let grow = st.grows.(g) in
-      let scope = scope_for g in
-      let tiles =
-        cap_frontier (search_tiles st ~scope ~level:(k - 1) ~base:placed ~grow ~remaining)
-      in
-      st.tile_candidates <- st.tile_candidates + List.length tiles;
-      let tiles = with_rows g tiles in
-      Hashtbl.add tile_memo key tiles;
-      tiles
-  in
-  let unrolls_for g ~chosen ~remaining =
-    let key = memo_key g chosen in
-    match Hashtbl.find_opt unroll_memo key with
-    | Some unrolls -> unrolls
-    | None ->
-      let out =
-        Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining
-          ~min_utilization:st.cfg.min_spatial_utilization ()
-      in
-      st.examined <- st.examined + out.Unroll.explored;
-      st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
-      let unrolls = with_rows g out.Unroll.candidates in
-      Hashtbl.add unroll_memo key unrolls;
-      unrolls
-  in
-  let expand_order_op order op_choice =
-    let g = grow_index st op_choice in
-    match st.cfg.intra with
-    | Ordering_first | Tiling_first ->
-      let tiles = tiles_for g ~chosen:(-1) ~remaining in
-      List.iteri
-        (fun i (tile_a, tile) ->
-          let after_tile d = remaining d / Tile_tree.factor_of tile_a d in
-          let unrolls = unrolls_for g ~chosen:i ~remaining:after_tile in
-          List.iter (fun (_, spatial) -> emit_candidate ~tile ~order ~spatial) unrolls)
-        tiles
-    | Unrolling_first ->
-      let unrolls = unrolls_for g ~chosen:(-1) ~remaining in
-      List.iteri
-        (fun i (spatial_a, spatial) ->
-          let rem d = remaining d / Tile_tree.factor_of spatial_a d in
-          let tiles = tiles_for g ~chosen:i ~remaining:rem in
-          List.iter (fun (_, tile) -> emit_candidate ~tile ~order ~spatial) tiles)
-        unrolls
-  in
-  List.iter (fun (o, order) -> List.iter (expand_order_op order) (operand_choices o)) orders;
-  !results
-
-(* Spatial unrolling below the innermost memory (e.g. Simba's vector
-   lanes): one candidate set per protected operand. *)
-let lane_pass st (prefix : Rows.t) =
-  let fanout = (A.level st.arch 0).A.fanout in
-  if fanout <= 1 then [ prefix ]
-  else begin
-    let results = ref [] in
-    List.iter
-      (fun (op : W.operand) ->
-        let g = grow_index st (Some op.W.name) in
-        let out =
-          Unroll.candidates ~fanout ~dims:st.grows.(g)
-            ~remaining:(fun d -> W.bound st.w d)
-            ~min_utilization:st.cfg.min_spatial_utilization ()
-        in
-        st.examined <- st.examined + out.Unroll.explored;
-        st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
-        List.iter
-          (fun spatial ->
-            st.examined <- st.examined + 1;
-            results :=
-              { prefix with Rows.spatial = set prefix.Rows.spatial 0 (row_of st g spatial) }
-              :: !results)
-          out.Unroll.candidates)
-      st.w.W.operands;
-    !results
-  end
-
 module Int_table = Hashtbl.Make (Int)
 
 (* A first-occurrence test on an int [hash]: entries whose hashes collide
@@ -571,55 +395,560 @@ let first_seen ~hash ~same =
       true
     end
 
-let dedup_candidates cands =
-  let hash (c : Rows.t) =
-    let h = ref 0 in
-    for l = 0 to Array.length c.Rows.temporal - 1 do
-      let h' = hash_row (hash_row !h c.Rows.temporal.(l)) c.Rows.order.(l) in
-      h := mix (hash_row h' c.Rows.spatial.(l)) (-1)
+(* [positions] in ascending order of [key.(position)]; equal keys keep
+   their order. *)
+let rank key positions =
+  Array.stable_sort (fun a b -> Float.compare key.(a) key.(b)) positions;
+  positions
+
+(* Bottom-up pass [k] chooses, per prefix, the level-k loop order, the
+   level-(k-1) tile and the level-k spatial unrolling; the lane pass
+   ([k = 0]) only the level-0 unrolling. The pass runs on candidate
+   indices. A {e group} is one prefix with one (tile row, spatial row)
+   choice, and a candidate is an (order, group) pair whose rows are the
+   prefix's with those three swapped in. A candidate is only ever loaded
+   into one scratch [Rows.t]; a real one is built for beam survivors and
+   new incumbents.
+
+   Why the members of a group share one verdict: no pass before k places
+   a temporal loop at level k, and naive completion fills only the top
+   level, so below the top pass every member's level-k temporal row is
+   all ones. The cost model reads a loop order only through the loops it
+   orders, and skips factors of 1, so the level-k order changes neither
+   the group's alpha-beta bound, nor its row check (each order row is a
+   permutation, checked by {!order_candidates}), nor its completed
+   score. The first member to reach each step computes it into the
+   group's verdict; later members replay it against the current
+   incumbent, with the same counts a fresh computation would give. *)
+
+type outcome = Unknown | Build_error | Eval_error | Scored
+
+type pass_buf = {
+  orders : int array array;  (** order candidates' rows *)
+  order_grows : int array array;  (** per order: each operand choice's grow list *)
+  repeat_grow : bool;  (** two operand choices of some order select one grow list *)
+  mutable prefixes : Rows.t array;  (** the pass's prefixes, in beam order *)
+  mutable shares : bool array;
+      (** per prefix: its level-k temporal row is all ones below the top
+          pass, so its groups may share verdicts *)
+  mutable ngroups : int;
+  mutable g_prefix : int array;
+  mutable g_tile : int array array;  (** the level-(k-1) temporal row; unused at [k = 0] *)
+  mutable g_spatial : int array array;  (** the level-k spatial row *)
+  mutable g_canon : int array;  (** the prefix's first group with the same two rows *)
+  mutable stamp : int array;  (** per group: the last dedup run that met it *)
+  mutable run : int;
+  (* verdicts: slot 0 is a candidate's own, slot [g + 1] group [g]'s *)
+  mutable v_bound : float array;  (** the bound's EDP, [nan] until computed *)
+  mutable v_outcome : outcome array;
+  mutable v_energy : float array;
+  mutable v_cycles : float array;
+  mutable v_edp : float array;
+  mutable ncand : int;
+  mutable c_order : int array;  (** [-1] at [k = 0] *)
+  mutable c_group : int array;
+  mutable c_key : float array;  (** a scored candidate's EDP *)
+  mutable nscored : int;
+  mutable scored : int array;  (** scored candidates, in candidate order *)
+  load : Rows.t;  (** the candidate examined: its prefix's rows, its own swapped in *)
+  completed : Rows.t;  (** [load] completed at the top: same spatial and order rows *)
+  top_row : int array;  (** [completed]'s top temporal row *)
+  replayed : Model.score;
+  twins : int Int_table.t;
+  mutable loaded : int;  (** the prefix whose rows [load] holds, [-1] for none *)
+}
+
+let has_repeat row = List.length (List.sort_uniq Int.compare (Array.to_list row)) < Array.length row
+
+let pass_buf st orders =
+  let nl = A.num_levels st.arch and n = Array.length st.bounds in
+  let rows () = Array.make nl [||] in
+  let load = { Rows.temporal = rows (); spatial = rows (); order = rows () } in
+  let order_grows =
+    Array.of_list
+      (List.map
+         (fun (o, _) -> Array.of_list (List.map (grow_index st) (operand_choices o)))
+         orders)
+  in
+  let orders = Array.of_list (List.map snd orders) in
+  {
+    orders;
+    order_grows;
+    repeat_grow = Array.exists has_repeat order_grows;
+    prefixes = [||];
+    shares = [||];
+    ngroups = 0;
+    g_prefix = [||];
+    g_tile = [||];
+    g_spatial = [||];
+    g_canon = [||];
+    stamp = [||];
+    run = 0;
+    v_bound = [||];
+    v_outcome = [||];
+    v_energy = [||];
+    v_cycles = [||];
+    v_edp = [||];
+    ncand = 0;
+    c_order = [||];
+    c_group = [||];
+    c_key = [||];
+    nscored = 0;
+    scored = [||];
+    load;
+    completed = { load with Rows.temporal = rows () };
+    top_row = Array.make n 1;
+    replayed = { Model.s_energy_pj = 0.0; s_cycles = 0.0; s_edp = 0.0 };
+    twins = Int_table.create 64;
+    loaded = -1;
+  }
+
+(* [a] with room for [n] entries, the new ones [x]. Buffers are sized
+   from counts known once a prefix's choices are enumerated, and kept
+   across passes. *)
+let fit a n x =
+  if Array.length a >= n then a
+  else begin
+    let a' = Array.make n x in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+let reserve_groups b extra =
+  let n = b.ngroups + extra in
+  b.g_prefix <- fit b.g_prefix n 0;
+  b.g_tile <- fit b.g_tile n [||];
+  b.g_spatial <- fit b.g_spatial n [||];
+  b.g_canon <- fit b.g_canon n 0;
+  b.stamp <- fit b.stamp n 0;
+  b.v_bound <- fit b.v_bound (n + 1) nan;
+  b.v_outcome <- fit b.v_outcome (n + 1) Unknown;
+  b.v_energy <- fit b.v_energy (n + 1) 0.0;
+  b.v_cycles <- fit b.v_cycles (n + 1) 0.0;
+  b.v_edp <- fit b.v_edp (n + 1) 0.0
+
+let reserve_candidates b extra =
+  let n = b.ncand + extra in
+  b.c_order <- fit b.c_order n 0;
+  b.c_group <- fit b.c_group n 0;
+  b.c_key <- fit b.c_key n 0.0;
+  b.scored <- fit b.scored n 0
+
+let clear_verdict b v =
+  b.v_bound.(v) <- nan;
+  b.v_outcome.(v) <- Unknown
+
+let add_group b p ~tile ~spatial =
+  let g = b.ngroups in
+  b.g_prefix.(g) <- p;
+  b.g_tile.(g) <- tile;
+  b.g_spatial.(g) <- spatial;
+  b.g_canon.(g) <- g;
+  clear_verdict b (g + 1);
+  b.ngroups <- g + 1
+
+let add_candidate b o g =
+  b.c_order.(b.ncand) <- o;
+  b.c_group.(b.ncand) <- g;
+  b.ncand <- b.ncand + 1
+
+let start_pass b ~k ~top prefixes =
+  let ones row = Array.for_all (fun f -> f = 1) row in
+  b.prefixes <- Array.of_list prefixes;
+  b.shares <-
+    Array.map (fun (r : Rows.t) -> k > 0 && k < top && ones r.Rows.temporal.(k)) b.prefixes;
+  b.ngroups <- 0;
+  b.ncand <- 0;
+  b.loaded <- -1
+
+(* Point every group from [first] on at the first of them with the same
+   tile and spatial rows, its twin; true when some group has one. *)
+let find_twins b ~first =
+  Int_table.reset b.twins;
+  let found = ref false in
+  for g = first to b.ngroups - 1 do
+    let tile = b.g_tile.(g) and spatial = b.g_spatial.(g) in
+    let h = hash_row (mix (hash_row 0 tile) (-1)) spatial in
+    match
+      List.find_opt
+        (fun t -> same_row b.g_tile.(t) tile && same_row b.g_spatial.(t) spatial)
+        (Int_table.find_all b.twins h)
+    with
+    | Some t ->
+      b.g_canon.(g) <- t;
+      found := true
+    | None -> Int_table.add b.twins h g
+  done;
+  !found
+
+(* Drop the candidates from [from] on that repeat an earlier (order, twin
+   group) pair. Each order's candidates are one run, so a group met twice
+   in a run is a duplicate. *)
+let dedup_candidates_from b ~from =
+  let kept = ref from and prev = ref min_int in
+  for i = from to b.ncand - 1 do
+    let o = b.c_order.(i) and g = b.c_group.(i) in
+    if o <> !prev then begin
+      b.run <- b.run + 1;
+      prev := o
+    end;
+    let t = b.g_canon.(g) in
+    if b.stamp.(t) <> b.run then begin
+      b.stamp.(t) <- b.run;
+      b.c_order.(!kept) <- o;
+      b.c_group.(!kept) <- g;
+      incr kept
+    end
+  done;
+  b.ncand <- !kept
+
+(* The (tile, spatial) choices of one prefix at pass [k], per grow list:
+   its groups. Distinct orders often share the reused operand, hence the
+   same grow list, and a prefix's choices depend only on that list, so
+   they are enumerated once per list, when the first order selecting it
+   is reached ([[||]] for a list no order selects). *)
+let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
+  (* everything already fixed strictly below the new tile, including the
+     spatial factors of levels <= k-1, indexed by probe dim *)
+  let placed = Array.make (Array.length st.dim_array) 1 in
+  for l = 0 to k - 1 do
+    let t = prefix.Rows.temporal.(l) and s = prefix.Rows.spatial.(l) in
+    for j = 0 to Array.length placed - 1 do
+      placed.(j) <- placed.(j) * t.(j) * s.(j)
+    done
+  done;
+  let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
+  (* a scope spans the extents left above [placed], which every search of
+     this prefix's tiles divides *)
+  let scope_for g = scopes placed g ~extent:remaining in
+  let fanout = (A.level st.arch k).A.fanout in
+  (* At capacious levels the maximal-tile frontier can be huge; keep the
+     largest-volume tiles (more volume = fewer refills from above, the same
+     monotonicity the Tiling Principle exploits). The sort is stable, so
+     equal volumes keep their frontier order. *)
+  let cap_frontier frontier =
+    let max_keep = 40 in
+    if List.length frontier <= max_keep then frontier
+    else
+      List.map (fun a -> (List.fold_left (fun acc (_, f) -> acc * f) 1 a, a)) frontier
+      |> List.stable_sort (fun (va, _) (vb, _) -> Int.compare vb va)
+      |> Listx.take max_keep |> List.map snd
+  in
+  let with_rows g = List.map (fun a -> (a, row_of st g a)) in
+  let tiles_for g ~remaining =
+    let tiles =
+      cap_frontier
+        (search_tiles st ~scope:(scope_for g) ~level:(k - 1) ~base:placed ~grow:st.grows.(g)
+           ~remaining)
+    in
+    st.tile_candidates <- st.tile_candidates + List.length tiles;
+    with_rows g tiles
+  in
+  let unrolls_for g ~remaining =
+    let out =
+      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining
+        ~min_utilization:st.cfg.min_spatial_utilization ()
+    in
+    st.examined <- st.examined + out.Unroll.explored;
+    st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
+    with_rows g out.Unroll.candidates
+  in
+  let choices g =
+    match st.cfg.intra with
+    | Ordering_first | Tiling_first ->
+      List.concat_map
+        (fun (tile_a, tile) ->
+          let after_tile d = remaining d / Tile_tree.factor_of tile_a d in
+          List.map (fun (_, spatial) -> (tile, spatial)) (unrolls_for g ~remaining:after_tile))
+        (tiles_for g ~remaining)
+    | Unrolling_first ->
+      List.concat_map
+        (fun (spatial_a, spatial) ->
+          let rem d = remaining d / Tile_tree.factor_of spatial_a d in
+          List.map (fun (_, tile) -> (tile, spatial)) (tiles_for g ~remaining:rem))
+        (unrolls_for g ~remaining)
+  in
+  let groups = Array.make (Array.length st.grows) None in
+  Array.iter
+    (Array.iter (fun g ->
+         if Option.is_none groups.(g) then groups.(g) <- Some (Array.of_list (choices g))))
+    b.order_grows;
+  Array.map (function Some gs -> gs | None -> [||]) groups
+
+let candidate_count b groups =
+  Array.fold_left (Array.fold_left (fun acc g -> acc + Array.length groups.(g))) 0 b.order_grows
+
+(* The candidates of prefix [p], with room reserved, in reverse emission
+   order: orders last to first, each order's operand choices last to
+   first, each choice's groups last to first. Candidates of different
+   prefixes never collide (each keeps its prefix's other rows), so
+   duplicates are dropped per prefix, and only where they can occur. *)
+let add_prefix_candidates st b p groups =
+  let first_group = b.ngroups and first = Array.map (fun _ -> 0) groups and lists = ref 0 in
+  Array.iteri
+    (fun g gs ->
+      first.(g) <- b.ngroups;
+      if gs <> [||] then incr lists;
+      Array.iter (fun (tile, spatial) -> add_group b p ~tile ~spatial) gs)
+    groups;
+  (* the choices of one grow list are distinct, those of two can be equal
+     (mttkrp) *)
+  let twins = !lists > 1 && find_twins b ~first:first_group in
+  let from = b.ncand in
+  for o = Array.length b.order_grows - 1 downto 0 do
+    let gs = b.order_grows.(o) in
+    for c = Array.length gs - 1 downto 0 do
+      let g = gs.(c) in
+      for i = first.(g) + Array.length groups.(g) - 1 downto first.(g) do
+        add_candidate b o i
+      done
+    done
+  done;
+  st.examined <- st.examined + (b.ncand - from);
+  if b.repeat_grow || twins then dedup_candidates_from b ~from
+
+(* Spatial unrolling below the innermost memory (e.g. Simba's vector
+   lanes): one candidate set per protected operand, each candidate its
+   own group of the single prefix. *)
+let add_lane_candidates st b =
+  let prefix = b.prefixes.(0) in
+  let fanout = (A.level st.arch 0).A.fanout in
+  if fanout <= 1 then begin
+    reserve_groups b 1;
+    add_group b 0 ~tile:[||] ~spatial:prefix.Rows.spatial.(0);
+    reserve_candidates b 1;
+    add_candidate b (-1) 0
+  end
+  else begin
+    let sets =
+      List.map
+        (fun (op : W.operand) ->
+          let g = grow_index st (Some op.W.name) in
+          let out =
+            Unroll.candidates ~fanout ~dims:st.grows.(g)
+              ~remaining:(fun d -> W.bound st.w d)
+              ~min_utilization:st.cfg.min_spatial_utilization ()
+          in
+          st.examined <- st.examined + out.Unroll.explored;
+          st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
+          List.map (row_of st g) out.Unroll.candidates)
+        st.w.W.operands
+    in
+    let n = List.fold_left (fun acc s -> acc + List.length s) 0 sets in
+    st.examined <- st.examined + n;
+    reserve_groups b n;
+    List.iter (List.iter (fun spatial -> add_group b 0 ~tile:[||] ~spatial)) sets;
+    reserve_candidates b n;
+    for g = n - 1 downto 0 do
+      add_candidate b (-1) g
     done;
-    !h
-  in
-  let same (a : Rows.t) (b : Rows.t) =
-    same_rows a.Rows.temporal b.Rows.temporal
-    && same_rows a.Rows.order b.Rows.order
-    && same_rows a.Rows.spatial b.Rows.spatial
-  in
-  List.filter (first_seen ~hash ~same) cands
+    if find_twins b ~first:0 then dedup_candidates_from b ~from:0
+  end
 
-(* Scored candidates in ascending order of their key; equal keys keep
-   their list order. *)
-let rank scored =
-  let ranked = Array.of_list scored in
-  Array.stable_sort (fun (_, a) (_, b) -> Float.compare a b) ranked;
-  Array.map fst ranked
+let load_prefix b p =
+  let r = b.prefixes.(p) in
+  let nl = Array.length r.Rows.temporal in
+  Array.blit r.Rows.temporal 0 b.load.Rows.temporal 0 nl;
+  Array.blit r.Rows.spatial 0 b.load.Rows.spatial 0 nl;
+  Array.blit r.Rows.order 0 b.load.Rows.order 0 nl;
+  Array.blit r.Rows.temporal 0 b.completed.Rows.temporal 0 (nl - 1);
+  b.completed.Rows.temporal.(nl - 1) <- b.top_row;
+  b.loaded <- p
 
-(* Score prefixes by their naive completion and keep the beam. The naive
-   completion is a poor predictor of how a spatial-unrolling style plays
-   out at the upper levels, so the beam is diversity-preserving: the best
-   prefix of every distinct spatial signature is seated first, and the
-   remaining slots go to the global ranking. The incumbent tightens
-   mid-pass and feeds the alpha-beta test of the next prefix, so prefixes
-   are bounded and scored one by one. *)
-let select_beam st ~fixed_levels prefixes =
-  let scored =
-    List.filter_map
-      (fun c ->
-        if alpha_beta_prunes st ~fixed_levels c then None
-        else
-          match score st (complete_at_top st c) with
-          | Some s -> Some (c, s.Model.s_edp)
-          | None -> None)
-      prefixes
+(* Swap candidate [i]'s rows into [b.load]: the prefix's rows are copied
+   once per prefix, the candidate's three by pointer. *)
+(* sunstone-hot *)
+let load_candidate b ~k i =
+  let g = b.c_group.(i) in
+  let p = b.g_prefix.(g) in
+  if p <> b.loaded then load_prefix b p;
+  if k > 0 then begin
+    b.load.Rows.temporal.(k - 1) <- b.g_tile.(g);
+    b.completed.Rows.temporal.(k - 1) <- b.g_tile.(g)
+  end;
+  b.load.Rows.spatial.(k) <- b.g_spatial.(g);
+  let o = b.c_order.(i) in
+  if o >= 0 then b.load.Rows.order.(k) <- b.orders.(o)
+
+let rec placed_product (c : Rows.t) l j acc =
+  if l < 0 then acc
+  else placed_product c (l - 1) j (acc * c.Rows.temporal.(l).(j) * c.Rows.spatial.(l).(j))
+
+(* {!M.complete_at_top} on rows, into [row]: each dim's residual goes to
+   the outermost level, times the top temporal factor already there. *)
+let complete_into st (c : Rows.t) row =
+  let nl = Array.length c.Rows.temporal in
+  let top = c.Rows.temporal.(nl - 1) in
+  for j = 0 to Array.length st.bounds - 1 do
+    row.(j) <- top.(j) * (st.bounds.(j) / placed_product c (nl - 1) j 1)
+  done
+
+(* Alpha-beta (Section V-C): prune a prefix whose optimistic EDP — the
+   product of {!Model.prefix_lower_bounds_rows}' energy and cycles bounds —
+   already exceeds the incumbent's EDP. Both bounds are admissible, so on
+   its own the test never cuts a prefix holding a better completion
+   ([sunstone check --admissibility] pins this). Bottom-up the test is
+   sharp: with high reuse most of the energy is charged at the lowest
+   levels, so the committed energy sits close to the final energy. The
+   bound's EDP is kept in verdict slot [v]. *)
+(* sunstone-hot *)
+let bound_prunes st b ~fixed_levels v =
+  st.cfg.alpha_beta
+  &&
+  match st.best with
+  | None -> false
+  | Some (_, best) ->
+    if Float.is_nan b.v_bound.(v) then begin
+      let lb = Model.prefix_lower_bounds_rows st.ctx ~fixed_levels b.load in
+      b.v_bound.(v) <- lb.Model.lb_energy_pj *. lb.Model.lb_cycles
+    end;
+    (* Seeded-only pruning margin, gated on displacement: while the
+       transferred seed is still the incumbent the test stays exact, so
+       the first enumerated improvement over the seed can never be
+       margin-pruned — a seed that happens to sit within a few percent
+       of the true optimum must not freeze the search at its own value.
+       Once some candidate has displaced the seed, prefixes whose
+       optimistic bound already lands within [prune_margin] of the
+       incumbent are dropped: their best case is a marginal win, and
+       spending full completions on them is where a warm search burns
+       the evaluations the seed was meant to save. This is the one
+       inadmissible rule; unseeded searches never use it. *)
+    let prunes =
+      if st.seeded > 0 && not st.best_is_seed then
+        b.v_bound.(v) > best.Model.s_edp *. prune_margin
+      else b.v_bound.(v) > best.Model.s_edp
+    in
+    if prunes then st.pruned <- st.pruned + 1;
+    prunes
+
+(* The loaded candidate's outcome, into verdict slot [v]: the row check,
+   then the score of its naive completion. *)
+(* sunstone-hot *)
+let compute_outcome st b v =
+  complete_into st b.load b.top_row;
+  if not (Rows.valid ~bounds:st.bounds b.completed) then b.v_outcome.(v) <- Build_error
+  else
+    match Model.score_rows st.ctx b.completed with
+    | Error _ -> b.v_outcome.(v) <- Eval_error
+    | Ok s ->
+      b.v_energy.(v) <- s.Model.s_energy_pj;
+      b.v_cycles.(v) <- s.Model.s_cycles;
+      b.v_edp.(v) <- s.Model.s_edp;
+      b.v_outcome.(v) <- Scored
+
+(* A scored candidate takes the incumbent (or best-alternative) slot: its
+   own completion, since its verdict may be another member's, built as a
+   [Mapping.t]. Rare, so off the hot path. *)
+(* sunstone-cold *)
+let adopt_candidate st b ~best ~alt s =
+  complete_into st b.load b.top_row;
+  match M.make st.w (Rows.to_levels st.w b.completed) with
+  | Ok m -> adopt st ~best ~alt m s
+  | Error _ ->
+    (* unreachable: [Rows.valid] accepts exactly what [make] does *)
+    st.build_errors <- st.build_errors + 1
+
+(* Candidate [i] takes the outcome in verdict slot [v]: the counts and the
+   incumbent update of scoring it, with the score a fresh computation
+   would give. *)
+(* sunstone-hot *)
+let replay st b i v =
+  match b.v_outcome.(v) with
+  | Unknown -> ()
+  | Build_error -> st.build_errors <- st.build_errors + 1
+  | Eval_error ->
+    st.evaluated <- st.evaluated + 1;
+    st.eval_errors <- st.eval_errors + 1
+  | Scored ->
+    st.evaluated <- st.evaluated + 1;
+    let s = b.replayed in
+    s.Model.s_energy_pj <- b.v_energy.(v);
+    s.Model.s_cycles <- b.v_cycles.(v);
+    s.Model.s_edp <- b.v_edp.(v);
+    let best = improves st.best s and alt = st.seeded > 0 && improves st.best_alt s in
+    if best || alt then adopt_candidate st b ~best ~alt s;
+    b.c_key.(i) <- s.Model.s_edp;
+    b.scored.(b.nscored) <- i;
+    b.nscored <- b.nscored + 1
+
+(* The injection hook takes the first candidate a search scores. It is
+   scored as a real [Rows.t] through [score], and its verdict is its own:
+   the corrupted rows are no other member's. *)
+(* sunstone-cold *)
+let score_injected st b i =
+  complete_into st b.load b.top_row;
+  match score st b.completed with
+  | None -> ()
+  | Some s ->
+    b.c_key.(i) <- s.Model.s_edp;
+    b.scored.(b.nscored) <- i;
+    b.nscored <- b.nscored + 1
+
+(* Bound, then score, candidate [i] of pass [k]. *)
+(* sunstone-hot *)
+let examine st b ~k i =
+  load_candidate b ~k i;
+  let g = b.c_group.(i) in
+  let v =
+    if b.shares.(b.g_prefix.(g)) then b.g_canon.(g) + 1
+    else begin
+      clear_verdict b 0;
+      0
+    end
   in
-  (* a prefix's spatial signature: every level's spatial factors *)
+  if not (bound_prunes st b ~fixed_levels:k v) then
+    match st.inject with
+    | Corrupt_first_build -> score_injected st b i
+    | No_injection ->
+      (match b.v_outcome.(v) with
+      | Unknown -> compute_outcome st b v
+      | Build_error | Eval_error | Scored -> st.shared_verdicts <- st.shared_verdicts + 1);
+      replay st b i v
+
+(* The candidate's rows, built for a beam survivor. *)
+let candidate_rows b ~k i =
+  let g = b.c_group.(i) and o = b.c_order.(i) in
+  let prefix = b.prefixes.(b.g_prefix.(g)) in
+  {
+    Rows.temporal =
+      (if k > 0 then set prefix.Rows.temporal (k - 1) b.g_tile.(g) else prefix.Rows.temporal);
+    spatial = set prefix.Rows.spatial k b.g_spatial.(g);
+    order = (if o >= 0 then set prefix.Rows.order k b.orders.(o) else prefix.Rows.order);
+  }
+
+(* Score the pass's candidates by their naive completion and keep the
+   beam. The naive completion is a poor predictor of how a
+   spatial-unrolling style plays out at the upper levels, so the beam is
+   diversity-preserving: the best candidate of every distinct spatial
+   signature is seated first, and the remaining slots go to the global
+   ranking. The incumbent tightens mid-pass and feeds the alpha-beta test
+   of the next candidate, so candidates are bounded and scored one by one,
+   in candidate order. *)
+let select_beam st b ~k =
+  b.nscored <- 0;
+  b.loaded <- -1;
+  for i = 0 to b.ncand - 1 do
+    examine st b ~k i
+  done;
+  (* a candidate's spatial signature: every level's spatial factors *)
+  let nl = Array.length b.load.Rows.spatial in
+  let spatial i l =
+    let g = b.c_group.(i) in
+    if l = k then b.g_spatial.(g) else b.prefixes.(b.g_prefix.(g)).Rows.spatial.(l)
+  in
   let new_signature =
     first_seen
-      ~hash:(fun (c : Rows.t) ->
-        Array.fold_left (fun h row -> mix (hash_row h row) (-1)) 0 c.Rows.spatial)
-      ~same:(fun (a : Rows.t) (b : Rows.t) -> same_rows a.Rows.spatial b.Rows.spatial)
+      ~hash:(fun i ->
+        let h = ref 0 in
+        for l = 0 to nl - 1 do
+          h := mix (hash_row !h (spatial i l)) (-1)
+        done;
+        !h)
+      ~same:(fun i j ->
+        let rec from l = l >= nl || (same_row (spatial i l) (spatial j l) && from (l + 1)) in
+        from 0)
   in
-  let ranked = rank scored in
+  let ranked = rank b.c_key (Array.sub b.scored 0 b.nscored) in
   let n = Array.length ranked and beam = st.cfg.beam_width in
   let seated = Array.make n false and kept = ref [] and nkept = ref 0 in
   let seat i =
@@ -627,9 +956,9 @@ let select_beam st ~fixed_levels prefixes =
     kept := ranked.(i) :: !kept;
     incr nkept
   in
-  (* the first prefix of each signature in rank order, until the beam is
-     full; only if every signature is seated with room left does the rest
-     of the ranking fill it *)
+  (* the first candidate of each signature in rank order, until the beam
+     is full; only if every signature is seated with room left does the
+     rest of the ranking fill it *)
   let i = ref 0 in
   while !nkept < beam && !i < n do
     if new_signature ranked.(!i) then seat !i;
@@ -640,39 +969,47 @@ let select_beam st ~fixed_levels prefixes =
     if not seated.(!i) then seat !i;
     incr i
   done;
-  List.rev !kept
+  List.rev_map (candidate_rows b ~k) !kept
 
 (* Order candidates come with the trie's visit/prune tallies, so the
    kept/dropped split the paper's Table VI accounts for is observable.
-   Each comes paired with its order row. *)
+   Each comes paired with its order row, checked once here to be a
+   permutation: candidates of one group share a row check only then.
+   Distinct trie leaves give distinct orders, since no leaf's suffix
+   extends another's. *)
 let order_candidates st =
   let orders, ostats = Order_trie.candidates_with_stats st.w in
   st.orders_kept <- st.orders_kept + List.length orders;
   st.orders_dropped <- st.orders_dropped + ostats.Order_trie.nodes_pruned;
+  let identity = List.init (Array.length st.dim_array) Fun.id in
   List.map
     (fun (o : Order_trie.candidate) ->
-      (o, Array.of_list (List.mapi (M.dim_position st.dim_array) o.Order_trie.order)))
+      let row = List.mapi (M.dim_position st.dim_array) o.Order_trie.order in
+      if not (List.equal Int.equal (List.sort Int.compare row) identity) then
+        invalid_arg "Optimizer: an order candidate is not a permutation of the dims";
+      (o, Array.of_list row))
     orders
 
 let optimize_bottom_up st =
-  let orders = order_candidates st in
+  let b = pass_buf st (order_candidates st) in
   let top = A.num_levels st.arch - 1 in
   let start = [ initial_rows st ] in
-  let after_lanes =
-    let cands = List.concat_map (lane_pass st) start in
-    select_beam st ~fixed_levels:0 (dedup_candidates cands)
-  in
+  start_pass b ~k:0 ~top start;
+  add_lane_candidates st b;
+  let after_lanes = select_beam st b ~k:0 in
   let rec run k prefixes =
-    if k > top then prefixes
-    else begin
+    if k <= top then begin
       let scopes = pass_scopes st in
-      let cands = List.concat_map (bottom_up_pass st ~scopes ~orders ~k) prefixes in
-      match select_beam st ~fixed_levels:k (dedup_candidates cands) with
-      | [] -> run (k + 1) prefixes
-      | kept -> run (k + 1) kept
+      start_pass b ~k ~top prefixes;
+      let groups = Array.map (prefix_groups st b ~scopes ~k) b.prefixes in
+      let sum f = Array.fold_left (fun acc gs -> acc + f gs) 0 groups in
+      reserve_groups b (sum (Array.fold_left (fun acc gs -> acc + Array.length gs) 0));
+      reserve_candidates b (sum (candidate_count b));
+      Array.iteri (add_prefix_candidates st b) groups;
+      match select_beam st b ~k with [] -> run (k + 1) prefixes | kept -> run (k + 1) kept
     end
   in
-  ignore (run 1 (match after_lanes with [] -> start | _ -> after_lanes))
+  run 1 (match after_lanes with [] -> start | _ -> after_lanes)
 
 (* ------------------------------------------------------------------ *)
 (* Top-down (Table VI ablation)                                        *)
@@ -765,6 +1102,25 @@ let lane_pass_split st (c : Rows.t) =
     !results
   end
 
+(* A top-down pass splits the aggregate row its prefixes may differ in,
+   so candidates of different prefixes can collide: duplicates are found
+   across the whole pass, by every row. *)
+let dedup_candidates cands =
+  let hash (c : Rows.t) =
+    let h = ref 0 in
+    for l = 0 to Array.length c.Rows.temporal - 1 do
+      let h' = hash_row (hash_row !h c.Rows.temporal.(l)) c.Rows.order.(l) in
+      h := mix (hash_row h' c.Rows.spatial.(l)) (-1)
+    done;
+    !h
+  in
+  let same (a : Rows.t) (b : Rows.t) =
+    same_rows a.Rows.temporal b.Rows.temporal
+    && same_rows a.Rows.order b.Rows.order
+    && same_rows a.Rows.spatial b.Rows.spatial
+  in
+  List.filter (first_seen ~hash ~same) cands
+
 (* Completion for a top-down prefix: levels below the boundary keep the
    aggregate at level k-1, which is already structurally complete. *)
 let optimize_top_down st =
@@ -779,12 +1135,13 @@ let optimize_top_down st =
        unassigned, so every prefix shares the same (serial) cycle count and
        EDP cannot discriminate *)
     let scored =
-      List.filter_map
-        (fun c -> match score st c with Some s -> Some (c, s.Model.s_energy_pj) | None -> None)
-        prefixes
+      Array.of_list
+        (List.filter_map
+           (fun c -> match score st c with Some s -> Some (c, s.Model.s_energy_pj) | None -> None)
+           prefixes)
     in
-    let ranked = rank scored in
-    Array.to_list (Array.sub ranked 0 (min st.cfg.beam_width (Array.length ranked)))
+    let ranked = rank (Array.map snd scored) (Array.init (Array.length scored) Fun.id) in
+    List.init (min st.cfg.beam_width (Array.length ranked)) (fun i -> fst scored.(ranked.(i)))
   in
   let rec run k prefixes =
     if k < 1 then prefixes
@@ -914,6 +1271,7 @@ let flush_telemetry st wall_seconds =
     Tel.count "optimizer.tile_candidates" st.tile_candidates;
     Tel.count "optimizer.unroll_candidates" st.unroll_candidates;
     Tel.count "optimizer.tile_fit_tests" st.tile_fit_tests;
+    Tel.count "optimizer.shared_verdicts" st.shared_verdicts;
     Tel.observe (Tel.histogram "optimizer.search_s") wall_seconds;
     (* transfer.* lives outside the optimizer.* namespace: seed availability
        depends on cross-request cache state, which the jobs-N counter-parity
@@ -958,6 +1316,7 @@ let create_state ~config ~inject w arch =
       tile_candidates = 0;
       unroll_candidates = 0;
       tile_fit_tests = 0;
+      shared_verdicts = 0;
       inject;
       best = None;
       seeded = 0;
@@ -1037,6 +1396,7 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
             build_errors = st.build_errors;
             eval_errors = st.eval_errors;
             tile_fit_tests = st.tile_fit_tests;
+            shared_verdicts = st.shared_verdicts;
             wall_seconds;
           };
       }

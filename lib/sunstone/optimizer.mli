@@ -12,9 +12,13 @@
     already exceeds the best complete schedule found.
 
     Candidates are packed rows ({!Sun_mapping.Mapping.Rows}) that share
-    every level they do not change; passes generate, deduplicate, bound,
-    score and rank them as rows, and a [Mapping.t] is built only for the
-    seed, each new incumbent, refinement moves and the result.
+    every level they do not change. A bottom-up pass runs on candidate
+    indices: each (order, group) pair is loaded into one scratch row set
+    to be bounded and scored, where a group is one prefix with one tile
+    and unrolling choice, and the candidates of a group, which differ
+    only in a loop order no loop is under yet, share one verdict. A
+    [Mapping.t] is built only for the seed, each new incumbent,
+    refinement moves and the result.
 
     Top-down (the Table VI ablation) runs the same per-level machinery from
     DRAM inward; because on-chip capacities are large, its per-pass frontier
@@ -66,6 +70,14 @@ type stats = {
           the buffer-capacity checks {!Tile_tree.search} could not settle
           from its scope's verdict table (flushed as
           [optimizer.tile_fit_tests]) *)
+  shared_verdicts : int;
+      (** bottom-up candidates whose outcome (row check failure, model
+          rejection or score) was replayed from their group rather than
+          computed: below the top pass, candidates of one prefix that
+          differ only in the new level's loop order share one verdict,
+          since that level holds no temporal loop yet. Each replay still
+          counts in [evaluated] and the error counts as a fresh
+          computation would (flushed as [optimizer.shared_verdicts]) *)
   wall_seconds : float;
 }
 

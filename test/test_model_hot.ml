@@ -482,6 +482,77 @@ let qcheck_props =
   in
   [ probe_matches_direct "conv2d"; probe_matches_direct "mmc" ]
 
+(* Order blindness, the invariant the bottom-up search's shared verdicts
+   rest on: when level [k] below the top holds no temporal loop (its
+   temporal row is all ones), the order of level [k] changes neither the
+   score, nor the bound with [k] levels fixed, nor the row check. Random
+   rows place each prime factor of every dim at a random level, mostly
+   temporally and at the top so that many of them fit, never temporally
+   at [k]; every order is a random permutation. *)
+let order_blindness_props =
+  let open QCheck in
+  let subjects =
+    List.map
+      (fun (name, w, arch) -> (name, w, arch, Model.context w arch))
+      [
+        ("resnet18/conv3_x on simba", find_workload "resnet18/conv3_x", P.simba_like);
+        ( "inception wu on conventional",
+          (List.nth (Sun_workloads.Inception.weight_update_layers ()) 3)
+            .Sun_workloads.Inception.workload,
+          P.conventional );
+        ("sddmm/cant on simba", find_workload "sddmm/cant", P.simba_like);
+      ]
+  in
+  let rows_case (w, arch) seed =
+    let rng = Sun_util.Rng.create seed in
+    let nl = List.length arch.A.levels and dims = Array.of_list (W.dim_names w) in
+    let n = Array.length dims in
+    let k = Sun_util.Rng.int rng (nl - 1) in
+    let temporal = Array.init nl (fun _ -> Array.make n 1) in
+    let spatial = Array.init nl (fun _ -> Array.make n 1) in
+    Array.iteri
+      (fun j d ->
+        List.iter
+          (fun (p, e) ->
+            for _ = 1 to e do
+              let r = Sun_util.Rng.int rng 20 and l = Sun_util.Rng.int rng nl in
+              if r < 2 then spatial.(l).(j) <- spatial.(l).(j) * p
+              else if r < 10 || l = k then temporal.(nl - 1).(j) <- temporal.(nl - 1).(j) * p
+              else temporal.(l).(j) <- temporal.(l).(j) * p
+            done)
+          (Sun_util.Factor.prime_factorization (W.bound w d)))
+      dims;
+    let perm () = Array.of_list (Sun_util.Rng.shuffle rng (List.init n Fun.id)) in
+    let order = Array.init nl (fun _ -> perm ()) in
+    (k, { M.Rows.temporal; spatial; order }, perm ())
+  in
+  let verdict ctx ~bounds ~k (r : M.Rows.t) =
+    let score =
+      match Model.score_rows ctx r with
+      | Ok s ->
+        Printf.sprintf "%Lx %Lx %Lx" (bits s.Model.s_energy_pj) (bits s.Model.s_cycles)
+          (bits s.Model.s_edp)
+      | Error msg -> msg
+    in
+    let b = Model.prefix_lower_bounds_rows ctx ~fixed_levels:k r in
+    Printf.sprintf "score %s; bound %Lx %Lx; valid %b" score (bits b.Model.lb_energy_pj)
+      (bits b.Model.lb_cycles) (M.Rows.valid ~bounds r)
+  in
+  List.map
+    (fun (name, w, arch, ctx) ->
+      let bounds = Array.of_list (List.map (W.bound w) (W.dim_names w)) in
+      Test.make ~count:300
+        ~name:(Printf.sprintf "order of an all-ones level is invisible (%s)" name)
+        (make ~print:string_of_int Gen.(int_bound 1_000_000))
+        (fun seed ->
+          let k, r, order_k = rows_case (w, arch) seed in
+          let order = Array.copy r.M.Rows.order in
+          order.(k) <- order_k;
+          let before = verdict ctx ~bounds ~k r in
+          let after = verdict ctx ~bounds ~k { r with M.Rows.order } in
+          before = after || Test.fail_reportf "level %d: %s <> %s" k before after))
+    subjects
+
 let () =
   Alcotest.run "model hot path"
     [
@@ -512,4 +583,5 @@ let () =
             test_gc_verdicts_zero_alloc;
         ] );
       ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ("order blindness", List.map QCheck_alcotest.to_alcotest order_blindness_props);
     ]

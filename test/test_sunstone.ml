@@ -39,6 +39,18 @@ let test_trie_orders_are_permutations () =
         (List.sort String.compare c.Trie.order))
     (Trie.candidates conv1d)
 
+(* The bottom-up search drops duplicate candidates by order index, which
+   holds only while no two trie leaves give the same order. *)
+let test_trie_orders_distinct () =
+  List.iter
+    (fun (name, w) ->
+      let orders = List.map (fun c -> c.Trie.order) (Trie.candidates w) in
+      Alcotest.(check int)
+        (name ^ ": distinct orders")
+        (List.length orders)
+        (List.length (List.sort_uniq compare orders)))
+    (Sun_serve.Registry.workloads ())
+
 let test_trie_signature_scan () =
   (* signature of [P] (innermost loop P): weight fully reused, ifmap
      partially (sliding), ofmap not (P indexes it) *)
@@ -403,10 +415,14 @@ let test_refine_no_build_errors () =
    and is counted whole in [examined]. No row may have a build error. The
    tile-fit column counts the buffer checks the tile searches made: a
    change to which points a search tests, or to which searches share a
-   tiling scope, moves it without moving the rest of the row. *)
+   tiling scope, moves it without moving the rest of the row. The
+   shared-verdict column counts the bottom-up candidates whose outcome
+   was replayed from their group: a change to which candidates share a
+   verdict moves it, and the rest of the row only if the sharing was
+   wrong. *)
 let check_counts_pinned ?(config = Opt.default_config) rows =
   List.iter
-    (fun (name, arch, examined, evaluated, pruned, eval_errors, tile_fit_tests, edp_bits) ->
+    (fun (name, arch, examined, evaluated, pruned, eval_errors, tile_fit_tests, shared, edp_bits) ->
       let w =
         match Sun_serve.Registry.find_workload name with
         | Ok w -> w
@@ -422,6 +438,7 @@ let check_counts_pinned ?(config = Opt.default_config) rows =
         Alcotest.(check int) (name ^ ": build_errors") 0 s.Opt.build_errors;
         Alcotest.(check int) (name ^ ": eval_errors") eval_errors s.Opt.eval_errors;
         Alcotest.(check int) (name ^ ": tile_fit_tests") tile_fit_tests s.Opt.tile_fit_tests;
+        Alcotest.(check int) (name ^ ": shared_verdicts") shared s.Opt.shared_verdicts;
         Alcotest.(check int64) (name ^ ": EDP bits") edp_bits
           (Int64.bits_of_float r.Opt.cost.Model.edp))
     rows
@@ -429,10 +446,10 @@ let check_counts_pinned ?(config = Opt.default_config) rows =
 let test_search_counts_pinned () =
   check_counts_pinned
     [
-      ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 1400, 0x42d5dd361cc82342L);
-      ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 168, 0x4524feb5d88f0380L);
-      ("mttkrp/poisson1", P.simba_like, 693984, 1024, 0, 0, 745, 0x44f28447a0000000L);
-      ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 638, 0x42d342cebd032a45L);
+      ("resnet18/conv5_x", P.simba_like, 5290, 799, 108, 14, 1400, 334, 0x42d5dd361cc82342L);
+      ("sddmm/cant", P.simba_like, 8533, 131, 12, 0, 168, 12, 0x4524feb5d88f0380L);
+      ("mttkrp/poisson1", P.simba_like, 693984, 1024, 0, 0, 745, 536, 0x44f28447a0000000L);
+      ("resnet18/conv4_x", P.conventional, 4931, 236, 341, 8, 638, 41, 0x42d342cebd032a45L);
     ]
 
 (* The same pin for the paths the default configuration does not take: a
@@ -443,11 +460,15 @@ let test_other_paths_counts_pinned () =
   let on intra = { Opt.default_config with Opt.intra } in
   check_counts_pinned
     ~config:{ Opt.default_config with Opt.direction = Opt.Top_down }
-    [ ("resnet18/conv5_x", P.simba_like, 130327, 3480, 0, 6, 2140, 0x42dd89738756e948L) ];
+    [ ("resnet18/conv5_x", P.simba_like, 130327, 3480, 0, 6, 2140, 0, 0x42dd89738756e948L) ];
   check_counts_pinned ~config:(on Opt.Ordering_first)
-    [ ("resnet18/conv4_x", P.simba_like, 2848, 699, 112, 35, 1259, 0x42be3c1af0d3949cL) ];
+    [
+      ("resnet18/conv4_x", P.simba_like, 2848, 699, 112, 35, 1259, 272, 0x42be3c1af0d3949cL);
+      ("sddmm/cant", P.simba_like, 4600, 121, 6, 0, 138, 12, 0x456d01731d3a8a2aL);
+      ("mttkrp/netflix", P.simba_like, 83409, 414, 65, 0, 238, 189, 0x467159f2fdf6cbaaL);
+    ];
   check_counts_pinned ~config:(on Opt.Tiling_first)
-    [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 2738, 0x42c9001a799ed6d6L) ]
+    [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 2738, 463, 0x42c9001a799ed6d6L) ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
@@ -628,6 +649,7 @@ let () =
         [
           Alcotest.test_case "fig 4 pruning" `Quick test_trie_fig4;
           Alcotest.test_case "orders are permutations" `Quick test_trie_orders_are_permutations;
+          Alcotest.test_case "orders are distinct" `Quick test_trie_orders_distinct;
           Alcotest.test_case "signature scan" `Quick test_trie_signature_scan;
           Alcotest.test_case "matmul coverage" `Quick test_trie_matmul;
           Alcotest.test_case "deep reduction suffix" `Quick test_trie_covers_deeper_reuse;
