@@ -171,8 +171,12 @@ if ! [ -s "$PARITY_TMP/daemon-metrics.json" ]; then
 fi
 echo "serve daemon: ok (parity, warm replay, SIGHUP re-open, clean drain)"
 
+# The bench harness writes its BENCH_*.json into the working directory;
+# run it from the scratch directory so CI leaves the committed ones alone.
+BENCH="$PWD/_build/default/bench/main.exe"
+
 echo "== bench serve-daemon (latency percentiles + warm hit rate)"
-dune exec bench/main.exe -- serve-daemon
+(cd "$PARITY_TMP" && "$BENCH" serve-daemon)
 
 echo "== telemetry overhead (bench/perf paired median on resnet18-simba, <= 2%)"
 # bench/perf's traced run searches every resnet18-simba layer twice, with
@@ -194,8 +198,8 @@ fi
 echo "telemetry overhead: ok (paired median $overhead, budget 0.02)"
 
 echo "== bench evaluate (cost-model hot path, >=2x gate on hardest kernel)"
-dune exec bench/main.exe -- evaluate
-if ! [ -s BENCH_evaluate.json ]; then
+(cd "$PARITY_TMP" && "$BENCH" evaluate)
+if ! [ -s "$PARITY_TMP/BENCH_evaluate.json" ]; then
   echo "bench evaluate: BENCH_evaluate.json missing or empty" >&2
   exit 1
 fi
@@ -205,8 +209,8 @@ echo "== bench transfer (warm >= 20% fewer evaluations, EDP equal-or-better per 
 # The bench itself enforces the two acceptance gates (>= 20% fewer
 # mappings evaluated on ResNet-18, per-layer warm EDP never worse than
 # cold) and exits non-zero on either violation.
-dune exec bench/main.exe -- transfer
-if ! [ -s BENCH_transfer.json ]; then
+(cd "$PARITY_TMP" && "$BENCH" transfer)
+if ! [ -s "$PARITY_TMP/BENCH_transfer.json" ]; then
   echo "bench transfer: BENCH_transfer.json missing or empty" >&2
   exit 1
 fi

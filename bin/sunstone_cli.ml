@@ -42,13 +42,34 @@ let arch_arg =
   let doc = "Architecture preset: conventional, simba, diannao or toy." in
   Arg.(value & opt string "conventional" & info [ "a"; "arch" ] ~docv:"ARCH" ~doc)
 
-let beam_arg =
-  let doc = "Beam width of the level-by-level search." in
-  Arg.(value & opt int Opt.default_config.Opt.beam_width & info [ "beam" ] ~docv:"N" ~doc)
-
-let top_down_arg =
-  let doc = "Optimize top-down instead of bottom-up (Table VI ablation)." in
-  Arg.(value & flag & info [ "top-down" ] ~doc)
+(* [--beam] and [--top-down] as the optimizer config they select. A beam
+   narrower than 1 keeps no prefix between passes, which the pipeline
+   rejects as SA021, so the flag refuses it too. *)
+let config_arg =
+  let beam_width =
+    let parse s =
+      Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+          if n >= 1 then Ok n else Error (`Msg (Printf.sprintf "beam width %d (must be >= 1)" n)))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let beam_arg =
+    let doc = "Beam width of the level-by-level search, at least 1." in
+    Arg.(
+      value & opt beam_width Opt.default_config.Opt.beam_width & info [ "beam" ] ~docv:"N" ~doc)
+  in
+  let top_down_arg =
+    let doc = "Optimize top-down instead of bottom-up (Table VI ablation)." in
+    Arg.(value & flag & info [ "top-down" ] ~doc)
+  in
+  let config beam_width top_down =
+    {
+      Opt.default_config with
+      Opt.beam_width;
+      direction = (if top_down then Opt.Top_down else Opt.Bottom_up);
+    }
+  in
+  Term.(const config $ beam_arg $ top_down_arg)
 
 let loopnest_arg =
   let doc = "Also print the mapped loop nest as pseudocode." in
@@ -116,20 +137,13 @@ let reuse_cmd =
     Term.(const run $ workload_arg)
 
 let schedule_cmd =
-  let run workload arch beam top_down emit_loopnest metrics =
+  let run workload arch config emit_loopnest metrics =
     with_metrics metrics @@ fun () ->
     match (find_workload workload, find_arch arch) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
       prerr_endline m;
       1
     | Ok w, Ok a -> (
-      let config =
-        {
-          Opt.default_config with
-          Opt.beam_width = beam;
-          direction = (if top_down then Opt.Top_down else Opt.Bottom_up);
-        }
-      in
       match Opt.optimize ~config w a with
       | Error msg ->
         Printf.eprintf "no valid mapping: %s\n" msg;
@@ -152,7 +166,7 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Find the best dataflow mapping for a workload on an architecture")
     Term.(
-      const run $ workload_arg $ arch_arg $ beam_arg $ top_down_arg $ loopnest_arg $ metrics_arg)
+      const run $ workload_arg $ arch_arg $ config_arg $ loopnest_arg $ metrics_arg)
 
 let tools =
   [
@@ -224,15 +238,8 @@ let batch_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run input output cache_dir no_cache jobs beam top_down metrics =
+  let run input output cache_dir no_cache jobs config metrics =
     with_metrics metrics @@ fun () ->
-    let config =
-      {
-        Opt.default_config with
-        Opt.beam_width = beam;
-        direction = (if top_down then Opt.Top_down else Opt.Bottom_up);
-      }
-    in
     let cache =
       if no_cache then None else Some (Sun_serve.Cache.create ?dir:cache_dir ())
     in
@@ -251,27 +258,20 @@ let batch_cmd =
           shape family has a cached member are warm-started from the nearest neighbor's \
           mapping; $(b,--no-cache) runs every request as a cold search.")
     Term.(
-      const run $ input_arg $ output_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ beam_arg
-      $ top_down_arg $ metrics_arg)
+      const run $ input_arg $ output_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ config_arg
+      $ metrics_arg)
 
 let export_cmd =
   let output_arg =
     let doc = "Destination JSON file. \"-\" writes stdout." in
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run workload arch output beam top_down =
+  let run workload arch output config =
     match (find_workload workload, find_arch arch) with
     | Error (`Msg m), _ | _, Error (`Msg m) ->
       prerr_endline m;
       1
     | Ok w, Ok a -> (
-      let config =
-        {
-          Opt.default_config with
-          Opt.beam_width = beam;
-          direction = (if top_down then Opt.Top_down else Opt.Bottom_up);
-        }
-      in
       match Opt.optimize ~config w a with
       | Error msg ->
         Printf.eprintf "no valid mapping: %s\n" msg;
@@ -309,7 +309,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Schedule one workload and write the mapping, cost and fingerprint as JSON")
-    Term.(const run $ workload_arg $ arch_arg $ output_arg $ beam_arg $ top_down_arg)
+    Term.(const run $ workload_arg $ arch_arg $ output_arg $ config_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sunstone check: the static-analysis passes                           *)
@@ -734,19 +734,12 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "max-queue" ] ~docv:"N" ~doc)
   in
-  let run listen cache_dir no_cache jobs max_queue beam top_down metrics =
+  let run listen cache_dir no_cache jobs max_queue config metrics =
     match Sun_serve.Server.parse_listen listen with
     | Error msg ->
       Printf.eprintf "cannot serve: %s\n" msg;
       1
     | Ok addr -> (
-      let config =
-        {
-          Opt.default_config with
-          Opt.beam_width = beam;
-          direction = (if top_down then Opt.Top_down else Opt.Bottom_up);
-        }
-      in
       let cache = if no_cache then None else Some (Sun_serve.Cache.create ?dir:cache_dir ()) in
       let drain = ref false in
       let force = ref false in
@@ -793,8 +786,8 @@ let serve_cmd =
           cache misses are warm-started from nearest-neighbor cached mappings of the same \
           shape family ($(b,--no-cache) disables both)")
     Term.(
-      const run $ listen_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ max_queue_arg $ beam_arg
-      $ top_down_arg $ metrics_arg)
+      const run $ listen_arg $ cache_dir_arg $ no_cache_arg $ jobs_arg $ max_queue_arg $ config_arg
+      $ metrics_arg)
 
 let client_cmd =
   let connect_arg =

@@ -186,6 +186,20 @@ module Rows = struct
     && levels_ok r (nl - 1) (Array.length bounds)
     && products_ok r bounds 0
 
+  let of_levels w levels =
+    let dims = Array.of_list (W.dim_names w) in
+    let row assoc =
+      let r = Array.make (Array.length dims) 1 in
+      multiply_into dims r assoc;
+      r
+    in
+    let order o = Array.of_list (List.mapi (dim_position dims) o) in
+    {
+      temporal = Array.map (fun (lm : level_mapping) -> row lm.temporal) levels;
+      spatial = Array.map (fun (lm : level_mapping) -> row lm.spatial) levels;
+      order = Array.map (fun (lm : level_mapping) -> order lm.order) levels;
+    }
+
   let to_levels w r =
     let dims = Array.of_list (W.dim_names w) in
     let factors row = List.mapi (fun j d -> (d, row.(j))) (Array.to_list dims) in

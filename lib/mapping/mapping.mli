@@ -91,6 +91,11 @@ module Rows : sig
       whose factor rows hold one entry per dim, it accepts exactly those
       whose named levels ({!to_levels}) {!make} accepts. *)
 
+  val of_levels : Sun_tensor.Workload.t -> level_mapping array -> t
+  (** [of_levels w levels] packs named levels as rows: the inverse of
+      {!to_levels} on levels {!make} accepts, whose entries may come in
+      any order. On levels [make] rejects the rows are unspecified. *)
+
   val to_levels : Sun_tensor.Workload.t -> t -> level_mapping list
   (** The named levels the rows stand for, lists in workload dim order.
       Order entries must be dim positions. *)

@@ -48,7 +48,7 @@ type stats = {
 
 type result = { mapping : M.t; cost : Model.cost; stats : stats }
 
-(* Test hook: force [Mapping.make] to fail exactly once so the error
+(* Test hook: force the row check to fail exactly once so the error
    accounting is exercisable from tests without a pathological preset. *)
 type injection = No_injection | Corrupt_first_build
 
@@ -80,7 +80,7 @@ type search_state = {
   mutable examined : int;
   mutable evaluated : int;
   mutable pruned : int;
-  mutable build_errors : int;  (** candidates breaking [Mapping.make]'s rules, no longer silent *)
+  mutable build_errors : int;  (** candidates failing the row check, no longer silent *)
   mutable eval_errors : int;  (** cost-model rejections, no longer silent *)
   mutable orders_kept : int;
   mutable orders_dropped : int;
@@ -89,17 +89,16 @@ type search_state = {
   mutable tile_fit_tests : int;  (** [tile_fits] calls *)
   mutable shared_verdicts : int;  (** candidates whose outcome came from their group *)
   mutable inject : injection;
-  mutable best : (M.t * Model.score) option;
+  mutable best : (Rows.t * Model.score) option;
       (** incumbent: scored on the allocation-free path, built as a
-          [Mapping.t] when it takes the slot, fully evaluated once at the
-          end of the search *)
+          [Mapping.t] and fully evaluated once at the end of the search *)
   mutable seeded : int;  (** transferred seeds installed as the incumbent *)
   mutable seed_rejected : int;  (** transferred seeds that failed to build or score *)
   mutable seed_edp : float;  (** EDP of the installed seed, for the alpha ratio *)
   mutable best_is_seed : bool;
       (** the incumbent is still the transferred seed — no enumerated
           candidate has displaced it *)
-  mutable best_alt : (M.t * Model.score) option;
+  mutable best_alt : (Rows.t * Model.score) option;
       (** best {e enumerated} mapping, tracked only when seeded: if the
           seed is never displaced, the post-search refinement also
           hill-climbs from here so a strong seed cannot strand the search
@@ -117,7 +116,8 @@ let initial_rows st =
   }
 
 (* [rows] with entry [l] replaced: candidates share every row they do not
-   change, and no row is mutated once built. *)
+   change, and no row is mutated once built. On a row, an entry is a
+   factor or an order position. *)
 let set rows l row =
   let a = Array.copy rows in
   a.(l) <- row;
@@ -209,27 +209,33 @@ let corrupt_first_build (c : Rows.t) =
 let improves slot (s : Model.score) =
   match slot with Some (_, b) -> not (b.Model.s_edp <= s.Model.s_edp) | None -> true
 
-(* Install [m] in the slots [s] improves: the incumbent, and when seeded
-   the best {e enumerated} mapping, which is tracked separately because a
-   transferred seed can be strong enough that no enumerated candidate ever
-   displaces it, and the final refinement then never sees the
-   enumeration's own best starting point. [s] may be the context-owned
-   record [Model.score_rows] overwrites on the next call, so each slot
-   keeps a copy. *)
-let adopt st ~best ~alt m (s : Model.score) =
+(* Install rows [c] in the slots [s] improves: the incumbent, and when
+   seeded the best {e enumerated} mapping, which is tracked separately
+   because a transferred seed can be strong enough that no enumerated
+   candidate ever displaces it, and the final refinement then never sees
+   the enumeration's own best starting point. [c] may be a pass buffer's
+   scratch rows and [s] the context-owned record [Model.score_rows]
+   overwrites on the next call, so the slots keep copies. *)
+let adopt st ~best ~alt (c : Rows.t) (s : Model.score) =
+  let c =
+    {
+      Rows.temporal = Array.map Array.copy c.Rows.temporal;
+      spatial = Array.map Array.copy c.Rows.spatial;
+      order = Array.map Array.copy c.Rows.order;
+    }
+  in
   if best then begin
-    st.best <- Some (m, Model.copy_score s);
+    st.best <- Some (c, Model.copy_score s);
     st.best_is_seed <- false
   end;
-  if alt then st.best_alt <- Some (m, Model.copy_score s)
+  if alt then st.best_alt <- Some (c, Model.copy_score s)
 
 (* Score a structurally complete candidate; updates the incumbent. Rows
    failing [Mapping.make]'s rules and cost-model rejections are counted,
    never swallowed: a mapspace bug must look different from legitimate
    pruning in the stats. Scoring runs on the allocation-free
    [Model.score_rows] path: same energy/cycles/EDP bits as a full
-   evaluation, no transfer/breakdown assembly. Only a candidate that
-   takes a slot is built as a [Mapping.t]. *)
+   evaluation, no transfer/breakdown assembly. *)
 let score st c =
   let c =
     match st.inject with
@@ -250,43 +256,28 @@ let score st c =
       None
     | Ok s ->
       let best = improves st.best s and alt = st.seeded > 0 && improves st.best_alt s in
-      (if best || alt then
-         match M.make st.w (Rows.to_levels st.w c) with
-         | Ok m -> adopt st ~best ~alt m s
-         | Error _ ->
-           (* unreachable: [Rows.valid] accepts exactly what [make] does *)
-           st.build_errors <- st.build_errors + 1);
+      if best || alt then adopt st ~best ~alt c s;
       Some s
   end
-
-(* [score] for a refinement move, which edits the incumbent's named
-   levels: [Mapping.make] validates it. *)
-let score_levels st levels =
-  match M.make st.w (Array.to_list levels) with
-  | Error _ -> st.build_errors <- st.build_errors + 1
-  | Ok m -> (
-    st.evaluated <- st.evaluated + 1;
-    match Model.score_ctx st.ctx m with
-    | Error _ -> st.eval_errors <- st.eval_errors + 1
-    | Ok s ->
-      adopt st ~best:(improves st.best s) ~alt:(st.seeded > 0 && improves st.best_alt s) m s)
 
 (* Install a transferred mapping (a rescaled neighbor from the cache) as
    the initial incumbent, so the very first alpha-beta tests already have a
    finite alpha. The seed comes from a *different* request's search, so a
    rejection here is the expected silent fallback, not a mapspace bug: it
    stays out of [build_errors]/[eval_errors] and the search proceeds from
-   scratch exactly as if no seed had been offered. *)
+   scratch exactly as if no seed had been offered. [Mapping.make]
+   validates the levels, which then join the search as rows. *)
 let install_seed st levels_list =
   match M.make st.w levels_list with
   | Error _ -> st.seed_rejected <- st.seed_rejected + 1
   | Ok m -> (
-    match Model.score_ctx st.ctx m with
+    let c = Rows.of_levels st.w m.M.levels in
+    match Model.score_rows st.ctx c with
     | Error _ -> st.seed_rejected <- st.seed_rejected + 1
     | Ok s ->
       st.seeded <- st.seeded + 1;
       st.seed_edp <- s.Model.s_edp;
-      adopt st ~best:(improves st.best s) ~alt:false m s;
+      adopt st ~best:(improves st.best s) ~alt:false c s;
       st.best_is_seed <- true)
 
 (* The grow dimensions of the Tiling / Unrolling Principles: the indexing
@@ -308,6 +299,17 @@ let row_of st g assignment =
       if j >= 0 then row.(j) <- f)
     assignment;
   row
+
+(* The maximal unrollings of grow list [g] over the fanout below [level]
+   ({!Unroll.candidates}), each with its row. *)
+let unrolls st ~level g ~remaining =
+  let out =
+    Unroll.candidates ~fanout:(A.level st.arch level).A.fanout ~dims:st.grows.(g) ~remaining
+      ~min_utilization:st.cfg.min_spatial_utilization ()
+  in
+  st.examined <- st.examined + out.Unroll.explored;
+  st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
+  List.map (fun a -> (a, row_of st g a)) out.Unroll.candidates
 
 (* [grows], [grow_pos] and [grow_of_op] of the search state: operands
    indexed by the same dims share one grow list, and so one memo entry. *)
@@ -621,7 +623,6 @@ let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
   (* a scope spans the extents left above [placed], which every search of
      this prefix's tiles divides *)
   let scope_for g = scopes placed g ~extent:remaining in
-  let fanout = (A.level st.arch k).A.fanout in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
      monotonicity the Tiling Principle exploits). The sort is stable, so
@@ -634,7 +635,6 @@ let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
       |> List.stable_sort (fun (va, _) (vb, _) -> Int.compare vb va)
       |> Listx.take max_keep |> List.map snd
   in
-  let with_rows g = List.map (fun a -> (a, row_of st g a)) in
   let tiles_for g ~remaining =
     let tiles =
       cap_frontier
@@ -642,16 +642,7 @@ let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
            ~remaining)
     in
     st.tile_candidates <- st.tile_candidates + List.length tiles;
-    with_rows g tiles
-  in
-  let unrolls_for g ~remaining =
-    let out =
-      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining
-        ~min_utilization:st.cfg.min_spatial_utilization ()
-    in
-    st.examined <- st.examined + out.Unroll.explored;
-    st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
-    with_rows g out.Unroll.candidates
+    List.map (fun a -> (a, row_of st g a)) tiles
   in
   let choices g =
     match st.cfg.intra with
@@ -659,14 +650,16 @@ let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
       List.concat_map
         (fun (tile_a, tile) ->
           let after_tile d = remaining d / Tile_tree.factor_of tile_a d in
-          List.map (fun (_, spatial) -> (tile, spatial)) (unrolls_for g ~remaining:after_tile))
+          List.map
+            (fun (_, spatial) -> (tile, spatial))
+            (unrolls st ~level:k g ~remaining:after_tile))
         (tiles_for g ~remaining)
     | Unrolling_first ->
       List.concat_map
         (fun (spatial_a, spatial) ->
           let rem d = remaining d / Tile_tree.factor_of spatial_a d in
           List.map (fun (_, tile) -> (tile, spatial)) (tiles_for g ~remaining:rem))
-        (unrolls_for g ~remaining)
+        (unrolls st ~level:k g ~remaining)
   in
   let groups = Array.make (Array.length st.grows) None in
   Array.iter
@@ -712,8 +705,7 @@ let add_prefix_candidates st b p groups =
    own group of the single prefix. *)
 let add_lane_candidates st b =
   let prefix = b.prefixes.(0) in
-  let fanout = (A.level st.arch 0).A.fanout in
-  if fanout <= 1 then begin
+  if (A.level st.arch 0).A.fanout <= 1 then begin
     reserve_groups b 1;
     add_group b 0 ~tile:[||] ~spatial:prefix.Rows.spatial.(0);
     reserve_candidates b 1;
@@ -723,15 +715,8 @@ let add_lane_candidates st b =
     let sets =
       List.map
         (fun (op : W.operand) ->
-          let g = grow_index st (Some op.W.name) in
-          let out =
-            Unroll.candidates ~fanout ~dims:st.grows.(g)
-              ~remaining:(fun d -> W.bound st.w d)
-              ~min_utilization:st.cfg.min_spatial_utilization ()
-          in
-          st.examined <- st.examined + out.Unroll.explored;
-          st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
-          List.map (row_of st g) out.Unroll.candidates)
+          List.map snd
+            (unrolls st ~level:0 (grow_index st (Some op.W.name)) ~remaining:(W.bound st.w)))
         st.w.W.operands
     in
     let n = List.fold_left (fun acc s -> acc + List.length s) 0 sets in
@@ -837,16 +822,12 @@ let compute_outcome st b v =
       b.v_outcome.(v) <- Scored
 
 (* A scored candidate takes the incumbent (or best-alternative) slot: its
-   own completion, since its verdict may be another member's, built as a
-   [Mapping.t]. Rare, so off the hot path. *)
+   own completion, since its verdict may be another member's. Rare, so off
+   the hot path. *)
 (* sunstone-cold *)
 let adopt_candidate st b ~best ~alt s =
   complete_into st b.load b.top_row;
-  match M.make st.w (Rows.to_levels st.w b.completed) with
-  | Ok m -> adopt st ~best ~alt m s
-  | Error _ ->
-    (* unreachable: [Rows.valid] accepts exactly what [make] does *)
-    st.build_errors <- st.build_errors + 1
+  adopt st ~best ~alt b.completed s
 
 (* Candidate [i] takes the outcome in verdict slot [v]: the counts and the
    incumbent update of scoring it, with the score a fresh computation
@@ -1028,7 +1009,6 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
   (* tiles grow every dim: grow list 0 *)
   let scope = scopes below 0 ~extent:below_of in
   let all_ones = Array.make (Array.length st.dim_array) 1 in
-  let fanout = (A.level st.arch k).A.fanout in
   let results = ref [] in
   let emit ~order ~spatial ~tile =
     st.examined <- st.examined + 1;
@@ -1044,16 +1024,8 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
       :: !results
   in
   let expand order op_choice =
-    let g = grow_index st op_choice in
-    let out_unroll =
-      Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below_of
-        ~min_utilization:st.cfg.min_spatial_utilization ()
-    in
-    st.examined <- st.examined + out_unroll.Unroll.explored;
-    st.unroll_candidates <- st.unroll_candidates + List.length out_unroll.Unroll.candidates;
     List.iter
-      (fun spatial_a ->
-        let spatial = row_of st g spatial_a in
+      (fun (spatial_a, spatial) ->
         let rem d = below_of d / Tile_tree.factor_of spatial_a d in
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
@@ -1062,7 +1034,7 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
         in
         st.tile_candidates <- st.tile_candidates + List.length tiles;
         List.iter (fun tile -> emit ~order ~spatial ~tile:(row_of st 0 tile)) tiles)
-      out_unroll.Unroll.candidates
+      (unrolls st ~level:k (grow_index st op_choice) ~remaining:below_of)
   in
   List.iter (fun (o, order) -> List.iter (expand order) (operand_choices o)) orders;
   !results
@@ -1070,25 +1042,16 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
 (* Split the innermost aggregate over the lane fanout at the end of a
    top-down walk. *)
 let lane_pass_split st (c : Rows.t) =
-  let fanout = (A.level st.arch 0).A.fanout in
-  if fanout <= 1 then [ c ]
+  if (A.level st.arch 0).A.fanout <= 1 then [ c ]
   else begin
     let results = ref [] in
     let below = c.Rows.temporal.(0) in
     let below_of d = below.(Probe.dim_index st.probe d) in
     List.iter
       (fun (op : W.operand) ->
-        let g = grow_index st (Some op.W.name) in
-        let out =
-          Unroll.candidates ~fanout ~dims:st.grows.(g) ~remaining:below_of
-            ~min_utilization:st.cfg.min_spatial_utilization ()
-        in
-        st.examined <- st.examined + out.Unroll.explored;
-        st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
         List.iter
-          (fun spatial_a ->
+          (fun (_, spatial) ->
             st.examined <- st.examined + 1;
-            let spatial = row_of st g spatial_a in
             let temporal = Array.mapi (fun j b -> b / spatial.(j)) below in
             results :=
               {
@@ -1097,7 +1060,7 @@ let lane_pass_split st (c : Rows.t) =
                 spatial = set c.Rows.spatial 0 spatial;
               }
               :: !results)
-          out.Unroll.candidates)
+          (unrolls st ~level:0 (grow_index st (Some op.W.name)) ~remaining:below_of))
       st.w.W.operands;
     !results
   end
@@ -1170,14 +1133,12 @@ let optimize_top_down st =
 let refine st =
   let nlevels = A.num_levels st.arch in
   let primes_of f = List.map fst (Sun_util.Factor.prime_factorization f) in
-  let factor assoc d = match List.assoc_opt d assoc with Some f -> f | None -> 1 in
-  let set assoc d f = (d, f) :: List.remove_assoc d assoc in
-  let try_improve levels =
+  let try_improve c =
     st.examined <- st.examined + 1;
-    score_levels st levels
+    ignore (score st c)
   in
   (* First-improvement hill-climb: every move is applied to the *current*
-     incumbent, which [score_levels] may have just replaced — the old round-start
+     incumbent, which [score] may have just replaced — the old round-start
      snapshot went stale the moment a move was accepted, and moves built
      from it both wasted evaluations on superseded neighborhoods and, when
      the snapshot's factor no longer divided the incumbent's, produced
@@ -1187,38 +1148,30 @@ let refine st =
      move whose source factor has since moved away instead of building a
      broken candidate: refine contributes zero build errors by
      construction. *)
-  let move_factor d p l l' =
+  let move_factor j p l l' =
     match st.best with
     | None -> ()
-    | Some (m, _) ->
-      let base = m.M.levels in
-      let src = factor base.(l).M.temporal d in
+    | Some (c, _) ->
+      let t = c.Rows.temporal in
+      let src = t.(l).(j) in
       if src > 1 && src mod p = 0 then begin
-        let levels = Array.copy base in
-        levels.(l) <- { (levels.(l)) with M.temporal = set levels.(l).M.temporal d (src / p) };
-        levels.(l') <-
-          { (levels.(l')) with
-            M.temporal = set levels.(l').M.temporal d (factor levels.(l').M.temporal d * p) };
-        try_improve levels
+        let temporal = set t l (set t.(l) j (src / p)) in
+        temporal.(l') <- set t.(l') j (t.(l').(j) * p);
+        try_improve { c with Rows.temporal }
       end
   in
   let swap_order l i =
     match st.best with
     | None -> ()
-    | Some (m, _) ->
-      let base = m.M.levels in
-      let ord = Array.of_list base.(l).M.order in
+    | Some (c, _) ->
+      let ord = c.Rows.order.(l) in
       if i + 1 < Array.length ord then begin
-        let ord' = Array.copy ord in
-        let tmp = ord'.(i) in
-        ord'.(i) <- ord'.(i + 1);
-        ord'.(i + 1) <- tmp;
-        let levels = Array.copy base in
-        levels.(l) <- { (levels.(l)) with M.order = Array.to_list ord' };
-        try_improve levels
+        let ord' = set ord i ord.(i + 1) in
+        ord'.(i + 1) <- ord.(i);
+        try_improve { c with Rows.order = set c.Rows.order l ord' }
       end
   in
-  let ndims = List.length st.dims in
+  let ndims = Array.length st.dim_array in
   let rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ && !rounds < 8 do
@@ -1226,19 +1179,18 @@ let refine st =
     let before = match st.best with Some (_, c) -> c.Model.s_edp | None -> infinity in
     (match st.best with
     | None -> ()
-    | Some (m, _) ->
-      let snapshot = m.M.levels in
+    | Some (c, _) ->
+      let snapshot = c.Rows.temporal in
       (* factor moves between temporal levels *)
       for l = 0 to nlevels - 1 do
-        List.iter
-          (fun d ->
-            List.iter
-              (fun p ->
-                for l' = 0 to nlevels - 1 do
-                  if l' <> l then move_factor d p l l'
-                done)
-              (primes_of (factor snapshot.(l).M.temporal d)))
-          st.dims
+        for j = 0 to ndims - 1 do
+          List.iter
+            (fun p ->
+              for l' = 0 to nlevels - 1 do
+                if l' <> l then move_factor j p l l'
+              done)
+            (primes_of snapshot.(l).(j))
+        done
       done;
       (* adjacent order swaps *)
       for l = 0 to nlevels - 1 do
@@ -1346,6 +1298,8 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
      seed-neighborhood mappings into [best_alt], which would
      overwrite the enumeration's best with a seed lookalike *)
   let enumerated_best = st.best_alt in
+  (* the injection hook belongs to the search passes *)
+  st.inject <- No_injection;
   if config.refine then refine st;
   (* A seed no enumerated candidate displaced still gets refined above, but
      hill-climbing from the seed alone can strand the result at the seed's
@@ -1355,29 +1309,33 @@ let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
      margin this is heuristic: a seeded result is usually, not always, at
      least as good as the same search without the seed. *)
   (match (seed_survived, st.best, enumerated_best) with
-  | true, Some (_, inc_s), Some (alt_m, alt_s)
+  | true, Some (_, inc_s), Some (alt_c, alt_s)
     when config.refine && alt_s.Model.s_edp <= inc_s.Model.s_edp *. 1.5 ->
     (* only when the enumeration's endpoint is competitive (within 50%)
        with the refined seed: a far-worse endpoint rarely refines past the
        seed, and spending the transferred savings on its hill-climb would
        cancel the very reduction the seed bought *)
     let incumbent = st.best in
-    st.best <- Some (alt_m, alt_s);
+    st.best <- Some (alt_c, alt_s);
     refine st;
     (match (incumbent, st.best) with
     | Some (_, s0), Some (_, s1) when s0.Model.s_edp < s1.Model.s_edp -> st.best <- incumbent
     | _ -> ())
   | _ -> ());
-  (* the search scored candidates on the allocation-free path; the single
-     full evaluation of the incumbent rebuilds transfers and breakdown
-     (bit-identical energy/cycles/EDP to its score) *)
+  (* the search scored candidates on the allocation-free path; the
+     incumbent is built as a [Mapping.t] once, and its single full
+     evaluation rebuilds transfers and breakdown (bit-identical
+     energy/cycles/EDP to its score) *)
   let final =
     match st.best with
     | None -> None
-    | Some (mapping, _) -> (
-      match Model.evaluate_ctx st.ctx mapping with
-      | Ok cost -> Some (mapping, cost)
-      | Error _ -> None)
+    | Some (c, _) -> (
+      match M.make st.w (Rows.to_levels st.w c) with
+      | Error _ -> None
+      | Ok mapping -> (
+        match Model.evaluate_ctx st.ctx mapping with
+        | Ok cost -> Some (mapping, cost)
+        | Error _ -> None))
   in
   let wall_seconds = Sun_util.Stopwatch.elapsed_s timer in
   flush_telemetry st wall_seconds;

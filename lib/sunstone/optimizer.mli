@@ -16,9 +16,11 @@
     indices: each (order, group) pair is loaded into one scratch row set
     to be bounded and scored, where a group is one prefix with one tile
     and unrolling choice, and the candidates of a group, which differ
-    only in a loop order no loop is under yet, share one verdict. A
-    [Mapping.t] is built only for the seed, each new incumbent,
-    refinement moves and the result.
+    only in a loop order no loop is under yet, share one verdict. The
+    incumbent, the post-search refinement's moves and a transferred seed
+    are rows too: [Mapping.make] validates only the incoming seed, and a
+    [Mapping.t] is built once per search, for the result, whose factor
+    lists follow the workload's dim order.
 
     Top-down (the Table VI ablation) runs the same per-level machinery from
     DRAM inward; because on-chip capacities are large, its per-pass frontier
@@ -57,14 +59,13 @@ type stats = {
       (** candidates breaking [Mapping.make]'s structural rules — 0 on a
           healthy mapspace; a nonzero count means a search pass emitted
           structurally broken levels, which used to be silently
-          indistinguishable from pruning. Search candidates are packed rows
-          checked by {!Sun_mapping.Mapping.Rows.valid}, which accepts
-          exactly what [Mapping.make] does; refinement moves go through
-          [Mapping.make] itself. *)
+          indistinguishable from pruning. Every candidate, refinement
+          moves included, is packed rows checked by
+          {!Sun_mapping.Mapping.Rows.valid}, which accepts exactly what
+          [Mapping.make] does. *)
   eval_errors : int;
-      (** structurally sound candidates the cost model rejected (capacity
-          or fanout): [Model.score_rows], or [Model.score_ctx] for
-          refinement moves *)
+      (** structurally sound candidates [Model.score_rows] rejected
+          (capacity or fanout) *)
   tile_fit_tests : int;
       (** calls of the tile-fit test across every tile-frontier search:
           the buffer-capacity checks {!Tile_tree.search} could not settle

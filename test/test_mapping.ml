@@ -398,7 +398,10 @@ let qcheck_props =
       (fun (w, r) ->
         let bounds = Array.of_list (List.map snd w.W.dims) in
         match M.make w (M.Rows.to_levels w r) with
-        | Ok _ -> M.Rows.valid ~bounds r || Test.fail_report "row check rejects; make accepts"
+        | Ok m ->
+          (M.Rows.valid ~bounds r || Test.fail_report "row check rejects; make accepts")
+          && (M.Rows.of_levels w m.M.levels = r
+             || Test.fail_report "of_levels does not invert to_levels")
         | Error e ->
           (not (M.Rows.valid ~bounds r))
           || Test.fail_reportf "row check accepts; make rejects: %s" e);

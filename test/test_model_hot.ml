@@ -149,28 +149,11 @@ let test_gid_order () =
     [ ("L1", 0); ("L2", 1); ("DRAM", 2) ]
     (Array.to_list (Model.partitions (Model.context w P.conventional)))
 
-(* A mapping's levels packed by dim position, the optimizer's candidate
-   form. *)
-let to_rows w (m : M.t) =
-  let dims = Array.of_list (W.dim_names w) in
-  let pos = M.dim_position dims 0 in
-  let row assoc =
-    let r = Array.make (Array.length dims) 1 in
-    List.iter (fun (d, f) -> r.(pos d) <- f) assoc;
-    r
-  in
-  let per_level f = Array.map f m.M.levels in
-  {
-    M.Rows.temporal = per_level (fun lm -> row lm.M.temporal);
-    spatial = per_level (fun lm -> row lm.M.spatial);
-    order = per_level (fun lm -> Array.of_list (List.map pos lm.M.order));
-  }
-
 (* The row entry points against the named-level ones on the same
    mapping: bit-identical score triples or the same error string, and
    bit-identical bounds at every [fixed_levels]. *)
 let compare_rows what w (arch : A.t) ctx m =
-  let rows = to_rows w m in
+  let rows = M.Rows.of_levels w m.M.levels in
   (match (Model.score_ctx ctx m, Model.score_rows ctx rows) with
   | Ok s, Ok s' ->
     (* both calls return the same context-owned record: copy the first *)
@@ -318,7 +301,7 @@ let test_gc_rows_zero_alloc () =
       in
       List.iter
         (fun (mname, m) ->
-          let rows = to_rows w m in
+          let rows = M.Rows.of_levels w m.M.levels in
           if Model.validate_ctx ctx m = Ok () then begin
             let score () =
               match Model.score_rows ctx rows with Ok _ -> () | Error e -> Alcotest.fail e

@@ -368,6 +368,39 @@ let test_optimizer_seeded () =
     Alcotest.(check int) "evaluated identical to unseeded" unseeded.Opt.stats.Opt.evaluated
       r.Opt.stats.Opt.evaluated
 
+(* A returned mapping lists every level's factors in workload dim order,
+   however the search reached it: resnet18/conv1 on simba, where
+   refinement accepts a move, and an unrefined conv1d search seeded with
+   the refined winner, factor lists reversed, which no enumerated
+   candidate displaces. *)
+let test_factors_in_workload_order () =
+  let optimize ?config ?seed w arch =
+    match Opt.optimize ?config ?seed w arch with Ok r -> r | Error msg -> Alcotest.fail msg
+  in
+  let check name w (r : Opt.result) =
+    let dims = W.dim_names w in
+    Array.iteri
+      (fun l (lm : M.level_mapping) ->
+        let what kind = Printf.sprintf "%s: level %d %s factors" name l kind in
+        Alcotest.(check (list string)) (what "temporal") dims (List.map fst lm.M.temporal);
+        Alcotest.(check (list string)) (what "spatial") dims (List.map fst lm.M.spatial))
+      r.Opt.mapping.M.levels
+  in
+  let conv1 =
+    match Sun_serve.Registry.find_workload "resnet18/conv1" with
+    | Ok w -> w
+    | Error msg -> Alcotest.fail msg
+  in
+  check "resnet18/conv1" conv1 (optimize conv1 P.simba_like);
+  let seed =
+    List.map
+      (fun (lm : M.level_mapping) ->
+        { lm with M.temporal = List.rev lm.M.temporal; spatial = List.rev lm.M.spatial })
+      (Array.to_list (optimize conv1d toy).Opt.mapping.M.levels)
+  in
+  check "seeded conv1d" conv1d
+    (optimize ~config:{ Opt.default_config with Opt.refine = false } ~seed conv1d toy)
+
 (* Alpha-beta fires on a cold search: the admissible prefix bounds cut
    hundreds of ResNet-18 conv3_x prefixes without changing the winner —
    the EDP bits are the ones the unpruned beam found. *)
@@ -679,6 +712,7 @@ let () =
           Alcotest.test_case "conv on simba" `Quick test_optimizer_simba;
           Alcotest.test_case "non-DNN workloads" `Quick test_optimizer_non_dnn;
           Alcotest.test_case "seeded search" `Quick test_optimizer_seeded;
+          Alcotest.test_case "factors in workload order" `Quick test_factors_in_workload_order;
           Alcotest.test_case "cold alpha-beta prunes" `Quick test_cold_alpha_beta_prunes;
           Alcotest.test_case "refine produces no build errors" `Quick test_refine_no_build_errors;
           Alcotest.test_case "top-down variant" `Quick test_top_down_works;
