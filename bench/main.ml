@@ -138,136 +138,6 @@ let serve_bench () =
     [ 1; 2; 4 ];
   Sys.remove reqs_path
 
-(* Daemon latency: fork a `serve` daemon on a Unix socket, then drive it
-   closed-loop (one request in flight) through three replays of the same
-   resnet18-on-toy catalog. Round 1 pays for the searches; rounds 2-3 must
-   be cache-dominated, so per-request latency percentiles collapse and the
-   hit rate climbs. Persists per-round p50/p95/p99 and hit rates to
-   BENCH_serve.json and exits non-zero if the warm rounds fail to go
-   fully cache-resident. *)
-let serve_daemon_bench () =
-  let module Json = Sun_serve.Json in
-  let module Server = Sun_serve.Server in
-  let requests =
-    List.map
-      (fun name -> Printf.sprintf {|{"v":1,"workload":%S,"arch":"toy"}|} name)
-      (List.filter
-         (fun n -> String.length n > 9 && String.sub n 0 9 = "resnet18/")
-         (List.map fst (Sun_serve.Registry.workloads ())))
-  in
-  let tmp_base = Filename.temp_file "sunstone_daemon" "" in
-  Sys.remove tmp_base;
-  Unix.mkdir tmp_base 0o755;
-  let sock_path = Filename.concat tmp_base "sunstone.sock" in
-  let addr = Server.Unix_socket sock_path in
-  let listen_fd =
-    match Server.listener addr with
-    | Ok fd -> fd
-    | Error msg ->
-      Printf.eprintf "serve-daemon: cannot listen: %s\n" msg;
-      exit 2
-  in
-  let child = Unix.fork () in
-  if child = 0 then begin
-    (* daemon process: fresh disk cache, two workers, drain on SIGTERM *)
-    let drain = ref false in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
-    let cache = Sun_serve.Cache.create ~dir:(Filename.concat tmp_base "cache") () in
-    ignore (Server.serve ~cache ~jobs:2 ~drain_flag:drain ~listen_fd ());
-    Unix._exit 0
-  end;
-  Unix.close listen_fd;
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-  in
-  let round _i =
-    match Server.connect addr with
-    | Error msg ->
-      Printf.eprintf "serve-daemon: cannot connect: %s\n" msg;
-      exit 2
-    | Ok fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let latencies =
-        List.map
-          (fun req ->
-            let t0 = Sun_util.Stopwatch.monotonic_now () in
-            output_string oc (req ^ "\n");
-            flush oc;
-            let resp = input_line ic in
-            let dt = Sun_util.Stopwatch.monotonic_now () -. t0 in
-            let hit =
-              match Json.of_string resp with
-              | Ok j -> Json.member "status" j = Some (Json.String "hit")
-              | Error _ -> false
-            in
-            (dt, hit))
-          requests
-      in
-      close_out_noerr oc;
-      (try close_in ic with Sys_error _ -> ());
-      let sorted = Array.of_list (List.map fst latencies) in
-      Array.sort compare sorted;
-      let hits = List.length (List.filter snd latencies) in
-      let n = List.length latencies in
-      let hit_rate = if n = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int n in
-      ( 1e3 *. percentile sorted 0.50,
-        1e3 *. percentile sorted 0.95,
-        1e3 *. percentile sorted 0.99,
-        hit_rate )
-  in
-  (* wait until the daemon accepts (the listener already exists, so one
-     connect attempt is normally enough) *)
-  Printf.printf "serve-daemon: %d requests/round on %s, 3 rounds\n%!" (List.length requests)
-    sock_path;
-  let rounds = List.map round [ 1; 2; 3 ] in
-  List.iteri
-    (fun i (p50, p95, p99, rate) ->
-      Printf.printf "  round %d: p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  hit rate %5.1f%%\n%!"
-        (i + 1) p50 p95 p99 rate)
-    rounds;
-  Unix.kill child Sys.sigterm;
-  let _, status = Unix.waitpid [] child in
-  let drained = status = Unix.WEXITED 0 in
-  let rates = List.map (fun (_, _, _, r) -> r) rounds in
-  let cold_rate = List.nth rates 0 in
-  let warm_rates = List.tl rates in
-  let pass = drained && List.for_all (fun r -> r >= 99.0 && r > cold_rate) warm_rates in
-  Printf.printf "  drain: %s; hit rate %s\n%!"
-    (if drained then "clean (exit 0)" else "FAILED")
-    (if List.for_all (fun r -> r > cold_rate) warm_rates then "climbs" else "DOES NOT CLIMB");
-  let out = "BENCH_serve.json" in
-  let oc = open_out out in
-  output_string oc
-    (Json.to_string_pretty
-       (Json.Obj
-          [
-            ( "serve_daemon",
-              Json.Obj
-                [
-                  ("requests_per_round", Json.Int (List.length requests));
-                  ( "rounds",
-                    Json.List
-                      (List.map
-                         (fun (p50, p95, p99, rate) ->
-                           Json.Obj
-                             [
-                               ("p50_ms", Json.Float p50);
-                               ("p95_ms", Json.Float p95);
-                               ("p99_ms", Json.Float p99);
-                               ("hit_rate_pct", Json.Float rate);
-                             ])
-                         rounds) );
-                  ("drained_clean", Json.Bool drained);
-                  ("pass", Json.Bool pass);
-                ] );
-          ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "serve-daemon: wrote %s\n" out;
-  if not pass then exit 1
-
 (* Auditor scaling: time Audit.check_kernels over growing prefixes of the
    bundled kernel family and persist the curve (plus the per-kernel
    exhaustive-enumeration sizes that drive it) to BENCH_audit.json, so the
@@ -521,7 +391,7 @@ let transfer_bench () =
       (fun (n, w) (_, (_, _, _, m)) ->
         Cache.store cache n
           (Json.Obj
-             (("mapping", Codec.encode_mapping m) :: Transfer.family_fields ~config w arch)))
+             (("mapping", Codec.encode_mapping m) :: Transfer.stored_fields ~config w arch)))
       layers cold;
     let warm =
       List.map
@@ -621,7 +491,6 @@ let () =
   match args with
   | [ "micro" ] -> micro_suite ()
   | [ "serve" ] -> serve_bench ()
-  | [ "serve-daemon" ] -> serve_daemon_bench ()
   | [ "audit" ] -> audit_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
@@ -633,7 +502,7 @@ let () =
         | Some driver -> run_experiment name driver
         | None ->
           Printf.eprintf
-            "unknown experiment %S; known: %s, 'micro', 'serve', 'serve-daemon', 'audit', \
+            "unknown experiment %S; known: %s, 'micro', 'serve', 'audit', \
              'evaluate' or 'transfer'\n"
             name
             (String.concat ", " known);

@@ -233,8 +233,8 @@ let batch_cmd =
   in
   let jobs_arg =
     let doc =
-      "Schedule cache misses on $(docv) forked worker processes. Responses keep input order and \
-       are identical to a sequential run (up to wall_s); 1 (the default) stays fully in-process."
+      "Compute cache misses on $(docv) forked worker processes. Responses keep input order and \
+       are identical at every $(docv) (up to wall_s)."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in

@@ -169,8 +169,8 @@ let reap t w =
   t.workers <- List.filter (fun w' -> w'.pid <> w.pid) t.workers
 
 (* Parent-side pool accounting ([parpool.*] namespace). Deliberately not
-   part of the jobs-1-vs-jobs-N counter-parity surface: a sequential run
-   has no pool at all, so these counters only exist in parallel runs. *)
+   part of the jobs-1-vs-jobs-N counter-parity surface: the per-worker
+   counters, and respawns under a crash, depend on the worker count. *)
 let tally_dispatch w =
   if Tel.enabled () then begin
     Tel.count "parpool.dispatched" 1;
@@ -292,39 +292,4 @@ let shutdown t =
         try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error (_, _, _) -> ())
       t.workers;
     t.workers <- []
-  end
-
-(* ------------------------------------------------------------------ *)
-(* map                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let map ~jobs ~f xs =
-  if jobs <= 1 then
-    (* graceful degradation: same reply surface, no processes involved *)
-    List.map
-      (fun x ->
-        match f x with b -> Done b | exception e -> Failed (Printexc.to_string e))
-      xs
-  else begin
-    let t = create ~jobs ~f () in
-    let n = List.length xs in
-    let results = Array.make n None in
-    Fun.protect
-      ~finally:(fun () -> shutdown t)
-      (fun () ->
-        let remaining = ref xs in
-        let key = ref 0 in
-        let collected = ref 0 in
-        while !collected < n do
-          match !remaining with
-          | x :: rest when idle t > 0 ->
-            submit t ~key:!key x;
-            incr key;
-            remaining := rest
-          | _ ->
-            let k, r = next t in
-            results.(k) <- Some r;
-            incr collected
-        done);
-    Array.to_list (Array.map (function Some r -> r | None -> Crashed) results)
   end

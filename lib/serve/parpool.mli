@@ -42,8 +42,8 @@ type 'b reply =
 
 val create : ?on_child_fork:(unit -> unit) -> jobs:int -> f:('a -> 'b) -> unit -> ('a, 'b) t
 (** [create ~jobs ~f ()] forks [jobs] workers each looping [f] over framed
-    jobs. [jobs] must be at least 1 ([Invalid_argument] otherwise); for
-    in-process execution use {!map} with [jobs <= 1] instead.
+    jobs. [jobs] must be at least 1 ([Invalid_argument] otherwise): every
+    job runs in a forked worker, never in the calling process.
 
     [?on_child_fork] runs inside {e every} freshly forked worker — the
     initial [jobs] and every respawn after a crash — before the job loop
@@ -88,10 +88,3 @@ val busy_fds : ('a, 'b) t -> Unix.file_descr list
 val shutdown : ('a, 'b) t -> unit
 (** Terminates and reaps every worker (idempotent). In-flight jobs are
     abandoned. *)
-
-val map : jobs:int -> f:('a -> 'b) -> 'a list -> 'b reply list
-(** [map ~jobs ~f xs] applies [f] to every element, preserving order.
-    With [jobs <= 1] this degrades gracefully to the in-process path — no
-    fork, no pipes, exceptions still reported as {!Failed} — so callers
-    can expose a [--jobs] knob whose [1] setting has zero new moving
-    parts. With [jobs >= 2] a temporary pool is created and shut down. *)

@@ -99,10 +99,11 @@ let result_response ~id ~status ~fingerprint ~workload_name ~arch_name ~mapping_
 (* The two phases of a request                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A usable cached document decodes into a valid mapping and cost for this
-   workload; anything else (truncated write survivors, schema drift) is a
-   miss. *)
+(* A usable cached document was computed by this version of the search and
+   decodes into a valid mapping and cost for this workload; anything else
+   (an older search, truncated write survivors, schema drift) is a miss. *)
 let decode_cached w doc =
+  let* () = if Transfer.current doc then Ok () else Error "stale search version" in
   let* mapping_json = Json.field "mapping" doc in
   let* cost_json = Json.field "cost" doc in
   let* (_ : Sun_mapping.Mapping.t) = Codec.decode_mapping w mapping_json in
@@ -165,66 +166,9 @@ let parse_request ~config:base ~index line =
            eval_mapping = Json.member "mapping" json;
          })
 
-(* Phase 1 (always run in the parent, which is the only cache user): decide
-   whether a request is already answerable — malformed, statically rejected,
-   or a cache hit — or needs compute. [in_flight] lets the parallel driver
-   defer a search whose fingerprint is already being computed *before* the
-   cache is consulted, so cache counters match the sequential run exactly. *)
-type classified =
-  | Final of outcome * Json.t * float  (** response ready; per-request wall seconds *)
-  | Deferred of string  (** same fingerprint already dispatched; retry after it lands *)
-  | Dispatch of {
-      fp : string option;  (** [Some fp] = cacheable search *)
-      seed : Sun_mapping.Mapping.level_mapping list option;
-          (** transferred nearest-neighbor mapping for the optimizer *)
-    }
-
-let classify ?cache ?(in_flight = fun _ -> false) ~config ~index line =
-  let timer = Sun_util.Stopwatch.start () in
-  let line_no = index + 1 in
-  match parse_request ~config ~index line with
-  | Error (id, msg, diagnostics) ->
-    Final
-      ( Failed,
-        error_response ~diagnostics ~line:line_no ~id msg,
-        Sun_util.Stopwatch.elapsed_s timer )
-  | Ok p -> (
-    match p.eval_mapping with
-    | Some _ ->
-      Dispatch { fp = None; seed = None } (* evaluations never touch the cache *)
-    | None -> (
-      match cache with
-      | None ->
-        Dispatch { fp = None; seed = None } (* caching disabled: every search computes *)
-      | Some c ->
-        if in_flight p.fingerprint then Deferred p.fingerprint
-        else (
-          let cached =
-            match Tel.span "serve.cache_s" (fun () -> Cache.find c p.fingerprint) with
-            | None -> None
-            | Some doc -> (
-              match decode_cached p.w doc with Ok hit -> Some hit | Error _ -> None)
-          in
-          match cached with
-          | Some (mapping_json, cost_json, cost) ->
-            Final
-              ( Hit,
-                result_response ~id:p.id ~status:"hit" ~fingerprint:p.fingerprint
-                  ~workload_name:p.workload_name ~arch_name:p.arch_name ~mapping_json ~cost_json
-                  ~cost ~wall_s:(Sun_util.Stopwatch.elapsed_s timer),
-                Sun_util.Stopwatch.elapsed_s timer )
-          | None ->
-            (* miss: try to warm-start from the nearest cached family
-               member (parent-side — workers never see the cache) *)
-            Dispatch
-              {
-                fp = Some p.fingerprint;
-                seed = Transfer.find_seed ~cache:c ~config:p.config p.w p.a;
-              })))
-
-(* Phase 2 (worker side, or inline when [jobs <= 1]): the actual search or
-   evaluation. Never consults the cache; instead returns the document the
-   parent should store, keeping the parent the single cache writer. *)
+(* The worker side of a request: the actual search or evaluation. Never
+   consults the cache; instead returns the document the parent should
+   store, keeping the parent the single cache writer. *)
 let compute ?seed ~config ~index line =
   let timer = Sun_util.Stopwatch.start () in
   let line_no = index + 1 in
@@ -293,11 +237,13 @@ let compute ?seed ~config ~index line =
           let mapping_json = Codec.encode_mapping r.Opt.mapping in
           let cost_json = Codec.encode_cost r.Opt.cost in
           let doc =
-            (* family/bounds/sdims make the stored document self-describing
-               for the cache's shape-family index ({!Transfer}) *)
+            (* the search version keeps other searches' answers out of hits
+               and seeds; family/bounds/sdims make the stored document
+               self-describing for the cache's shape-family index
+               ({!Transfer}) *)
             Json.Obj
               ([ ("v", Json.Int Codec.version); ("mapping", mapping_json); ("cost", cost_json) ]
-              @ Transfer.family_fields ~config:p.config p.w p.a)
+              @ Transfer.stored_fields ~config:p.config p.w p.a)
           in
           Ok
             ( Computed,
@@ -307,7 +253,7 @@ let compute ?seed ~config ~index line =
               Some (p.fingerprint, doc) )))
 
 (* ------------------------------------------------------------------ *)
-(* Shared bookkeeping                                                   *)
+(* Outcome counters                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type counters = {
@@ -324,14 +270,19 @@ let fresh_counters () =
   { c_requests = 0; c_hits = 0; c_computed = 0; c_errors = 0; c_hit_s = 0.; c_computed_s = 0.;
     c_error_s = 0. }
 
-(* Outcome counters are tallied here, in the parent, for sequential and
-   parallel runs alike — one of the invariants behind the jobs-1-vs-jobs-N
-   counter parity the tests and ci.sh enforce. *)
+(* Outcome counters are tallied in the parent by both pool drivers — one of
+   the invariants behind the jobs-1-vs-jobs-N counter parity the tests and
+   ci.sh enforce. *)
+let tally outcome =
+  Tel.count
+    (match outcome with
+    | Hit -> "serve.hits"
+    | Computed -> "serve.computed"
+    | Failed -> "serve.errors")
+    1
+
 let count cnt outcome wall =
-  (match outcome with
-  | Hit -> Tel.count "serve.hits" 1
-  | Computed -> Tel.count "serve.computed" 1
-  | Failed -> Tel.count "serve.errors" 1);
+  tally outcome;
   match outcome with
   | Hit ->
     cnt.c_hits <- cnt.c_hits + 1;
@@ -343,56 +294,11 @@ let count cnt outcome wall =
     cnt.c_errors <- cnt.c_errors + 1;
     cnt.c_error_s <- cnt.c_error_s +. wall
 
-let store_if ?cache = function
-  | Some (key, doc) -> (
-    match cache with
-    | Some c ->
-      Tel.count "serve.cache_stores" 1;
-      Cache.store c key doc
-    | None -> ())
-  | None -> ()
-
 (* ------------------------------------------------------------------ *)
-(* Sequential driver (jobs <= 1)                                        *)
+(* Worker side                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_sequential ?cache ~config cnt ic oc =
-  let index = ref 0 in
-  try
-    while true do
-      let line = input_line ic in
-      incr index;
-      if String.trim line <> "" then begin
-        cnt.c_requests <- cnt.c_requests + 1;
-        Tel.count "serve.requests" 1;
-        let idx = !index - 1 in
-        let outcome, response, wall =
-          match classify ?cache ~config ~index:idx line with
-          | Final (outcome, response, wall) -> (outcome, response, wall)
-          | Deferred _ ->
-            (* unreachable sequentially (no in_flight), but compute is the
-               right fallback either way *)
-            let outcome, response, store, wall = compute ~config ~index:idx line in
-            store_if ?cache store;
-            (outcome, response, wall)
-          | Dispatch { seed; _ } ->
-            let outcome, response, store, wall = compute ?seed ~config ~index:idx line in
-            store_if ?cache store;
-            (outcome, response, wall)
-        in
-        count cnt outcome wall;
-        output_string oc (Json.to_string response);
-        output_char oc '\n'
-      end
-    done
-  with End_of_file -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel driver (jobs >= 2)                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Test-only crash hooks, honored exclusively on the worker side so the
-   sequential path has zero extra moving parts: a request carrying
+(* Test-only crash hooks, honored on the worker side: a request carrying
    ["x-sunstone-test-crash": true] kills its worker mid-job (both the first
    attempt and the pool's retry, so the request surfaces as an error);
    ["x-sunstone-test-crash-once": PATH] kills the worker only while PATH
@@ -420,150 +326,211 @@ let crash_error_response ~index ~line msg =
   in
   error_response ~line:(index + 1) ~id msg
 
-(* The worker-side job function, shared by the batch driver below and the
-   serving daemon ({!Server}). Each worker resets its (copy-on-write
+type work = int * string * Sun_mapping.Mapping.level_mapping list option
+
+type work_reply =
+  outcome * string * (string * Json.t) option * float * Tel.snapshot option
+
+(* The Parpool job function. Each worker resets its (copy-on-write
    inherited) telemetry registry before the job and ships a snapshot back
    with the result; the parent merges it on receipt. A crashed attempt's
    counts die with the process, so a retried job is counted exactly once —
-   keeping jobs-N totals equal to jobs-1. *)
-let worker ~config (index, line, seed) =
+   keeping totals independent of the worker count. *)
+let worker ~config ((index, line, seed) : work) : work_reply =
   worker_crash_hooks line;
   if Tel.enabled () then Tel.reset ();
   let outcome, response, store, wall = compute ?seed ~config ~index line in
   let tel = if Tel.enabled () then Some (Tel.snapshot ()) else None in
   (outcome, Json.to_string response, store, wall, tel)
 
-let run_parallel ?cache ~config ~jobs cnt ic oc =
-  let pool = Parpool.create ~jobs ~f:(worker ~config) () in
-  Fun.protect ~finally:(fun () -> Parpool.shutdown pool) @@ fun () ->
-  let index = ref 0 in
-  let next_seq = ref 0 in
-  let emit_next = ref 0 in
-  let out_buf : (int, string) Hashtbl.t = Hashtbl.create 64 in
-  (* fingerprints with a search in flight, and the requests waiting on them *)
-  let in_flight_fp : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let deferred : (string, (int * int * string) Queue.t) Hashtbl.t = Hashtbl.create 16 in
-  (* seq -> (index, line, fingerprint) for crash reporting and release *)
-  let dispatched : (int, int * string * string option) Hashtbl.t = Hashtbl.create 16 in
-  let todo : (int * int * string) Queue.t = Queue.create () in
-  let eof = ref false in
-  (* Responses leave strictly in input order, whatever order workers finish. *)
-  let flush_ready () =
-    let continue = ref true in
-    while !continue do
-      match Hashtbl.find_opt out_buf !emit_next with
-      | Some s ->
-        output_string oc s;
-        output_char oc '\n';
-        Hashtbl.remove out_buf !emit_next;
-        incr emit_next
-      | None -> continue := false
-    done
+(* ------------------------------------------------------------------ *)
+(* Routing core, shared by the batch driver and the daemon              *)
+(* ------------------------------------------------------------------ *)
+
+type 'a job = {
+  key : int;
+  index : int;
+  line : string;
+  slot : 'a;
+  mutable fp : string option;
+  mutable seed : Sun_mapping.Mapping.level_mapping list option;
+}
+
+type 'a router = {
+  cache : Cache.t option;
+  config : Opt.config;
+  pool : (work, work_reply) Parpool.t;
+  parked : (string, 'a job Queue.t) Hashtbl.t;
+      (* fingerprint in flight -> the duplicates parked behind it *)
+  dispatched : (int, 'a job) Hashtbl.t;  (* pool key -> job *)
+  answer : 'a job -> outcome -> string -> float -> unit;
+  ready : 'a job -> unit;
+}
+
+let router ?cache ?on_child_fork ~config ~jobs ~answer ~ready () =
+  {
+    cache;
+    config;
+    pool = Parpool.create ?on_child_fork ~jobs ~f:(worker ~config) ();
+    parked = Hashtbl.create 16;
+    dispatched = Hashtbl.create 16;
+    answer;
+    ready;
+  }
+
+let pool r = r.pool
+
+let job ~key ~index ~line slot = { key; index; line; slot; fp = None; seed = None }
+
+(* The parent side of a request (the parent is the only cache user): answer
+   it when no compute is needed — malformed, statically rejected or a cache
+   hit — else park it behind the job computing its fingerprint, or claim
+   the fingerprint and hand it to the driver's ready queue. The in-flight
+   check comes before the cache lookup, so cache counters do not depend on
+   the worker count. *)
+let rec route r job =
+  let timer = Sun_util.Stopwatch.start () in
+  let dispatch fp seed =
+    Option.iter (fun fp -> Hashtbl.replace r.parked fp (Queue.create ())) fp;
+    job.fp <- fp;
+    job.seed <- seed;
+    r.ready job
   in
-  let finish seq outcome response wall =
-    count cnt outcome wall;
-    Hashtbl.replace out_buf seq response;
-    flush_ready ()
-  in
-  let read_next () =
-    if !eof then None
-    else
-      let rec go () =
-        match input_line ic with
-        | exception End_of_file ->
-          eof := true;
-          None
-        | line ->
-          incr index;
-          if String.trim line = "" then go ()
-          else begin
-            cnt.c_requests <- cnt.c_requests + 1;
-            Tel.count "serve.requests" 1;
-            let seq = !next_seq in
-            incr next_seq;
-            Some (seq, !index - 1, line)
-          end
-      in
-      go ()
-  in
-  let process (seq, idx, line) =
-    match classify ?cache ~in_flight:(Hashtbl.mem in_flight_fp) ~config ~index:idx line with
-    | Final (outcome, response, wall) -> finish seq outcome (Json.to_string response) wall
-    | Deferred fp ->
-      let q =
-        match Hashtbl.find_opt deferred fp with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.replace deferred fp q;
-          q
-      in
-      Queue.add (seq, idx, line) q
-    | Dispatch { fp; seed } ->
-      (match fp with Some fp -> Hashtbl.replace in_flight_fp fp () | None -> ());
-      Hashtbl.replace dispatched seq (idx, line, fp);
-      Parpool.submit pool ~key:seq (idx, line, seed)
-  in
-  (* When a search lands, everything deferred on its fingerprint gets
-     re-classified: normally a cache hit now, or a fresh dispatch if the
-     owner failed to produce a storable mapping. *)
-  let release fp =
-    Hashtbl.remove in_flight_fp fp;
-    match Hashtbl.find_opt deferred fp with
-    | None -> ()
-    | Some q ->
-      Hashtbl.remove deferred fp;
-      Queue.iter (fun item -> Queue.add item todo) q
-  in
-  let on_completion (seq, reply) =
-    match Hashtbl.find_opt dispatched seq with
-    | None -> () (* unreachable: every submitted key is in [dispatched] *)
-    | Some (idx, line, fp) ->
-      Hashtbl.remove dispatched seq;
-      (match reply with
-      | Parpool.Done (outcome, response, store, wall, tel) ->
-        (match tel with Some s -> Tel.merge s | None -> ());
-        store_if ?cache store;
-        finish seq outcome response wall
-      | Parpool.Failed msg ->
-        finish seq Failed
-          (Json.to_string (crash_error_response ~index:idx ~line ("worker error: " ^ msg)))
-          0.
-      | Parpool.Crashed ->
-        finish seq Failed
-          (Json.to_string (crash_error_response ~index:idx ~line "worker crashed"))
-          0.);
-      match fp with Some fp -> release fp | None -> ()
-  in
-  let rec drive () =
-    let want_more = ref true in
-    while !want_more && Parpool.idle pool > 0 do
-      match Queue.take_opt todo with
-      | Some item -> process item
+  match parse_request ~config:r.config ~index:job.index job.line with
+  | Error (id, msg, diagnostics) ->
+    r.answer job Failed
+      (Json.to_string (error_response ~diagnostics ~line:(job.index + 1) ~id msg))
+      (Sun_util.Stopwatch.elapsed_s timer)
+  | Ok p -> (
+    match (p.eval_mapping, r.cache) with
+    | Some _, _ | None, None ->
+      (* evaluations never touch the cache; without one every search computes *)
+      dispatch None None
+    | None, Some c -> (
+      match Hashtbl.find_opt r.parked p.fingerprint with
+      | Some parked -> Queue.add job parked
       | None -> (
-        match read_next () with
-        | Some item -> process item
-        | None -> want_more := false)
-    done;
-    if Parpool.pending pool > 0 then begin
-      on_completion (Parpool.next pool);
-      drive ()
-    end
-    (* pending = 0 implies the fill loop drained [todo] and the input, and
-       released every deferred request, so the batch is complete *)
-  in
-  drive ()
+        let cached =
+          match Tel.span "serve.cache_s" (fun () -> Cache.find c p.fingerprint) with
+          | None -> None
+          | Some doc -> Result.to_option (decode_cached p.w doc)
+        in
+        match cached with
+        | Some (mapping_json, cost_json, cost) ->
+          let wall_s = Sun_util.Stopwatch.elapsed_s timer in
+          r.answer job Hit
+            (Json.to_string
+               (result_response ~id:p.id ~status:"hit" ~fingerprint:p.fingerprint
+                  ~workload_name:p.workload_name ~arch_name:p.arch_name ~mapping_json
+                  ~cost_json ~cost ~wall_s))
+            wall_s
+        | None ->
+          (* miss: try to warm-start from the nearest cached family member
+             (parent-side — workers never see the cache) *)
+          dispatch (Some p.fingerprint)
+            (Transfer.find_seed ~cache:c ~config:p.config p.w p.a))))
+
+(* A fingerprint landed (stored, failed, expired or dropped): everything
+   parked on it is routed again — normally a cache hit now, or a fresh
+   dispatch when the owner produced nothing storable. *)
+and release r job =
+  match job.fp with
+  | None -> ()
+  | Some fp -> (
+    job.fp <- None;
+    match Hashtbl.find_opt r.parked fp with
+    | None -> ()
+    | Some parked ->
+      Hashtbl.remove r.parked fp;
+      Queue.iter (route r) parked)
+
+let submit r job =
+  Hashtbl.replace r.dispatched job.key job;
+  Parpool.submit r.pool ~key:job.key (job.index, job.line, job.seed)
+
+let complete r (key, reply) =
+  match Hashtbl.find_opt r.dispatched key with
+  | None -> ()
+  | Some job ->
+    Hashtbl.remove r.dispatched key;
+    let failed msg = Json.to_string (crash_error_response ~index:job.index ~line:job.line msg) in
+    let outcome, response, wall =
+      match reply with
+      | Parpool.Done (outcome, response, store, wall, tel) ->
+        Option.iter Tel.merge tel;
+        (match (r.cache, store) with
+        | Some c, Some (key, doc) ->
+          Tel.count "serve.cache_stores" 1;
+          Cache.store c key doc
+        | _ -> ());
+        (outcome, response, wall)
+      | Parpool.Failed msg -> (Failed, failed ("worker error: " ^ msg), 0.)
+      | Parpool.Crashed -> (Failed, failed "worker crashed", 0.)
+    in
+    r.answer job outcome response wall;
+    release r job
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                         *)
+(* The batch driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Computes on the worker pool at every [jobs]. Lines are read only while a
+   worker is idle and nothing classified waits for one, so with one worker
+   each request is classified after every earlier one has landed: the cache
+   hits and transfer seeds are those of a one-at-a-time run. *)
 let run_channels ?cache ?(config = Opt.default_config) ?(jobs = 1) ic oc =
   let timer = Sun_util.Stopwatch.start () in
   let jobs = max 1 jobs in
   let cnt = fresh_counters () in
-  if jobs <= 1 then run_sequential ?cache ~config cnt ic oc
-  else run_parallel ?cache ~config ~jobs cnt ic oc;
+  let out_buf : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let emit_next = ref 0 in
+  (* Responses leave strictly in input order, whatever order workers finish. *)
+  let rec flush_ready () =
+    match Hashtbl.find_opt out_buf !emit_next with
+    | Some s ->
+      output_string oc s;
+      output_char oc '\n';
+      Hashtbl.remove out_buf !emit_next;
+      incr emit_next;
+      flush_ready ()
+    | None -> ()
+  in
+  let answer job outcome response wall =
+    count cnt outcome wall;
+    Hashtbl.replace out_buf job.key response;
+    flush_ready ()
+  in
+  let ready = Queue.create () in
+  let r = router ?cache ~config ~jobs ~answer ~ready:(fun job -> Queue.add job ready) () in
+  Fun.protect ~finally:(fun () -> Parpool.shutdown r.pool) (fun () ->
+      let index = ref 0 in
+      (* routes the next non-blank line; [false] at end of input *)
+      let rec read () =
+        match input_line ic with
+        | exception End_of_file -> false
+        | line ->
+          incr index;
+          if String.trim line = "" then read ()
+          else begin
+            Tel.count "serve.requests" 1;
+            cnt.c_requests <- cnt.c_requests + 1;
+            route r (job ~key:(cnt.c_requests - 1) ~index:(!index - 1) ~line ());
+            true
+          end
+      in
+      let rec drive more =
+        let idle = Parpool.idle r.pool > 0 in
+        if idle && not (Queue.is_empty ready) then begin
+          submit r (Queue.pop ready);
+          drive more
+        end
+        else if idle && more then drive (read ())
+        else if Parpool.pending r.pool > 0 then begin
+          complete r (Parpool.next r.pool);
+          drive more
+        end
+      in
+      drive true);
   flush oc;
   {
     requests = cnt.c_requests;

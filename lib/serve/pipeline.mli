@@ -46,17 +46,20 @@
     cache hits are byte-identical in mapping and cost to the run that
     populated the cache (floats round-trip exactly through the codec).
 
-    {2 Parallel serving}
+    {2 Serving on the worker pool}
 
-    With [jobs >= 2] the pipeline fans requests out over a {!Parpool} of
-    forked workers while preserving the sequential contract:
+    Every request that needs compute runs in a {!Parpool} of [jobs]
+    forked workers, [jobs = 1] included; one routing core (below) drives
+    both [batch] and the daemon ({!Server}):
 
     - the parent alone parses lines, consults the cache (hits never reach
       a worker) and writes cache entries, so LRU order and {!Cache.stats}
-      stay exact — workers never see the cache at all;
+      are the parent's alone — workers never see the cache at all;
     - a search whose fingerprint is already being computed is parked
-      until the first one lands, then served as a cache hit, exactly as
-      it would have been sequentially;
+      until the first one lands, then served as a cache hit;
+    - the batch driver reads the next line only while a worker is idle
+      and nothing classified waits for one, so with one worker every
+      request is classified after all earlier ones have landed;
     - responses are re-sequenced so output order always equals input
       order regardless of completion order;
     - a worker that dies mid-request is replaced and the request retried
@@ -66,8 +69,8 @@
     Consequently [jobs = N] and [jobs = 1] produce identical responses
     (up to [wall_s] timings) whenever the batch's distinct fingerprints
     fit in the cache's in-memory capacity; past that, LRU eviction order
-    — and therefore the hit/computed split — may differ, because the
-    parallel parent performs lookups ahead of completions.
+    — and therefore the hit/computed split — may differ, because with
+    more workers the parent performs lookups ahead of completions.
 
     One further caveat: cross-request mapping transfer ({!Transfer})
     seeds a miss's search from the nearest already-cached family member,
@@ -76,7 +79,10 @@
     mates (same structure, arch and config, different bounds) the chosen
     {e mapping} may therefore differ across job counts — always with
     equal-or-better EDP, and always identically without a cache.
-    Batches without family mates are entirely unaffected. *)
+    Batches without family mates are entirely unaffected.
+
+    Cached documents carry {!Transfer.search_version}; one computed under
+    another version of the search is a miss, recomputed and overwritten. *)
 
 type outcome = Hit | Computed | Failed
 
@@ -89,7 +95,7 @@ type summary = {
   hit_s : float;  (** cumulative per-request wall time of cache hits *)
   computed_s : float;  (** ... of searches and evaluations (sums worker time) *)
   error_s : float;  (** ... of failed requests *)
-  jobs : int;  (** worker processes used (1 = in-process, sequential) *)
+  jobs : int;  (** worker processes used *)
   cache_stats : Cache.stats option;  (** [None] when caching is disabled *)
 }
 
@@ -99,8 +105,8 @@ val run_channels :
 (** Streams requests to responses. [?cache] absent disables caching (every
     request is a fresh search); [?config] is the base optimizer config
     (default {!Sun_core.Optimizer.default_config}); [?jobs] (default [1],
-    values [< 1] clamped to [1]) spreads non-hit requests over that many
-    forked workers. *)
+    values [< 1] clamped to [1]) is the number of forked workers that
+    compute the non-hit requests. *)
 
 val run_files :
   ?cache:Cache.t -> ?config:Sun_core.Optimizer.config -> ?jobs:int -> input:string ->
@@ -111,73 +117,79 @@ val summary_line : summary -> string
 (** One human-readable line, e.g.
     ["36 requests: 24 hits, 12 computed, 0 errors in 1.8s (jobs 4; ...)"]. *)
 
-(** {2 Single-request entry points}
+(** {2 The routing core}
 
-    The building blocks of the batch drivers, exported so other front ends
-    — notably the serving daemon ({!Server}) — can run the exact same
-    request pipeline one line at a time and stay byte-identical to
-    [run_channels] (modulo [wall_s]). The split mirrors the batch
-    architecture: {!classify} runs in the parent (sole cache user),
-    {!worker} / {!compute} run wherever the search should happen, and the
-    parent stores the returned document with {!store_if}. *)
+    What the batch driver and the daemon ({!Server}) share: classify each
+    request in the parent (parse, well-formedness gate, fingerprint, cache
+    lookup, transfer seed), claim its fingerprint or park it behind the
+    request already computing that fingerprint, compute it on a worker, and
+    turn the worker's reply into a response, storing the result in the
+    cache. A driver supplies where responses go ([answer]) and how jobs
+    wait for an idle worker ([ready]); it keeps its own input, output
+    order and dispatch policy. *)
 
-type classified =
-  | Final of outcome * Json.t * float
-      (** response ready without compute (malformed, statically rejected,
-          or cache hit); carries the per-request wall seconds *)
-  | Deferred of string
-      (** same fingerprint already dispatched; park and re-{!classify}
-          after it lands *)
-  | Dispatch of {
-      fp : string option;
-          (** [Some fp] marks a cacheable search whose document should be
-              stored (and whose fingerprint is now in flight) *)
-      seed : Sun_mapping.Mapping.level_mapping list option;
-          (** nearest-neighbor transfer seed ({!Transfer.find_seed}),
-              resolved in the parent so workers stay cache-blind; ship it
-              to {!compute}/{!worker} in the work frame *)
-    }
+type 'a job = private {
+  key : int;  (** pool key, unique among the driver's jobs *)
+  index : int;  (** 0-based input line: default ids and error [line]s *)
+  line : string;  (** the raw request *)
+  slot : 'a;  (** the driver's own data, e.g. where the response goes *)
+  mutable fp : string option;  (** fingerprint this job holds in flight *)
+  mutable seed : Sun_mapping.Mapping.level_mapping list option;
+      (** transfer seed resolved at classify time, shipped with the job *)
+}
 
-val classify :
-  ?cache:Cache.t -> ?in_flight:(string -> bool) -> config:Sun_core.Optimizer.config ->
-  index:int -> string -> classified
-(** Parent-side phase 1: parse, well-formedness gate, fingerprint,
-    [in_flight] dedup check (default [fun _ -> false]), cache lookup.
-    [index] is the 0-based request ordinal used for default ids and the
-    [line] field of error responses. Never raises. *)
+val job : key:int -> index:int -> line:string -> 'a -> 'a job
+(** A fresh job carrying the driver's [slot]. *)
 
-val compute :
-  ?seed:Sun_mapping.Mapping.level_mapping list ->
-  config:Sun_core.Optimizer.config -> index:int -> string ->
-  outcome * Json.t * (string * Json.t) option * float
-(** Phase 2: the actual search or evaluation, cache-blind. [?seed] is the
-    transfer seed from {!classify}'s [Dispatch], forwarded to
-    {!Sun_core.Optimizer.optimize} (ignored by evaluations). Returns
-    [(outcome, response, store, wall_s)] where [store = Some (fp, doc)]
-    is the document the parent should cache. Never raises. *)
+type 'a router
+type work
+type work_reply
 
-val worker :
-  config:Sun_core.Optimizer.config ->
-  int * string * Sun_mapping.Mapping.level_mapping list option ->
-  outcome * string * (string * Json.t) option * float * Sun_telemetry.Metrics.snapshot option
-(** The {!Parpool} job function wrapping {!compute}: honors the test-only
-    worker crash hooks, resets the forked telemetry registry and ships a
-    snapshot back for the parent to {!Sun_telemetry.Metrics.merge}. The
-    response comes back pre-serialized (a string) so marshalling never
-    sees a [Json.t]. *)
+val router :
+  ?cache:Cache.t -> ?on_child_fork:(unit -> unit) -> config:Sun_core.Optimizer.config ->
+  jobs:int -> answer:('a job -> outcome -> string -> float -> unit) -> ready:('a job -> unit) ->
+  unit -> 'a router
+(** Forks the pool: [jobs] workers, [?on_child_fork] as in
+    {!Parpool.create}. [answer job outcome response wall_s] receives every
+    final response, serialized; it is called once per routed job.
+    [ready job] receives each job that needs compute; the driver passes it
+    to {!submit} once a worker is idle, or to {!release} if it drops it. *)
 
-val store_if : ?cache:Cache.t -> (string * Json.t) option -> unit
-(** Parent-side store of a {!compute} result's document; a no-op without
-    a cache or a document. *)
+val pool : 'a router -> (work, work_reply) Parpool.t
+(** For idleness, completions and shutdown; drivers call {!submit} and
+    {!complete} rather than {!Parpool.submit} and matching replies. *)
+
+val route : 'a router -> 'a job -> unit
+(** Classifies a fresh job and answers it, parks it, or hands it to
+    [ready]. Never raises. *)
+
+val submit : 'a router -> 'a job -> unit
+(** Ships a [ready] job to an idle worker. *)
+
+val complete : 'a router -> int * work_reply Parpool.reply -> unit
+(** Handles one pool completion: merges the worker's telemetry, stores
+    the result in the cache, answers the job (a raised job or a twice
+    crashed worker becomes an error response), then {!release}s it. *)
+
+val release : 'a router -> 'a job -> unit
+(** Gives up the job's fingerprint and routes every job parked behind it
+    again. Drivers call it for a [ready] job they drop uncomputed. *)
+
+val tally : outcome -> unit
+(** Counts an outcome in the [serve.*] telemetry counters. *)
 
 val error_response : ?diagnostics:Sun_analysis.Diagnostic.t list -> line:int -> id:string ->
   string -> Json.t
 (** A [status:"error"] response; [line] is 1-based. *)
 
 val crash_error_response : index:int -> line:string -> string -> Json.t
-(** Error response for a request whose worker died: re-derives the id
-    from the raw input [line] in the parent ([index] is 0-based). *)
+(** Error response for a request answered without its worker's reply:
+    re-derives the id from the raw input [line] in the parent ([index] is
+    0-based). *)
 
 val request_id : index:int -> Json.t -> string
 (** The echoed id of a parsed request: its ["id"] field, or
-    ["line<index+1>"] when absent. *)
+    {!default_id} when absent. *)
+
+val default_id : index:int -> string
+(** ["line<index+1>"], the id of a request that has none. *)

@@ -155,28 +155,21 @@ type conn = {
   mutable eof : bool;  (** peer shut its write side down *)
 }
 
-(* An admitted request that needs compute. [i_seq] is the global admission
-   ordinal: the EDF tie-break (so equal deadlines drain FIFO) and the pool
-   key (unique because a request is dispatched at most once). A parked
-   duplicate re-enters the ready queue with its original [i_seq]. *)
-type item = {
-  i_cid : int;
-  i_ord : int;
-  i_idx : int;  (** 0-based line index within its connection *)
-  i_line : string;
-  i_deadline : float;  (** absolute monotonic seconds; [infinity] = none *)
-  i_seq : int;
-  mutable i_fp : string option;  (** fingerprint this item holds in flight *)
-  mutable i_seed : Sun_mapping.Mapping.level_mapping list option;
-      (** transfer seed resolved at classify time, shipped in the work frame *)
+(* Where an admitted request's response goes: reply slot [ord] of
+   connection [cid]. Its job key is the global admission ordinal: the EDF
+   tie-break (so equal deadlines drain FIFO) and the pool key (unique
+   because a request is dispatched at most once). *)
+type slot = {
+  cid : int;
+  ord : int;
+  deadline : float;  (** absolute monotonic seconds; [infinity] = none *)
 }
+
+type item = slot Pipeline.job
 
 type state = {
   conns : (int, conn) Hashtbl.t;
-  ready : item Edf.t;  (** classified [Dispatch], awaiting an idle worker *)
-  in_flight_fp : (string, unit) Hashtbl.t;
-  deferred : (string, item Queue.t) Hashtbl.t;  (** parked duplicates *)
-  dispatched : (int, item) Hashtbl.t;  (** pool key -> item *)
+  ready : item Edf.t;  (** classified for dispatch, awaiting an idle worker *)
   mutable next_cid : int;
   mutable next_seq : int;
   mutable waiting : int;  (** admitted requests not yet answered *)
@@ -194,9 +187,6 @@ let make_state () =
   {
     conns = Hashtbl.create 16;
     ready = Edf.create ();
-    in_flight_fp = Hashtbl.create 16;
-    deferred = Hashtbl.create 16;
-    dispatched = Hashtbl.create 16;
     next_cid = 0;
     next_seq = 0;
     waiting = 0;
@@ -209,18 +199,6 @@ let make_state () =
     s_overloaded = 0;
     s_expired = 0;
   }
-
-let tally st outcome =
-  match outcome with
-  | Pipeline.Hit ->
-    Tel.count "serve.hits" 1;
-    st.s_hits <- st.s_hits + 1
-  | Pipeline.Computed ->
-    Tel.count "serve.computed" 1;
-    st.s_computed <- st.s_computed + 1
-  | Pipeline.Failed ->
-    Tel.count "serve.errors" 1;
-    st.s_errors <- st.s_errors + 1
 
 (* ------------------------------------------------------------------ *)
 (* Connection output                                                   *)
@@ -258,18 +236,20 @@ let answer conn ord text =
 (* Settle an admitted request with its final response. The outcome is
    tallied even when the requesting connection is already gone — the work
    happened; only the bytes have nowhere to go. *)
-let settle st outcome item response =
+let settle st (item : item) outcome response =
   st.waiting <- st.waiting - 1;
-  tally st outcome;
-  match Hashtbl.find_opt st.conns item.i_cid with
-  | Some conn -> answer conn item.i_ord response
+  Pipeline.tally outcome;
+  (match outcome with
+  | Pipeline.Hit -> st.s_hits <- st.s_hits + 1
+  | Pipeline.Computed -> st.s_computed <- st.s_computed + 1
+  | Pipeline.Failed -> st.s_errors <- st.s_errors + 1);
+  match Hashtbl.find_opt st.conns item.slot.cid with
+  | Some conn -> answer conn item.slot.ord response
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Responses specific to the daemon                                    *)
 (* ------------------------------------------------------------------ *)
-
-let fallback_id idx = Printf.sprintf "line%d" (idx + 1)
 
 let overloaded_response ~id ~line ~queue ~max_queue =
   Json.Obj
@@ -318,119 +298,48 @@ let parse_deadline ~now json =
   | Some _ -> Error "bad request: deadline_ms must be a non-negative integer"
 
 (* ------------------------------------------------------------------ *)
-(* Request routing                                                     *)
+(* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let park st fp item =
-  match Hashtbl.find_opt st.deferred fp with
-  | Some q -> Queue.add item q
-  | None ->
-    let q = Queue.create () in
-    Queue.add item q;
-    Hashtbl.replace st.deferred fp q
-
-(* Classify (parent-side, sole cache user) and route: answer immediately,
-   park behind an in-flight fingerprint, or queue for dispatch. Also the
-   re-entry point for parked duplicates once their fingerprint lands. *)
-let route st ~cache ~config item =
-  match
-    Pipeline.classify ?cache
-      ~in_flight:(Hashtbl.mem st.in_flight_fp)
-      ~config ~index:item.i_idx item.i_line
-  with
-  | Pipeline.Final (outcome, response, _wall) -> settle st outcome item (Json.to_string response)
-  | Pipeline.Deferred fp -> park st fp item
-  | Pipeline.Dispatch { fp; seed } ->
-    (match fp with
-    | Some fp ->
-      Hashtbl.replace st.in_flight_fp fp ();
-      item.i_fp <- Some fp
-    | None -> item.i_fp <- None);
-    item.i_seed <- seed;
-    Edf.push st.ready ~deadline:item.i_deadline ~seq:item.i_seq item
-
-(* A fingerprint landed (stored, failed, expired or dropped): everything
-   parked on it gets re-routed — normally a cache hit now, or a fresh
-   dispatch when the owner produced nothing storable. *)
-let release st ~cache ~config fp =
-  Hashtbl.remove st.in_flight_fp fp;
-  match Hashtbl.find_opt st.deferred fp with
-  | None -> ()
-  | Some q ->
-    Hashtbl.remove st.deferred fp;
-    Queue.iter
-      (fun item ->
-        if Hashtbl.mem st.conns item.i_cid then route st ~cache ~config item
-        else st.waiting <- st.waiting - 1)
-      q
-
-let release_fp st ~cache ~config item =
-  match item.i_fp with
-  | Some fp ->
-    item.i_fp <- None;
-    release st ~cache ~config fp
-  | None -> ()
-
-let expire st item =
+let expire st (item : item) =
   Tel.count "serve.expired" 1;
   st.s_expired <- st.s_expired + 1;
-  settle st Pipeline.Failed item
-    (Json.to_string (Pipeline.crash_error_response ~index:item.i_idx ~line:item.i_line "deadline exceeded"))
+  settle st item Pipeline.Failed
+    (Json.to_string
+       (Pipeline.crash_error_response ~index:item.index ~line:item.line "deadline exceeded"))
 
 (* Pop the ready queue in (deadline, admission) order while workers are
    idle. Requests whose deadline already passed, and requests whose
    connection died, are settled or dropped here rather than computed;
    either way their fingerprint is released so parked duplicates rerun. *)
-let rec dispatch_ready st pool ~cache ~config ~now =
-  if Parpool.idle pool > 0 && not (Edf.is_empty st.ready) then begin
+let rec dispatch_ready st r ~now =
+  if Parpool.idle (Pipeline.pool r) > 0 && not (Edf.is_empty st.ready) then begin
     let item = Edf.pop st.ready in
-    (if not (Hashtbl.mem st.conns item.i_cid) then begin
+    (if not (Hashtbl.mem st.conns item.slot.cid) then begin
        st.waiting <- st.waiting - 1;
-       release_fp st ~cache ~config item
+       Pipeline.release r item
      end
-     else if item.i_deadline < now () then begin
+     else if item.slot.deadline < now () then begin
        expire st item;
-       release_fp st ~cache ~config item
+       Pipeline.release r item
      end
-     else begin
-       Hashtbl.replace st.dispatched item.i_seq item;
-       Parpool.submit pool ~key:item.i_seq (item.i_idx, item.i_line, item.i_seed)
-     end);
-    dispatch_ready st pool ~cache ~config ~now
+     else Pipeline.submit r item);
+    dispatch_ready st r ~now
   end
-
-let on_completion st ~cache ~config (key, reply) =
-  match Hashtbl.find_opt st.dispatched key with
-  | None -> ()
-  | Some item ->
-    Hashtbl.remove st.dispatched key;
-    (match reply with
-    | Parpool.Done (outcome, response, store, _wall, tel) ->
-      (match tel with Some s -> Tel.merge s | None -> ());
-      Pipeline.store_if ?cache store;
-      settle st outcome item response
-    | Parpool.Failed msg ->
-      settle st Pipeline.Failed item
-        (Json.to_string
-           (Pipeline.crash_error_response ~index:item.i_idx ~line:item.i_line
-              ("worker error: " ^ msg)))
-    | Parpool.Crashed ->
-      settle st Pipeline.Failed item
-        (Json.to_string
-           (Pipeline.crash_error_response ~index:item.i_idx ~line:item.i_line "worker crashed")));
-    release_fp st ~cache ~config item
 
 (* ------------------------------------------------------------------ *)
 (* Input                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let process_line st ~cache ~config ~max_queue ~now conn line =
+let process_line st r ~max_queue ~now conn line =
   conn.lines_read <- conn.lines_read + 1;
   let idx = conn.lines_read - 1 in
   if String.trim line <> "" then begin
     let json = Json.of_string line in
     let id =
-      match json with Ok j -> Pipeline.request_id ~index:idx j | Error _ -> fallback_id idx
+      match json with
+      | Ok j -> Pipeline.request_id ~index:idx j
+      | Error _ -> Pipeline.default_id ~index:idx
     in
     let ord = conn.admitted in
     conn.admitted <- ord + 1;
@@ -460,27 +369,18 @@ let process_line st ~cache ~config ~max_queue ~now conn line =
         in
         match deadline with
         | Error msg ->
-          Tel.count "serve.errors" 1;
+          Pipeline.tally Pipeline.Failed;
           st.s_errors <- st.s_errors + 1;
           answer conn ord (Json.to_string (Pipeline.error_response ~line:(idx + 1) ~id msg))
         | Ok deadline ->
           let seq = st.next_seq in
           st.next_seq <- seq + 1;
           st.waiting <- st.waiting + 1;
-          route st ~cache ~config
-            {
-              i_cid = conn.cid;
-              i_ord = ord;
-              i_idx = idx;
-              i_line = line;
-              i_deadline = deadline;
-              i_seq = seq;
-              i_fp = None;
-              i_seed = None;
-            })
+          Pipeline.route r
+            (Pipeline.job ~key:seq ~index:idx ~line { cid = conn.cid; ord; deadline }))
   end
 
-let read_conn st ~cache ~config ~max_queue ~now conn =
+let read_conn st r ~max_queue ~now conn =
   let chunk = Bytes.create 65536 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -493,7 +393,7 @@ let read_conn st ~cache ~config ~max_queue ~now conn =
     if Buffer.length conn.inbuf > 0 then begin
       let line = Buffer.contents conn.inbuf in
       Buffer.clear conn.inbuf;
-      process_line st ~cache ~config ~max_queue ~now conn line
+      process_line st r ~max_queue ~now conn line
     end;
     maybe_close st conn
   | n ->
@@ -507,7 +407,7 @@ let read_conn st ~cache ~config ~max_queue ~now conn =
       | Some nl ->
         let line = String.sub data !pos (nl - !pos) in
         pos := nl + 1;
-        process_line st ~cache ~config ~max_queue ~now conn line
+        process_line st r ~max_queue ~now conn line
       | None ->
         Buffer.add_substring conn.inbuf data !pos (String.length data - !pos);
         continue := false
@@ -593,9 +493,13 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
   in
   (* Compute always happens in a worker, even with one job: the accept
      loop must keep multiplexing connections while a search runs. *)
-  let pool =
-    Parpool.create ~on_child_fork:close_sockets_in_child ~jobs ~f:(Pipeline.worker ~config) ()
+  let r =
+    Pipeline.router ?cache ~on_child_fork:close_sockets_in_child ~config ~jobs
+      ~answer:(fun item outcome response _wall -> settle st item outcome response)
+      ~ready:(fun item -> Edf.push st.ready ~deadline:item.slot.deadline ~seq:item.key item)
+      ()
   in
+  let pool = Pipeline.pool r in
   Fun.protect ~finally:(fun () -> Parpool.shutdown pool) @@ fun () ->
   (try Unix.set_nonblock listen_fd with Unix.Unix_error (_, _, _) -> ());
   let drain_started = ref None in
@@ -641,7 +545,7 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
           | None -> ())
         cids
     end;
-    dispatch_ready st pool ~cache ~config ~now;
+    dispatch_ready st r ~now;
     let quiescent =
       Hashtbl.length st.conns = 0 && st.waiting = 0 && Parpool.pending pool = 0
     in
@@ -675,7 +579,7 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
         let rec drain_pool () =
           match Parpool.try_next pool with
           | Some completion ->
-            on_completion st ~cache ~config completion;
+            Pipeline.complete r completion;
             drain_pool ()
           | None -> ()
         in
@@ -683,7 +587,7 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
         List.iter
           (fun c ->
             if List.mem c.fd readable && (not c.eof) && Hashtbl.mem st.conns c.cid then
-              read_conn st ~cache ~config ~max_queue ~now c)
+              read_conn st r ~max_queue ~now c)
           conn_list;
         List.iter
           (fun c ->

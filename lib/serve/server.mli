@@ -11,8 +11,9 @@
     {2 Ownership}
 
     The accept loop, the cache and the in-flight fingerprint table all
-    live in the parent process — the same single-cache-user architecture
-    as the parallel batch driver:
+    live in the parent process; classification, fingerprint dedup and
+    reply handling are {!Pipeline}'s routing core, the same code that
+    drives [sunstone batch]:
 
     {v
               clients ──┐
@@ -31,9 +32,13 @@
 
     Workers never see the cache or each other; duplicate fingerprints
     from {e different} connections dedup to a single compute exactly like
-    duplicates inside one batch. A single cold connection replaying a
-    batch input therefore receives byte-identical responses (modulo
-    [wall_s]) to [sunstone batch --jobs 1] — [bin/ci.sh] enforces this.
+    duplicates inside one batch. Because the daemon and [batch] route
+    through the same core, a single cold connection replaying a batch
+    input receives byte-identical responses (modulo [wall_s]) to
+    [sunstone batch --jobs 1] — [bin/ci.sh] enforces this. A duplicate
+    parked behind a fingerprint is routed again when it lands even if its
+    connection has closed: a cache hit is counted with its bytes dropped,
+    and a miss is dropped at dispatch, never computed.
 
     {2 Deadlines and shedding}
 

@@ -4,11 +4,19 @@ module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
 module Opt = Sun_core.Optimizer
 
-(* The fields the pipeline adds to every stored document so the cache can
-   index it by shape family and {!seed_of_doc} can line its dims up with a
-   future family member's. *)
-let family_fields ~config w a =
+(* Bumped by every change that moves a searched mapping or its cost; see
+   DESIGN.md for when. *)
+let search_version = 1
+
+let current doc = Json.member "search" doc = Some (Json.Int search_version)
+
+(* The fields the pipeline adds to every stored document: the search version
+   it was computed under, and what the cache needs to index it by shape
+   family and {!seed_of_doc} to line its dims up with a future family
+   member's. *)
+let stored_fields ~config w a =
   [
+    ("search", Json.Int search_version);
     ("family", Json.String (Fingerprint.structural ~config w a));
     ( "bounds",
       Json.List
@@ -134,7 +142,7 @@ let rescale ~binding (w : W.t) (a : A.t) levels =
 
 let seed_of_doc ~config (w : W.t) (a : A.t) doc =
   match (Json.member "sdims" doc, Json.member "mapping" doc) with
-  | Some sdims_json, Some mapping_json -> (
+  | Some sdims_json, Some mapping_json when current doc -> (
     match (string_list sdims_json, Codec.decode_mapping_raw mapping_json) with
     | Some sdims, Ok levels when List.length sdims = List.length (W.dim_names w) -> (
       let new_sdims = Fingerprint.structural_dims w in

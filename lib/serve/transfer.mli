@@ -14,7 +14,7 @@
 
     Neighbor selection: cached documents carry their
     {!Fingerprint.structural} family key, structural bound vector and dim
-    names ({!family_fields}); {!Cache.nearest} picks the member with the
+    names ({!stored_fields}); {!Cache.nearest} picks the member with the
     closest bounds (sum of per-dim [|ln(b/b')|]). The neighbor's mapping
     is renamed through the positional structural-dim correspondence and
     rescaled to the new bounds: innermost-first, every factor keeps its
@@ -35,15 +35,25 @@
     must not contain family mates. A run without a cache ([--no-cache])
     never seeds: every search in it is cold. *)
 
-val family_fields :
+val search_version : int
+(** The version of the search's semantics that stored documents carry as
+    their ["search"] field. A change that moves any searched mapping or
+    cost bumps it, so answers computed by another version of the search
+    are neither served nor used as seeds. *)
+
+val current : Json.t -> bool
+(** Whether a stored document was computed under {!search_version}; a
+    document with another version, or none, is stale. *)
+
+val stored_fields :
   config:Sun_core.Optimizer.config ->
   Sun_tensor.Workload.t ->
   Sun_arch.Arch.t ->
   (string * Json.t) list
-(** The [("family", ...); ("bounds", ...); ("sdims", ...)] fields the
-    pipeline merges into every stored document: the structural family
-    digest, the bounds and the workload's own dim names, both in
-    structural order. *)
+(** The [("search", ...); ("family", ...); ("bounds", ...); ("sdims", ...)]
+    fields the pipeline merges into every stored document: the
+    {!search_version}, the structural family digest, the bounds and the
+    workload's own dim names, both in structural order. *)
 
 val seed_of_doc :
   config:Sun_core.Optimizer.config ->
@@ -52,8 +62,9 @@ val seed_of_doc :
   Json.t ->
   Sun_mapping.Mapping.level_mapping list option
 (** Rename and rescale a cached neighbor document's mapping into a seed
-    for [w]; [None] when the document lacks transfer fields, its mapping
-    does not decode, or the dim correspondence does not line up.
+    for [w]; [None] when the document is not {!current}, lacks transfer
+    fields, its mapping does not decode, or the dim correspondence does
+    not line up.
     Rescaling is capacity-aware: the residual of a dim that grew is
     sunk, prime by prime, to the innermost level that still passes
     [Model.validate] under [config]'s binding (top temporal as the

@@ -581,28 +581,37 @@ let cache_qcheck_props =
 let all_done replies =
   List.map (function Parpool.Done x -> x | _ -> Alcotest.fail "expected Done") replies
 
+(* [f] over [xs] on [jobs] forked workers, replies in input order. *)
+let pool_map ~jobs ~f xs =
+  let pool = Parpool.create ~jobs ~f () in
+  Fun.protect ~finally:(fun () -> Parpool.shutdown pool) @@ fun () ->
+  let replies = Array.make (List.length xs) Parpool.Crashed in
+  let rec go key = function
+    | x :: rest when Parpool.idle pool > 0 ->
+      Parpool.submit pool ~key x;
+      go (key + 1) rest
+    | rest when Parpool.pending pool > 0 ->
+      let k, reply = Parpool.next pool in
+      replies.(k) <- reply;
+      go key rest
+    | _ -> ()
+  in
+  go 0 xs;
+  Array.to_list replies
+
 let test_parpool_map_matches_inprocess () =
   let xs = List.init 50 Fun.id in
   let f x = (x * x) + 1 in
-  let sequential = Parpool.map ~jobs:1 ~f xs in
-  let forked = Parpool.map ~jobs:4 ~f xs in
-  Alcotest.(check (list int)) "jobs 1 = plain map" (List.map f xs) (all_done sequential);
-  Alcotest.(check (list int)) "jobs 4 = jobs 1, order preserved" (all_done sequential)
-    (all_done forked)
+  Alcotest.(check (list int)) "jobs 4 = plain map, order preserved" (List.map f xs)
+    (all_done (pool_map ~jobs:4 ~f xs))
 
 let test_parpool_exception_is_failed () =
   let f x = if x = 2 then failwith "kaboom" else x * 10 in
-  let check_replies label replies =
-    match replies with
-    | [ Parpool.Done 10; Parpool.Failed msg; Parpool.Done 30; Parpool.Done 40 ] ->
-      Alcotest.(check bool) (label ^ " carries the exception") true
-        (contains_substring msg "kaboom")
-    | _ -> Alcotest.fail (label ^ ": expected Done/Failed/Done/Done")
-  in
-  (* identical reply surface in-process and forked; later jobs keep flowing
-     through the worker that raised *)
-  check_replies "jobs 1" (Parpool.map ~jobs:1 ~f [ 1; 2; 3; 4 ]);
-  check_replies "jobs 2" (Parpool.map ~jobs:2 ~f [ 1; 2; 3; 4 ])
+  (* later jobs keep flowing through the worker that raised *)
+  match pool_map ~jobs:2 ~f [ 1; 2; 3; 4 ] with
+  | [ Parpool.Done 10; Parpool.Failed msg; Parpool.Done 30; Parpool.Done 40 ] ->
+    Alcotest.(check bool) "jobs 2 carries the exception" true (contains_substring msg "kaboom")
+  | _ -> Alcotest.fail "jobs 2: expected Done/Failed/Done/Done"
 
 let test_parpool_crash_is_contained () =
   (* job 1 kills its worker on every attempt: the pool must retry once,
@@ -611,7 +620,7 @@ let test_parpool_crash_is_contained () =
     if x = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
     x + 1
   in
-  match Parpool.map ~jobs:2 ~f [ 0; 1; 2; 3 ] with
+  match pool_map ~jobs:2 ~f [ 0; 1; 2; 3 ] with
   | [ Parpool.Done 1; Parpool.Crashed; Parpool.Done 3; Parpool.Done 4 ] -> ()
   | _ -> Alcotest.fail "expected Done/Crashed/Done/Done"
 
@@ -626,7 +635,7 @@ let test_parpool_crash_retry_succeeds () =
     end;
     x + 1
   in
-  let replies = Parpool.map ~jobs:2 ~f [ 0; 1; 2 ] in
+  let replies = pool_map ~jobs:2 ~f [ 0; 1; 2 ] in
   Alcotest.(check (list int)) "crash-once is retried transparently" [ 1; 2; 3 ] (all_done replies);
   if Sys.file_exists flag then Sys.remove flag
 
@@ -739,6 +748,42 @@ let test_pipeline_schema_drift_is_miss () =
   let s, _, _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
   Alcotest.(check int) "drifted entries recomputed" 3 s.Pipeline.computed;
   Alcotest.(check int) "no errors" 0 s.Pipeline.errors
+
+(* Rewrites the stored document inside every disk entry of [dir]. *)
+let restamp_entries dir f =
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".json" then begin
+        let path = Filename.concat dir name in
+        let entry = ok (J.of_string (String.concat "\n" (read_lines path))) in
+        let entry =
+          match entry with
+          | J.Obj fields ->
+            J.Obj (List.map (fun (k, v) -> if k = "d" then (k, f v) else (k, v)) fields)
+          | v -> v
+        in
+        write_lines path [ J.to_string entry ]
+      end)
+    (Sys.readdir dir)
+
+let test_pipeline_stale_search_is_miss () =
+  let dir = fresh_dir "sun_pipe_stale" in
+  let _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
+  (* each entry keeps its valid mapping and cost; only the search version
+     it claims changes: first another version, then none at all *)
+  List.iter
+    (fun (label, version) ->
+      restamp_entries dir (function
+        | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "search") fields @ version)
+        | v -> v);
+      let s, responses, _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
+      Alcotest.(check int) (label ^ ": no hits") 0 s.Pipeline.hits;
+      Alcotest.(check (list string)) (label ^ ": recomputed")
+        [ "computed"; "computed"; "computed" ]
+        (List.map (fun r -> ok (J.as_string (response_field "status" r))) responses))
+    [ ("another version", [ ("search", J.Int 0) ]); ("no version", []) ];
+  let s, _, _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
+  Alcotest.(check int) "recomputed entries serve as hits" 3 s.Pipeline.hits
 
 let test_pipeline_errors_and_inline () =
   let inline_workload = J.to_string (Codec.encode_workload conv1d) in
@@ -962,7 +1007,7 @@ let test_pipeline_jobs_parity () =
 let test_pipeline_parallel_dedup () =
   (* three identical searches racing over four workers must still collapse
      to one computation: the in-flight fingerprint defers the other two
-     until the first lands, exactly as the sequential pipeline would *)
+     until the first lands, exactly as a one-worker run would *)
   let requests =
     [
       {|{"workload":"conv1d","arch":"toy"}|};
@@ -982,9 +1027,21 @@ let test_pipeline_parallel_dedup () =
   let statuses = List.map (fun r -> ok (J.as_string (response_field "status" r))) responses in
   Alcotest.(check (list string)) "statuses in input order" [ "computed"; "hit"; "hit" ] statuses;
   (* without a cache there is nothing to dedup against: parity with the
-     sequential no-cache behavior means every request searches *)
+     one-worker no-cache behavior means every request searches *)
   let s', _, _ = run_batch ~jobs:4 requests in
   Alcotest.(check int) "no cache: all computed" 3 s'.Pipeline.computed
+
+(* A crash-hook batch at one and at two workers: the same responses,
+   modulo wall_s, each checked by [check]. *)
+let crash_runs_agree ~requests ~check =
+  let run jobs =
+    let label = Printf.sprintf "jobs %d: " jobs in
+    let s, responses, _ = run_batch ~cache:(Cache.create ()) ~jobs requests in
+    check label s responses;
+    List.map (fun r -> J.to_string (normalize_wall r)) responses
+  in
+  let one = run 1 in
+  Alcotest.(check (list string)) "jobs 1 = jobs 2 (modulo wall_s)" one (run 2)
 
 let test_pipeline_worker_crash_contained () =
   let requests =
@@ -994,21 +1051,22 @@ let test_pipeline_worker_crash_contained () =
       {|{"workload":"conv1d","arch":"toy","id":"ok2"}|};
     ]
   in
-  let s, responses, _ = run_batch ~cache:(Cache.create ()) ~jobs:2 requests in
-  Alcotest.(check int) "pipeline completed all three" 3 s.Pipeline.requests;
-  Alcotest.(check int) "crash is one error" 1 s.Pipeline.errors;
-  Alcotest.(check int) "first conv1d computed" 1 s.Pipeline.computed;
-  Alcotest.(check int) "second conv1d still hits" 1 s.Pipeline.hits;
-  let statuses = List.map (fun r -> ok (J.as_string (response_field "status" r))) responses in
-  Alcotest.(check (list string)) "only the crashed request errors"
-    [ "computed"; "error"; "hit" ]
-    statuses;
-  let crashed = List.nth responses 1 in
-  Alcotest.(check string) "crash echoes the request id" "boom"
-    (ok (J.as_string (response_field "id" crashed)));
-  Alcotest.(check int) "crash reports its line" 2 (ok (J.as_int (response_field "line" crashed)));
-  Alcotest.(check bool) "crash is named as such" true
-    (contains_substring (ok (J.as_string (response_field "error" crashed))) "worker crashed")
+  crash_runs_agree ~requests ~check:(fun label s responses ->
+      Alcotest.(check int) (label ^ "pipeline completed all three") 3 s.Pipeline.requests;
+      Alcotest.(check int) (label ^ "crash is one error") 1 s.Pipeline.errors;
+      Alcotest.(check int) (label ^ "first conv1d computed") 1 s.Pipeline.computed;
+      Alcotest.(check int) (label ^ "second conv1d still hits") 1 s.Pipeline.hits;
+      let statuses = List.map (fun r -> ok (J.as_string (response_field "status" r))) responses in
+      Alcotest.(check (list string)) (label ^ "only the crashed request errors")
+        [ "computed"; "error"; "hit" ]
+        statuses;
+      let crashed = List.nth responses 1 in
+      Alcotest.(check string) (label ^ "crash echoes the request id") "boom"
+        (ok (J.as_string (response_field "id" crashed)));
+      Alcotest.(check int) (label ^ "crash reports its line") 2
+        (ok (J.as_int (response_field "line" crashed)));
+      Alcotest.(check bool) (label ^ "crash is named as such") true
+        (contains_substring (ok (J.as_string (response_field "error" crashed))) "worker crashed"))
 
 let test_pipeline_worker_crash_once_is_retried () =
   (* the worker dies mid-request on the first attempt only: the pool's
@@ -1021,14 +1079,16 @@ let test_pipeline_worker_crash_once_is_retried () =
         flag;
     ]
   in
-  let s, responses, _ = run_batch ~cache:(Cache.create ()) ~jobs:2 requests in
-  Alcotest.(check int) "no errors after retry" 0 s.Pipeline.errors;
-  Alcotest.(check int) "both computed" 2 s.Pipeline.computed;
-  let flaky = List.nth responses 1 in
-  Alcotest.(check string) "retried request answered normally" "computed"
-    (ok (J.as_string (response_field "status" flaky)));
-  Alcotest.(check bool) "crash flag consumed" false (Sys.file_exists flag);
-  if Sys.file_exists flag then Sys.remove flag
+  Fun.protect ~finally:(fun () -> if Sys.file_exists flag then Sys.remove flag) @@ fun () ->
+  crash_runs_agree ~requests ~check:(fun label s responses ->
+      Alcotest.(check int) (label ^ "no errors after retry") 0 s.Pipeline.errors;
+      Alcotest.(check int) (label ^ "both computed") 2 s.Pipeline.computed;
+      let flaky = List.nth responses 1 in
+      Alcotest.(check string) (label ^ "retried request answered normally") "computed"
+        (ok (J.as_string (response_field "status" flaky)));
+      Alcotest.(check bool) (label ^ "crash flag consumed") false (Sys.file_exists flag);
+      (* re-arm the hook for the next worker count *)
+      close_out (open_out flag))
 
 (* ------------------------------------------------------------------ *)
 (* Transfer: cross-request warm starts                                 *)
@@ -1051,7 +1111,7 @@ let conv1d_sized ~name (dk, dc, dp, dr) (bk, bc, bp, br) =
 
 let neighbor_doc ~config w a =
   let r = ok (Opt.optimize ~config w a) in
-  J.Obj (("mapping", Codec.encode_mapping r.Opt.mapping) :: Transfer.family_fields ~config w a)
+  J.Obj (("mapping", Codec.encode_mapping r.Opt.mapping) :: Transfer.stored_fields ~config w a)
 
 let test_transfer_seed_of_doc () =
   let config = Opt.default_config in
@@ -1083,6 +1143,14 @@ let test_transfer_seed_of_doc () =
   in
   Alcotest.(check bool) "doc without sdims is rejected" true
     (Transfer.seed_of_doc ~config target toy stripped = None);
+  (* a doc computed by another version of the search is never a seed *)
+  let stale =
+    match doc with
+    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "search") fields @ [ ("search", J.Int 0) ])
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "doc from another search version is rejected" true
+    (Transfer.seed_of_doc ~config target toy stale = None);
   (* arity mismatch (a different family would never be probed, but a
      corrupt doc could claim one) falls back to None, not an exception *)
   let mm = matmul_like ~name:"mm" ~m:12 ~n:8 ~k:5 [ "M"; "N"; "K" ] ("M", "N", "K") in
@@ -1155,10 +1223,10 @@ let test_pipeline_transfer_seeding () =
 
 (* The namespaces whose totals must be independent of the worker count:
    optimizer.* and model.* counts are merged back from workers, serve.*
-   counts are tallied in the parent. parpool.* is excluded by construction
-   (a sequential run has no pool at all) and histograms are excluded
-   because deferred requests re-classify in parallel mode, adding span
-   observations a sequential run never makes. *)
+   counts are tallied in the parent. parpool.* is excluded because its
+   per-worker counters depend on the worker count, and histograms are
+   excluded because with several workers deferred requests re-classify,
+   adding span observations a one-worker run never makes. *)
 let parity_counters snap =
   let prefixed p name =
     String.length name >= String.length p && String.sub name 0 (String.length p) = p
@@ -1194,10 +1262,9 @@ let test_telemetry_jobs_parity () =
   Alcotest.(check (list (pair string int))) "jobs 4 counter totals = jobs 1" c1 c4
 
 let test_telemetry_parity_under_crash_retry () =
-  (* a worker dies mid-request on the first attempt: the crashed attempt's
-     counts die with the process and the retry recounts from zero, so the
-     totals must still match a sequential run (where the crash hook never
-     fires — it is a worker-process hook) *)
+  (* a worker dies mid-request on the first attempt, at one worker and at
+     four: the crashed attempt's counts die with the process and the retry
+     recounts from zero, so the totals must not depend on the worker count *)
   let run jobs tag =
     let flag = Filename.temp_file "sun_tel_crash_once" "" in
     let requests =
@@ -1217,8 +1284,8 @@ let test_telemetry_parity_under_crash_retry () =
   in
   let s1, c1 = run 1 "sun_tel_crash_seq" in
   let s4, c4 = run 4 "sun_tel_crash_par" in
-  Alcotest.(check int) "sequential run clean" 0 s1.Pipeline.errors;
-  Alcotest.(check int) "retry absorbed the crash" 0 s4.Pipeline.errors;
+  Alcotest.(check int) "retry absorbed the crash at jobs 1" 0 s1.Pipeline.errors;
+  Alcotest.(check int) "retry absorbed the crash at jobs 4" 0 s4.Pipeline.errors;
   Alcotest.(check bool) "parity counters nonempty" true (c1 <> []);
   Alcotest.(check (list (pair string int))) "counter totals survive a crash+retry" c1 c4
 
@@ -1792,6 +1859,8 @@ let () =
           Alcotest.test_case "worker crash contained" `Quick test_pipeline_worker_crash_contained;
           Alcotest.test_case "worker crash-once retried" `Quick
             test_pipeline_worker_crash_once_is_retried;
+          Alcotest.test_case "stale search version is miss" `Quick
+            test_pipeline_stale_search_is_miss;
         ] );
       ( "telemetry",
         [
