@@ -107,6 +107,38 @@ let test_dmaze_no_spatial_reduction_in_fast () =
     done
   | None -> () (* thresholds may legitimately reject; covered above *)
 
+(* ---------------------- directed enumerators ----------------------- *)
+
+(* dMaze-like and Interstellar-like on five Fig 7 cells: examined counts
+   and EDP bits, pinned exactly. Any change to either enumerator's spatial
+   or tile choices, its fit test, its order trials or its scoring moves
+   one of these. *)
+let test_enumerators_pinned () =
+  let layer name =
+    (List.find
+       (fun (l : Sun_workloads.Inception.layer) -> l.Sun_workloads.Inception.layer_name = name)
+       (Sun_workloads.Inception.weight_update_layers ~batch:16 ()))
+      .Sun_workloads.Inception.workload
+  in
+  let dmaze config w = B.Dmaze_like.run ~config w P.conventional in
+  let inter w = B.Interstellar_like.run w P.conventional in
+  List.iter
+    (fun (tool, run, name, examined, edp_bits) ->
+      let o = run (layer name) in
+      let what = tool ^ " on " ^ name in
+      Alcotest.(check bool) (what ^ " valid") true o.Mapper.valid;
+      Alcotest.(check int) (what ^ " examined") examined o.Mapper.examined;
+      Alcotest.(check string) (what ^ " EDP bits")
+        (Printf.sprintf "%Lx" edp_bits)
+        (Printf.sprintf "%Lx" (Int64.bits_of_float (Mapper.edp o))))
+    [
+      ("dMaze-fast", dmaze B.Dmaze_like.fast, "3x3_stem", 2_308, 0x436dc44c1d888eddL);
+      ("dMaze-fast", dmaze B.Dmaze_like.fast, "5x5_5b", 57_450, 0x4343ea9eebca97d6L);
+      ("INTER", inter, "3x3_5b", 43_694, 0x43365cc7b242f14aL);
+      ("INTER", inter, "1x3_deep", 363_091, 0x431030654a97681eL);
+      ("dMaze-slow", dmaze B.Dmaze_like.slow, "1x1_5b", 519_095, 0x4306351db2cfb3b0L);
+    ]
+
 (* -------------------------- interstellar --------------------------- *)
 
 let test_interstellar_ck_unrolling () =
@@ -235,6 +267,8 @@ let () =
           Alcotest.test_case "fast forbids spatial reduction" `Slow
             test_dmaze_no_spatial_reduction_in_fast;
         ] );
+      ( "directed enumerators",
+        [ Alcotest.test_case "Fig 7 cells pinned" `Quick test_enumerators_pinned ] );
       ( "interstellar-like",
         [
           Alcotest.test_case "CK unrolling" `Quick test_interstellar_ck_unrolling;
