@@ -65,13 +65,10 @@ let micro_suite () =
       | _ -> Printf.printf "%-44s (no estimate)\n" name)
     results
 
-(* Serving-layer micro-benchmark, two parts:
-   1. cache behaviour — schedule a batch twice through one persistent cache:
-      run 1 pays for the searches (repeated ResNet blocks already collide
-      via fingerprinting); run 2 must be cache-dominated;
-   2. worker-pool scaling — a cold-cache registry sweep at increasing
-      --jobs, so the fork-based pool's throughput gain is measurable
-      (expect ~linear until the core count, ~flat beyond it). *)
+(* Serving-layer micro-benchmark: schedule a batch twice through one
+   persistent cache. Run 1 pays for the searches (repeated ResNet blocks
+   already collide via fingerprinting); run 2 must be cache-dominated.
+   Worker scaling is measured end to end by bench/perf's serve-mix. *)
 let serve_bench () =
   let requests =
     List.concat_map
@@ -85,57 +82,27 @@ let serve_bench () =
   let oc = open_out reqs_path in
   List.iter (fun l -> output_string oc (l ^ "\n")) requests;
   close_out oc;
-  let fresh_dir () =
-    let d = Filename.temp_file "sunstone_cache" "" in
-    Sys.remove d;
-    d
-  in
-  let run ?(jobs = 1) ~cache_dir label =
+  let cache_dir = Filename.temp_file "sunstone_cache" "" in
+  Sys.remove cache_dir;
+  let run label =
     let cache = Sun_serve.Cache.create ~dir:cache_dir () in
     let started = Unix.gettimeofday () in
-    let summary =
-      Sun_serve.Pipeline.run_files ~cache ~jobs ~input:reqs_path ~output:Filename.null ()
-    in
+    let summary = Sun_serve.Pipeline.run_files ~cache ~input:reqs_path ~output:Filename.null () in
     Printf.printf "%-18s %6.3fs  %s\n%!" label
       (Unix.gettimeofday () -. started)
       (Sun_serve.Pipeline.summary_line summary);
     summary
   in
-  let cache_dir = fresh_dir () in
   Printf.printf "serve: %d requests (resnet18 layers on toy), cache at %s\n%!"
     (List.length requests) cache_dir;
-  let first = run ~cache_dir "run 1 (cold)" in
-  let second = run ~cache_dir "run 2 (warm)" in
+  let first = run "run 1 (cold)" in
+  let second = run "run 2 (warm)" in
   let hit_rate s =
     if s.Sun_serve.Pipeline.requests = 0 then 0.0
     else
       100.0 *. float_of_int s.Sun_serve.Pipeline.hits /. float_of_int s.Sun_serve.Pipeline.requests
   in
-  Printf.printf "hit rate: %.0f%% cold, %.0f%% warm\n\n" (hit_rate first) (hit_rate second);
-  (* jobs sweep: every run starts from a fresh cache directory so each one
-     pays for the same searches; the only variable is the worker count. *)
-  Printf.printf "serve: cold-cache --jobs sweep (%d cores available)\n%!"
-    (try
-       let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-       let n = try int_of_string (String.trim (input_line ic)) with _ -> 1 in
-       ignore (Unix.close_process_in ic);
-       n
-     with _ -> 1);
-  let baseline = ref None in
-  List.iter
-    (fun jobs ->
-      let started = Unix.gettimeofday () in
-      let s = run ~jobs ~cache_dir:(fresh_dir ()) (Printf.sprintf "cold --jobs %d" jobs) in
-      let elapsed = Unix.gettimeofday () -. started in
-      let throughput = float_of_int s.Sun_serve.Pipeline.requests /. elapsed in
-      (match !baseline with
-      | None -> baseline := Some throughput
-      | Some _ -> ());
-      let speedup =
-        match !baseline with Some b when b > 0.0 -> throughput /. b | _ -> 1.0
-      in
-      Printf.printf "  jobs %-2d %8.2f req/s  %5.2fx vs jobs 1\n%!" jobs throughput speedup)
-    [ 1; 2; 4 ];
+  Printf.printf "hit rate: %.0f%% cold, %.0f%% warm\n" (hit_rate first) (hit_rate second);
   Sys.remove reqs_path
 
 (* Auditor scaling: time Audit.check_kernels over growing prefixes of the

@@ -203,7 +203,7 @@ if ! [ -s "$PARITY_TMP/BENCH_evaluate.json" ]; then
   exit 1
 fi
 
-echo "== bench transfer (warm >= 20% fewer evaluations, EDP equal-or-better per layer)"
+echo "== bench transfer (warm >= 20% fewer evaluations, EDP equal-or-better per layer, matches the committed file)"
 # Cold vs steady-state warm over the ResNet-18 and Inception-v3 catalogs.
 # The bench itself enforces the two acceptance gates (>= 20% fewer
 # mappings evaluated on ResNet-18, per-layer warm EDP never worse than
@@ -213,6 +213,17 @@ if ! [ -s "$PARITY_TMP/BENCH_transfer.json" ]; then
   echo "bench transfer: BENCH_transfer.json missing or empty" >&2
   exit 1
 fi
+# Counts and EDPs are a pure function of the tree, so the committed file
+# must match this run once the timings (the *_search_s lines) are set
+# aside: a change that moves a count or an EDP commits the new file.
+grep -v '_search_s"' BENCH_transfer.json >"$PARITY_TMP/transfer.committed"
+grep -v '_search_s"' "$PARITY_TMP/BENCH_transfer.json" >"$PARITY_TMP/transfer.run"
+if ! diff "$PARITY_TMP/transfer.committed" "$PARITY_TMP/transfer.run" >"$PARITY_TMP/transfer.diff"; then
+  echo "bench transfer: counts or EDPs differ from the committed BENCH_transfer.json:" >&2
+  head -40 "$PARITY_TMP/transfer.diff" >&2
+  exit 1
+fi
+echo "bench transfer: counts and EDPs match the committed BENCH_transfer.json"
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

@@ -215,7 +215,7 @@ let audit_frontier ~inject probe w a =
           let fits_factors factors =
             Array.fill ext 0 (Array.length ext) 1;
             Array.iteri (fun g d -> ext.(d) <- factors.(g)) grow_idx;
-            Probe.fits probe ops ~capacity:(cap +. 1e-9)
+            Probe.fits probe ops ~capacity:cap
           in
           let fits asg =
             fits_factors (Array.of_list (List.map (Tile_tree.factor_of asg) grow))

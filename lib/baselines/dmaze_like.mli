@@ -5,7 +5,13 @@
     Reproduced behaviours from the paper's evaluation: layers that cannot
     meet the utilization floors yield *no valid mapping* (early Inception
     layers under-filling L2), and asymmetric convolutions (R != S) are
-    rejected outright because the tool assumes symmetric filter windows. *)
+    rejected outright because the tool assumes symmetric filter windows.
+
+    The enumeration is {!Enumerator}'s: unrollings of the output-indexing
+    dims (every dim when spatial reduction is allowed) that reach the PE
+    floor, tiles that reach the L1 floor at level 0 and the L2 floor
+    above it. It stops on {!Enumerator.examined_budget}, a count shared
+    by both configurations, not on wall time. *)
 
 type config = {
   l1_min_utilization : float;
@@ -16,7 +22,6 @@ type config = {
           (no cross-PE accumulation) *)
   assume_symmetric_conv : bool;
   max_order_candidates : int;  (** per-level loop permutations evaluated *)
-  max_wall_seconds : float;  (** enumeration budget *)
 }
 
 val fast : config

@@ -6,20 +6,19 @@ module Rng = Sun_util.Rng
 type config = {
   timeout : int;
   victory_condition : int;
-  max_wall_seconds : float;
   seed : int;
   threads : int;
 }
 
 let fast =
-  { timeout = 20_000; victory_condition = 25; max_wall_seconds = 30.0; seed = 0x71; threads = 8 }
+  { timeout = 20_000; victory_condition = 25; seed = 0x71; threads = 8 }
 
 let slow =
-  { timeout = 80_000; victory_condition = 1_500; max_wall_seconds = 120.0; seed = 0x71; threads = 8 }
+  { timeout = 80_000; victory_condition = 1_500; seed = 0x71; threads = 8 }
 
 (* One hunt thread of Timeloop's search pool. Each thread keeps its own
    termination counters but shares the incumbent, like the original. *)
-let hunt ~config ~ctx ~space ~rng ~timer best best_edp examined =
+let hunt ~config ~ctx ~space ~rng best best_edp examined =
   let since_improvement = ref 0 in
   let valid_since_improvement = ref 0 in
   let stop = ref false in
@@ -40,9 +39,7 @@ let hunt ~config ~ctx ~space ~rng ~timer best best_edp examined =
       end
     | Error _ -> incr since_improvement);
     if
-      !since_improvement >= config.timeout
-      || !valid_since_improvement >= config.victory_condition
-      || (!examined land 255 = 0 && Sun_util.Stopwatch.elapsed_s timer > config.max_wall_seconds)
+      !since_improvement >= config.timeout || !valid_since_improvement >= config.victory_condition
     then stop := true
   done
 
@@ -54,10 +51,8 @@ let run ?(config = fast) ?binding w arch =
   let best_edp = ref Float.infinity in
   let examined = ref 0 in
   for thread = 0 to config.threads - 1 do
-    if Sun_util.Stopwatch.elapsed_s timer <= config.max_wall_seconds then begin
-      let rng = Rng.create (config.seed + (thread * 7919)) in
-      hunt ~config ~ctx ~space ~rng ~timer best best_edp examined
-    end
+    let rng = Rng.create (config.seed + (thread * 7919)) in
+    hunt ~config ~ctx ~space ~rng best best_edp examined
   done;
   Mapper.of_mapping ~tool:"timeloop-like" ~examined:!examined
     ~wall_seconds:(Sun_util.Stopwatch.elapsed_s timer) ?binding w arch !best

@@ -4,14 +4,14 @@
 
     The search samples mappings uniformly from {!Sun_search.Mapspace},
     evaluates each with the shared cost model, and keeps the best valid
-    mapping. It terminates when any of these trips: [timeout] consecutive
-    samples without improvement, [victory_condition] consecutive *valid*
-    samples without improvement, or the wall-clock budget. *)
+    mapping. Each hunt thread stops when either trips: [timeout] consecutive
+    samples without improvement, or [victory_condition] consecutive *valid*
+    samples without improvement. Both are counts, so the result depends
+    only on the input and the seed, never on the host's speed. *)
 
 type config = {
   timeout : int;  (** consecutive sampled mappings without improvement *)
   victory_condition : int;  (** consecutive valid mappings without improvement *)
-  max_wall_seconds : float;  (** stand-in for the paper's one-hour cap *)
   seed : int;
   threads : int;  (** hunt threads of the search pool (paper: 8) *)
 }

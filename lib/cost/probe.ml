@@ -1,4 +1,5 @@
 module W = Sun_tensor.Workload
+module A = Sun_arch.Arch
 
 (* Per tensor axis: (dim id, coefficient) terms, exactly [Model]'s op_info
    axes. A [W.Dim d] axis is [(d, 1)]: its extent 1 + 1*(v-1) = v is the
@@ -91,7 +92,23 @@ let fits t ops ~capacity =
     done;
     sum := !sum +. !fp
   done;
-  not (!sum > capacity)
+  not (!sum > capacity +. 1e-9)
+
+let fit_table t (w : W.t) arch ~binding =
+  Array.init (A.num_levels arch) (fun level ->
+      let lvl = A.level arch level in
+      if lvl.A.unbounded then [||]
+      else
+        Array.of_list
+          (List.map
+             (fun (p : A.partition) ->
+               let stored (op : W.operand) =
+                 match A.partition_for lvl ~role:(binding op.W.name) with
+                 | Some p' when p'.A.part_name = p.A.part_name -> Some (axes t ~op:op.W.name)
+                 | _ -> None
+               in
+               (float_of_int p.A.capacity_words, Array.of_list (List.filter_map stored w.W.operands)))
+             lvl.A.partitions))
 
 let changes_footprint t ~op ~dim =
   match Hashtbl.find_opt t.dim_of dim with

@@ -39,8 +39,19 @@ val footprint : t -> axes -> float
 
 val fits : t -> axes array -> capacity:float -> bool
 (** Do the operands' footprints at the extents in {!extents} sum to at
-    most [capacity]? The sum is bit-identical to adding up {!footprint}
-    in array order, and the call allocates nothing. *)
+    most [capacity] words, with the 1e-9 slack of the cost model's own
+    capacity check? The sum is bit-identical to adding up {!footprint} in
+    array order, and the call allocates nothing. *)
+
+val fit_table :
+  t -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> binding:(string -> string) ->
+  (float * axes array) array array
+(** Per level of the architecture, per partition in declaration order: its
+    capacity in words and the axes of the operands it stores under
+    [binding], in the workload's operand order. An unbounded level has no
+    entries. A tile fits level [l] when {!fits} holds for every entry of
+    row [l]; this is the one capacity test of the optimizer's tile search
+    and the directed baselines. *)
 
 val changes_footprint : t -> op:string -> dim:string -> bool
 (** Does growing [dim] (1 → 2, all other extents 1) change [op]'s

@@ -138,25 +138,22 @@ let create ?(on_child_fork = fun () -> ()) ~jobs ~f () =
   if jobs < 1 then invalid_arg "Parpool.create: jobs must be >= 1";
   (* Writes to a worker that died must raise EPIPE, not kill the parent. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let t =
-    {
-      job_count = jobs;
-      f;
-      on_child_fork;
-      workers = [];
-      spawned = 0;
-      completed = Queue.create ();
-      closed = false;
-    }
-  in
-  for _ = 1 to jobs do
-    t.workers <- t.workers @ [ spawn t ]
-  done;
-  t
+  {
+    job_count = jobs;
+    f;
+    on_child_fork;
+    workers = [];
+    spawned = 0;
+    completed = Queue.create ();
+    closed = false;
+  }
 
 let jobs t = t.job_count
 
-let idle t = List.length (List.filter (fun w -> Option.is_none w.current) t.workers)
+(* Workers not forked yet count as idle: [submit] forks them on demand. *)
+let idle t =
+  t.job_count - List.length t.workers
+  + List.length (List.filter (fun w -> Option.is_none w.current) t.workers)
 
 let pending t =
   List.length (List.filter (fun w -> Option.is_some w.current) t.workers)
@@ -200,7 +197,16 @@ let rec send t w job =
 
 let submit t ~key payload =
   if t.closed then invalid_arg "Parpool.submit: pool is shut down";
-  match List.find_opt (fun w -> Option.is_none w.current) t.workers with
+  let idle_worker =
+    match List.find_opt (fun w -> Option.is_none w.current) t.workers with
+    | Some w -> Some w
+    | None when List.length t.workers < t.job_count ->
+      let w = spawn t in
+      t.workers <- t.workers @ [ w ];
+      Some w
+    | None -> None
+  in
+  match idle_worker with
   | None -> invalid_arg "Parpool.submit: no idle worker (check Parpool.idle first)"
   | Some w ->
     (* sunstone-lint: allow SA063 telemetry-only timing; never reaches scheduling or the wire *)

@@ -41,12 +41,15 @@ type 'b reply =
   | Crashed  (** the worker process died twice running this job *)
 
 val create : ?on_child_fork:(unit -> unit) -> jobs:int -> f:('a -> 'b) -> unit -> ('a, 'b) t
-(** [create ~jobs ~f ()] forks [jobs] workers each looping [f] over framed
-    jobs. [jobs] must be at least 1 ([Invalid_argument] otherwise): every
-    job runs in a forked worker, never in the calling process.
+(** [create ~jobs ~f ()] is a pool of up to [jobs] workers each looping
+    [f] over framed jobs. It forks nothing itself: {!submit} forks a worker
+    when no forked one is idle and fewer than [jobs] exist, so a caller that
+    never submits (a batch of cache hits) never forks. [jobs] must be at
+    least 1 ([Invalid_argument] otherwise): every job runs in a forked
+    worker, never in the calling process.
 
     [?on_child_fork] runs inside {e every} freshly forked worker — the
-    initial [jobs] and every respawn after a crash — before the job loop
+    first [jobs] and every respawn after a crash — before the job loop
     starts. Callers that hold fds workers must not inherit (a server's
     listening socket and client connections: a worker keeping a duplicate
     alive means a peer never sees EOF after the caller closes its end)
@@ -58,15 +61,17 @@ val jobs : ('a, 'b) t -> int
 (** The configured worker count (constant: crashed workers are replaced). *)
 
 val idle : ('a, 'b) t -> int
-(** Workers currently without an in-flight job. *)
+(** Workers currently without an in-flight job, counting those not forked
+    yet. *)
 
 val pending : ('a, 'b) t -> int
 (** Completions {!next} still has to deliver: in-flight jobs plus results
     already collected internally (e.g. a give-up after a crashed retry). *)
 
 val submit : ('a, 'b) t -> key:int -> 'a -> unit
-(** Hands a job to an idle worker. [Invalid_argument] if {!idle} is [0] or
-    the pool was {!shutdown}; callers drive admission with {!idle}. *)
+(** Hands a job to an idle worker, forking one when no forked worker is
+    idle. [Invalid_argument] if {!idle} is [0] or the pool was
+    {!shutdown}; callers drive admission with {!idle}. *)
 
 val next : ('a, 'b) t -> int * 'b reply
 (** Blocks until some in-flight job completes and returns [(key, reply)].

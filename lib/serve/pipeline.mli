@@ -149,8 +149,10 @@ val router :
   ?cache:Cache.t -> ?on_child_fork:(unit -> unit) -> config:Sun_core.Optimizer.config ->
   jobs:int -> answer:('a job -> outcome -> string -> float -> unit) -> ready:('a job -> unit) ->
   unit -> 'a router
-(** Forks the pool: [jobs] workers, [?on_child_fork] as in
-    {!Parpool.create}. [answer job outcome response wall_s] receives every
+(** Creates the pool: up to [jobs] workers, forked by the first
+    {!submit}s that find none idle, and [?on_child_fork] as in
+    {!Parpool.create}. A run whose every request is answered in the
+    parent (cache hits, rejected lines) forks nothing. [answer job outcome response wall_s] receives every
     final response, serialized; it is called once per routed job.
     [ready job] receives each job that needs compute; the driver passes it
     to {!submit} once a worker is idle, or to {!release} if it drops it. *)

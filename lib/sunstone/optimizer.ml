@@ -71,9 +71,9 @@ type search_state = {
           keys the per-pass tile and unroll memos *)
   grow_pos : int array array;  (** per grow list, each dim's position in [dims] *)
   grow_of_op : (string * int) list;  (** operand name -> index into [grows] *)
-  mutable fits : (float * Probe.axes array) array array;
-      (** per level: (capacity, stored operands' resolved axes) per
-          partition — arrays, so the fit test loops without list closures *)
+  fits : (float * Probe.axes array) array array;
+      (** {!Probe.fit_table}: per level, (capacity, stored operands' axes)
+          per partition — arrays, so the fit test loops without list closures *)
   mutable fit_level : int;  (** [tile_fits] scratch, set per tile search: the level tiled *)
   mutable fit_base : int array;  (** extent already placed below it, per probe dim *)
   mutable fit_grow : int array;  (** probe dim of each grow dim, in grow order *)
@@ -122,29 +122,6 @@ let set rows l row =
   let a = Array.copy rows in
   a.(l) <- row;
   a
-
-(* Per level: the partitions to check and the axes of the operands each
-   one holds, resolved once so the tile-tree fit test is a tight loop. *)
-let fit_table st =
-  Array.init (A.num_levels st.arch) (fun level ->
-      let lvl = A.level st.arch level in
-      if lvl.A.unbounded then [||]
-      else
-        Array.of_list
-          (List.map
-             (fun (p : A.partition) ->
-               let ops =
-                 List.filter
-                   (fun (op : W.operand) ->
-                     match A.partition_for lvl ~role:(st.cfg.binding op.W.name) with
-                     | Some p' -> p'.A.part_name = p.A.part_name
-                     | None -> false)
-                   st.w.W.operands
-               in
-               ( float_of_int p.A.capacity_words +. 1e-9,
-                 Array.of_list
-                   (List.map (fun (op : W.operand) -> Probe.axes st.probe ~op:op.W.name) ops) ))
-             lvl.A.partitions))
 
 (* Does the tile with the given grow-dim factors fit every partition of
    [st.fit_level]? Each grow dim's extent is its base times its factor;
@@ -1241,45 +1218,42 @@ let create_state ~config ~inject w arch =
   let dims = W.dim_names w in
   let dim_array = Array.of_list dims in
   let grows, grow_pos, grow_of_op = grow_table w dims dim_array in
-  let st =
-    {
-      w;
-      arch;
-      cfg = config;
-      ctx = Model.context ~binding:config.binding w arch;
-      probe = Probe.create w;
-      dims;
-      dim_array;
-      bounds = Array.of_list (List.map (W.bound w) dims);
-      grows;
-      grow_pos;
-      grow_of_op;
-      fits = [||];
-      fit_level = 0;
-      fit_base = [||];
-      fit_grow = [||];
-      examined = 0;
-      evaluated = 0;
-      pruned = 0;
-      build_errors = 0;
-      eval_errors = 0;
-      orders_kept = 0;
-      orders_dropped = 0;
-      tile_candidates = 0;
-      unroll_candidates = 0;
-      tile_fit_tests = 0;
-      shared_verdicts = 0;
-      inject;
-      best = None;
-      seeded = 0;
-      seed_rejected = 0;
-      seed_edp = nan;
-      best_is_seed = false;
-      best_alt = None;
-    }
-  in
-  st.fits <- fit_table st;
-  st
+  let probe = Probe.create w in
+  {
+    w;
+    arch;
+    cfg = config;
+    ctx = Model.context ~binding:config.binding w arch;
+    probe;
+    dims;
+    dim_array;
+    bounds = Array.of_list (List.map (W.bound w) dims);
+    grows;
+    grow_pos;
+    grow_of_op;
+    fits = Probe.fit_table probe w arch ~binding:config.binding;
+    fit_level = 0;
+    fit_base = [||];
+    fit_grow = [||];
+    examined = 0;
+    evaluated = 0;
+    pruned = 0;
+    build_errors = 0;
+    eval_errors = 0;
+    orders_kept = 0;
+    orders_dropped = 0;
+    tile_candidates = 0;
+    unroll_candidates = 0;
+    tile_fit_tests = 0;
+    shared_verdicts = 0;
+    inject;
+    best = None;
+    seeded = 0;
+    seed_rejected = 0;
+    seed_edp = nan;
+    best_is_seed = false;
+    best_alt = None;
+  }
 
 let tile_fit_test w arch ~level ~grow =
   let st = create_state ~config:default_config ~inject:No_injection w arch in

@@ -30,9 +30,13 @@
 type direction = Bottom_up | Top_down
 
 type intra_order = Ordering_first | Tiling_first | Unrolling_first
-(** Order in which the three per-level sub-optimizations are enumerated;
-    the candidate set is the same but the examined-node count differs
-    (Table VI, rows 1-3). *)
+(** Order in which the per-level sub-optimizations are enumerated (Table
+    VI, rows 1-3). Each pass fixes the loop orders first, so only the
+    tile/unroll nesting varies: [Unrolling_first] searches tiles under each
+    unrolling, while [Ordering_first] and [Tiling_first] both search
+    unrollings under each tile. Those two are one computation, with
+    identical candidates, counts and EDP; both stay so Table VI keeps its
+    three rows and the codec its wire values. *)
 
 type config = {
   direction : direction;

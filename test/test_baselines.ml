@@ -7,7 +7,7 @@ module B = Sun_baselines
 module Mapper = B.Mapper
 
 let layer = C.conv2d ~n:16 ~k:64 ~c:64 ~p:14 ~q:14 ~r:3 ~s:3 ()
-let small_tl = { B.Timeloop_like.fast with B.Timeloop_like.threads = 2; max_wall_seconds = 5.0 }
+let small_tl = { B.Timeloop_like.fast with B.Timeloop_like.threads = 2 }
 
 (* ----------------------------- mapper ------------------------------ *)
 
@@ -54,9 +54,7 @@ let test_timeloop_deterministic () =
   Alcotest.(check (float 0.0)) "same result for same seed" (Mapper.edp a) (Mapper.edp b)
 
 let test_timeloop_slow_no_worse () =
-  let slow_cfg =
-    { B.Timeloop_like.slow with B.Timeloop_like.threads = 2; max_wall_seconds = 10.0 }
-  in
+  let slow_cfg = { B.Timeloop_like.slow with B.Timeloop_like.threads = 2 } in
   let fast = B.Timeloop_like.run ~config:small_tl layer P.conventional in
   let slow = B.Timeloop_like.run ~config:slow_cfg layer P.conventional in
   Alcotest.(check bool) "slow explores at least as much" true
@@ -78,10 +76,17 @@ let test_dmaze_underutilized_layer_fails () =
   Alcotest.(check bool) "no valid mapping" false o.Mapper.valid
 
 let test_dmaze_valid_on_large_layer () =
-  (* a layer big enough to clear the 40% L2 floor of the slow config *)
+  (* a layer big enough to clear the 40% L2 floor of the slow config, and
+     to run into the examined budget: the stop is a count, so where it
+     lands and the mapping found by then are pinned exactly *)
   let big = C.conv2d ~n:16 ~k:64 ~c:64 ~p:56 ~q:56 ~r:3 ~s:3 () in
   let o = B.Dmaze_like.run ~config:B.Dmaze_like.slow big P.conventional in
   Alcotest.(check bool) "valid on batch-16 layer" true o.Mapper.valid;
+  Alcotest.(check int) "stopped just past the examined budget" 12_000_014 o.Mapper.examined;
+  Alcotest.(check bool) "the budget is what stopped it" true
+    (o.Mapper.examined >= B.Enumerator.examined_budget);
+  Alcotest.(check string) "EDP bits at the budget" "4351ef4b55062b1d"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float (Mapper.edp o)));
   match o.Mapper.mapping with
   | Some m ->
     (* the returned mapping honors the thresholds it was searched under *)

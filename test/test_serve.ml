@@ -785,6 +785,47 @@ let test_pipeline_stale_search_is_miss () =
   let s, _, _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
   Alcotest.(check int) "recomputed entries serve as hits" 3 s.Pipeline.hits
 
+(* DESIGN.md §3.1: a change that regenerates the golden batch fixture bumps
+   [Transfer.search_version], so caches written by the old search miss.
+   The two are pinned as a pair: a regenerated fixture without the bump
+   fails here. *)
+let test_search_version_pins_golden_fixture () =
+  let rec root d =
+    if Sys.file_exists (Filename.concat d "dune-project") || Filename.dirname d = d then d
+    else root (Filename.dirname d)
+  in
+  let fixture = Filename.concat (root (Sys.getcwd ())) "test/fixtures/batch_mixed_expected.jsonl" in
+  let digest = Digest.to_hex (Digest.file fixture) in
+  Alcotest.(check (pair int string))
+    "DESIGN.md §3.1: regenerating batch_mixed_expected.jsonl bumps Transfer.search_version \
+     (then pin the new pair here)"
+    (1, "6dee50b2f2eeb3863584b26c44600420")
+    (Sun_serve.Transfer.search_version, digest)
+
+(* [f ()], and whether it forked: a forked worker's exit sends the parent
+   SIGCHLD, which stays pending while blocked (its default action is to
+   discard it, so unblocking leaves no trace). *)
+let forks_during f =
+  let old = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigchld ] in
+  Fun.protect
+    ~finally:(fun () -> ignore (Unix.sigprocmask Unix.SIG_SETMASK old))
+    (fun () ->
+      let r = f () in
+      (r, List.mem Sys.sigchld (Unix.sigpending ())))
+
+let test_pipeline_all_hits_fork_nothing () =
+  let dir = fresh_dir "sun_pipe_nofork" in
+  let (cold, _, _), cold_forked =
+    forks_during (fun () -> run_batch ~cache:(Cache.create ~dir ()) batch_requests)
+  in
+  Alcotest.(check int) "cold run computes" 3 cold.Pipeline.computed;
+  Alcotest.(check bool) "a computing run forks" true cold_forked;
+  let (warm, _, _), warm_forked =
+    forks_during (fun () -> run_batch ~cache:(Cache.create ~dir ()) batch_requests)
+  in
+  Alcotest.(check int) "warm run all hits" 3 warm.Pipeline.hits;
+  Alcotest.(check bool) "an all-hit run forks no worker" false warm_forked
+
 let test_pipeline_errors_and_inline () =
   let inline_workload = J.to_string (Codec.encode_workload conv1d) in
   let requests =
@@ -1861,6 +1902,10 @@ let () =
             test_pipeline_worker_crash_once_is_retried;
           Alcotest.test_case "stale search version is miss" `Quick
             test_pipeline_stale_search_is_miss;
+          Alcotest.test_case "search version pins the golden fixture" `Quick
+            test_search_version_pins_golden_fixture;
+          Alcotest.test_case "all-hit batch forks no worker" `Quick
+            test_pipeline_all_hits_fork_nothing;
         ] );
       ( "telemetry",
         [
