@@ -9,6 +9,8 @@ module Listx = Sun_util.Listx
 
 let examined_budget = 12_000_000
 
+type unrolling = Tree.assignment
+
 let product a = List.fold_left (fun acc (_, f) -> acc * f) 1 a
 
 let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.id) w arch =
@@ -50,11 +52,11 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
       0.0 fit_table.(level)
   in
   let best = ref None and best_edp = ref Float.infinity in
-  let score (r : Rows.t) =
+  (* every factor divides what its level had left, so the rows always
+     cover the bounds exactly *)
+  let score r =
     incr examined;
-    if not (Rows.valid ~bounds r) then None
-    else
-      match Model.score_rows ctx r with Ok s -> Some s.Model.s_edp | Error _ -> None
+    match Model.score_rows ctx r with Ok s -> Some s.Model.s_edp | Error _ -> None
   in
   (* The residual of each dim goes to the top level; then, level by level
      from the one above the innermost, the best of at most
@@ -85,7 +87,7 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
               best_perm_edp := edp;
               best_perm := Some order
             | _ -> ())
-          (Listx.take max_order_candidates (Listx.permutations active));
+          (Listx.permutations ~limit:max_order_candidates active);
         r.Rows.order.(lvl) <- Option.value !best_perm ~default:kept
       end
     done;

@@ -26,13 +26,15 @@ val examined_budget : int
 (** 12,000,000: above the 10,964,183 that the largest Fig 7 cell (dMaze-slow
     on 3x3_early) reaches without a stop. *)
 
-val product : Sun_core.Tile_tree.assignment -> int
+type unrolling = Sun_core.Tile_tree.assignment
+(** Spatial factors of one level; absent dims are 1. *)
+
+val product : unrolling -> int
 (** The product of an unrolling's factors: the PEs it occupies. *)
 
 val run :
   tool:string ->
-  spatial:(fanout:int -> unroll:(Sun_tensor.Workload.dim list -> Sun_core.Tile_tree.assignment list) ->
-           Sun_core.Tile_tree.assignment list) ->
+  spatial:(fanout:int -> unroll:(Sun_tensor.Workload.dim list -> unrolling list) -> unrolling list) ->
   tile_floor:(int -> float) ->
   max_order_candidates:int ->
   ?binding:Sun_cost.Model.binding ->

@@ -107,7 +107,8 @@ let fit_table t (w : W.t) arch ~binding =
                  | Some p' when p'.A.part_name = p.A.part_name -> Some (axes t ~op:op.W.name)
                  | _ -> None
                in
-               (float_of_int p.A.capacity_words, Array.of_list (List.filter_map stored w.W.operands)))
+               let ops = Array.of_list (List.filter_map stored w.W.operands) in
+               (float_of_int p.A.capacity_words, ops))
              lvl.A.partitions))
 
 let changes_footprint t ~op ~dim =

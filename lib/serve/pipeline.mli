@@ -152,8 +152,9 @@ val router :
 (** Creates the pool: up to [jobs] workers, forked by the first
     {!submit}s that find none idle, and [?on_child_fork] as in
     {!Parpool.create}. A run whose every request is answered in the
-    parent (cache hits, rejected lines) forks nothing. [answer job outcome response wall_s] receives every
-    final response, serialized; it is called once per routed job.
+    parent (cache hits, rejected lines) forks nothing.
+    [answer job outcome response wall_s] receives every final response,
+    serialized; it is called once per routed job.
     [ready job] receives each job that needs compute; the driver passes it
     to {!submit} once a worker is idle, or to {!release} if it drops it. *)
 

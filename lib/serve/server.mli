@@ -140,9 +140,9 @@ val serve :
 (** Runs the accept loop until drained. [?jobs] (default 1, clamped up to
     1) sizes the {!Parpool} — even [jobs = 1] computes in a worker so the
     accept loop never blocks on a search, and a worker is forked when the
-    first search needs one; workers close the
-    daemon's listening and connection fds at fork time so no client fd
-    outlives the parent's close. The listen fd and every accepted fd are
+    first search needs one; workers close the daemon's listening and
+    connection fds at fork time so no client fd outlives the parent's
+    close. The listen fd and every accepted fd are
     switched to non-blocking ([select] readiness is a hint, not a
     guarantee). [?max_queue] (default unbounded) is the admission bound;
     [?max_conns] (default 900) bounds concurrently open connections so fd

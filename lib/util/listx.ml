@@ -4,14 +4,15 @@ let cartesian lists =
   in
   List.map List.rev (List.fold_left add_axis [ [] ] lists)
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | xs ->
-    List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y != x) xs in
-        List.map (fun p -> x :: p) (permutations rest))
-      xs
+let permutations ?limit xs =
+  let rec all = function
+    | [] -> Seq.return []
+    | xs ->
+      Seq.concat_map
+        (fun x -> Seq.map (List.cons x) (all (List.filter (fun y -> y != x) xs)))
+        (List.to_seq xs)
+  in
+  List.of_seq (match limit with Some n -> Seq.take n (all xs) | None -> all xs)
 
 let rec take n = function
   | [] -> []

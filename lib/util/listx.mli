@@ -4,8 +4,10 @@ val cartesian : 'a list list -> 'a list list
 (** [cartesian \[xs1; xs2; ...\]] is all ways to pick one element from each
     list, in order. [cartesian \[\] = \[\[\]\]]. *)
 
-val permutations : 'a list -> 'a list list
-(** All permutations; factorial blowup is the caller's concern. *)
+val permutations : ?limit:int -> 'a list -> 'a list list
+(** All permutations, or the first [limit] of them, built lazily so the
+    rest are never made; factorial blowup is the caller's concern. Each
+    element in list order heads its own block, recursively. *)
 
 val take : int -> 'a list -> 'a list
 (** First [n] elements (or fewer if the list is shorter). *)

@@ -44,7 +44,11 @@ let test_cartesian () =
 
 let test_permutations () =
   check_int "3! perms" 6 (List.length (Listx.permutations [ 1; 2; 3 ]));
-  check_int "unique" 6 (List.length (Listx.unique compare (Listx.permutations [ 1; 2; 3 ])))
+  check_int "unique" 6 (List.length (Listx.unique compare (Listx.permutations [ 1; 2; 3 ])));
+  Alcotest.(check (list (list int)))
+    "limit keeps the first, in order"
+    [ [ 1; 2; 3 ]; [ 1; 3; 2 ]; [ 2; 1; 3 ] ]
+    (Listx.permutations ~limit:3 [ 1; 2; 3 ])
 
 let test_min_by () =
   Alcotest.(check (option int)) "min" (Some 3) (Listx.min_by float_of_int [ 5; 3; 9 ]);
