@@ -452,6 +452,82 @@ let transfer_bench () =
     exit 1
   end
 
+(* Cold-search ledger: bench/perf's three cold request sets, rebuilt from
+   [Sun_workloads] and searched in process with the default configuration.
+   Persists each search's counts, EDP and in-process search seconds to
+   BENCH_search.json. Counts and EDPs are a pure function of the tree (the
+   EDP is spelled [%.17g], so equal bits read equal); the [*_search_s]
+   lines are the only timings, and ci.sh diffs everything else against the
+   committed file. *)
+let search_bench () =
+  let module Json = Sun_serve.Json in
+  let module Opt = Sun_core.Optimizer in
+  let module Model = Sun_cost.Model in
+  let module P = Sun_arch.Presets in
+  let sets =
+    [
+      ( "resnet18-simba",
+        "simba",
+        P.simba_like,
+        List.map (fun l -> l.Sun_workloads.Resnet18.workload) (Sun_workloads.Resnet18.layers ~batch:16 ())
+      );
+      ( "tensor-simba",
+        "simba",
+        P.simba_like,
+        List.map (fun i -> i.Sun_workloads.Non_dnn.workload) Sun_workloads.Non_dnn.all );
+      ( "inception-wu-conventional",
+        "conventional",
+        P.conventional,
+        List.map
+          (fun l -> l.Sun_workloads.Inception.workload)
+          (Sun_workloads.Inception.weight_update_layers ~batch:16 ()) );
+    ]
+  in
+  let run_set (name, arch_name, arch, workloads) =
+    let rows =
+      List.map
+        (fun (w : Sun_tensor.Workload.t) ->
+          match Opt.optimize w arch with
+          | Error msg ->
+            Printf.eprintf "search: %s on %s failed: %s\n" w.Sun_tensor.Workload.name arch_name msg;
+            exit 2
+          | Ok r ->
+            let s = r.Opt.stats in
+            ( s.Opt.wall_seconds,
+              Json.Obj
+                [
+                  ("workload", Json.String w.Sun_tensor.Workload.name);
+                  ("examined", Json.Int s.Opt.examined);
+                  ("evaluated", Json.Int s.Opt.evaluated);
+                  ("pruned_alpha_beta", Json.Int s.Opt.pruned_alpha_beta);
+                  ("build_errors", Json.Int s.Opt.build_errors);
+                  ("eval_errors", Json.Int s.Opt.eval_errors);
+                  ("tile_fit_tests", Json.Int s.Opt.tile_fit_tests);
+                  ("shared_verdicts", Json.Int s.Opt.shared_verdicts);
+                  ("edp", Json.String (Printf.sprintf "%.17g" r.Opt.cost.Model.edp));
+                  ("in_process_search_s", Json.Float s.Opt.wall_seconds);
+                ] ))
+        workloads
+    in
+    let total = List.fold_left (fun acc (t, _) -> acc +. t) 0.0 rows in
+    Printf.printf "search: %-26s %2d searches on %-12s %.3f s\n%!" name (List.length rows) arch_name
+      total;
+    Json.Obj
+      [
+        ("set", Json.String name);
+        ("arch", Json.String arch_name);
+        ("total_search_s", Json.Float total);
+        ("searches", Json.List (List.map snd rows));
+      ]
+  in
+  let body = List.map run_set sets in
+  let out = "BENCH_search.json" in
+  let oc = open_out out in
+  output_string oc (Json.to_string_pretty (Json.Obj [ ("search", Json.List body) ]));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "search: wrote %s\n" out
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let known = List.map fst Sun_experiments.Figures.all in
@@ -461,6 +537,7 @@ let () =
   | [ "audit" ] -> audit_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
+  | [ "search" ] -> search_bench ()
   | [] -> List.iter (fun (name, driver) -> run_experiment name driver) Sun_experiments.Figures.all
   | names ->
     List.iter
@@ -470,7 +547,7 @@ let () =
         | None ->
           Printf.eprintf
             "unknown experiment %S; known: %s, 'micro', 'serve', 'audit', \
-             'evaluate' or 'transfer'\n"
+             'evaluate', 'transfer' or 'search'\n"
             name
             (String.concat ", " known);
           exit 2)

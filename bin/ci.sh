@@ -225,6 +225,25 @@ if ! diff "$PARITY_TMP/transfer.committed" "$PARITY_TMP/transfer.run" >"$PARITY_
 fi
 echo "bench transfer: counts and EDPs match the committed BENCH_transfer.json"
 
+echo "== bench search (cold-search ledger matches the committed file)"
+# bench/perf's three cold request sets searched in process. As with the
+# transfer ledger, everything but the *_search_s timing lines is a pure
+# function of the tree: a change that moves a count or an EDP commits the
+# new file, and its diff shows which searches moved.
+(cd "$PARITY_TMP" && "$BENCH" search)
+if ! [ -s "$PARITY_TMP/BENCH_search.json" ]; then
+  echo "bench search: BENCH_search.json missing or empty" >&2
+  exit 1
+fi
+grep -v '_search_s"' BENCH_search.json >"$PARITY_TMP/search.committed"
+grep -v '_search_s"' "$PARITY_TMP/BENCH_search.json" >"$PARITY_TMP/search.run"
+if ! diff "$PARITY_TMP/search.committed" "$PARITY_TMP/search.run" >"$PARITY_TMP/search.diff"; then
+  echo "bench search: counts or EDPs differ from the committed BENCH_search.json:" >&2
+  head -40 "$PARITY_TMP/search.diff" >&2
+  exit 1
+fi
+echo "bench search: counts and EDPs match the committed BENCH_search.json"
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"
   dune build @fmt
