@@ -160,10 +160,12 @@ let audit_bench () =
   Printf.printf "audit: wrote %s\n" out
 
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
-   (full and score-only) against the frozen pre-PR evaluator (Model_ref) on
-   the registry's hardest kernels, min-of-N interleaved-free reps, plus
-   footprint-probe throughput on an optimizer-like access pattern. Persists everything to BENCH_evaluate.json and exits non-zero
-   unless the hardest kernel clears the 2x evaluations/sec gate and every
+   (full, score-only, and score-only on packed rows, the form the search
+   scores) against the frozen pre-PR evaluator (Model_ref) on the
+   registry's hardest kernels, min-of-N interleaved reps, plus
+   footprint-probe throughput on an optimizer-like access pattern.
+   Persists everything to BENCH_evaluate.json and exits non-zero unless
+   the hardest kernel clears the 2x evaluations/sec gate and every
    kernel's costs are bit-identical across evaluators. *)
 let evaluate_bench () =
   let module W = Sun_tensor.Workload in
@@ -207,6 +209,7 @@ let evaluate_bench () =
         in
         let ctx = Model.context w arch in
         let ref_ctx = Ref.context w arch in
+        let rows = Sun_mapping.Mapping.Rows.of_levels w m.Sun_mapping.Mapping.levels in
         (* bit-identity spot check before timing anything *)
         let identical =
           match (Model.evaluate_ctx ctx m, Ref.evaluate_ctx ref_ctx m) with
@@ -214,24 +217,32 @@ let evaluate_bench () =
             Int64.bits_of_float c.Model.energy_pj = Int64.bits_of_float c'.Ref.energy_pj
             && Int64.bits_of_float c.Model.cycles = Int64.bits_of_float c'.Ref.cycles
             && Int64.bits_of_float c.Model.edp = Int64.bits_of_float c'.Ref.edp
+            &&
+            (match Model.score_rows ctx rows with
+            | Ok s -> Int64.bits_of_float s.Model.s_edp = Int64.bits_of_float c.Model.edp
+            | Error _ -> false)
           | _ -> false
         in
         if not identical then all_identical := false;
-        (* interleave the three evaluators rep by rep, min-of-N each, so a
+        (* interleave the four evaluators rep by rep, min-of-N each, so a
            load spike hits all of them rather than skewing one ratio *)
         let ref_best = ref infinity and full_best = ref infinity and score_best = ref infinity in
+        let rows_best = ref infinity in
         for _ = 1 to reps do
           ref_best := Float.min !ref_best (time_once (fun () -> ignore (Ref.evaluate_ctx ref_ctx m)));
           full_best :=
             Float.min !full_best (time_once (fun () -> ignore (Model.evaluate_ctx ctx m)));
           score_best :=
-            Float.min !score_best (time_once (fun () -> ignore (Model.score_ctx ctx m)))
+            Float.min !score_best (time_once (fun () -> ignore (Model.score_ctx ctx m)));
+          rows_best := Float.min !rows_best (time_once (fun () -> ignore (Model.score_rows ctx rows)))
         done;
         let ref_eps = float_of_int evals /. !ref_best in
         let full_eps = float_of_int evals /. !full_best in
         let score_eps = float_of_int evals /. !score_best in
+        let rows_eps = float_of_int evals /. !rows_best in
         let speedup_full = full_eps /. ref_eps in
         let speedup_score = score_eps /. ref_eps in
+        let speedup_rows = rows_eps /. ref_eps in
         if name = hardest then gate_speedup := speedup_score;
         (* footprint probes: the optimizer's fit-test pattern — a small
            pool of candidate extent vectors probed for every operand *)
@@ -267,8 +278,9 @@ let evaluate_bench () =
         done;
         let pps = float_of_int nprobes /. !probe_best in
         Printf.printf
-          "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  %s\n%!" name
-          ref_eps full_eps speedup_full score_eps speedup_score
+          "  %-5s ref %9.0f/s  full %9.0f/s (%.2fx)  score %9.0f/s (%.2fx)  rows %9.0f/s \
+           (%.2fx)  %s\n%!"
+          name ref_eps full_eps speedup_full score_eps speedup_score rows_eps speedup_rows
           (if identical then "bit-identical" else "COSTS DIFFER");
         Printf.printf "        probes %9.0f/s\n%!" pps;
         Json.Obj
@@ -278,8 +290,10 @@ let evaluate_bench () =
             ("ref_evals_per_s", Json.Float ref_eps);
             ("full_evals_per_s", Json.Float full_eps);
             ("score_evals_per_s", Json.Float score_eps);
+            ("rows_evals_per_s", Json.Float rows_eps);
             ("speedup_full", Json.Float speedup_full);
             ("speedup_score", Json.Float speedup_score);
+            ("speedup_rows", Json.Float speedup_rows);
             ("bit_identical", Json.Bool identical);
             ("probes_per_s", Json.Float pps);
           ])

@@ -326,23 +326,28 @@ let rec fill_order ctx row i = function
 let rec sprod_loop srow d n acc =
   if d >= n then acc else sprod_loop srow (d + 1) n (acc * Array.unsafe_get srow d)
 
+(* Level [l]'s cumulative tile extents, from its factor rows and level
+   [l - 1]'s extents. *)
+let cum_level ctx lay l =
+  let crow = lay.cum.(l) and trow = lay.t.(l) and srow = lay.s.(l) in
+  if l = 0 then
+    for d = 0 to ctx.ndims - 1 do
+      Array.unsafe_set crow d (Array.unsafe_get trow d * Array.unsafe_get srow d)
+    done
+  else begin
+    let prev = lay.cum.(l - 1) in
+    for d = 0 to ctx.ndims - 1 do
+      Array.unsafe_set crow d
+        (Array.unsafe_get prev d * Array.unsafe_get trow d * Array.unsafe_get srow d)
+    done
+  end
+
 (* Per-level spatial products and cumulative tile extents of the factor
    rows already in the layout scratch. *)
 let finish_lay ctx lay =
   for l = 0 to ctx.nlevels - 1 do
-    let crow = lay.cum.(l) and trow = lay.t.(l) and srow = lay.s.(l) in
-    lay.sprod.(l) <- sprod_loop srow 0 ctx.ndims 1;
-    if l = 0 then
-      for d = 0 to ctx.ndims - 1 do
-        Array.unsafe_set crow d (Array.unsafe_get trow d * Array.unsafe_get srow d)
-      done
-    else begin
-      let prev = lay.cum.(l - 1) in
-      for d = 0 to ctx.ndims - 1 do
-        Array.unsafe_set crow d
-          (Array.unsafe_get prev d * Array.unsafe_get trow d * Array.unsafe_get srow d)
-      done
-    end
+    lay.sprod.(l) <- sprod_loop lay.s.(l) 0 ctx.ndims 1;
+    cum_level ctx lay l
   done;
   lay
 
@@ -869,6 +874,23 @@ let score_ctx ctx m = score_prepared ctx (prepare ctx m)
 
 (* sunstone-hot *)
 let score_rows ctx r = score_prepared ctx (prepare_rows ctx r)
+
+(* The loaded layout with its top temporal row replaced by [top]: the
+   spatial products are unchanged, and of the cumulative extents only the
+   top level's moves. The same matrices [load_rows] builds from the
+   replaced rows. *)
+let set_top ctx top =
+  let lay = ctx.lay in
+  let l = ctx.nlevels - 1 in
+  let trow = lay.t.(l) in
+  for d = 0 to ctx.ndims - 1 do
+    Array.unsafe_set trow d top.(d)
+  done;
+  cum_level ctx lay l;
+  lay
+
+(* sunstone-hot *)
+let score_with_top ctx top = score_prepared ctx (lay_ok ctx (set_top ctx top))
 
 (* The bandwidth side of the bound: the largest committed boundary's
    traffic over its bandwidth times the instance bound, in [fs.f_lb_bw].

@@ -128,6 +128,18 @@ val prefix_lower_bounds_rows : ctx -> fixed_levels:int -> Sun_mapping.Mapping.Ro
     preconditions): the same two floats, in a context-owned record the next
     call overwrites. Allocates nothing. *)
 
+val score_with_top : ctx -> int array -> (score, string) result
+(** [score_with_top ctx top] scores the rows the last
+    {!prefix_lower_bounds_rows} call on [ctx] loaded, with their top
+    temporal row replaced by [top] (one factor per workload dim): the same
+    result, bits and error string included, as {!score_rows} on the rows so
+    replaced, which must have the architecture's level count. It rewrites
+    only the top level's factors and cumulative extents of the loaded
+    layout, so a search that bounds a prefix and then scores its naive
+    completion loads the rows once. No other call may use [ctx] in
+    between, except further [score_with_top] calls. An accepted call
+    allocates nothing. *)
+
 val level_fill_fraction_ctx : ctx -> Sun_mapping.Mapping.t -> level:int -> float
 
 val validate :

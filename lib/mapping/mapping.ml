@@ -186,6 +186,23 @@ module Rows = struct
     && levels_ok r (nl - 1) (Array.length bounds)
     && products_ok r bounds 0
 
+  let factors_ok n row = Array.length row = n && positive row 0 n
+
+  let order_ok n row = Array.length row = n && permutation row 0 n
+
+  (* The completed product of dim [j] is the placed product [p] times
+     [bound / p], which is the bound exactly when [p] divides it. *)
+  let rec complete_from r bounds top row j ok =
+    if j >= Array.length bounds then ok
+    else begin
+      let p = product r (Array.length r.temporal - 1) j 1 and b = bounds.(j) in
+      row.(j) <- (if p > 0 then top.(j) * (b / p) else 0);
+      complete_from r bounds top row (j + 1) (ok && p > 0 && b mod p = 0)
+    end
+
+  let complete_into ~bounds r row =
+    complete_from r bounds r.temporal.(Array.length r.temporal - 1) row 0 true
+
   let of_levels w levels =
     let dims = Array.of_list (W.dim_names w) in
     let row assoc =

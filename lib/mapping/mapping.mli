@@ -91,6 +91,25 @@ module Rows : sig
       whose factor rows hold one entry per dim, it accepts exactly those
       whose named levels ({!to_levels}) {!make} accepts. *)
 
+  val factors_ok : int -> int array -> bool
+  (** [factors_ok n row]: [row] holds [n] factors, each positive — the
+      check {!valid} makes of every temporal and spatial row. *)
+
+  val order_ok : int -> int array -> bool
+  (** [order_ok n row]: [row] is a permutation of [0 .. n-1] — the check
+      {!valid} makes of every order row. *)
+
+  val complete_into : bounds:int array -> t -> int array -> bool
+  (** {!complete_at_top} on rows: [complete_into ~bounds r row] writes
+      into [row] each dim's residual at the top level, the top temporal
+      factor of [r] times the dim's bound over the product of its factors
+      placed in [r] (0 where that product is not positive), and returns
+      whether every such product divides its bound. Every row of [r] must
+      hold one entry per bound. With [r]'s top temporal row replaced by
+      [row], the rows pass {!valid} exactly when every factor row of [r]
+      passes {!factors_ok}, every order row {!order_ok}, and
+      [complete_into] returns [true]. It allocates nothing. *)
+
   val of_levels : Sun_tensor.Workload.t -> level_mapping array -> t
   (** [of_levels w levels] packs named levels as rows: the inverse of
       {!to_levels} on levels {!make} accepts, whose entries may come in

@@ -374,12 +374,6 @@ let first_seen ~hash ~same =
       true
     end
 
-(* [positions] in ascending order of [key.(position)]; equal keys keep
-   their order. *)
-let rank key positions =
-  Array.stable_sort (fun a b -> Float.compare key.(a) key.(b)) positions;
-  positions
-
 (* Bottom-up pass [k] chooses, per prefix, the level-k loop order, the
    level-(k-1) tile and the level-k spatial unrolling; the lane pass
    ([k = 0]) only the level-0 unrolling. The pass runs on candidate
@@ -415,6 +409,9 @@ type pass_buf = {
   mutable g_tile : int array array;  (** the level-(k-1) temporal row; unused at [k = 0] *)
   mutable g_spatial : int array array;  (** the level-k spatial row *)
   mutable g_canon : int array;  (** the prefix's first group with the same two rows *)
+  mutable g_ok : bool array;
+      (** the group's tile and spatial rows pass the row check, made once
+          where the group is added *)
   mutable stamp : int array;  (** per group: the last dedup run that met it *)
   mutable run : int;
   (* verdicts: slot 0 is a candidate's own, slot [g + 1] group [g]'s *)
@@ -429,12 +426,18 @@ type pass_buf = {
   mutable c_key : float array;  (** a scored candidate's EDP *)
   mutable nscored : int;
   mutable scored : int array;  (** scored candidates, in candidate order *)
+  ranking : Ranking.t;  (** the scored candidates, ranked lazily by EDP *)
+  mutable popped : int array;  (** candidates in rank order, as far as ranked *)
+  mutable seated : bool array;  (** per popped candidate: seated in the beam *)
   load : Rows.t;  (** the candidate examined: its prefix's rows, its own swapped in *)
   completed : Rows.t;  (** [load] completed at the top: same spatial and order rows *)
   top_row : int array;  (** [completed]'s top temporal row *)
   replayed : Model.score;
   twins : int Int_table.t;
   mutable loaded : int;  (** the prefix whose rows [load] holds, [-1] for none *)
+  mutable bounded : bool;
+      (** the model's layout holds [load]: the candidate's bound was
+          computed in this [examine] call *)
 }
 
 let has_repeat row = List.length (List.sort_uniq Int.compare (Array.to_list row)) < Array.length row
@@ -461,6 +464,7 @@ let pass_buf st orders =
     g_tile = [||];
     g_spatial = [||];
     g_canon = [||];
+    g_ok = [||];
     stamp = [||];
     run = 0;
     v_bound = [||];
@@ -474,12 +478,16 @@ let pass_buf st orders =
     c_key = [||];
     nscored = 0;
     scored = [||];
+    ranking = Ranking.create ();
+    popped = [||];
+    seated = [||];
     load;
     completed = { load with Rows.temporal = rows () };
     top_row = Array.make n 1;
     replayed = { Model.s_energy_pj = 0.0; s_cycles = 0.0; s_edp = 0.0 };
     twins = Int_table.create 64;
     loaded = -1;
+    bounded = false;
   }
 
 (* [a] with room for [n] entries, the new ones [x]. Buffers are sized
@@ -499,6 +507,7 @@ let reserve_groups b extra =
   b.g_tile <- fit b.g_tile n [||];
   b.g_spatial <- fit b.g_spatial n [||];
   b.g_canon <- fit b.g_canon n 0;
+  b.g_ok <- fit b.g_ok n false;
   b.stamp <- fit b.stamp n 0;
   b.v_bound <- fit b.v_bound (n + 1) nan;
   b.v_outcome <- fit b.v_outcome (n + 1) Unknown;
@@ -511,18 +520,24 @@ let reserve_candidates b extra =
   b.c_order <- fit b.c_order n 0;
   b.c_group <- fit b.c_group n 0;
   b.c_key <- fit b.c_key n 0.0;
-  b.scored <- fit b.scored n 0
+  b.scored <- fit b.scored n 0;
+  b.popped <- fit b.popped n 0;
+  b.seated <- fit b.seated n false
 
 let clear_verdict b v =
   b.v_bound.(v) <- nan;
   b.v_outcome.(v) <- Unknown
 
+(* A group's rows are checked here, once: a candidate's other rows are
+   its prefix's, checked where they were made, and its order row, checked
+   by {!order_candidates}. The lane pass places no tile. *)
 let add_group b p ~tile ~spatial =
-  let g = b.ngroups in
+  let g = b.ngroups and n = Array.length b.top_row in
   b.g_prefix.(g) <- p;
   b.g_tile.(g) <- tile;
   b.g_spatial.(g) <- spatial;
   b.g_canon.(g) <- g;
+  b.g_ok.(g) <- (Array.length tile = 0 || Rows.factors_ok n tile) && Rows.factors_ok n spatial;
   clear_verdict b (g + 1);
   b.ngroups <- g + 1
 
@@ -581,24 +596,16 @@ let dedup_candidates_from b ~from =
   done;
   b.ncand <- !kept
 
-(* The (tile, spatial) choices of one prefix at pass [k], per grow list:
-   its groups. Distinct orders often share the reused operand, hence the
-   same grow list, and a prefix's choices depend only on that list, so
-   they are enumerated once per list, when the first order selecting it
-   is reached ([[||]] for a list no order selects). *)
-let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
-  (* everything already fixed strictly below the new tile, including the
-     spatial factors of levels <= k-1, indexed by probe dim *)
-  let placed = Array.make (Array.length st.dim_array) 1 in
-  for l = 0 to k - 1 do
-    let t = prefix.Rows.temporal.(l) and s = prefix.Rows.spatial.(l) in
-    for j = 0 to Array.length placed - 1 do
-      placed.(j) <- placed.(j) * t.(j) * s.(j)
-    done
-  done;
+(* The (tile, spatial) choices at pass [k] of a prefix with placed row
+   [placed], per grow list: its groups. Distinct orders often share the
+   reused operand, hence the same grow list, and the choices depend only
+   on that list, so they are enumerated once per list, when the first
+   order selecting it is reached ([[||]] for a list no order selects). *)
+let enumerate st b ~k placed =
   let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
   (* a scope spans the extents left above [placed], which every search of
-     this prefix's tiles divides *)
+     these tiles divides *)
+  let scopes = pass_scopes st in
   let scope_for g = scopes placed g ~extent:remaining in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
@@ -644,6 +651,55 @@ let prefix_groups st b ~scopes ~k (prefix : Rows.t) =
          if Option.is_none groups.(g) then groups.(g) <- Some (Array.of_list (choices g))))
     b.order_grows;
   Array.map (function Some gs -> gs | None -> [||]) groups
+
+(* One enumeration of a pass: the placed row it ran for, its groups, and
+   what it added to the counts. *)
+type enumeration = {
+  e_placed : int array;
+  e_groups : (int array * int array) array array;
+  e_examined : int;
+  e_tile_candidates : int;
+  e_unroll_candidates : int;
+}
+
+(* The groups of one prefix at pass [k]. They depend on the prefix only
+   through its placed row, the extents fixed below the new tile, so the
+   prefixes of a pass with one placed row share one {!enumerate}, found
+   in [enumerated] by the row the way {!pass_scopes} finds a scope. A
+   shared enumeration adds the first one's [examined],
+   [tile_candidates] and [unroll_candidates], the counts enumerating
+   again would add, and no tile fit tests. *)
+let prefix_groups st b ~enumerated ~k (prefix : Rows.t) =
+  (* everything already fixed strictly below the new tile, including the
+     spatial factors of levels <= k-1, indexed by probe dim *)
+  let placed = Array.make (Array.length st.dim_array) 1 in
+  for l = 0 to k - 1 do
+    let t = prefix.Rows.temporal.(l) and s = prefix.Rows.spatial.(l) in
+    for j = 0 to Array.length placed - 1 do
+      placed.(j) <- placed.(j) * t.(j) * s.(j)
+    done
+  done;
+  match List.find_opt (fun e -> same_row e.e_placed placed) !enumerated with
+  | Some e ->
+    st.examined <- st.examined + e.e_examined;
+    st.tile_candidates <- st.tile_candidates + e.e_tile_candidates;
+    st.unroll_candidates <- st.unroll_candidates + e.e_unroll_candidates;
+    e.e_groups
+  | None ->
+    let examined = st.examined
+    and tile_candidates = st.tile_candidates
+    and unroll_candidates = st.unroll_candidates in
+    let groups = enumerate st b ~k placed in
+    enumerated :=
+      {
+        e_placed = placed;
+        e_groups = groups;
+        e_examined = st.examined - examined;
+        e_tile_candidates = st.tile_candidates - tile_candidates;
+        e_unroll_candidates = st.unroll_candidates - unroll_candidates;
+      }
+      :: !enumerated;
+    groups
 
 let candidate_count b groups =
   Array.fold_left (Array.fold_left (fun acc g -> acc + Array.length groups.(g))) 0 b.order_grows
@@ -732,18 +788,9 @@ let load_candidate b ~k i =
   let o = b.c_order.(i) in
   if o >= 0 then b.load.Rows.order.(k) <- b.orders.(o)
 
-let rec placed_product (c : Rows.t) l j acc =
-  if l < 0 then acc
-  else placed_product c (l - 1) j (acc * c.Rows.temporal.(l).(j) * c.Rows.spatial.(l).(j))
-
-(* {!M.complete_at_top} on rows, into [row]: each dim's residual goes to
-   the outermost level, times the top temporal factor already there. *)
-let complete_into st (c : Rows.t) row =
-  let nl = Array.length c.Rows.temporal in
-  let top = c.Rows.temporal.(nl - 1) in
-  for j = 0 to Array.length st.bounds - 1 do
-    row.(j) <- top.(j) * (st.bounds.(j) / placed_product c (nl - 1) j 1)
-  done
+(* The loaded candidate's naive completion, into [b.top_row]: true when
+   every dim's placed product divides its bound. *)
+let complete st b = Rows.complete_into ~bounds:st.bounds b.load b.top_row
 
 (* Alpha-beta (Section V-C): prune a prefix whose optimistic EDP — the
    product of {!Model.prefix_lower_bounds_rows}' energy and cycles bounds —
@@ -752,7 +799,8 @@ let complete_into st (c : Rows.t) row =
    ([sunstone check --admissibility] pins this). Bottom-up the test is
    sharp: with high reuse most of the energy is charged at the lowest
    levels, so the committed energy sits close to the final energy. The
-   bound's EDP is kept in verdict slot [v]. *)
+   bound's EDP is kept in verdict slot [v]; computing it loads [b.load]
+   into the model's layout. *)
 (* sunstone-hot *)
 let bound_prunes st b ~fixed_levels v =
   st.cfg.alpha_beta
@@ -762,7 +810,8 @@ let bound_prunes st b ~fixed_levels v =
   | Some (_, best) ->
     if Float.is_nan b.v_bound.(v) then begin
       let lb = Model.prefix_lower_bounds_rows st.ctx ~fixed_levels b.load in
-      b.v_bound.(v) <- lb.Model.lb_energy_pj *. lb.Model.lb_cycles
+      b.v_bound.(v) <- lb.Model.lb_energy_pj *. lb.Model.lb_cycles;
+      b.bounded <- true
     end;
     (* Seeded-only pruning margin, gated on displacement: while the
        transferred seed is still the incumbent the test stays exact, so
@@ -784,13 +833,19 @@ let bound_prunes st b ~fixed_levels v =
     prunes
 
 (* The loaded candidate's outcome, into verdict slot [v]: the row check,
-   then the score of its naive completion. *)
+   then the score of its naive completion. The check is the one
+   [Rows.valid] makes of the completed rows: the group's rows were checked
+   when it was added, and the completion checks its products. When this
+   [examine] call computed the bound, the model's layout already holds
+   [b.load], and the score replaces only its top temporal row. *)
 (* sunstone-hot *)
-let compute_outcome st b v =
-  complete_into st b.load b.top_row;
-  if not (Rows.valid ~bounds:st.bounds b.completed) then b.v_outcome.(v) <- Build_error
+let compute_outcome st b g v =
+  if not (b.g_ok.(g) && complete st b) then b.v_outcome.(v) <- Build_error
   else
-    match Model.score_rows st.ctx b.completed with
+    match
+      if b.bounded then Model.score_with_top st.ctx b.top_row
+      else Model.score_rows st.ctx b.completed
+    with
     | Error _ -> b.v_outcome.(v) <- Eval_error
     | Ok s ->
       b.v_energy.(v) <- s.Model.s_energy_pj;
@@ -803,7 +858,7 @@ let compute_outcome st b v =
    the hot path. *)
 (* sunstone-cold *)
 let adopt_candidate st b ~best ~alt s =
-  complete_into st b.load b.top_row;
+  ignore (complete st b);
   adopt st ~best ~alt b.completed s
 
 (* Candidate [i] takes the outcome in verdict slot [v]: the counts and the
@@ -834,7 +889,7 @@ let replay st b i v =
    the corrupted rows are no other member's. *)
 (* sunstone-cold *)
 let score_injected st b i =
-  complete_into st b.load b.top_row;
+  ignore (complete st b);
   match score st b.completed with
   | None -> ()
   | Some s ->
@@ -846,6 +901,7 @@ let score_injected st b i =
 (* sunstone-hot *)
 let examine st b ~k i =
   load_candidate b ~k i;
+  b.bounded <- false;
   let g = b.c_group.(i) in
   let v =
     if b.shares.(b.g_prefix.(g)) then b.g_canon.(g) + 1
@@ -859,7 +915,7 @@ let examine st b ~k i =
     | Corrupt_first_build -> score_injected st b i
     | No_injection ->
       (match b.v_outcome.(v) with
-      | Unknown -> compute_outcome st b v
+      | Unknown -> compute_outcome st b g v
       | Build_error | Eval_error | Scored -> st.shared_verdicts <- st.shared_verdicts + 1);
       replay st b i v
 
@@ -906,26 +962,36 @@ let select_beam st b ~k =
         let rec from l = l >= nl || (same_row (spatial i l) (spatial j l) && from (l + 1)) in
         from 0)
   in
-  let ranked = rank b.c_key (Array.sub b.scored 0 b.nscored) in
-  let n = Array.length ranked and beam = st.cfg.beam_width in
-  let seated = Array.make n false and kept = ref [] and nkept = ref 0 in
-  let seat i =
-    seated.(i) <- true;
-    kept := ranked.(i) :: !kept;
-    incr nkept
-  in
-  (* the first candidate of each signature in rank order, until the beam
+  (* The first candidate of each signature in rank order, until the beam
      is full; only if every signature is seated with room left does the
-     rest of the ranking fill it *)
-  let i = ref 0 in
-  while !nkept < beam && !i < n do
-    if new_signature ranked.(!i) then seat !i;
-    incr i
+     rest of the ranking fill it. The ranking is by (EDP, candidate
+     index), the order a stable sort of the scored candidates gives, and
+     lazy: the candidates are popped only until the beam is seated, or
+     all of them when the rest must fill it. *)
+  Ranking.start b.ranking b.c_key b.scored b.nscored;
+  let beam = st.cfg.beam_width in
+  let kept = ref [] and nkept = ref 0 and npopped = ref 0 and more = ref true in
+  while !nkept < beam && !more do
+    let i = Ranking.pop b.ranking in
+    if i < 0 then more := false
+    else begin
+      let seat = new_signature i in
+      b.popped.(!npopped) <- i;
+      b.seated.(!npopped) <- seat;
+      incr npopped;
+      if seat then begin
+        kept := i :: !kept;
+        incr nkept
+      end
+    end
   done;
-  let i = ref 0 in
-  while !nkept < beam && !i < n do
-    if not seated.(!i) then seat !i;
-    incr i
+  let j = ref 0 in
+  while !nkept < beam && !j < !npopped do
+    if not b.seated.(!j) then begin
+      kept := b.popped.(!j) :: !kept;
+      incr nkept
+    end;
+    incr j
   done;
   List.rev_map (candidate_rows b ~k) !kept
 
@@ -939,13 +1005,12 @@ let order_candidates st =
   let orders, ostats = Order_trie.candidates_with_stats st.w in
   st.orders_kept <- st.orders_kept + List.length orders;
   st.orders_dropped <- st.orders_dropped + ostats.Order_trie.nodes_pruned;
-  let identity = List.init (Array.length st.dim_array) Fun.id in
   List.map
     (fun (o : Order_trie.candidate) ->
-      let row = List.mapi (M.dim_position st.dim_array) o.Order_trie.order in
-      if not (List.equal Int.equal (List.sort Int.compare row) identity) then
+      let row = Array.of_list (List.mapi (M.dim_position st.dim_array) o.Order_trie.order) in
+      if not (Rows.order_ok (Array.length st.dim_array) row) then
         invalid_arg "Optimizer: an order candidate is not a permutation of the dims";
-      (o, Array.of_list row))
+      (o, row))
     orders
 
 let optimize_bottom_up st =
@@ -957,9 +1022,9 @@ let optimize_bottom_up st =
   let after_lanes = select_beam st b ~k:0 in
   let rec run k prefixes =
     if k <= top then begin
-      let scopes = pass_scopes st in
+      let enumerated = ref [] in
       start_pass b ~k ~top prefixes;
-      let groups = Array.map (prefix_groups st b ~scopes ~k) b.prefixes in
+      let groups = Array.map (prefix_groups st b ~enumerated ~k) b.prefixes in
       let sum f = Array.fold_left (fun acc gs -> acc + f gs) 0 groups in
       reserve_groups b (sum (Array.fold_left (fun acc gs -> acc + Array.length gs) 0));
       reserve_candidates b (sum (candidate_count b));
@@ -1080,8 +1145,16 @@ let optimize_top_down st =
            (fun c -> match score st c with Some s -> Some (c, s.Model.s_energy_pj) | None -> None)
            prefixes)
     in
-    let ranked = rank (Array.map snd scored) (Array.init (Array.length scored) Fun.id) in
-    List.init (min st.cfg.beam_width (Array.length ranked)) (fun i -> fst scored.(ranked.(i)))
+    let n = Array.length scored in
+    let ranking = Ranking.create () in
+    Ranking.start ranking (Array.map snd scored) (Array.init n Fun.id) n;
+    let rec take m =
+      if m = 0 then []
+      else
+        let i = Ranking.pop ranking in
+        fst scored.(i) :: take (m - 1)
+    in
+    take (min st.cfg.beam_width n)
   in
   let rec run k prefixes =
     if k < 1 then prefixes

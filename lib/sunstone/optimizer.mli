@@ -66,7 +66,9 @@ type stats = {
           indistinguishable from pruning. Every candidate, refinement
           moves included, is packed rows checked by
           {!Sun_mapping.Mapping.Rows.valid}, which accepts exactly what
-          [Mapping.make] does. *)
+          [Mapping.make] does. A bottom-up pass makes the same check in
+          parts: each row where it is made, and the products in the naive
+          completion ({!Sun_mapping.Mapping.Rows.complete_into}). *)
   eval_errors : int;
       (** structurally sound candidates [Model.score_rows] rejected
           (capacity or fanout) *)
@@ -74,7 +76,12 @@ type stats = {
       (** calls of the tile-fit test across every tile-frontier search:
           the buffer-capacity checks {!Tile_tree.search} could not settle
           from its scope's verdict table (flushed as
-          [optimizer.tile_fit_tests]) *)
+          [optimizer.tile_fit_tests]). It counts work, not search
+          results: it moves with the points a sweep tests (its line dim,
+          {!Tile_tree.search}) and with which searches run at all, since
+          bottom-up prefixes of one pass with the same extents placed
+          below the new tile share one enumeration of tiles and
+          unrollings, and no other count moves with it. *)
   shared_verdicts : int;
       (** bottom-up candidates whose outcome (row check failure, model
           rejection or score) was replayed from their group rather than

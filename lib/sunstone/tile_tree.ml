@@ -88,18 +88,37 @@ let key_space scope ~ladders ~stride =
     | Built { divisors; stride; verdicts } -> (divisors, stride, verdicts)
     | Unbuilt | Too_large -> own ())
 
+(* The sweep order of [n] grow dims: every dim in grow order, except that
+   the one with the longest ladder (on a tie, the later one) goes last,
+   where it is the line dim. *)
+let sweep_order ladders =
+  let n = Array.length ladders in
+  let line = ref (n - 1) in
+  for i = n - 2 downto 0 do
+    if Array.length ladders.(i) > Array.length ladders.(!line) then line := i
+  done;
+  Array.init n (fun s -> if s < !line then s else if s < n - 1 then s + 1 else !line)
+
+(* Descending lexicographic order of factor vectors. *)
+let rec descending (a : int array) (b : int array) i =
+  if i >= Array.length a then 0
+  else if a.(i) <> b.(i) then Int.compare b.(i) a.(i)
+  else descending a b (i + 1)
+
 (* A lattice point is one rung per grow dim, keyed by the sum of its
    rungs' offsets: growing dim [i] from rung [r] adds
    [off.(i).(r + 1) - off.(i).(r)]. The fitting points form a down-set D,
    since [fits] is monotone. Unless the top corner fits (D is then the
-   whole lattice), D is swept as a staircase of lines: every prefix of
-   rungs for dims 0..n-2 that fits with the last dim at rung 0, in
-   descending lexicographic order, and on each the last dim's highest
-   fitting rung. A line's end point is on the frontier when no earlier
-   dim grows from it, so the frontier comes out in descending
-   lexicographic order too. Only points of D and points one rung above D
-   are tested. [verdicts] holds the corner and every point the sweep
-   tests, so within one scope only the root and corner tests repeat. *)
+   whole lattice), D is swept as a staircase of lines. Sweep position [s]
+   is grow dim [pos.(s)] ({!sweep_order}): every prefix of rungs for
+   positions 0..n-2 that fits with the line dim at rung 0, in descending
+   lexicographic order, and on each the line dim's highest fitting rung.
+   The longest ladder makes the fewest lines. A line's end point is on
+   the frontier when no earlier position grows from it; the frontier
+   comes out in descending lexicographic sweep order and is sorted back
+   into grow order. Only points of D and points one rung above D are
+   tested. [verdicts] holds the corner and every point the sweep tests,
+   so within one scope only the root and corner tests repeat. *)
 let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
   check_steps "search" max_steps;
   let tops = Array.of_list (List.map remaining grow_dims) in
@@ -137,16 +156,19 @@ let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
       Verdicts.add verdicts
         (Array.fold_left (fun key o -> key + o.(Array.length o - 1)) 0 off)
         false;
+      let pos = sweep_order ladders in
+      (* rungs by sweep position *)
       let rung = Array.make n 0 and key = ref 0 in
-      let set i r =
+      let set s r =
+        let i = pos.(s) in
         let o = off.(i) in
-        key := !key + o.(r) - o.(rung.(i));
-        rung.(i) <- r;
+        key := !key + o.(r) - o.(rung.(s));
+        rung.(s) <- r;
         factors.(i) <- ladders.(i).(r)
       in
-      (* Does the current point, one rung higher in dim [i], fit? *)
-      let grows i =
-        let r = rung.(i) in
+      (* Does the current point, one rung higher at sweep position [s], fit? *)
+      let grows s =
+        let i = pos.(s) and r = rung.(s) in
         r + 1 < Array.length ladders.(i)
         &&
         let o = off.(i) in
@@ -160,35 +182,40 @@ let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
           fit
         | verdict -> verdict = 1
       in
-      let rec earlier_grows i = i >= 0 && (grows i || earlier_grows (i - 1)) in
+      let rec earlier_grows s = s >= 0 && (grows s || earlier_grows (s - 1)) in
       let last = n - 1 in
       let explored = ref 0 and frontier = ref [] in
-      (* The lines under the current prefix: dims below [i] are fixed, dims
-         above it are at rung 0, and dim [i] starts from rung [floor], which
-         is known to fit. Returns dim [i]'s highest fitting rung: the next
-         lower prefix fits at least that high, so it is that line's floor. *)
-      let rec sweep i floor =
-        set i floor;
-        while grows i do
-          set i (rung.(i) + 1)
+      (* The lines under the current prefix: positions below [s] are fixed,
+         positions above it are at rung 0, and position [s] starts from rung
+         [floor], which is known to fit. Returns its highest fitting rung:
+         the next lower prefix fits at least that high, so it is that
+         line's floor. *)
+      let rec sweep s floor =
+        set s floor;
+        while grows s do
+          set s (rung.(s) + 1)
         done;
-        let top = rung.(i) in
-        if i = last then begin
+        let top = rung.(s) in
+        if s = last then begin
           explored := !explored + top + 1;
-          if not (earlier_grows (last - 1)) then
-            frontier := assignment ~grow_dims factors :: !frontier
+          if not (earlier_grows (last - 1)) then frontier := Array.copy factors :: !frontier
         end
         else begin
           let floor = ref 0 in
           for r = top downto 0 do
-            set i r;
-            floor := sweep (i + 1) !floor
+            set s r;
+            floor := sweep (s + 1) !floor
           done
         end;
-        set i 0;
+        set s 0;
         top
       in
       ignore (sweep 0 0);
-      { frontier = List.rev !frontier; explored = !explored }
+      let frontier = List.rev !frontier in
+      let frontier =
+        if pos.(last) = last then frontier
+        else List.sort (fun a b -> descending a b 0) frontier
+      in
+      { frontier = List.map (assignment ~grow_dims) frontier; explored = !explored }
     end
   end

@@ -80,6 +80,14 @@ val search :
     point per scope. A search without [?scope] has a private scope over
     its own ladders.
 
+    Sweep order and frontier order differ. The down-set is swept in
+    lines along one grow dim, the one with the longest ladder (on a tie,
+    the later dim in [grow_dims]), so the fewest lines cover it; the
+    other dims keep their [grow_dims] order around it. Which points
+    [fits] sees, and in what order, follows the sweep. The frontier is
+    sorted back into descending lexicographic [grow_dims] order, so the
+    frontier, its order and [explored] do not depend on the sweep.
+
     [max_steps] keeps ladders short: dimensions in the tens of thousands
     (the non-DNN tensor workloads) otherwise make the lattice large for no
     meaningful gain in tile choice. Raises [Invalid_argument] when

@@ -373,6 +373,22 @@ let print_rows_case (w, (r : M.Rows.t)) =
             Printf.sprintf "L%d temporal [%s] order [%s] spatial [%s]" l (row r.M.Rows.temporal.(l))
               (row r.M.Rows.order.(l)) (row r.M.Rows.spatial.(l)))))
 
+(* The optimizer's split of the row check: each factor and order row is
+   checked where it is made, and the naive completion checks only its
+   products. Cases are [rows_case]'s rows (a valid split with corrupted
+   tile, spatial or order rows; a doubled factor also breaks the
+   completion's products) taken as a prefix, half of them with the top
+   temporal row reset to ones, as below the top pass, so the completion
+   places every dim's residual there. *)
+let completion_case =
+  let open QCheck.Gen in
+  let* w, (r : M.Rows.t) = rows_case in
+  let* below_top = bool in
+  let temporal = Array.copy r.M.Rows.temporal in
+  let top = Array.length temporal - 1 in
+  if below_top then temporal.(top) <- Array.make (List.length w.W.dims) 1;
+  return (w, { r with M.Rows.temporal })
+
 let qcheck_props =
   let open QCheck in
   let factor_split n =
@@ -405,6 +421,24 @@ let qcheck_props =
         | Error e ->
           (not (M.Rows.valid ~bounds r))
           || Test.fail_reportf "row check accepts; make rejects: %s" e);
+    Test.make ~name:"checks at creation plus the completion's = row check" ~count:2000
+      (make ~print:print_rows_case completion_case)
+      (fun (w, r) ->
+        let bounds = Array.of_list (List.map snd w.W.dims) in
+        let n = Array.length bounds in
+        let row = Array.make n 0 in
+        let products = M.Rows.complete_into ~bounds r row in
+        let made =
+          Array.for_all (M.Rows.factors_ok n) r.M.Rows.temporal
+          && Array.for_all (M.Rows.factors_ok n) r.M.Rows.spatial
+          && Array.for_all (M.Rows.order_ok n) r.M.Rows.order
+        in
+        let temporal = Array.copy r.M.Rows.temporal in
+        temporal.(Array.length temporal - 1) <- row;
+        let valid = M.Rows.valid ~bounds { r with M.Rows.temporal } in
+        (made && products) = valid
+        || Test.fail_reportf "rows made ok %b, completion products %b, row check %b" made
+             products valid);
     Test.make ~name:"tile_at top always equals bound" ~count:100
       (make Gen.(tup2 (factor_split 12) (factor_split 8)))
       (fun ((k1, k2), (p1, p2)) ->

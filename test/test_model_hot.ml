@@ -327,6 +327,42 @@ let test_gc_rows_zero_alloc () =
         ])
     presets
 
+(* [r] as a prefix below the top pass: its top temporal row all ones. *)
+let as_prefix (r : M.Rows.t) =
+  let temporal = Array.copy r.M.Rows.temporal in
+  let top = Array.length temporal - 1 in
+  temporal.(top) <- Array.make (Array.length temporal.(top)) 1;
+  { r with M.Rows.temporal }
+
+(* One verdict the bottom-up search computes: the prefix's bound, its
+   naive completion and the completion's score on the layout the bound
+   loaded. With the rows' own scratch top row, the whole step allocates
+   nothing, at every [fixed_levels]. *)
+let test_gc_verdict_zero_alloc () =
+  List.iter
+    (fun (pname, arch) ->
+      let w = find_workload "conv2d" in
+      let nl = List.length arch.A.levels in
+      let ctx = Model.context w arch in
+      let bounds = Array.of_list (List.map (W.bound w) (W.dim_names w)) in
+      let searched =
+        match Opt.optimize w arch with Ok r -> r.Opt.mapping | Error e -> Alcotest.fail e
+      in
+      let prefix = as_prefix (M.Rows.of_levels w searched.M.levels) in
+      let top = Array.make (Array.length bounds) 1 in
+      for fixed_levels = 0 to nl - 1 do
+        let verdict () =
+          ignore (Model.prefix_lower_bounds_rows ctx ~fixed_levels prefix);
+          if not (M.Rows.complete_into ~bounds prefix top) then Alcotest.fail "completion";
+          match Model.score_with_top ctx top with Ok _ -> () | Error e -> Alcotest.fail e
+        in
+        let words = words_per_call ~reps:2000 verdict in
+        if words <> 0.0 then
+          Alcotest.failf "a computed verdict allocates %.2f words (%s, fixed %d) — want 0" words
+            pname fixed_levels
+      done)
+    presets
+
 (* The optimizer's tile-fit test runs once per lattice point of every
    tile-frontier search; both verdicts must be allocation-free. *)
 let test_gc_tile_fit_zero_alloc () =
@@ -465,49 +501,52 @@ let qcheck_props =
   in
   [ probe_matches_direct "conv2d"; probe_matches_direct "mmc" ]
 
+(* The workloads the row properties below run on. *)
+let row_subjects =
+  [
+    ("resnet18/conv3_x on simba", find_workload "resnet18/conv3_x", P.simba_like);
+    ( "inception wu on conventional",
+      (List.nth (Sun_workloads.Inception.weight_update_layers ()) 3).Sun_workloads.Inception.workload,
+      P.conventional );
+    ("sddmm/cant on simba", find_workload "sddmm/cant", P.simba_like);
+  ]
+
+(* Random rows for a level [k] below the top: each prime factor of every
+   dim is placed at a random level, mostly temporally and at the top so
+   that many of them fit, never temporally at [k]; every order is a random
+   permutation. Returns [k], the rows and one more random permutation. *)
+let random_rows (w, arch) seed =
+  let rng = Sun_util.Rng.create seed in
+  let nl = List.length arch.A.levels and dims = Array.of_list (W.dim_names w) in
+  let n = Array.length dims in
+  let k = Sun_util.Rng.int rng (nl - 1) in
+  let temporal = Array.init nl (fun _ -> Array.make n 1) in
+  let spatial = Array.init nl (fun _ -> Array.make n 1) in
+  Array.iteri
+    (fun j d ->
+      List.iter
+        (fun (p, e) ->
+          for _ = 1 to e do
+            let r = Sun_util.Rng.int rng 20 and l = Sun_util.Rng.int rng nl in
+            if r < 2 then spatial.(l).(j) <- spatial.(l).(j) * p
+            else if r < 10 || l = k then temporal.(nl - 1).(j) <- temporal.(nl - 1).(j) * p
+            else temporal.(l).(j) <- temporal.(l).(j) * p
+          done)
+        (Sun_util.Factor.prime_factorization (W.bound w d)))
+    dims;
+  let perm () = Array.of_list (Sun_util.Rng.shuffle rng (List.init n Fun.id)) in
+  let order = Array.init nl (fun _ -> perm ()) in
+  (k, { M.Rows.temporal; spatial; order }, perm ())
+
 (* Order blindness, the invariant the bottom-up search's shared verdicts
    rest on: when level [k] below the top holds no temporal loop (its
    temporal row is all ones), the order of level [k] changes neither the
-   score, nor the bound with [k] levels fixed, nor the row check. Random
-   rows place each prime factor of every dim at a random level, mostly
-   temporally and at the top so that many of them fit, never temporally
-   at [k]; every order is a random permutation. *)
+   score, nor the bound with [k] levels fixed, nor the row check, on
+   {!random_rows}. *)
 let order_blindness_props =
   let open QCheck in
   let subjects =
-    List.map
-      (fun (name, w, arch) -> (name, w, arch, Model.context w arch))
-      [
-        ("resnet18/conv3_x on simba", find_workload "resnet18/conv3_x", P.simba_like);
-        ( "inception wu on conventional",
-          (List.nth (Sun_workloads.Inception.weight_update_layers ()) 3)
-            .Sun_workloads.Inception.workload,
-          P.conventional );
-        ("sddmm/cant on simba", find_workload "sddmm/cant", P.simba_like);
-      ]
-  in
-  let rows_case (w, arch) seed =
-    let rng = Sun_util.Rng.create seed in
-    let nl = List.length arch.A.levels and dims = Array.of_list (W.dim_names w) in
-    let n = Array.length dims in
-    let k = Sun_util.Rng.int rng (nl - 1) in
-    let temporal = Array.init nl (fun _ -> Array.make n 1) in
-    let spatial = Array.init nl (fun _ -> Array.make n 1) in
-    Array.iteri
-      (fun j d ->
-        List.iter
-          (fun (p, e) ->
-            for _ = 1 to e do
-              let r = Sun_util.Rng.int rng 20 and l = Sun_util.Rng.int rng nl in
-              if r < 2 then spatial.(l).(j) <- spatial.(l).(j) * p
-              else if r < 10 || l = k then temporal.(nl - 1).(j) <- temporal.(nl - 1).(j) * p
-              else temporal.(l).(j) <- temporal.(l).(j) * p
-            done)
-          (Sun_util.Factor.prime_factorization (W.bound w d)))
-      dims;
-    let perm () = Array.of_list (Sun_util.Rng.shuffle rng (List.init n Fun.id)) in
-    let order = Array.init nl (fun _ -> perm ()) in
-    (k, { M.Rows.temporal; spatial; order }, perm ())
+    List.map (fun (name, w, arch) -> (name, w, arch, Model.context w arch)) row_subjects
   in
   let verdict ctx ~bounds ~k (r : M.Rows.t) =
     let score =
@@ -528,13 +567,57 @@ let order_blindness_props =
         ~name:(Printf.sprintf "order of an all-ones level is invisible (%s)" name)
         (make ~print:string_of_int Gen.(int_bound 1_000_000))
         (fun seed ->
-          let k, r, order_k = rows_case (w, arch) seed in
+          let k, r, order_k = random_rows (w, arch) seed in
           let order = Array.copy r.M.Rows.order in
           order.(k) <- order_k;
           let before = verdict ctx ~bounds ~k r in
           let after = verdict ctx ~bounds ~k { r with M.Rows.order } in
           before = after || Test.fail_reportf "level %d: %s <> %s" k before after))
     subjects
+
+(* One load per verdict: the bound of a prefix, then the score of its naive
+   completion on the layout the bound loaded ([Model.score_with_top]),
+   give the bits a fresh context gives for [prefix_lower_bounds_rows] on
+   the prefix and [score_rows] on the completed rows, or the same error,
+   at every [fixed_levels]. The rows are [order_blindness_props]' random
+   rows taken as a prefix below the top pass. *)
+let one_load_props =
+  let open QCheck in
+  let score_bits = function
+    | Ok (s : Model.score) ->
+      Printf.sprintf "%Lx %Lx %Lx" (bits s.Model.s_energy_pj) (bits s.Model.s_cycles)
+        (bits s.Model.s_edp)
+    | Error msg -> msg
+  in
+  let bound_bits (b : Model.bounds) =
+    Printf.sprintf "%Lx %Lx" (bits b.Model.lb_energy_pj) (bits b.Model.lb_cycles)
+  in
+  List.map
+    (fun (name, w, arch) ->
+      let ctx = Model.context w arch and fresh = Model.context w arch in
+      let bounds = Array.of_list (List.map (W.bound w) (W.dim_names w)) in
+      let nl = List.length arch.A.levels in
+      Test.make ~count:300
+        ~name:(Printf.sprintf "one-load score = score_rows, bound unchanged (%s)" name)
+        (make ~print:string_of_int Gen.(int_bound 1_000_000))
+        (fun seed ->
+          let _, r, _ = random_rows (w, arch) seed in
+          let prefix = as_prefix r in
+          let top = Array.make (Array.length bounds) 0 in
+          if not (M.Rows.complete_into ~bounds prefix top) then Test.fail_report "completion";
+          let completed = { r with M.Rows.temporal = Array.copy r.M.Rows.temporal } in
+          completed.M.Rows.temporal.(nl - 1) <- top;
+          List.for_all
+            (fun fixed_levels ->
+              let bound = bound_bits (Model.prefix_lower_bounds_rows ctx ~fixed_levels prefix) in
+              let score = score_bits (Model.score_with_top ctx top) in
+              let bound' = bound_bits (Model.prefix_lower_bounds_rows fresh ~fixed_levels prefix) in
+              let score' = score_bits (Model.score_rows fresh completed) in
+              (bound = bound' && score = score')
+              || Test.fail_reportf "fixed %d: bound %s vs %s, score %s vs %s" fixed_levels bound
+                   bound' score score')
+            (List.init nl Fun.id)))
+    row_subjects
 
 let () =
   Alcotest.run "model hot path"
@@ -564,7 +647,10 @@ let () =
           Alcotest.test_case "tile fit is allocation-free" `Quick test_gc_tile_fit_zero_alloc;
           Alcotest.test_case "verdict table is allocation-free" `Quick
             test_gc_verdicts_zero_alloc;
+          Alcotest.test_case "a computed verdict is allocation-free" `Quick
+            test_gc_verdict_zero_alloc;
         ] );
       ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
       ("order blindness", List.map QCheck_alcotest.to_alcotest order_blindness_props);
+      ("one load per verdict", List.map QCheck_alcotest.to_alcotest one_load_props);
     ]

@@ -785,22 +785,19 @@ let test_pipeline_stale_search_is_miss () =
   let s, _, _ = run_batch ~cache:(Cache.create ~dir ()) batch_requests in
   Alcotest.(check int) "recomputed entries serve as hits" 3 s.Pipeline.hits
 
-(* DESIGN.md §3.1: a change that regenerates the golden batch fixture bumps
+(* DESIGN.md §3.1: a change that regenerates the golden batch fixture or
+   the end-to-end benchmark's reference answers bumps
    [Transfer.search_version], so caches written by the old search miss.
-   The two are pinned as a pair: a regenerated fixture without the bump
-   fails here. *)
-let test_search_version_pins_golden_fixture () =
-  let rec root d =
-    if Sys.file_exists (Filename.concat d "dune-project") || Filename.dirname d = d then d
-    else root (Filename.dirname d)
-  in
-  let fixture = Filename.concat (root (Sys.getcwd ())) "test/fixtures/batch_mixed_expected.jsonl" in
-  let digest = Digest.to_hex (Digest.file fixture) in
+   Each file is pinned with the version as a pair: a regenerated file
+   without the bump fails here. Both files are dependencies of this
+   suite, read from the build tree ([file] is relative to test/). *)
+let search_version_pins file digest () =
   Alcotest.(check (pair int string))
-    "DESIGN.md §3.1: regenerating batch_mixed_expected.jsonl bumps Transfer.search_version \
-     (then pin the new pair here)"
-    (1, "6dee50b2f2eeb3863584b26c44600420")
-    (Sun_serve.Transfer.search_version, digest)
+    (Printf.sprintf
+       "DESIGN.md §3.1: regenerating %s bumps Transfer.search_version (then pin the new pair here)"
+       (Filename.basename file))
+    (1, digest)
+    (Sun_serve.Transfer.search_version, Digest.to_hex (Digest.file file))
 
 (* [f ()], and whether it forked: a forked worker's exit sends the parent
    SIGCHLD, which stays pending while blocked (its default action is to
@@ -1903,7 +1900,10 @@ let () =
           Alcotest.test_case "stale search version is miss" `Quick
             test_pipeline_stale_search_is_miss;
           Alcotest.test_case "search version pins the golden fixture" `Quick
-            test_search_version_pins_golden_fixture;
+            (search_version_pins "fixtures/batch_mixed_expected.jsonl"
+               "6dee50b2f2eeb3863584b26c44600420");
+          Alcotest.test_case "search version pins the perf reference" `Quick
+            (search_version_pins "../bench/perf/reference.json" "da098a05ce1662d633a75548e7d964c1");
           Alcotest.test_case "all-hit batch forks no worker" `Quick
             test_pipeline_all_hits_fork_nothing;
         ] );
