@@ -652,5 +652,5 @@ let () =
         ] );
       ("probe properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
       ("order blindness", List.map QCheck_alcotest.to_alcotest order_blindness_props);
-      ("one load per verdict", List.map QCheck_alcotest.to_alcotest one_load_props);
+      ("one-load verdict", List.map QCheck_alcotest.to_alcotest one_load_props);
     ]
