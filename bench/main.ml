@@ -466,37 +466,38 @@ let transfer_bench () =
     exit 1
   end
 
-(* Cold-search ledger: bench/perf's three cold request sets, rebuilt from
-   [Sun_workloads] and searched in process with the default configuration.
-   Persists each search's counts, EDP and in-process search seconds to
-   BENCH_search.json. Counts and EDPs are a pure function of the tree (the
-   EDP is spelled [%.17g], so equal bits read equal); the [*_search_s]
-   lines are the only timings, and ci.sh diffs everything else against the
-   committed file. *)
+(* bench/perf's three cold request sets, rebuilt from [Sun_workloads]:
+   (name, arch name, arch, workloads). *)
+let cold_sets () =
+  let module P = Sun_arch.Presets in
+  [
+    ( "resnet18-simba",
+      "simba",
+      P.simba_like,
+      List.map (fun l -> l.Sun_workloads.Resnet18.workload) (Sun_workloads.Resnet18.layers ~batch:16 ())
+    );
+    ( "tensor-simba",
+      "simba",
+      P.simba_like,
+      List.map (fun i -> i.Sun_workloads.Non_dnn.workload) Sun_workloads.Non_dnn.all );
+    ( "inception-wu-conventional",
+      "conventional",
+      P.conventional,
+      List.map
+        (fun l -> l.Sun_workloads.Inception.workload)
+        (Sun_workloads.Inception.weight_update_layers ~batch:16 ()) );
+  ]
+
+(* Cold-search ledger: the cold sets searched in process with the default
+   configuration. Persists each search's counts, EDP and in-process search
+   seconds to BENCH_search.json. Counts and EDPs are a pure function of
+   the tree (the EDP is spelled [%.17g], so equal bits read equal); the
+   [*_search_s] lines are the only timings, and ci.sh diffs everything
+   else against the committed file. *)
 let search_bench () =
   let module Json = Sun_serve.Json in
   let module Opt = Sun_core.Optimizer in
   let module Model = Sun_cost.Model in
-  let module P = Sun_arch.Presets in
-  let sets =
-    [
-      ( "resnet18-simba",
-        "simba",
-        P.simba_like,
-        List.map (fun l -> l.Sun_workloads.Resnet18.workload) (Sun_workloads.Resnet18.layers ~batch:16 ())
-      );
-      ( "tensor-simba",
-        "simba",
-        P.simba_like,
-        List.map (fun i -> i.Sun_workloads.Non_dnn.workload) Sun_workloads.Non_dnn.all );
-      ( "inception-wu-conventional",
-        "conventional",
-        P.conventional,
-        List.map
-          (fun l -> l.Sun_workloads.Inception.workload)
-          (Sun_workloads.Inception.weight_update_layers ~batch:16 ()) );
-    ]
-  in
   let run_set (name, arch_name, arch, workloads) =
     let rows =
       List.map
@@ -534,13 +535,36 @@ let search_bench () =
         ("searches", Json.List (List.map snd rows));
       ]
   in
-  let body = List.map run_set sets in
+  let body = List.map run_set (cold_sets ()) in
   let out = "BENCH_search.json" in
   let oc = open_out out in
   output_string oc (Json.to_string_pretty (Json.Obj [ ("search", Json.List body) ]));
   output_char oc '\n';
   close_out oc;
   Printf.printf "search: wrote %s\n" out
+
+(* Where one cold set's search time goes: the set searched [reps] times
+   in process under the SIGPROF sampler of [Profile] (see its bias note),
+   after one unsampled run that warms the process, and on until the first
+   sample lands. Prints the functions with the largest self and inclusive
+   shares of the samples; exits 1 when no sample was taken. *)
+let profile_bench set reps =
+  let workloads, arch =
+    match List.find_opt (fun (name, _, _, _) -> name = set) (cold_sets ()) with
+    | Some (_, _, arch, workloads) -> (workloads, arch)
+    | None ->
+      Printf.eprintf "profile: unknown set %S; known: %s\n" set
+        (String.concat ", " (List.map (fun (name, _, _, _) -> name) (cold_sets ())));
+      exit 2
+  in
+  let run () = List.iter (fun w -> ignore (Sun_core.Optimizer.optimize w arch)) workloads in
+  run ();
+  let runs, stacks = Profile.sample ~times:reps run in
+  Printf.printf "profile: %s, %d runs of %d searches, timer interval %.0f us of CPU time\n" set
+    runs (List.length workloads) (Profile.interval *. 1e6);
+  let n = Profile.report stacks in
+  Printf.printf "profile: %d samples\n" n;
+  if n = 0 then exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -552,6 +576,13 @@ let () =
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
   | [ "search" ] -> search_bench ()
+  | [ "profile"; set ] -> profile_bench set 50
+  | [ "profile"; set; "--reps"; reps ] -> (
+    match int_of_string_opt reps with
+    | Some reps when reps >= 1 -> profile_bench set reps
+    | _ ->
+      Printf.eprintf "profile: --reps takes a positive integer, not %S\n" reps;
+      exit 2)
   | [] -> List.iter (fun (name, driver) -> run_experiment name driver) Sun_experiments.Figures.all
   | names ->
     List.iter
@@ -561,7 +592,7 @@ let () =
         | None ->
           Printf.eprintf
             "unknown experiment %S; known: %s, 'micro', 'serve', 'audit', \
-             'evaluate', 'transfer' or 'search'\n"
+             'evaluate', 'transfer', 'search' or 'profile SET [--reps N]'\n"
             name
             (String.concat ", " known);
           exit 2)

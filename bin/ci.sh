@@ -244,6 +244,20 @@ if ! diff "$PARITY_TMP/search.committed" "$PARITY_TMP/search.run" >"$PARITY_TMP/
 fi
 echo "bench search: counts and EDPs match the committed BENCH_search.json"
 
+echo "== bench profile (the search-time sampler runs and reports shares)"
+# One in-process run of the tensor-simba set under the SIGPROF sampler
+# (more only if that run ended before a kernel tick charged it): it must
+# exit 0 (it exits 1 when it took no sample) and print share rows. The
+# shares themselves are not gated; a run takes a sample or two at a
+# 250 Hz kernel tick, a profile worth reading takes --reps 150 or so.
+(cd "$PARITY_TMP" && "$BENCH" profile tensor-simba --reps 1) >"$PARITY_TMP/profile.txt"
+if ! grep -qE '^ +[0-9.]+% +[0-9]+ ' "$PARITY_TMP/profile.txt"; then
+  echo "bench profile: no share rows in the output:" >&2
+  cat "$PARITY_TMP/profile.txt" >&2
+  exit 1
+fi
+echo "bench profile: ok ($(tail -1 "$PARITY_TMP/profile.txt"))"
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"
   dune build @fmt

@@ -221,6 +221,7 @@ let audit_frontier ~inject probe w a =
             fits_factors (Array.of_list (List.map (Tile_tree.factor_of asg) grow))
           in
           let remaining d = W.bound w d in
+          let table = Tile_tree.table () in
           let ladders max_steps =
             List.map (fun d -> Tile_tree.ladder ~max_steps (remaining d)) grow
           in
@@ -238,15 +239,18 @@ let audit_frontier ~inject probe w a =
                 else Printf.sprintf "%s (%d-rung ladders)" op.W.name max_steps
               in
               let outcome =
-                Tile_tree.search ~max_steps ~grow_dims:grow ~remaining ~fits:fits_factors ()
+                Tile_tree.search ~max_steps ~table
+                  ~remaining:(Array.of_list (List.map remaining grow))
+                  ~fits:fits_factors ()
+              in
+              let frontier =
+                List.map (Tile_tree.assignment ~grow_dims:grow) outcome.Tile_tree.frontier
               in
               let frontier =
                 match inject with
                 | Shrink_frontier -> (
-                  match List.rev outcome.Tile_tree.frontier with
-                  | _ :: rest -> List.rev rest
-                  | [] -> [])
-                | _ -> outcome.Tile_tree.frontier
+                  match List.rev frontier with _ :: rest -> List.rev rest | [] -> [])
+                | _ -> frontier
               in
               (* brute force: maximal fitting points of the ladder grid *)
               let grid =

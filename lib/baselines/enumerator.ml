@@ -25,11 +25,15 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
   let top = num_levels - 1 in
   let bounds = Array.of_list (List.map (W.bound w) dims) in
   let row_of a = Array.of_list (List.map (Tree.factor_of a) dims) in
-  let lookup row d = row.(Probe.dim_index probe d) in
+  let table = Tree.table () in
   let search ~grow ~remaining ~fits =
-    let o = Tree.search ~max_steps:24 ~grow_dims:grow ~remaining:(lookup remaining) ~fits () in
+    let o =
+      Tree.search ~max_steps:24 ~table
+        ~remaining:(Array.of_list (List.map (fun d -> remaining.(Probe.dim_index probe d)) grow))
+        ~fits ()
+    in
     examined := !examined + o.Tree.explored;
-    o.Tree.frontier
+    List.map (Tree.assignment ~grow_dims:grow) o.Tree.frontier
   in
   (* The probe's extents hold the tile [base * factors] of a tile search
      over every dim. *)

@@ -342,12 +342,19 @@ let cum_level ctx lay l =
     done
   end
 
-(* Per-level spatial products and cumulative tile extents of the factor
-   rows already in the layout scratch. *)
+(* Is level [l]'s cumulative tile extent read by validation or a score?
+   Validation compares footprints only at bounded levels, and traffic is
+   counted from consumer levels, which are below the top; so the extent of
+   an unbounded top level is left stale, and [level_fill_fraction_ctx]
+   computes it when asked. *)
+let[@inline] cum_read ctx l = l < ctx.nlevels - 1 || not ctx.levels.(l).A.unbounded
+
+(* Per-level spatial products and the cumulative tile extents
+   ({!cum_read}) of the factor rows already in the layout scratch. *)
 let finish_lay ctx lay =
   for l = 0 to ctx.nlevels - 1 do
     lay.sprod.(l) <- sprod_loop lay.s.(l) 0 ctx.ndims 1;
-    cum_level ctx lay l
+    if cum_read ctx l then cum_level ctx lay l
   done;
   lay
 
@@ -474,10 +481,10 @@ let validate_lay ctx lay =
       let info = ctx.operands.(oi) in
       for l = 0 to ctx.nlevels - 1 do
         match info.part_at.(l) with
-        | Some { gid; _ } ->
+        | Some { gid; _ } when not ctx.levels.(l).A.unbounded ->
           footprint_into ctx info lay.cum.(l);
           U.Arr.set used gid U.(Arr.get used gid +: count ctx.fs.f_fp)
-        | None -> ()
+        | Some _ | None -> ()
       done
     done;
     for gid = 0 to ctx.nparts - 1 do
@@ -510,6 +517,8 @@ let validate_ctx ctx m =
 
 let level_fill_fraction_ctx ctx m ~level =
   let lay = convert_into ctx m in
+  (* the scored layout may leave this level's extent stale ({!cum_read}) *)
+  cum_level ctx lay level;
   let lvl = ctx.levels.(level) in
   let worst = ref 0.0 in
   List.iter
@@ -877,8 +886,9 @@ let score_rows ctx r = score_prepared ctx (prepare_rows ctx r)
 
 (* The loaded layout with its top temporal row replaced by [top]: the
    spatial products are unchanged, and of the cumulative extents only the
-   top level's moves. The same matrices [load_rows] builds from the
-   replaced rows. *)
+   top level's moves, which is read only when that level is bounded
+   ({!cum_read}). The same matrices [load_rows] builds from the replaced
+   rows. *)
 let set_top ctx top =
   let lay = ctx.lay in
   let l = ctx.nlevels - 1 in
@@ -886,7 +896,7 @@ let set_top ctx top =
   for d = 0 to ctx.ndims - 1 do
     Array.unsafe_set trow d top.(d)
   done;
-  cum_level ctx lay l;
+  if cum_read ctx l then cum_level ctx lay l;
   lay
 
 (* sunstone-hot *)

@@ -29,12 +29,13 @@ let tune w seed =
   let ctx = Model.context w arch in
   let orders = Trie.candidates w in
   let candidates = ref [ seed ] in
+  let table = Tree.table () in
   List.iter
     (fun (op : W.operand) ->
       let grow = W.indexing_dims op in
       let unrolls =
-        Unroll.candidates ~fanout:lanes ~dims:grow
-          ~remaining:(fun d -> W.bound w d)
+        Unroll.candidates ~table ~fanout:lanes
+          ~remaining:(Array.of_list (List.map (W.bound w) grow))
           ~min_utilization:0.5 ()
       in
       List.iter
@@ -49,12 +50,16 @@ let tune w seed =
               (fun (o : W.operand) -> W.footprint extent o <= cap_of w o.W.name)
               w.W.operands
           in
-          let tiles = Tree.search ~max_steps:16 ~grow_dims:dims ~remaining ~fits () in
+          let tiles =
+            Tree.search ~max_steps:16 ~table
+              ~remaining:(Array.of_list (List.map remaining dims))
+              ~fits ()
+          in
           List.iter
             (fun tile ->
+              let t0 = Tree.factor_of (Tree.assignment ~grow_dims:dims tile) in
               List.iter
                 (fun (o : Trie.candidate) ->
-                  let t0 d = Tree.factor_of tile d in
                   let level0 =
                     {
                       M.temporal = List.map (fun d -> (d, t0 d)) dims;
@@ -74,7 +79,7 @@ let tune w seed =
                   | Error _ -> ())
                 orders)
             tiles.Tree.frontier)
-        unrolls.Unroll.candidates)
+        (List.map (Tree.assignment ~grow_dims:grow) unrolls.Unroll.candidates))
     w.W.operands;
   (* analytic prefilter *)
   let scored =

@@ -62,15 +62,15 @@ type search_state = {
   cfg : config;
   ctx : Model.ctx;
   probe : Probe.t;  (** footprint probes, scoped to this search (DESIGN.md §3.7) *)
-  dims : W.dim list;
-  dim_array : W.dim array;  (** [dims], for {!M.dim_position} *)
+  dim_array : W.dim array;  (** the workload's dims, for {!M.dim_position} *)
   bounds : int array;  (** each dim's bound, by dim position: the rows' products *)
-  grows : W.dim list array;
+  grow_pos : int array array;
       (** the distinct grow-dim lists an operand choice can select
-          ({!grow_index}), the unrestricted one first; a list's index
-          keys the per-pass tile and unroll memos *)
-  grow_pos : int array array;  (** per grow list, each dim's position in [dims] *)
-  grow_of_op : (string * int) list;  (** operand name -> index into [grows] *)
+          ({!grow_index}), the unrestricted one first, each as its dims'
+          positions; a list's index keys the per-pass tile and unroll
+          memos *)
+  grow_of_op : (string * int) list;  (** operand name -> index into [grow_pos] *)
+  table : Tile_tree.table;  (** the ladders of every tile and unroll search of this call *)
   fits : (float * Probe.axes array) array array;
       (** {!Probe.fit_table}: per level, (capacity, stored operands' axes)
           per partition — arrays, so the fit test loops without list closures *)
@@ -148,24 +148,25 @@ let tile_fits st factors =
   done;
   !ok
 
-(* Point [tile_fits] at tiles of [level] over [grow]: every dim starts
-   from its [base] extent (indexed by probe dim), and the tile multiplies
-   the grow dims' extents by its factors. *)
+(* Point [tile_fits] at tiles of [level] over the probe dims [grow]:
+   every dim starts from its [base] extent (indexed by probe dim), and the
+   tile multiplies the grow dims' extents by its factors. *)
 let set_tile_scope st ~level ~base ~grow =
   Array.blit base 0 (Probe.extents st.probe) 0 (Array.length base);
   st.fit_level <- level;
   st.fit_base <- base;
-  st.fit_grow <- Array.of_list (List.map (Probe.dim_index st.probe) grow)
+  st.fit_grow <- grow
 
 let tile_max_steps = 20
 
-(* The frontier of fitting tiles at [level] over [grow]. [tile_fits] is
-   monotone: a footprint only grows with a factor. [scope] must hold only
-   searches of the same [level], [base] and [grow]. *)
-let search_tiles st ~scope ~level ~base ~grow ~remaining =
-  set_tile_scope st ~level ~base ~grow;
+(* The frontier of fitting tiles at [level] over grow list [g], with
+   [remaining] extents by grow position. [tile_fits] is monotone: a
+   footprint only grows with a factor. [scope] must hold only searches of
+   the same [level], [base] and [g]. *)
+let search_tiles st ~scope ~level ~base g ~remaining =
+  set_tile_scope st ~level ~base ~grow:st.grow_pos.(g);
   let out =
-    Tile_tree.search ~max_steps:tile_max_steps ~scope ~grow_dims:grow ~remaining
+    Tile_tree.search ~max_steps:tile_max_steps ~scope ~table:st.table ~remaining
       ~fits:(tile_fits st) ()
   in
   st.examined <- st.examined + out.Tile_tree.explored;
@@ -260,36 +261,39 @@ let install_seed st levels_list =
 (* The grow dimensions of the Tiling / Unrolling Principles: the indexing
    dimensions of the operand temporally reused at the boundary. With no
    reused operand the principles give no restriction. An operand choice
-   selects its grow list by index into [st.grows]. *)
+   selects its grow list by index into [st.grow_pos]. *)
 let grow_index st = function Some op_name -> List.assoc op_name st.grow_of_op | None -> 0
 
-(* A tile or unrolling over grow list [g] (one entry per dim of the list,
-   in list order) as a row of factors of every workload dim. Entry [i] is
-   matched at the position of the list's [i]-th dim first, so no dim is
-   resolved by name. *)
-let row_of st g assignment =
+(* A tile or unrolling over grow list [g] (a factor vector, one entry per
+   grow position) as a row of factors of every workload dim. *)
+let row_of st g factors =
   let pos = st.grow_pos.(g) in
   let row = Array.make (Array.length st.dim_array) 1 in
-  List.iteri
-    (fun i (d, f) ->
-      let j = M.dim_position st.dim_array pos.(i) d in
-      if j >= 0 then row.(j) <- f)
-    assignment;
+  for i = 0 to Array.length pos - 1 do
+    row.(pos.(i)) <- factors.(i)
+  done;
   row
 
+(* [row]'s entries at the grow positions of list [g]. *)
+let by_grow st g row = Array.map (fun j -> row.(j)) st.grow_pos.(g)
+
+(* [remaining] divided entrywise by the factor vector [factors]. *)
+let divide remaining factors = Array.mapi (fun i r -> r / factors.(i)) remaining
+
 (* The maximal unrollings of grow list [g] over the fanout below [level]
-   ({!Unroll.candidates}), each with its row. *)
+   ({!Unroll.candidates}), with [remaining] extents by grow position, each
+   as its factor vector and its row. *)
 let unrolls st ~level g ~remaining =
   let out =
-    Unroll.candidates ~fanout:(A.level st.arch level).A.fanout ~dims:st.grows.(g) ~remaining
+    Unroll.candidates ~table:st.table ~fanout:(A.level st.arch level).A.fanout ~remaining
       ~min_utilization:st.cfg.min_spatial_utilization ()
   in
   st.examined <- st.examined + out.Unroll.explored;
   st.unroll_candidates <- st.unroll_candidates + List.length out.Unroll.candidates;
   List.map (fun a -> (a, row_of st g a)) out.Unroll.candidates
 
-(* [grows], [grow_pos] and [grow_of_op] of the search state: operands
-   indexed by the same dims share one grow list, and so one memo entry. *)
+(* [grow_pos] and [grow_of_op] of the search state: operands indexed by
+   the same dims share one grow list, and so one memo entry. *)
 let grow_table (w : W.t) dims dim_array =
   let grows = ref [ dims ] in
   let index_of g =
@@ -302,9 +306,8 @@ let grow_table (w : W.t) dims dim_array =
   let grow_of_op =
     List.map (fun (op : W.operand) -> (op.W.name, index_of (W.indexing_dims op))) w.W.operands
   in
-  let grows = Array.of_list (List.rev !grows) in
   let positions g = Array.of_list (List.map (M.dim_position dim_array 0) g) in
-  (grows, Array.map positions grows, grow_of_op)
+  (Array.of_list (List.rev_map positions !grows), grow_of_op)
 
 let operand_choices (o : Order_trie.candidate) =
   match o.Order_trie.reused_operands with [] -> [ None ] | ops -> List.map (fun x -> Some x) ops
@@ -339,24 +342,24 @@ let same_rows a b = a == b || (Array.length a = Array.length b && Array.for_all2
 
 (* The tiling scopes of one pass ({!Tile_tree.scope}): tile searches at the
    pass's level share a fit test when the extents fixed below the tile are
-   the same row and they grow the same list. [pass_scopes st row g ~extent]
+   the same row and they grow the same list. [pass_scopes st row g ~extents]
    is the scope of that row and grow list [g], created on first use over
-   [extent] of each dim of the list. *)
+   [extents], by grow position. *)
 let pass_scopes st =
   let seen = ref [] in
-  fun row g ~extent ->
+  fun row g ~extents ->
     let slots =
       match List.find_opt (fun (r, _) -> same_row r row) !seen with
       | Some (_, slots) -> slots
       | None ->
-        let slots = Array.make (Array.length st.grows) None in
+        let slots = Array.make (Array.length st.grow_pos) None in
         seen := (row, slots) :: !seen;
         slots
     in
     match slots.(g) with
     | Some scope -> scope
     | None ->
-      let scope = Tile_tree.scope (Array.of_list (List.map extent st.grows.(g))) in
+      let scope = Tile_tree.scope extents in
       slots.(g) <- Some scope;
       scope
 
@@ -602,11 +605,7 @@ let dedup_candidates_from b ~from =
    on that list, so they are enumerated once per list, when the first
    order selecting it is reached ([[||]] for a list no order selects). *)
 let enumerate st b ~k placed =
-  let remaining d = W.bound st.w d / placed.(Probe.dim_index st.probe d) in
-  (* a scope spans the extents left above [placed], which every search of
-     these tiles divides *)
   let scopes = pass_scopes st in
-  let scope_for g = scopes placed g ~extent:remaining in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
      monotonicity the Tiling Principle exploits). The sort is stable, so
@@ -615,37 +614,39 @@ let enumerate st b ~k placed =
     let max_keep = 40 in
     if List.length frontier <= max_keep then frontier
     else
-      List.map (fun a -> (List.fold_left (fun acc (_, f) -> acc * f) 1 a, a)) frontier
+      List.map (fun a -> (Array.fold_left ( * ) 1 a, a)) frontier
       |> List.stable_sort (fun (va, _) (vb, _) -> Int.compare vb va)
       |> Listx.take max_keep |> List.map snd
   in
-  let tiles_for g ~remaining =
-    let tiles =
-      cap_frontier
-        (search_tiles st ~scope:(scope_for g) ~level:(k - 1) ~base:placed ~grow:st.grows.(g)
-           ~remaining)
-    in
-    st.tile_candidates <- st.tile_candidates + List.length tiles;
-    List.map (fun a -> (a, row_of st g a)) tiles
-  in
   let choices g =
+    (* the extents left above [placed], by grow position; a scope spans
+       them, and every search of these tiles divides them *)
+    let remaining = Array.map (fun j -> st.bounds.(j) / placed.(j)) st.grow_pos.(g) in
+    let tiles_for rem =
+      let tiles =
+        cap_frontier
+          (search_tiles st
+             ~scope:(scopes placed g ~extents:remaining)
+             ~level:(k - 1) ~base:placed g ~remaining:rem)
+      in
+      st.tile_candidates <- st.tile_candidates + List.length tiles;
+      List.map (fun a -> (a, row_of st g a)) tiles
+    in
     match st.cfg.intra with
     | Ordering_first | Tiling_first ->
       List.concat_map
         (fun (tile_a, tile) ->
-          let after_tile d = remaining d / Tile_tree.factor_of tile_a d in
           List.map
             (fun (_, spatial) -> (tile, spatial))
-            (unrolls st ~level:k g ~remaining:after_tile))
-        (tiles_for g ~remaining)
+            (unrolls st ~level:k g ~remaining:(divide remaining tile_a)))
+        (tiles_for remaining)
     | Unrolling_first ->
       List.concat_map
         (fun (spatial_a, spatial) ->
-          let rem d = remaining d / Tile_tree.factor_of spatial_a d in
-          List.map (fun (_, tile) -> (tile, spatial)) (tiles_for g ~remaining:rem))
+          List.map (fun (_, tile) -> (tile, spatial)) (tiles_for (divide remaining spatial_a)))
         (unrolls st ~level:k g ~remaining)
   in
-  let groups = Array.make (Array.length st.grows) None in
+  let groups = Array.make (Array.length st.grow_pos) None in
   Array.iter
     (Array.iter (fun g ->
          if Option.is_none groups.(g) then groups.(g) <- Some (Array.of_list (choices g))))
@@ -748,8 +749,8 @@ let add_lane_candidates st b =
     let sets =
       List.map
         (fun (op : W.operand) ->
-          List.map snd
-            (unrolls st ~level:0 (grow_index st (Some op.W.name)) ~remaining:(W.bound st.w)))
+          let g = grow_index st (Some op.W.name) in
+          List.map snd (unrolls st ~level:0 g ~remaining:(by_grow st g st.bounds)))
         st.w.W.operands
     in
     let n = List.fold_left (fun acc s -> acc + List.length s) 0 sets in
@@ -1047,9 +1048,8 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
      below sits as level k's temporal row; this pass splits it into
      t_k x s_k x A_{k-1} *)
   let below = prefix.Rows.temporal.(k) in
-  let below_of d = below.(Probe.dim_index st.probe d) in
-  (* tiles grow every dim: grow list 0 *)
-  let scope = scopes below 0 ~extent:below_of in
+  (* tiles grow every dim: grow list 0, whose positions are the rows' *)
+  let scope = scopes below 0 ~extents:below in
   let all_ones = Array.make (Array.length st.dim_array) 1 in
   let results = ref [] in
   let emit ~order ~spatial ~tile =
@@ -1066,17 +1066,17 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
       :: !results
   in
   let expand order op_choice =
+    let g = grow_index st op_choice in
     List.iter
-      (fun (spatial_a, spatial) ->
-        let rem d = below_of d / Tile_tree.factor_of spatial_a d in
+      (fun (_, spatial) ->
         (* the level-k spatial factor distributes across level-(k-1)
            instances and does not occupy any single buffer *)
         let tiles =
-          search_tiles st ~scope ~level:(k - 1) ~base:all_ones ~grow:st.dims ~remaining:rem
+          search_tiles st ~scope ~level:(k - 1) ~base:all_ones 0 ~remaining:(divide below spatial)
         in
         st.tile_candidates <- st.tile_candidates + List.length tiles;
         List.iter (fun tile -> emit ~order ~spatial ~tile:(row_of st 0 tile)) tiles)
-      (unrolls st ~level:k (grow_index st op_choice) ~remaining:below_of)
+      (unrolls st ~level:k g ~remaining:(by_grow st g below))
   in
   List.iter (fun (o, order) -> List.iter (expand order) (operand_choices o)) orders;
   !results
@@ -1088,9 +1088,9 @@ let lane_pass_split st (c : Rows.t) =
   else begin
     let results = ref [] in
     let below = c.Rows.temporal.(0) in
-    let below_of d = below.(Probe.dim_index st.probe d) in
     List.iter
       (fun (op : W.operand) ->
+        let g = grow_index st (Some op.W.name) in
         List.iter
           (fun (_, spatial) ->
             st.examined <- st.examined + 1;
@@ -1102,7 +1102,7 @@ let lane_pass_split st (c : Rows.t) =
                 spatial = set c.Rows.spatial 0 spatial;
               }
               :: !results)
-          (unrolls st ~level:0 (grow_index st (Some op.W.name)) ~remaining:below_of))
+          (unrolls st ~level:0 g ~remaining:(by_grow st g below)))
       st.w.W.operands;
     !results
   end
@@ -1290,7 +1290,7 @@ let flush_telemetry st wall_seconds =
 let create_state ~config ~inject w arch =
   let dims = W.dim_names w in
   let dim_array = Array.of_list dims in
-  let grows, grow_pos, grow_of_op = grow_table w dims dim_array in
+  let grow_pos, grow_of_op = grow_table w dims dim_array in
   let probe = Probe.create w in
   {
     w;
@@ -1298,12 +1298,11 @@ let create_state ~config ~inject w arch =
     cfg = config;
     ctx = Model.context ~binding:config.binding w arch;
     probe;
-    dims;
     dim_array;
     bounds = Array.of_list (List.map (W.bound w) dims);
-    grows;
     grow_pos;
     grow_of_op;
+    table = Tile_tree.table ();
     fits = Probe.fit_table probe w arch ~binding:config.binding;
     fit_level = 0;
     fit_base = [||];
@@ -1330,7 +1329,9 @@ let create_state ~config ~inject w arch =
 
 let tile_fit_test w arch ~level ~grow =
   let st = create_state ~config:default_config ~inject:No_injection w arch in
-  set_tile_scope st ~level ~base:(Array.make (List.length st.dims) 1) ~grow;
+  set_tile_scope st ~level
+    ~base:(Array.make (Array.length st.dim_array) 1)
+    ~grow:(Array.of_list (List.map (Probe.dim_index st.probe) grow));
   tile_fits st
 
 let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =

@@ -21,30 +21,36 @@ type candidate = {
 
 type stats = { nodes_visited : int; nodes_pruned : int }
 
+(* Each operand's name with its indexing and sliding-window dims, as
+   [W.indexing_dims] and [W.sliding_dims] give them: computed once per
+   trie rather than once per operand per suffix dim. *)
+type dim_sets = (string * dim list * dim list) list
+
+let dim_sets w : dim_sets =
+  List.map (fun (op : W.operand) -> (op.W.name, W.indexing_dims op, W.sliding_dims op)) w.W.operands
+
 (* Mirror of the cost model's refill scan: walk the suffix innermost-first
    per operand, absorbing non-indexing loops (full reuse) and at most one
    sliding-window loop (partial reuse). *)
-let rich_signature w suffix : rich =
-  let operand_entry (op : W.operand) =
-    let sliding = W.sliding_dims op in
+let rich_signature (sets : dim_sets) suffix : rich =
+  let operand_entry (name, indexing, sliding) =
     let rec scan full = function
       | [] -> (full, false)
       | d :: rest ->
-        if not (W.is_indexing op d) then scan (d :: full) rest
+        if not (List.mem d indexing) then scan (d :: full) rest
         else if List.mem d sliding then (full, true)
         else (full, false)
     in
     let full, partial = scan [] suffix in
-    if full = [] && not partial then None
-    else Some (op.W.name, (List.sort String.compare full, partial))
+    if full = [] && not partial then None else Some (name, (List.sort String.compare full, partial))
   in
-  List.sort compare (List.filter_map operand_entry w.W.operands)
+  List.sort compare (List.filter_map operand_entry sets)
 
 let suffix_signature w suffix =
   List.concat_map
     (fun (op, (full, partial)) ->
       (if full <> [] then [ (op, Full) ] else []) @ if partial then [ (op, Partial) ] else [])
-    (rich_signature w suffix)
+    (rich_signature (dim_sets w) suffix)
   |> List.sort compare
 
 (* [leq a b]: every reuse in [a] is matched or exceeded in [b]. *)
@@ -65,7 +71,7 @@ let all_orders_count w =
   fact n
 
 let candidates_with_stats w =
-  let dims = W.dim_names w in
+  let dims = W.dim_names w and sets = dim_sets w in
   let visited = ref 0 and pruned = ref 0 in
   let leaves = ref [] in
   let emit suffix rich =
@@ -90,7 +96,7 @@ let candidates_with_stats w =
       List.filter_map
         (fun d ->
           let suffix' = suffix @ [ d ] in
-          let rich' = rich_signature w suffix' in
+          let rich' = rich_signature sets suffix' in
           (* Principle 3: extend only if the added loop gains reuse *)
           if lt rich rich' then Some (d, suffix', rich') else None)
         remaining

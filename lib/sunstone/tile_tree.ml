@@ -8,7 +8,7 @@ let factor_of assignment d = match List.assoc_opt d assignment with Some f -> f 
 
 let assignment ~grow_dims factors = List.mapi (fun i d -> (d, factors.(i))) grow_dims
 
-type outcome = { frontier : assignment list; explored : int }
+type outcome = { frontier : int array list; explored : int }
 
 let check_steps fn max_steps =
   if max_steps < 2 then invalid_arg (Printf.sprintf "Tile_tree.%s: max_steps %d < 2" fn max_steps)
@@ -26,66 +26,112 @@ let ladder ?(max_steps = max_int) extent =
     Sun_util.Listx.unique compare picked
   end
 
-(* Mixed-radix strides over [radices] and the number of points they span,
-   or [None] when that number exceeds [max_int]. *)
-let strides radices =
-  let n = Array.length radices in
-  let stride = Array.make n 1 in
+(* Ladders by (max_steps, extent). *)
+type table = { ladders : (int * int, int array) Hashtbl.t; mutable built : int }
+
+let table () = { ladders = Hashtbl.create 16; built = 0 }
+
+let built t = t.built
+
+let rungs t ~max_steps extent =
+  let key = (max_steps, extent) in
+  match Hashtbl.find_opt t.ladders key with
+  | Some rungs -> rungs
+  | None ->
+    let rungs = Array.of_list (ladder ~max_steps extent) in
+    Hashtbl.add t.ladders key rungs;
+    t.built <- t.built + 1;
+    rungs
+
+(* The number of lattice points over [ladders], one rung of each, or
+   [None] when it exceeds [max_int]. *)
+let span ladders =
   let rec go i size =
-    if i = n then Some (stride, size)
-    else if size > max_int / radices.(i) then None
-    else begin
-      stride.(i) <- size;
-      go (i + 1) (size * radices.(i))
-    end
+    if i = Array.length ladders then Some size
+    else
+      let radix = Array.length ladders.(i) in
+      if size > max_int / radix then None else go (i + 1) (size * radix)
   in
   go 0 1
 
+(* Mixed-radix strides over [ladders], whose {!span} fits an int. *)
+let strides ladders =
+  let stride = Array.make (Array.length ladders) 1 in
+  for i = 1 to Array.length ladders - 1 do
+    stride.(i) <- stride.(i - 1) * Array.length ladders.(i - 1)
+  done;
+  stride
+
 (* A scope's key space: each grow dim's factor is keyed by its index among
    the divisors of the scope's extent, packed mixed-radix with [stride].
-   Built by the first search whose corner test fails. *)
+   Built by the first search whose corner test fails. [offsets] holds, per
+   grow position, each ladder's offsets ({!ladder_offsets}) found by the
+   ladder's identity: the searches of one table share their ladders. *)
 type keys =
   | Unbuilt
   | Too_large
-  | Built of { divisors : int array array; stride : int array; verdicts : Verdicts.t }
+  | Built of {
+      divisors : int array array;
+      stride : int array;
+      verdicts : Verdicts.t;
+      offsets : (int array * int array) list array;
+    }
 
 type scope = { extents : int array; mutable keys : keys }
 
 let scope extents = { extents = Array.copy extents; keys = Unbuilt }
 
-let build_keys extents =
-  let divisors = Array.map (fun e -> Array.of_list (Factor.divisors e)) extents in
-  match strides (Array.map Array.length divisors) with
-  | Some (stride, _) -> Built { divisors; stride; verdicts = Verdicts.create () }
+(* The divisors of an extent are its unthinned ladder. *)
+let build_keys table extents =
+  let divisors = Array.map (rungs table ~max_steps:max_int) extents in
+  match span divisors with
+  | Some _ ->
+    Built
+      {
+        divisors;
+        stride = strides divisors;
+        verdicts = Verdicts.create ();
+        offsets = Array.map (fun _ -> []) extents;
+      }
   | None -> Too_large
 
 (* Each rung's share of a point's key: the index of its factor among the
-   key space's [values] for that dim, times the dim's stride. Every rung
+   key space's [values] for that dim, times the dim's [stride]. Every rung
    is one of the values, which ascend like the rungs. *)
-let offsets values stride ladders =
-  Array.mapi
-    (fun i ladder ->
-      let v = values.(i) in
-      let rec index j f = if v.(j) = f then j else index (j + 1) f in
-      let j = ref 0 in
-      Array.map
-        (fun f ->
-          j := index !j f;
-          !j * stride.(i))
-        ladder)
-    ladders
+let ladder_offsets values stride ladder =
+  let rec index j f = if values.(j) = f then j else index (j + 1) f in
+  let j = ref 0 in
+  Array.map
+    (fun f ->
+      j := index !j f;
+      !j * stride)
+    ladder
 
-(* The key space and verdict table a search keys its points in: its
+(* The rung offsets and verdict table a search keys its points with: its
    scope's, or, without a scope or when the scope's divisor lattice
-   overflows an int, a private one over its own ladders. *)
-let key_space scope ~ladders ~stride =
-  let own () = (ladders, stride, Verdicts.create ()) in
+   overflows an int, a private key space over its own ladders, where a
+   rung's index is its position. *)
+let key_space table scope ladders =
+  let own () =
+    let stride = strides ladders in
+    ( Array.mapi (fun i ladder -> Array.init (Array.length ladder) (fun r -> r * stride.(i))) ladders,
+      Verdicts.create () )
+  in
   match scope with
   | None -> own ()
   | Some s -> (
-    (match s.keys with Unbuilt -> s.keys <- build_keys s.extents | Too_large | Built _ -> ());
+    (match s.keys with Unbuilt -> s.keys <- build_keys table s.extents | Too_large | Built _ -> ());
     match s.keys with
-    | Built { divisors; stride; verdicts } -> (divisors, stride, verdicts)
+    | Built { divisors; stride; verdicts; offsets } ->
+      let offset i ladder =
+        match List.assq_opt ladder offsets.(i) with
+        | Some o -> o
+        | None ->
+          let o = ladder_offsets divisors.(i) stride.(i) ladder in
+          offsets.(i) <- (ladder, o) :: offsets.(i);
+          o
+      in
+      (Array.mapi offset ladders, verdicts)
     | Unbuilt | Too_large -> own ())
 
 (* The sweep order of [n] grow dims: every dim in grow order, except that
@@ -118,11 +164,11 @@ let rec descending (a : int array) (b : int array) i =
    comes out in descending lexicographic sweep order and is sorted back
    into grow order. Only points of D and points one rung above D are
    tested. [verdicts] holds the corner and every point the sweep tests,
-   so within one scope only the root and corner tests repeat. *)
-let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
+   so within one scope only the root and corner tests repeat. The ladders
+   are [table]'s; a search whose corner fits reads only their lengths. *)
+let search ?(max_steps = max_int) ?scope ~table ~remaining ~fits () =
   check_steps "search" max_steps;
-  let tops = Array.of_list (List.map remaining grow_dims) in
-  let n = Array.length tops in
+  let n = Array.length remaining in
   Option.iter
     (fun s ->
       if Array.length s.extents <> n then
@@ -135,24 +181,22 @@ let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
             invalid_arg
               (Printf.sprintf "Tile_tree.search: remaining %d does not divide the scope's %d" top
                  s.extents.(i)))
-        tops)
+        remaining)
     scope;
-  let ladders = Array.map (fun top -> Array.of_list (ladder ~max_steps top)) tops in
-  let stride, lattice =
-    match strides (Array.map Array.length ladders) with
-    | Some space -> space
+  let ladders = Array.map (rungs table ~max_steps) remaining in
+  let lattice =
+    match span ladders with
+    | Some size -> size
     | None -> invalid_arg "Tile_tree.search: lattice too large"
   in
   let factors = Array.make n 1 in
   if not (fits factors) then { frontier = []; explored = 1 }
   else begin
-    Array.blit tops 0 factors 0 n;
-    if lattice = 1 || fits factors then
-      { frontier = [ assignment ~grow_dims factors ]; explored = lattice }
+    Array.blit remaining 0 factors 0 n;
+    if lattice = 1 || fits factors then { frontier = [ factors ]; explored = lattice }
     else begin
       Array.fill factors 0 n 1;
-      let values, stride, verdicts = key_space scope ~ladders ~stride in
-      let off = offsets values stride ladders in
+      let off, verdicts = key_space table scope ladders in
       Verdicts.add verdicts
         (Array.fold_left (fun key o -> key + o.(Array.length o - 1)) 0 off)
         false;
@@ -216,6 +260,6 @@ let search ?(max_steps = max_int) ?scope ~grow_dims ~remaining ~fits () =
         if pos.(last) = last then frontier
         else List.sort (fun a b -> descending a b 0) frontier
       in
-      { frontier = List.map (assignment ~grow_dims) frontier; explored = !explored }
+      { frontier; explored = !explored }
     end
   end

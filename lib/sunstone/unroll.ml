@@ -1,14 +1,13 @@
-type dim = Sun_tensor.Workload.dim
+type outcome = { candidates : int array list; explored : int }
 
-type outcome = { candidates : (dim * int) list list; explored : int }
+let product factors = Array.fold_left ( * ) 1 factors
 
-let product assignment = List.fold_left (fun acc (_, f) -> acc * f) 1 assignment
-
-let candidates ~fanout ~dims ~remaining ?(min_utilization = 0.0) () =
-  if fanout <= 1 || dims = [] then { candidates = [ List.map (fun d -> (d, 1)) dims ]; explored = 1 }
+let candidates ~table ~fanout ~remaining ?(min_utilization = 0.0) () =
+  let ones () = [ Array.make (Array.length remaining) 1 ] in
+  if fanout <= 1 || Array.length remaining = 0 then { candidates = ones (); explored = 1 }
   else begin
-    let fits factors = Array.fold_left ( * ) 1 factors <= fanout in
-    let out = Tile_tree.search ~max_steps:24 ~grow_dims:dims ~remaining ~fits () in
+    let fits factors = product factors <= fanout in
+    let out = Tile_tree.search ~max_steps:24 ~table ~remaining ~fits () in
     let threshold = min_utilization *. float_of_int fanout in
     let selected =
       List.filter (fun a -> float_of_int (product a) >= threshold) out.Tile_tree.frontier
@@ -17,7 +16,7 @@ let candidates ~fanout ~dims ~remaining ?(min_utilization = 0.0) () =
        available spatial reuse — only an empty frontier degrades to ones *)
     let candidates =
       match (selected, out.Tile_tree.frontier) with
-      | [], [] -> [ List.map (fun d -> (d, 1)) dims ]
+      | [], [] -> ones ()
       | [], frontier -> frontier
       | selected, _ -> selected
     in

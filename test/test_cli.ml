@@ -1,7 +1,7 @@
-(* The command line's shared search flags, run against the built binary:
-   [--beam] and [--top-down] parse to one optimizer config on every
+(* The command line run against the built binary: the shared search
+   flags [--beam] and [--top-down] parse to one optimizer config on every
    command that searches, and a beam narrower than 1 is refused before
-   anything runs. *)
+   anything runs; [sunstone list] prints the committed registry listing. *)
 
 let cli =
   Filename.concat (Filename.dirname Sys.executable_name)
@@ -63,6 +63,14 @@ let test_config_flags () =
   Alcotest.(check bool) "beam_width 1" true (contains out "\"beam_width\": 1");
   Alcotest.(check bool) "bottom-up by default" true (contains out "\"direction\": \"bottom_up\"")
 
+(* The registry's names, their workloads and the presets, in order: a
+   change to how the catalog is built must not change what it holds. *)
+let test_list_unchanged () =
+  let code, out, err = run [ "list" ] in
+  Alcotest.(check int) ("list exit: " ^ err) 0 code;
+  let expected = In_channel.with_open_text "fixtures/sunstone_list.txt" In_channel.input_all in
+  Alcotest.(check string) "sunstone list output" expected out
+
 let () =
   Alcotest.run "sunstone_cli"
     [
@@ -71,4 +79,5 @@ let () =
           Alcotest.test_case "beam below one rejected" `Quick test_beam_below_one_rejected;
           Alcotest.test_case "beam and top-down reach the config" `Quick test_config_flags;
         ] );
+      ("registry", [ Alcotest.test_case "list output unchanged" `Quick test_list_unchanged ]);
     ]

@@ -386,6 +386,32 @@ let test_fill_fraction () =
   (* Algorithm 4's L1 tile: 14 + 12 + 18 = 44 of 64 words *)
   check_f "L1 fill fraction" (44.0 /. 64.0) f
 
+(* The top level's fill reads its cumulative tile extents, which scoring
+   leaves unread at an unbounded level: over a DRAM given a capacity,
+   every operand is whole there. *)
+let test_fill_fraction_top () =
+  let top = A.num_levels arch - 1 in
+  let dram = A.level arch top in
+  let capacity = 1_000_000 in
+  let sized =
+    A.make ~name:"toy-sized-dram"
+      ~levels:
+        (List.init top (A.level arch)
+        @ [
+            {
+              dram with
+              A.partitions =
+                List.map (fun p -> { p with A.capacity_words = capacity }) dram.A.partitions;
+            };
+          ])
+      ~mac_energy:arch.A.mac_energy ()
+  in
+  let whole =
+    List.fold_left (fun acc op -> acc +. W.footprint (W.bound conv) op) 0.0 conv.W.operands
+  in
+  check_f "DRAM fill fraction" (whole /. float_of_int capacity)
+    (Model.level_fill_fraction conv sized algorithm4 ~level:top)
+
 let principle_props =
   let open QCheck in
   let big = P.toy ~l1_words:1_000_000 ~l2_words:10_000_000 ~pes:8 () in
@@ -455,6 +481,7 @@ let () =
           Alcotest.test_case "ordering principle 3" `Quick test_ordering_principle_3;
           Alcotest.test_case "ctx equivalence" `Quick test_ctx_equivalence;
           Alcotest.test_case "fill fraction" `Quick test_fill_fraction;
+          Alcotest.test_case "fill fraction at the top level" `Quick test_fill_fraction_top;
         ] );
       ("principle properties", List.map QCheck_alcotest.to_alcotest principle_props);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);

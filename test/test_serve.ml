@@ -1820,6 +1820,19 @@ let test_server_drain_grace_closes_stuck_client () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The catalog is built once: every lookup of a name, by [find_workload]
+   or through [workloads], yields the same workload value. *)
+let test_registry_built_once () =
+  List.iter
+    (fun (name, w) ->
+      match (Registry.find_workload name, Registry.find_workload name) with
+      | Ok a, Ok b ->
+        Alcotest.(check bool) (name ^ ": repeated lookups share one value") true (a == b);
+        Alcotest.(check bool) (name ^ ": the listing's value") true (a == w)
+      | _ -> Alcotest.failf "%s does not resolve" name)
+    (Registry.workloads ());
+  Alcotest.(check bool) "one catalog" true (Registry.workloads () == Registry.workloads ())
+
 let () =
   Alcotest.run "sun_serve"
     [
@@ -1919,6 +1932,7 @@ let () =
           Alcotest.test_case "ties drain FIFO" `Quick test_edf_ties_fifo;
         ] );
       ("edf properties", List.map QCheck_alcotest.to_alcotest edf_qcheck_props);
+      ("registry", [ Alcotest.test_case "catalog built once" `Quick test_registry_built_once ]);
       ( "server",
         [
           Alcotest.test_case "single client parity with batch --jobs 1" `Quick

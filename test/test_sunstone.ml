@@ -89,39 +89,38 @@ let test_trie_covers_deeper_reuse () =
 (* Fig 5: unified L1 of 8 entries, grow P and K for the xxCR ordering;
    the frontier is K=2, P=2 (footprint 8: ofmap 4 + weight 2 + ifmap 2). *)
 let test_tile_tree_fig5 () =
-  let remaining = function "P" -> 14 | "K" -> 4 | _ -> 1 in
   let fits v =
     let p = v.(0) and k = v.(1) in
     (* C = R = 1 tile: ofmap k*p, weight k, ifmap p *)
     (k * p) + k + p <= 8
   in
-  let out = Tree.search ~grow_dims:[ "P"; "K" ] ~remaining ~fits () in
-  Alcotest.(check int) "single frontier tile" 1 (List.length out.Tree.frontier);
-  let tile = List.hd out.Tree.frontier in
-  Alcotest.(check int) "K=2" 2 (Tree.factor_of tile "K");
-  Alcotest.(check int) "P=2" 2 (Tree.factor_of tile "P");
+  let out = Tree.search ~table:(Tree.table ()) ~remaining:[| 14; 4 |] ~fits () in
+  Alcotest.(check (list (array int))) "single frontier tile: P=2, K=2" [ [| 2; 2 |] ]
+    out.Tree.frontier;
   Alcotest.(check bool) "explored counted" true (out.Tree.explored >= 4)
 
 let test_tile_tree_root_too_big () =
   let out =
-    Tree.search ~grow_dims:[ "K" ] ~remaining:(fun _ -> 4) ~fits:(fun _ -> false) ()
+    Tree.search ~table:(Tree.table ()) ~remaining:[| 4 |] ~fits:(fun _ -> false) ()
   in
   Alcotest.(check int) "no candidates" 0 (List.length out.Tree.frontier)
 
 let test_tile_tree_factors_divide () =
+  let grow_dims = [ "A"; "B" ] in
   let remaining = function "A" -> 12 | "B" -> 9 | _ -> 1 in
   let fits a = Tree.factor_of a "A" * Tree.factor_of a "B" <= 10 in
   let out =
-    Tree.search ~grow_dims:[ "A"; "B" ] ~remaining
-      ~fits:(fun v -> fits (Tree.assignment ~grow_dims:[ "A"; "B" ] v))
+    Tree.search ~table:(Tree.table ()) ~remaining:[| 12; 9 |]
+      ~fits:(fun v -> fits (Tree.assignment ~grow_dims v))
       ()
   in
+  let frontier = List.map (Tree.assignment ~grow_dims) out.Tree.frontier in
   List.iter
     (fun tile ->
       Alcotest.(check bool) "A divides" true (12 mod Tree.factor_of tile "A" = 0);
       Alcotest.(check bool) "B divides" true (9 mod Tree.factor_of tile "B" = 0);
       Alcotest.(check bool) "fits" true (fits tile))
-    out.Tree.frontier;
+    frontier;
   (* frontier maximality: no grow step keeps it fitting *)
   List.iter
     (fun tile ->
@@ -132,8 +131,8 @@ let test_tile_tree_factors_divide () =
             let bigger = (d, f') :: List.remove_assoc d tile in
             Alcotest.(check bool) "maximal" false (fits bigger)
           | None -> ())
-        [ "A"; "B" ])
-    out.Tree.frontier
+        grow_dims)
+    frontier
 
 (* A ladder keeps both 1 and the full extent, so fewer than two rungs is
    a caller error; two rungs are exactly those ends. *)
@@ -141,23 +140,22 @@ let test_tile_tree_factors_divide () =
    lattice overflows an int (240 divisors per dim, 8 dims) leaves its
    searches to private tables with the same results. *)
 let test_tile_tree_scope () =
-  let grow_dims = [ "K"; "C" ] in
+  let table = Tree.table () in
   let rejects what scope remaining =
-    match Tree.search ~scope ~grow_dims ~remaining ~fits:(fun _ -> true) () with
+    match Tree.search ~scope ~table ~remaining ~fits:(fun _ -> true) () with
     | _ -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  rejects "remaining 8 in a scope of 12" (Tree.scope [| 12; 12 |]) (fun _ -> 8);
-  rejects "two grow dims in a one-dim scope" (Tree.scope [| 12 |]) (fun _ -> 12);
-  let grow_dims = List.init 8 (Printf.sprintf "d%d") in
-  let remaining _ = 720720 in
+  rejects "remaining 8 in a scope of 12" (Tree.scope [| 12; 12 |]) [| 8; 8 |];
+  rejects "two grow dims in a one-dim scope" (Tree.scope [| 12 |]) [| 12; 12 |];
+  let remaining = Array.make 8 720720 in
   let fits v = Array.fold_left ( + ) 0 v <= 1441440 in
   let scope = Tree.scope (Array.make 8 720720) in
-  let alone = Tree.search ~max_steps:3 ~grow_dims ~remaining ~fits () in
+  let alone = Tree.search ~max_steps:3 ~table ~remaining ~fits () in
   List.iter
     (fun round ->
-      let out = Tree.search ~max_steps:3 ~scope ~grow_dims ~remaining ~fits () in
-      Alcotest.(check (list (list (pair string int))))
+      let out = Tree.search ~max_steps:3 ~scope ~table ~remaining ~fits () in
+      Alcotest.(check (list (array int)))
         (Printf.sprintf "frontier, search %d" round)
         alone.Tree.frontier out.Tree.frontier;
       Alcotest.(check int) (Printf.sprintf "explored, search %d" round) alone.Tree.explored
@@ -165,52 +163,60 @@ let test_tile_tree_scope () =
     [ 1; 2 ]
 
 let test_tile_tree_max_steps_floor () =
+  let table = Tree.table () in
   List.iter
     (fun max_steps ->
-      match
-        Tree.search ~max_steps ~grow_dims:[ "K" ] ~remaining:(fun _ -> 8) ~fits:(fun _ -> true) ()
-      with
+      match Tree.search ~max_steps ~table ~remaining:[| 8 |] ~fits:(fun _ -> true) () with
       | _ -> Alcotest.failf "max_steps %d accepted" max_steps
       | exception Invalid_argument _ -> ())
     [ 0; 1 ];
-  let out =
-    Tree.search ~max_steps:2 ~grow_dims:[ "K" ] ~remaining:(fun _ -> 8) ~fits:(fun _ -> true) ()
-  in
-  Alcotest.(check (list (list (pair string int)))) "two rungs: 1 and the full extent"
-    [ [ ("K", 8) ] ] out.Tree.frontier
+  let out = Tree.search ~max_steps:2 ~table ~remaining:[| 8 |] ~fits:(fun _ -> true) () in
+  Alcotest.(check (list (array int))) "two rungs: 1 and the full extent" [ [| 8 |] ]
+    out.Tree.frontier
+
+(* A table builds each distinct (extent, max_steps) ladder once: later
+   lookups return the very array the first built, and tile and unroll
+   searches over the same extents build nothing more. *)
+let test_table_builds_once () =
+  let table = Tree.table () in
+  let lookups = [ (720, 20); (720, 24); (64, 20); (720, 20); (7, 20); (64, 20); (720, 24) ] in
+  let first = List.map (fun (e, m) -> Tree.rungs table ~max_steps:m e) lookups in
+  Alcotest.(check int) "distinct pairs built" 4 (Tree.built table);
+  List.iter2
+    (fun (e, m) rungs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "ladder %d/%d shared" e m)
+        true
+        (Tree.rungs table ~max_steps:m e == rungs))
+    lookups first;
+  ignore (Tree.search ~max_steps:20 ~table ~remaining:[| 720; 64; 7 |] ~fits:(fun _ -> true) ());
+  ignore (Unroll.candidates ~table ~fanout:16 ~remaining:[| 720; 720 |] ());
+  Alcotest.(check int) "searches reuse the built ladders" 4 (Tree.built table)
 
 (* ---------------------------- unroll ------------------------------ *)
 
 let test_unroll_maximal () =
   let out =
-    Unroll.candidates ~fanout:16 ~dims:[ "K"; "P" ]
-      ~remaining:(function "K" -> 8 | "P" -> 14 | _ -> 1)
-      ()
+    Unroll.candidates ~table:(Tree.table ()) ~fanout:16 ~remaining:[| 8; 14 |] ()
   in
   List.iter
-    (fun a ->
-      let p = List.fold_left (fun acc (_, f) -> acc * f) 1 a in
-      Alcotest.(check bool) "within fanout" true (p <= 16))
+    (fun a -> Alcotest.(check bool) "within fanout" true (Array.fold_left ( * ) 1 a <= 16))
     out.Unroll.candidates;
   (* K=8,P=2 is maximal and must be present *)
-  Alcotest.(check bool) "K8 P2 found" true
-    (List.exists
-       (fun a -> Tree.factor_of a "K" = 8 && Tree.factor_of a "P" = 2)
-       out.Unroll.candidates)
+  Alcotest.(check bool) "K8 P2 found" true (List.mem [| 8; 2 |] out.Unroll.candidates)
 
 let test_unroll_fanout_one () =
-  let out = Unroll.candidates ~fanout:1 ~dims:[ "K" ] ~remaining:(fun _ -> 8) () in
+  let out = Unroll.candidates ~table:(Tree.table ()) ~fanout:1 ~remaining:[| 8 |] () in
   Alcotest.(check int) "single trivial candidate" 1 (List.length out.Unroll.candidates)
 
 let test_unroll_min_utilization () =
   let out =
-    Unroll.candidates ~fanout:16 ~dims:[ "K" ]
-      ~remaining:(function "K" -> 4 | _ -> 1)
-      ~min_utilization:0.5 ()
+    Unroll.candidates ~table:(Tree.table ()) ~fanout:16 ~remaining:[| 4 |] ~min_utilization:0.5
+      ()
   in
   (* best possible is 4/16 = 25% < 50%: the maximal assignment is still
      returned as the best available spatial reuse *)
-  Alcotest.(check (list (list (pair string int)))) "fallback" [ [ ("K", 4) ] ] out.Unroll.candidates
+  Alcotest.(check (list (array int))) "fallback" [ [| 4 |] ] out.Unroll.candidates
 
 (* --------------------------- optimizer ---------------------------- *)
 
@@ -592,7 +598,7 @@ let prop_tile_tree_matches_reference (remaining, max_steps, operands, capacity) 
   in
   let tested = Hashtbl.create 64 and calls = ref 0 in
   let out =
-    Tree.search ~max_steps ~grow_dims ~remaining:remaining_of
+    Tree.search ~max_steps ~table:(Tree.table ()) ~remaining:(Array.of_list remaining)
       ~fits:(fun v ->
         let point = Array.to_list v in
         incr calls;
@@ -600,7 +606,7 @@ let prop_tile_tree_matches_reference (remaining, max_steps, operands, capacity) 
         fits_factors point)
       ()
   in
-  out.Tree.frontier = ref_frontier
+  List.map (Tree.assignment ~grow_dims) out.Tree.frontier = ref_frontier
   && out.Tree.explored = ref_explored
   && !calls = Hashtbl.length tested
   && !calls <= Hashtbl.length ref_tested + 1
@@ -634,13 +640,15 @@ let print_scoped_case (extent, searches, operands, capacity) =
        (List.map (fun (r, m) -> Printf.sprintf "([%s],%d)" (ints r) m) searches))
     (print_tile_tree_case (extent, 0, operands, capacity))
 
-(* Each search in a scope returns the reference walk's frontier, order and
-   [explored]; across the scope, [fits] runs at most once per distinct
-   point, plus each search's root and corner tests. *)
+(* Each search in a scope, all sharing one lattice table, returns the
+   reference walk's frontier, order and [explored], and the same outcome
+   as the search alone with a fresh table; across the scope, [fits] runs
+   at most once per distinct point, plus each search's root and corner
+   tests. *)
 let prop_scoped_matches_reference (extent, searches, operands, capacity) =
   let grow_dims = List.mapi (fun i _ -> Printf.sprintf "d%d" i) extent in
   let fits_factors factors = footprint operands factors <= capacity in
-  let scope = Tree.scope (Array.of_list extent) in
+  let scope = Tree.scope (Array.of_list extent) and table = Tree.table () in
   let tested = Hashtbl.create 64 and calls = ref 0 in
   let fits v =
     let point = Array.to_list v in
@@ -656,8 +664,16 @@ let prop_scoped_matches_reference (extent, searches, operands, capacity) =
           ~fits:(fun a -> fits_factors (List.map (Tile_tree_ref.factor_of a) grow_dims))
           ()
       in
-      let out = Tree.search ~max_steps ~scope ~grow_dims ~remaining:remaining_of ~fits () in
-      out.Tree.frontier = ref_frontier && out.Tree.explored = ref_explored)
+      let remaining = Array.of_list remaining in
+      let out = Tree.search ~max_steps ~scope ~table ~remaining ~fits () in
+      let fresh =
+        Tree.search ~max_steps ~table:(Tree.table ()) ~remaining
+          ~fits:(fun v -> fits_factors (Array.to_list v))
+          ()
+      in
+      List.map (Tree.assignment ~grow_dims) out.Tree.frontier = ref_frontier
+      && out.Tree.explored = ref_explored
+      && out = fresh)
     searches
   && !calls <= Hashtbl.length tested + (2 * List.length searches)
 
@@ -701,6 +717,38 @@ let prop_ranking_is_stable_sort (key, chosen, m) =
       x = if j < n then sorted.(j) else -1)
     (List.init m Fun.id)
 
+(* Extents whose ladders differ most in shape: primes (two rungs), prime
+   powers (every power a rung), highly composite numbers (the most
+   divisors, so the most thinning), and any extent up to 10^6. *)
+let ladder_extent =
+  let open QCheck.Gen in
+  let primes = [| 2; 3; 5; 7; 11; 13; 97; 101; 997; 7919; 65521; 104729; 999983 |] in
+  let highly_composite =
+    [| 1; 2; 4; 6; 12; 24; 36; 48; 60; 120; 180; 240; 360; 720; 840; 1260; 1680; 2520; 5040;
+       7560; 10080; 15120; 20160; 25200; 27720; 45360; 50400; 55440; 83160; 110880; 166320;
+       221760; 277200; 332640; 498960; 554400; 665280; 720720 |]
+  in
+  let prime_power =
+    let* p = oneofl [ 2; 3; 5; 7; 11; 13 ] in
+    let rec powers acc q = if q > 1_000_000 then acc else powers (q :: acc) (q * p) in
+    oneofl (powers [] p)
+  in
+  oneof [ oneofa primes; prime_power; oneofa highly_composite; 1 -- 1_000_000 ]
+
+(* Lookups of a shared table, every one asked twice in a row and the
+   whole run asked again: each returns [ladder ~max_steps extent], a
+   repeated lookup the same array, and the table builds one ladder per
+   distinct pair. *)
+let prop_table_matches_ladder lookups =
+  let table = Tree.table () in
+  let check (e, m) =
+    let rungs = Tree.rungs table ~max_steps:m e in
+    Array.to_list rungs = Tree.ladder ~max_steps:m e && Tree.rungs table ~max_steps:m e == rungs
+  in
+  List.for_all check lookups
+  && List.for_all check lookups
+  && Tree.built table = List.length (List.sort_uniq compare lookups)
+
 let qcheck_props =
   let open QCheck in
   [
@@ -722,6 +770,11 @@ let qcheck_props =
         let cands = Trie.candidates w in
         let reused = List.concat_map (fun c -> c.Trie.reused_operands) cands in
         List.for_all (fun (op : W.operand) -> List.mem op.W.name reused) w.W.operands);
+    Test.make ~name:"lattice table = ladder, built once per pair" ~count:200
+      (make
+         ~print:Print.(list (pair int int))
+         Gen.(list_size (1 -- 12) (pair ladder_extent (2 -- 30))))
+      prop_table_matches_ladder;
     Test.make ~name:"tile tree = reference walk, each point tested once" ~count:200
       (make ~print:print_tile_tree_case tile_tree_case)
       prop_tile_tree_matches_reference;
@@ -749,6 +802,7 @@ let () =
           Alcotest.test_case "divisibility and maximality" `Quick test_tile_tree_factors_divide;
           Alcotest.test_case "max_steps below two rejected" `Quick test_tile_tree_max_steps_floor;
           Alcotest.test_case "scope checks and overflow fallback" `Quick test_tile_tree_scope;
+          Alcotest.test_case "table builds each ladder once" `Quick test_table_builds_once;
         ] );
       ( "unroll",
         [
