@@ -31,6 +31,23 @@ echo "== sunstone check --src (srclint scan of lib/, bin/ and bench/)"
 # and SA063's lib/cost scope must neither over- nor under-reach.
 dune exec bin/sunstone_cli.exe -- check --src --json >/dev/null
 
+echo "== capacity predicate (one owner of the partition membership rule)"
+# Which operands share a partition is decided by Probe.stored_by_partition
+# and Probe.fit_table, and every capacity verdict reads that table. Besides
+# the definition in lib/arch, A.partition_for may appear only in the
+# probe, the model's traffic chain (part_at), the CoSA-like log-capacity
+# relaxation and the audit's per-operand frontier oracle; a call anywhere
+# else is a second copy of the rule.
+stray=$(grep -rlw --include='*.ml' 'partition_for' lib | grep -v -x \
+  -e lib/arch/arch.ml -e lib/cost/probe.ml -e lib/cost/model.ml \
+  -e lib/baselines/cosa_like.ml -e lib/analysis/audit.ml || true)
+if [ -n "$stray" ]; then
+  echo "capacity predicate: A.partition_for called outside its owners:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+echo "capacity predicate: ok"
+
 echo "== sunstone check (static analysis over the registry)"
 dune exec bin/sunstone_cli.exe -- check --admissibility
 

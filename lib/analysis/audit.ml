@@ -205,17 +205,17 @@ let audit_frontier ~inject probe w a =
       match A.partition_for level0 ~role:op.W.name with
       | None -> ()
       | Some part ->
-        let cap = float_of_int part.A.capacity_words in
         let grow = W.indexing_dims op in
         if grow <> [] && part.A.capacity_words > 0 then begin
-          let ops = [| Probe.axes probe ~op:op.W.name |] in
+          (* the operand alone in its partition: the oracle's own grouping *)
+          let alone = { Probe.part; stored = [| Probe.axes probe ~op:op.W.name |] } in
           let grow_idx = Array.of_list (List.map (Probe.dim_index probe) grow) in
           let ext = Probe.extents probe in
           (* monotone, as Tile_tree.search needs: the footprint grows with extents *)
           let fits_factors factors =
             Array.fill ext 0 (Array.length ext) 1;
             Array.iteri (fun g d -> ext.(d) <- factors.(g)) grow_idx;
-            Probe.fits probe ops ~capacity:cap
+            not (Probe.overflows probe alone ext)
           in
           let fits asg =
             fits_factors (Array.of_list (List.map (Tile_tree.factor_of asg) grow))

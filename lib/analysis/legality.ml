@@ -2,6 +2,7 @@ module W = Sun_tensor.Workload
 module A = Sun_arch.Arch
 module M = Sun_mapping.Mapping
 module D = Diagnostic
+module Probe = Sun_cost.Probe
 
 let check_levels ?arch (w : W.t) (levels : M.level_mapping list) =
   let diags = ref [] in
@@ -89,6 +90,10 @@ let check ?(binding = Fun.id) (w : W.t) (a : A.t) (m : M.t) =
       (D.error D.Level_mismatch
          (Printf.sprintf "mapping has %d levels, architecture %s has %d" (M.num_levels m)
             a.A.arch_name (A.num_levels a)));
+  let probe = Probe.create w in
+  let fit = Probe.fit_table probe w a ~binding in
+  let ext = Probe.extents probe in
+  let dims = W.dim_names w in
   for li = 0 to nlevels - 1 do
     let lvl = A.level a li in
     (* spatial unrolling within the PE-array fanout *)
@@ -99,24 +104,18 @@ let check ?(binding = Fun.id) (w : W.t) (a : A.t) (m : M.t) =
            (Printf.sprintf "level %s unrolls %d spatial instances, fanout is %d" lvl.A.level_name
               sp lvl.A.fanout));
     (* per-partition tile footprints within buffer capacities *)
-    if not lvl.A.unbounded then
-      List.iter
-        (fun (p : A.partition) ->
-          let stored =
-            List.filter
-              (fun (op : W.operand) ->
-                match A.partition_for lvl ~role:(binding op.W.name) with
-                | Some p' -> p'.A.part_name = p.A.part_name
-                | None -> false)
-              w.W.operands
-          in
-          let used = Sun_util.Listx.sum_by (M.footprint_at w m ~level:li) stored in
-          if used > float_of_int p.A.capacity_words +. 1e-9 then
+    if fit.(li).Probe.bounded then begin
+      List.iteri (fun i d -> ext.(i) <- M.tile_at m ~level:li d) dims;
+      Array.iter
+        (fun (pf : Probe.part_fit) ->
+          if Probe.overflows probe pf ext then
             add
-              (D.error ~level:li ~partition:p.A.part_name D.Capacity_overflow
+              (D.error ~level:li ~partition:pf.Probe.part.A.part_name D.Capacity_overflow
                  (Printf.sprintf "tile footprint %.0f words exceeds capacity %d of partition %s"
-                    used p.A.capacity_words p.A.part_name)))
-        lvl.A.partitions
+                    (Probe.occupancy probe pf ext) pf.Probe.part.A.capacity_words
+                    pf.Probe.part.A.part_name)))
+        fit.(li).Probe.parts
+    end
   done;
   List.rev !diags
 

@@ -1,10 +1,12 @@
 (** Mapping legality (pass 1): is a mapping a lawful schedule of a workload
     on an architecture?
 
-    Two entry points, both independent reimplementations of the invariants
-    scattered across [Mapping.make] and the cost model's [validate] — the
-    point of a static checker is to re-derive the rules, not to call the
-    code under check:
+    Two entry points. The structural rules are an independent
+    reimplementation of [Mapping.make]'s; the capacity rule is the one
+    predicate the cost model's [validate] also decides,
+    {!Sun_cost.Probe.overflows} over {!Sun_cost.Probe.fit_table}, so the
+    two cannot drift on what fits (a QCheck differential pins their
+    verdicts to agree):
 
     - {!check_levels} works on *raw* level mappings (e.g. freshly decoded
       from user JSON, before [Mapping.make] has seen them) and reports

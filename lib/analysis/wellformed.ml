@@ -149,15 +149,7 @@ let check_pair ?(binding = Fun.id) (w : W.t) (a : A.t) =
     (fun li (l : A.level) ->
       if not l.A.unbounded then
         List.iter
-          (fun (p : A.partition) ->
-            let stored_ops =
-              List.filter
-                (fun (op : W.operand) ->
-                  match A.partition_for l ~role:(binding op.W.name) with
-                  | Some p' -> p'.A.part_name = p.A.part_name
-                  | None -> false)
-                w.W.operands
-            in
+          (fun ((p : A.partition), stored_ops) ->
             let unit_words = List.length stored_ops in
             if unit_words > p.A.capacity_words then
               add
@@ -165,7 +157,7 @@ let check_pair ?(binding = Fun.id) (w : W.t) (a : A.t) =
                    (Printf.sprintf
                       "unit tile of %d operand(s) needs %d words, partition %s holds %d"
                       unit_words unit_words p.A.part_name p.A.capacity_words)))
-          l.A.partitions)
+          (Sun_cost.Probe.stored_by_partition w l ~binding))
     a.A.levels;
   List.rev !diags
 

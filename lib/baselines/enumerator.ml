@@ -43,18 +43,6 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
       ext.(j) <- base.(j) * factors.(j)
     done
   in
-  (* monotone, as Tile_tree.search needs: footprints grow with extents *)
-  let fits_at level =
-    Array.for_all (fun (capacity, ops) -> Probe.fits probe ops ~capacity) fit_table.(level)
-  in
-  (* the fullest partition's occupied fraction *)
-  let fill level =
-    Array.fold_left
-      (fun acc (capacity, ops) ->
-        let used = Array.fold_left (fun s ax -> s +. Probe.footprint probe ax) 0.0 ops in
-        Float.max acc (used /. capacity))
-      0.0 fit_table.(level)
-  in
   let best = ref None and best_edp = ref Float.infinity in
   (* every factor divides what its level had left, so the rows always
      cover the bounds exactly *)
@@ -129,7 +117,7 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
       let frontier =
         search ~grow:dims ~remaining ~fits:(fun f ->
             load base_here f;
-            fits_at level)
+            Probe.level_fits probe fit_table ~level (Probe.extents probe))
       in
       let floor = tile_floor level in
       let choices =
@@ -138,7 +126,7 @@ let run ~tool ~spatial:choose ~tile_floor ~max_order_candidates ?(binding = Fun.
           List.filter
             (fun a ->
               load base_here (row_of a);
-              fill level >= floor)
+              Probe.fill probe fit_table ~level (Probe.extents probe) >= floor)
             frontier
       in
       List.iter

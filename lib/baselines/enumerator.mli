@@ -6,9 +6,10 @@
       of the tool's unrolling choices for the extents the levels before it
       left.
     - Tiles: each bounded level below the top takes a maximal tile of what
-      is left that fits every partition ({!Sun_cost.Probe.fit_table}, the
-      optimizer's own fit test), whose fullest partition reaches the tool's
-      utilization floor. The top level takes each dim's residual.
+      is left that fits every partition ({!Sun_cost.Probe.level_fits}, the
+      optimizer's own fit test), whose fullest partition
+      ({!Sun_cost.Probe.fill}) reaches the tool's utilization floor. The
+      top level takes each dim's residual.
     - Orders: from level 1 outwards, at most [max_order_candidates]
       permutations of the level's loops with a factor above 1 are scored
       and the best is kept; level 0 keeps the identity order.

@@ -121,7 +121,8 @@ type ctx = {
   chain : int array;  (** chain_pair's served-extent row *)
   inst : float array;  (** instances per level for bandwidth scaling *)
   fs : fscratch;
-  sc_used : U.word U.count U.Arr.arr;  (** per gid, validation *)
+  probe : Probe.t;  (** the capacity predicate's scratch *)
+  fit : Probe.table;  (** the capacity predicate's per-level partitions *)
   sc_energy : U.energy U.Arr.arr;  (** per gid *)
   sc_words : U.access U.count U.Arr.arr;  (** per gid *)
   sc_score : score;  (** the context-owned score [score_ctx] returns *)
@@ -222,6 +223,7 @@ let context ?(binding = Fun.id) w arch =
       (words *. min_e, if sum_bw > 0.0 then words /. sum_bw else 0.0)
   in
   let sc_score = { s_energy_pj = 0.0; s_cycles = 0.0; s_edp = 0.0 } in
+  let probe = Probe.create w in
   {
     w;
     arch;
@@ -273,7 +275,8 @@ let context ?(binding = Fun.id) w arch =
         f_lb_bw = 0.0;
         f_lb_lanes = 1.0;
       };
-    sc_used = U.Arr.make nparts;
+    probe;
+    fit = Probe.fit_table probe w arch ~binding;
     sc_energy = U.Arr.make nparts;
     sc_words = U.Arr.make nparts;
     sc_score;
@@ -345,8 +348,7 @@ let cum_level ctx lay l =
 (* Is level [l]'s cumulative tile extent read by validation or a score?
    Validation compares footprints only at bounded levels, and traffic is
    counted from consumer levels, which are below the top; so the extent of
-   an unbounded top level is left stale, and [level_fill_fraction_ctx]
-   computes it when asked. *)
+   an unbounded top level is left stale. *)
 let[@inline] cum_read ctx l = l < ctx.nlevels - 1 || not ctx.levels.(l).A.unbounded
 
 (* Per-level spatial products and the cumulative tile extents
@@ -433,19 +435,6 @@ let footprint_into ctx (info : op_info) extents =
       *. float_of_int (axis_extent extents (Array.unsafe_get ad i) (Array.unsafe_get ac i))
   done
 
-(* Cold-path form returning the product; [level_fill_fraction] and friends
-   use it where a boxed float return does not matter. *)
-let footprint (info : op_info) extents =
-  let ad = info.axes_d and ac = info.axes_c in
-  let n = Array.length ad in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      go (i + 1)
-        (acc *. float_of_int (axis_extent extents (Array.unsafe_get ad i) (Array.unsafe_get ac i)))
-  in
-  go 0 1.0
-
 let[@inline] spatial_product lay l = lay.sprod.(l)
 
 (* [part_at.(l)] is [Some _] exactly at the levels listed in [storing];
@@ -474,39 +463,22 @@ let validate_lay ctx lay =
           (Printf.sprintf "level %s: spatial unrolling %d exceeds fanout %d" lvl.A.level_name sp
              lvl.A.fanout)
   done;
-  if ctx.sc_violation = None then begin
-    let used = ctx.sc_used in
-    U.Arr.fill used;
-    for oi = 0 to Array.length ctx.operands - 1 do
-      let info = ctx.operands.(oi) in
-      for l = 0 to ctx.nlevels - 1 do
-        match info.part_at.(l) with
-        | Some { gid; _ } when not ctx.levels.(l).A.unbounded ->
-          footprint_into ctx info lay.cum.(l);
-          U.Arr.set used gid U.(Arr.get used gid +: count ctx.fs.f_fp)
-        | Some _ | None -> ()
-      done
-    done;
-    for gid = 0 to ctx.nparts - 1 do
-      let l = ctx.part_level.(gid) in
-      if not ctx.levels.(l).A.unbounded then begin
-        let p = ctx.parts.(gid) in
-        if
-          (* [U.gt] spelled out: the cross-module call boxes both float
-             arguments (the [@inline] hint is not honored without flambda) *)
-          U.to_float (U.Arr.get used gid) > float_of_int p.A.capacity_words +. 1e-9
-          && ctx.sc_violation = None
-        then
-          ctx.sc_violation <-
-            Some
-              (* sunstone-lint: allow SA070 rejected-candidate path only *)
-              (Printf.sprintf "partition %s at %s: footprint %.0f exceeds capacity %d"
-                 ctx.part_names.(gid) ctx.levels.(l).A.level_name
-                 (U.to_float (U.Arr.get used gid))
-                 p.A.capacity_words)
+  for l = 0 to ctx.nlevels - 1 do
+    if ctx.sc_violation = None then begin
+      let ext = lay.cum.(l) in
+      let i = Probe.first_overflow ctx.probe ctx.fit ~level:l ext in
+      if i >= 0 then begin
+        let pf = ctx.fit.(l).Probe.parts.(i) in
+        ctx.sc_violation <-
+          Some
+            (* sunstone-lint: allow SA070 rejected-candidate path only *)
+            (Printf.sprintf "partition %s at %s: footprint %.0f exceeds capacity %d"
+               pf.Probe.part.A.part_name ctx.levels.(l).A.level_name
+               (Probe.occupancy ctx.probe pf ext)
+               pf.Probe.part.A.capacity_words)
       end
-    done
-  end;
+    end
+  done;
   match ctx.sc_violation with None -> Ok () | Some msg -> Error msg
 
 let validate_ctx ctx m =
@@ -514,28 +486,6 @@ let validate_ctx ctx m =
     Error
       (Printf.sprintf "mapping has %d levels, architecture has %d" (M.num_levels m) ctx.nlevels)
   else validate_lay ctx (convert_into ctx m)
-
-let level_fill_fraction_ctx ctx m ~level =
-  let lay = convert_into ctx m in
-  (* the scored layout may leave this level's extent stale ({!cum_read}) *)
-  cum_level ctx lay level;
-  let lvl = ctx.levels.(level) in
-  let worst = ref 0.0 in
-  List.iter
-    (fun (p : A.partition) ->
-      if p.A.capacity_words > 0 then begin
-        let used = ref 0.0 in
-        Array.iter
-          (fun info ->
-            match info.part_at.(level) with
-            | Some { part; _ } when part.A.part_name = p.A.part_name ->
-              used := !used +. footprint info lay.cum.(level)
-            | _ -> ())
-          ctx.operands;
-        worst := Float.max !worst (!used /. float_of_int p.A.capacity_words)
-      end)
-    lvl.A.partitions;
-  !worst
 
 (* ------------------------------------------------------------------ *)
 (* Access counting                                                      *)
@@ -1020,9 +970,6 @@ let prefix_lower_bounds_rows ctx ~fixed_levels r =
 (* ------------------------------------------------------------------ *)
 
 let validate ?binding w arch m = validate_ctx (context ?binding w arch) m
-
-let level_fill_fraction ?binding w arch m ~level =
-  level_fill_fraction_ctx (context ?binding w arch) m ~level
 
 let evaluate ?binding w arch m = evaluate_ctx (context ?binding w arch) m
 

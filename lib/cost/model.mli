@@ -140,8 +140,6 @@ val score_with_top : ctx -> int array -> (score, string) result
     between, except further [score_with_top] calls. An accepted call
     allocates nothing. *)
 
-val level_fill_fraction_ctx : ctx -> Sun_mapping.Mapping.t -> level:int -> float
-
 val validate :
   ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->
   (unit, string) result
@@ -149,12 +147,6 @@ val validate :
     many levels as the architecture; every buffer partition fits the summed
     footprints of the operands it stores; every spatial level's unrolling
     product fits its fanout. The error string names the first violation. *)
-
-val level_fill_fraction :
-  ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->
-  level:int -> float
-(** Occupied fraction of the level's total capacity (max over partitions);
-    used by the utilization-threshold baselines (dMazeRunner). *)
 
 val evaluate :
   ?binding:binding -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> Sun_mapping.Mapping.t ->

@@ -7,13 +7,23 @@ module A = Sun_arch.Arch
    bit-identical to [W.footprint]. *)
 type axes = (int * int) array array
 
+(* A flat float record: [sum_into] stores its result here unboxed. *)
+type acc = { mutable words : float }
+
 type t = {
   dim_of : (string, int) Hashtbl.t;
   ops : (string, axes) Hashtbl.t;
   vec : int array;  (** scratch extent vector, see [extents] *)
   ones : int array;
   bump : int array;  (** scratch for [changes_footprint] *)
+  acc : acc;  (** [sum_into]'s result *)
 }
+
+type part_fit = { part : A.partition; stored : axes array }
+
+type level_fit = { bounded : bool; parts : part_fit array }
+
+type table = level_fit array
 
 let create (w : W.t) =
   let names = W.dim_names w in
@@ -42,6 +52,7 @@ let create (w : W.t) =
     vec = Array.make ndims 1;
     ones = Array.make ndims 1;
     bump = Array.make ndims 1;
+    acc = { words = 0.0 };
   }
 
 let dim_index t d =
@@ -77,39 +88,81 @@ let extents t = t.vec
 
 let footprint t axes = compute axes t.vec
 
-(* [compute] inlined by hand: a float returned from a call is boxed, so
-   the footprints are folded into the sum inside this one function and
-   only the int verdict leaves it. Same products, same left-to-right sum
-   as [Listx.sum_by (W.footprint ...)]. *)
-let fits t ops ~capacity =
+(* The one occupancy sum: the footprints of [stored] at [ext], [compute]
+   inlined by hand and added left to right in array order, the same
+   products and sum as [Listx.sum_by (W.footprint ...)]. A float returned
+   from a call is boxed, so the sum leaves through the flat [t.acc]. *)
+let sum_into t stored (ext : int array) =
   (* sunstone-lint: allow SA070 non-escaping refs are Simplif-eliminated, no allocation *)
   let sum = ref 0.0 and fp = ref 1.0 in
-  for oi = 0 to Array.length ops - 1 do
-    let op = Array.unsafe_get ops oi in
+  for oi = 0 to Array.length stored - 1 do
+    let op = Array.unsafe_get stored oi in
     fp := 1.0;
     for i = 0 to Array.length op - 1 do
-      fp := !fp *. float_of_int (axis_extent (Array.unsafe_get op i) t.vec 0 1)
+      fp := !fp *. float_of_int (axis_extent (Array.unsafe_get op i) ext 0 1)
     done;
     sum := !sum +. !fp
   done;
-  not (!sum > capacity +. 1e-9)
+  t.acc.words <- !sum
+
+let occupancy t pf ext =
+  sum_into t pf.stored ext;
+  t.acc.words
+
+(* The one over-capacity test. *)
+let overflows t pf ext =
+  sum_into t pf.stored ext;
+  t.acc.words > float_of_int pf.part.A.capacity_words +. 1e-9
+
+let first_overflow t (table : table) ~level ext =
+  let row = table.(level) in
+  if not row.bounded then -1
+  else begin
+    let parts = row.parts in
+    (* sunstone-lint: allow SA070 non-escaping ref is Simplif-eliminated, no allocation *)
+    let i = ref 0 in
+    while !i < Array.length parts && not (overflows t (Array.unsafe_get parts !i) ext) do
+      incr i
+    done;
+    if !i < Array.length parts then !i else -1
+  end
+
+let level_fits t table ~level ext = first_overflow t table ~level ext < 0
+
+let fill t (table : table) ~level ext =
+  Array.fold_left
+    (fun worst pf ->
+      let capacity = pf.part.A.capacity_words in
+      if capacity > 0 then Float.max worst (occupancy t pf ext /. float_of_int capacity) else worst)
+    0.0 table.(level).parts
+
+(* The one membership rule: an operand is stored in the first partition of
+   the level that accepts its role under [binding]. *)
+let stored_by_partition (w : W.t) (lvl : A.level) ~binding =
+  List.map
+    (fun (p : A.partition) ->
+      ( p,
+        List.filter
+          (fun (op : W.operand) ->
+            match A.partition_for lvl ~role:(binding op.W.name) with
+            | Some p' -> p'.A.part_name = p.A.part_name
+            | None -> false)
+          w.W.operands ))
+    lvl.A.partitions
 
 let fit_table t (w : W.t) arch ~binding =
-  Array.init (A.num_levels arch) (fun level ->
-      let lvl = A.level arch level in
-      if lvl.A.unbounded then [||]
-      else
-        Array.of_list
-          (List.map
-             (fun (p : A.partition) ->
-               let stored (op : W.operand) =
-                 match A.partition_for lvl ~role:(binding op.W.name) with
-                 | Some p' when p'.A.part_name = p.A.part_name -> Some (axes t ~op:op.W.name)
-                 | _ -> None
-               in
-               let ops = Array.of_list (List.filter_map stored w.W.operands) in
-               (float_of_int p.A.capacity_words, ops))
-             lvl.A.partitions))
+  Array.of_list
+    (List.map
+       (fun (lvl : A.level) ->
+         let part_fit (p, ops) =
+           let resolve (op : W.operand) = axes t ~op:op.W.name in
+           { part = p; stored = Array.of_list (List.map resolve ops) }
+         in
+         {
+           bounded = not lvl.A.unbounded;
+           parts = Array.of_list (List.map part_fit (stored_by_partition w lvl ~binding));
+         })
+       arch.A.levels)
 
 let changes_footprint t ~op ~dim =
   match Hashtbl.find_opt t.dim_of dim with

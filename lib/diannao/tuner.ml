@@ -1,17 +1,18 @@
 module W = Sun_tensor.Workload
 module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
+module Probe = Sun_cost.Probe
 module Trie = Sun_core.Order_trie
 module Tree = Sun_core.Tile_tree
 module Unroll = Sun_core.Unroll
 
-let nbin = 1024.0
-let sb = 16384.0
-let nbout = 1024.0
 let lanes = 256
 
-let cap_of w op =
-  match Compiler.default_placement w op with Isa.NBin -> nbin | Isa.SB -> sb | Isa.NBout -> nbout
+(* Each operand in the buffer [Compiler.default_placement] gives it, by the
+   role that buffer's partition of the preset's [Buf] level accepts. *)
+let placement_binding w =
+  let place = Compiler.default_placement w in
+  fun op -> match place op with Isa.NBin -> "ifmap" | Isa.SB -> "weight" | Isa.NBout -> "ofmap"
 
 let simulate w m =
   let program = Compiler.compile w m in
@@ -27,6 +28,9 @@ let tune w seed =
   let dims = W.dim_names w in
   let arch = Sun_arch.Presets.diannao_like in
   let ctx = Model.context w arch in
+  let probe = Probe.create w in
+  let fit = Probe.fit_table probe w arch ~binding:(placement_binding w) in
+  let ext = Probe.extents probe in
   let orders = Trie.candidates w in
   let candidates = ref [ seed ] in
   let table = Tree.table () in
@@ -42,13 +46,9 @@ let tune w seed =
         (fun spatial ->
           let u d = Tree.factor_of spatial d in
           let remaining d = W.bound w d / u d in
-          (* monotone, as Tile_tree.search needs: footprints grow with extents *)
           let fits factors =
-            let assignment = Tree.assignment ~grow_dims:dims factors in
-            let extent d = u d * Tree.factor_of assignment d in
-            List.for_all
-              (fun (o : W.operand) -> W.footprint extent o <= cap_of w o.W.name)
-              w.W.operands
+            List.iteri (fun i d -> ext.(i) <- u d * factors.(i)) dims;
+            Probe.level_fits probe fit ~level:0 ext
           in
           let tiles =
             Tree.search ~max_steps:16 ~table

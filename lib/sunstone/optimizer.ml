@@ -71,9 +71,7 @@ type search_state = {
           memos *)
   grow_of_op : (string * int) list;  (** operand name -> index into [grow_pos] *)
   table : Tile_tree.table;  (** the ladders of every tile and unroll search of this call *)
-  fits : (float * Probe.axes array) array array;
-      (** {!Probe.fit_table}: per level, (capacity, stored operands' axes)
-          per partition — arrays, so the fit test loops without list closures *)
+  fits : Probe.table;  (** the capacity predicate's per-level partitions *)
   mutable fit_level : int;  (** [tile_fits] scratch, set per tile search: the level tiled *)
   mutable fit_base : int array;  (** extent already placed below it, per probe dim *)
   mutable fit_grow : int array;  (** probe dim of each grow dim, in grow order *)
@@ -126,10 +124,7 @@ let set rows l row =
 (* Does the tile with the given grow-dim factors fit every partition of
    [st.fit_level]? Each grow dim's extent is its base times its factor;
    the other dims were loaded into the probe's extent vector by
-   [set_tile_scope]. [Probe.fits] sums footprints bit-identically to
-   [Listx.sum_by W.footprint]. The loops are index-driven over the
-   prebuilt arrays, and the local refs below are compiled to registers
-   (Simplif eliminates non-escaping refs). *)
+   [set_tile_scope]. *)
 (* sunstone-hot *)
 let tile_fits st factors =
   st.tile_fit_tests <- st.tile_fit_tests + 1;
@@ -138,15 +133,7 @@ let tile_fits st factors =
     let d = Array.unsafe_get grow g in
     ext.(d) <- Array.unsafe_get base d * factors.(g)
   done;
-  let groups = st.fits.(st.fit_level) in
-  (* sunstone-lint: allow SA070 non-escaping refs are Simplif-eliminated, no allocation *)
-  let ok = ref true and gi = ref 0 in
-  while !ok && !gi < Array.length groups do
-    let capacity, ops = groups.(!gi) in
-    ok := Probe.fits st.probe ops ~capacity;
-    incr gi
-  done;
-  !ok
+  Probe.level_fits st.probe st.fits ~level:st.fit_level ext
 
 (* Point [tile_fits] at tiles of [level] over the probe dims [grow]:
    every dim starts from its [base] extent (indexed by probe dim), and the
@@ -1326,13 +1313,6 @@ let create_state ~config ~inject w arch =
     best_is_seed = false;
     best_alt = None;
   }
-
-let tile_fit_test w arch ~level ~grow =
-  let st = create_state ~config:default_config ~inject:No_injection w arch in
-  set_tile_scope st ~level
-    ~base:(Array.make (Array.length st.dim_array) 1)
-    ~grow:(Array.of_list (List.map (Probe.dim_index st.probe) grow));
-  tile_fits st
 
 let optimize ?(config = default_config) ?(inject = No_injection) ?seed w arch =
   let timer = Sun_util.Stopwatch.start () in

@@ -132,16 +132,3 @@ val optimize :
 val tile_max_steps : int
 (** Rungs per dimension of the tile ladders the search walks: every tile
     search passes it to {!Tile_tree.search} as [max_steps]. *)
-
-val tile_fit_test :
-  Sun_tensor.Workload.t ->
-  Sun_arch.Arch.t ->
-  level:int ->
-  grow:Sun_tensor.Workload.dim list ->
-  int array ->
-  bool
-(** [tile_fit_test w arch ~level ~grow] is the search's tile-fit test at
-    [level] with nothing placed below it: applied to a factor vector
-    indexed like [grow], it tells whether that tile fits every partition
-    of the level. For the allocation oracle and tests; the partial
-    application sets up the search-scoped state once. *)

@@ -306,6 +306,106 @@ let test_admissibility_differential () =
     reports
 
 (* ------------------------------------------------------------------ *)
+(* One capacity predicate: legality, validation and the fit table agree *)
+(* ------------------------------------------------------------------ *)
+
+(* A random structurally valid mapping of [w] on [arch]: every prime
+   factor of every dim goes to a random level, spatially one time in four,
+   else temporally, at the top half the time so that many mappings fit;
+   every order is a random permutation. One mapping in four may unroll
+   past a fanout; the others keep each level's unrolling within it. *)
+let random_mapping rng w arch =
+  let nl = A.num_levels arch and dims = W.dim_names w in
+  let temporal = Array.init nl (fun _ -> Hashtbl.create 8) in
+  let spatial = Array.init nl (fun _ -> Hashtbl.create 8) in
+  let unrolled = Array.make nl 1 in
+  let may_overflow = Sun_util.Rng.int rng 4 = 0 in
+  let bump tbl d p = Hashtbl.replace tbl d (p * Option.value ~default:1 (Hashtbl.find_opt tbl d)) in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (p, e) ->
+          for _ = 1 to e do
+            let l = Sun_util.Rng.int rng nl in
+            if
+              Sun_util.Rng.int rng 4 = 0
+              && (may_overflow || unrolled.(l) * p <= (A.level arch l).A.fanout)
+            then begin
+              unrolled.(l) <- unrolled.(l) * p;
+              bump spatial.(l) d p
+            end
+            else if Sun_util.Rng.bool rng then bump temporal.(nl - 1) d p
+            else bump temporal.(l) d p
+          done)
+        (Sun_util.Factor.prime_factorization (W.bound w d)))
+    dims;
+  let row tbl = List.map (fun d -> (d, Option.value ~default:1 (Hashtbl.find_opt tbl d))) dims in
+  M.make_exn w
+    (List.init nl (fun l ->
+         {
+           M.temporal = row temporal.(l);
+           order = Sun_util.Rng.shuffle rng dims;
+           spatial = row spatial.(l);
+         }))
+
+(* [Legality.check] reports a capacity or unroll overflow exactly when
+   [Model.validate] rejects; at every level it reports a capacity
+   overflow exactly when [Probe.level_fits] fails at the level's
+   cumulative extents; and a capacity rejection of the model names the
+   first partition the fit table finds overflowing. *)
+let capacity_agreement_props =
+  let open QCheck in
+  let module Model = Sun_cost.Model in
+  let module Probe = Sun_cost.Probe in
+  let workloads = Array.of_list (Registry.workloads ()) in
+  List.map
+    (fun arch_name ->
+      let arch =
+        match Registry.find_arch arch_name with Ok a -> a | Error m -> Alcotest.failf "%s" m
+      in
+      Test.make ~count:200
+        ~name:(Printf.sprintf "legality = validate = fit table (%s)" arch_name)
+        (make ~print:string_of_int Gen.(int_bound 1_000_000))
+        (fun seed ->
+          let rng = Sun_util.Rng.create seed in
+          let wname, w = workloads.(Sun_util.Rng.int rng (Array.length workloads)) in
+          let m = random_mapping rng w arch in
+          let diags = Legality.check w arch m in
+          let at code l =
+            List.exists (fun (d : D.t) -> d.D.code = code && d.D.where.D.level = Some l) diags
+          in
+          let probe = Probe.create w in
+          let fit = Probe.fit_table probe w arch ~binding:Fun.id in
+          let ext = Probe.extents probe in
+          let first = ref None in
+          let levels_agree =
+            List.for_all
+              (fun l ->
+                List.iteri (fun i d -> ext.(i) <- M.tile_at m ~level:l d) (W.dim_names w);
+                let i = Probe.first_overflow probe fit ~level:l ext in
+                if i >= 0 && !first = None then
+                  first := Some fit.(l).Probe.parts.(i).Probe.part.A.part_name;
+                Probe.level_fits probe fit ~level:l ext = not (at D.Capacity_overflow l)
+                || Test.fail_reportf "%s level %d: fit table and legality disagree" wname l)
+              (List.init (A.num_levels arch) Fun.id)
+          in
+          let unrolled =
+            List.exists (fun l -> at D.Unroll_overflow l) (List.init (A.num_levels arch) Fun.id)
+          in
+          let legal = (not unrolled) && !first = None in
+          let named p msg = String.starts_with ~prefix:("partition " ^ p ^ " at ") msg in
+          levels_agree
+          &&
+          match (Model.validate w arch m, !first) with
+          | Ok (), _ when legal -> true
+          | Error _, _ when unrolled -> true
+          | Error msg, Some p when named p msg -> true
+          | Ok (), _ -> Test.fail_reportf "%s: model accepts what legality rejects" wname
+          | Error msg, _ ->
+            Test.fail_reportf "%s: model rejects (%s), legality does not" wname msg))
+    [ "conventional"; "simba"; "toy" ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sun_analysis"
@@ -338,4 +438,5 @@ let () =
           Alcotest.test_case "bound monotone on samples" `Quick test_admissibility_monotone;
           Alcotest.test_case "differential vs exhaustive" `Slow test_admissibility_differential;
         ] );
+      ("capacity", List.map QCheck_alcotest.to_alcotest capacity_agreement_props);
     ]

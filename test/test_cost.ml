@@ -8,6 +8,7 @@ module A = Sun_arch.Arch
 module P = Sun_arch.Presets
 module M = Sun_mapping.Mapping
 module Model = Sun_cost.Model
+module Probe = Sun_cost.Probe
 
 let dims = [ "K"; "C"; "P"; "R" ]
 let ones = List.map (fun d -> (d, 1)) dims
@@ -381,14 +382,21 @@ let test_ctx_equivalence () =
     check_f "edp" direct.Model.edp via_ctx.Model.edp
   | Error e -> Alcotest.failf "ctx path failed: %s" e
 
+(* The capacity predicate's fill of [level] at mapping [m]'s cumulative
+   tile extents. *)
+let fill_at w arch m ~level =
+  let probe = Probe.create w in
+  let ext = Probe.extents probe in
+  List.iteri (fun i d -> ext.(i) <- M.tile_at m ~level d) (W.dim_names w);
+  Probe.fill probe (Probe.fit_table probe w arch ~binding:Fun.id) ~level ext
+
 let test_fill_fraction () =
-  let f = Model.level_fill_fraction conv arch algorithm4 ~level:0 in
+  let f = fill_at conv arch algorithm4 ~level:0 in
   (* Algorithm 4's L1 tile: 14 + 12 + 18 = 44 of 64 words *)
   check_f "L1 fill fraction" (44.0 /. 64.0) f
 
-(* The top level's fill reads its cumulative tile extents, which scoring
-   leaves unread at an unbounded level: over a DRAM given a capacity,
-   every operand is whole there. *)
+(* The fill of an unbounded top level still reads its partitions: over a
+   DRAM given a capacity, every operand is whole there. *)
 let test_fill_fraction_top () =
   let top = A.num_levels arch - 1 in
   let dram = A.level arch top in
@@ -410,7 +418,7 @@ let test_fill_fraction_top () =
     List.fold_left (fun acc op -> acc +. W.footprint (W.bound conv) op) 0.0 conv.W.operands
   in
   check_f "DRAM fill fraction" (whole /. float_of_int capacity)
-    (Model.level_fill_fraction conv sized algorithm4 ~level:top)
+    (fill_at conv sized algorithm4 ~level:top)
 
 let principle_props =
   let open QCheck in

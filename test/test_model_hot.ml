@@ -363,24 +363,27 @@ let test_gc_verdict_zero_alloc () =
       done)
     presets
 
-(* The optimizer's tile-fit test runs once per lattice point of every
-   tile-frontier search; both verdicts must be allocation-free. *)
+(* The shared per-level fit test runs once per lattice point of every
+   optimizer tile-frontier search; both verdicts must be allocation-free. *)
 let test_gc_tile_fit_zero_alloc () =
   List.iter
     (fun (pname, arch) ->
       let w = find_workload "conv2d" in
-      let grow = W.dim_names w in
-      let fit = Opt.tile_fit_test w arch ~level:0 ~grow in
+      let probe = Probe.create w in
+      let table = Probe.fit_table probe w arch ~binding:Fun.id in
+      let ext = Probe.extents probe in
+      let fit () = Probe.level_fits probe table ~level:0 ext in
       List.iter
-        (fun (what, factors, want) ->
-          Alcotest.(check bool) (Printf.sprintf "%s: %s tile fits" pname what) want (fit factors);
-          let words = words_per_call ~reps:2000 (fun () -> ignore (fit factors)) in
+        (fun (what, extents, want) ->
+          Array.blit extents 0 ext 0 (Array.length ext);
+          Alcotest.(check bool) (Printf.sprintf "%s: %s tile fits" pname what) want (fit ());
+          let words = words_per_call ~reps:2000 (fun () -> ignore (fit ())) in
           if words <> 0.0 then
             Alcotest.failf "tile fit allocates %.2f words/call (%s, %s tile) — want 0" words pname
               what)
         [
-          ("unit", Array.make (List.length grow) 1, true);
-          ("whole-layer", Array.of_list (List.map (W.bound w) grow), false);
+          ("unit", Array.make (Array.length ext) 1, true);
+          ("whole-layer", Array.of_list (List.map (W.bound w) (W.dim_names w)), false);
         ])
     presets
 
