@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (run with no arguments or a subset of
    table1/table3/table6/fig6/fig7/fig8/fig9, plus the extra
-   ablation/versatility/scalability studies), and exposes a Bechamel
-   micro-benchmark suite ("micro") with one Test.make per experiment
-   driver to time the generators themselves. *)
+   ablation/versatility/scalability studies), timing each driver. Its
+   other modes write the audit, evaluate, transfer and search ledgers or
+   profile one search set. *)
 
 let run_experiment name driver =
   Printf.printf "==============================================================\n";
@@ -14,96 +14,6 @@ let run_experiment name driver =
   print_string output;
   if output <> "" && output.[String.length output - 1] <> '\n' then print_newline ();
   Printf.printf "-- %s done in %.1fs\n\n%!" name (Unix.gettimeofday () -. started)
-
-let micro_suite () =
-  let open Bechamel in
-  let quick_tests =
-    [
-      Test.make ~name:"table1:space-sizes"
-        (Staged.stage (fun () -> ignore (Sun_experiments.Figures.table1 ())));
-      Test.make ~name:"table3:reuse-inference"
-        (Staged.stage (fun () -> ignore (Sun_experiments.Figures.table3 ())));
-      Test.make ~name:"table6:one-layer-ablation"
-        (Staged.stage (fun () -> ignore (Sun_experiments.Figures.table6 ~layers:1 ())));
-      Test.make ~name:"fig6:one-mttkrp-schedule"
-        (Staged.stage (fun () ->
-             let w = (List.hd Sun_workloads.Non_dnn.mttkrp_suite).Sun_workloads.Non_dnn.workload in
-             ignore (Sun_core.Optimizer.optimize w Sun_arch.Presets.conventional)));
-      Test.make ~name:"fig7:one-weight-update-schedule"
-        (Staged.stage (fun () ->
-             let l = List.hd (Sun_workloads.Inception.weight_update_layers ()) in
-             ignore
-               (Sun_core.Optimizer.optimize l.Sun_workloads.Inception.workload
-                  Sun_arch.Presets.conventional)));
-      Test.make ~name:"fig8:one-resnet-simba-schedule"
-        (Staged.stage (fun () ->
-             let l = List.hd (Sun_workloads.Resnet18.layers ~batch:16 ()) in
-             ignore
-               (Sun_core.Optimizer.optimize l.Sun_workloads.Resnet18.workload
-                  Sun_arch.Presets.simba_like)));
-      Test.make ~name:"fig9:one-diannao-simulation"
-        (Staged.stage (fun () ->
-             let l = List.hd (Sun_workloads.Resnet18.layers ()) in
-             let w = l.Sun_workloads.Resnet18.workload in
-             match Sun_core.Optimizer.optimize w Sun_arch.Presets.diannao_like with
-             | Ok r ->
-               let p = Sun_diannao.Compiler.compile w r.Sun_core.Optimizer.mapping in
-               ignore (Sun_diannao.Simulator.run w p)
-             | Error _ -> ()));
-    ]
-  in
-  let test = Test.make_grouped ~name:"experiments" quick_tests in
-  let instances = Bechamel.Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Bechamel.Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-44s %14.0f ns/run\n" name est
-      | _ -> Printf.printf "%-44s (no estimate)\n" name)
-    results
-
-(* Serving-layer micro-benchmark: schedule a batch twice through one
-   persistent cache. Run 1 pays for the searches (repeated ResNet blocks
-   already collide via fingerprinting); run 2 must be cache-dominated.
-   Worker scaling is measured end to end by bench/perf's serve-mix. *)
-let serve_bench () =
-  let requests =
-    List.concat_map
-      (fun name -> [ Printf.sprintf {|{"v":1,"workload":%S,"arch":"toy"}|} name ])
-      (List.filter
-         (fun n ->
-           String.length n > 9 && String.sub n 0 9 = "resnet18/")
-         (List.map fst (Sun_serve.Registry.workloads ())))
-  in
-  let reqs_path = Filename.temp_file "sunstone_serve" ".jsonl" in
-  let oc = open_out reqs_path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) requests;
-  close_out oc;
-  let cache_dir = Filename.temp_file "sunstone_cache" "" in
-  Sys.remove cache_dir;
-  let run label =
-    let cache = Sun_serve.Cache.create ~dir:cache_dir () in
-    let started = Unix.gettimeofday () in
-    let summary = Sun_serve.Pipeline.run_files ~cache ~input:reqs_path ~output:Filename.null () in
-    Printf.printf "%-18s %6.3fs  %s\n%!" label
-      (Unix.gettimeofday () -. started)
-      (Sun_serve.Pipeline.summary_line summary);
-    summary
-  in
-  Printf.printf "serve: %d requests (resnet18 layers on toy), cache at %s\n%!"
-    (List.length requests) cache_dir;
-  let first = run "run 1 (cold)" in
-  let second = run "run 2 (warm)" in
-  let hit_rate s =
-    if s.Sun_serve.Pipeline.requests = 0 then 0.0
-    else
-      100.0 *. float_of_int s.Sun_serve.Pipeline.hits /. float_of_int s.Sun_serve.Pipeline.requests
-  in
-  Printf.printf "hit rate: %.0f%% cold, %.0f%% warm\n" (hit_rate first) (hit_rate second);
-  Sys.remove reqs_path
 
 (* Auditor scaling: time Audit.check_kernels over growing prefixes of the
    bundled kernel family and persist the curve (plus the per-kernel
@@ -570,8 +480,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let known = List.map fst Sun_experiments.Figures.all in
   match args with
-  | [ "micro" ] -> micro_suite ()
-  | [ "serve" ] -> serve_bench ()
   | [ "audit" ] -> audit_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
@@ -591,8 +499,8 @@ let () =
         | Some driver -> run_experiment name driver
         | None ->
           Printf.eprintf
-            "unknown experiment %S; known: %s, 'micro', 'serve', 'audit', \
-             'evaluate', 'transfer', 'search' or 'profile SET [--reps N]'\n"
+            "unknown experiment %S; known: %s, 'audit', 'evaluate', 'transfer', \
+             'search' or 'profile SET [--reps N]'\n"
             name
             (String.concat ", " known);
           exit 2)

@@ -48,6 +48,20 @@ if [ -n "$stray" ]; then
 fi
 echo "capacity predicate: ok"
 
+echo "== one owner per rule (checkers render, never re-derive)"
+# Arch.violations, Workload.violations and Mapping.violations state the
+# structural rules their make enforces, and Arch.unroll_violation is the
+# one fanout test; Wellformed and Legality only render their verdicts. A
+# fanout or a workload bound read in either checker is a second copy of
+# an owned rule.
+stray=$(grep -nw -e fanout -e 'W\.bound' lib/analysis/legality.ml lib/analysis/wellformed.ml || true)
+if [ -n "$stray" ]; then
+  echo "one owner per rule: a checker re-derives an owned rule:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+echo "one owner per rule: ok"
+
 echo "== sunstone check (static analysis over the registry)"
 dune exec bin/sunstone_cli.exe -- check --admissibility
 

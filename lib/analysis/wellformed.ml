@@ -3,42 +3,32 @@ module A = Sun_arch.Arch
 module Opt = Sun_core.Optimizer
 module D = Diagnostic
 
+let arch_diagnostic v =
+  let msg = A.violation_message v in
+  match (v : A.violation) with
+  | Too_few_levels _ -> D.error D.Arch_malformed msg
+  | Top_bounded { level; _ } | Bad_fanout { level; _ } | No_partitions { level; _ } ->
+    D.error ~level D.Arch_malformed msg
+  | Negative_capacity { level; partition; _ }
+  | Zero_capacity { level; partition; _ }
+  | Duplicate_partition { level; partition; _ } ->
+    D.error ~level ~partition D.Arch_malformed msg
+
+(* [Arch.violations] states the rules [Arch.make] enforces; the ones below
+   it does not: only the outermost level may be unbounded, bandwidths are
+   positive, and energies and MAC throughput are in range. *)
 let check_arch (a : A.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let top = A.num_levels a - 1 in
-  if A.num_levels a < 2 then
-    add (D.error D.Arch_malformed "an architecture needs at least two levels (buffer + DRAM)");
   List.iteri
     (fun li (l : A.level) ->
       if l.A.unbounded && li <> top then
         add
           (D.error ~level:li D.Arch_malformed
              (Printf.sprintf "level %s is unbounded but is not the outermost level" l.A.level_name));
-      if li = top && not l.A.unbounded then
-        add
-          (D.error ~level:li D.Arch_malformed
-             (Printf.sprintf "outermost level %s must be unbounded (DRAM)" l.A.level_name));
-      if l.A.fanout < 1 then
-        add
-          (D.error ~level:li D.Arch_malformed
-             (Printf.sprintf "level %s has fanout %d (must be >= 1)" l.A.level_name l.A.fanout));
-      if l.A.partitions = [] then
-        add
-          (D.error ~level:li D.Arch_malformed
-             (Printf.sprintf "level %s has no partitions" l.A.level_name));
       List.iter
         (fun (p : A.partition) ->
-          if p.A.capacity_words < 0 then
-            add
-              (D.error ~level:li ~partition:p.A.part_name D.Arch_malformed
-                 (Printf.sprintf "partition %s has negative capacity %d" p.A.part_name
-                    p.A.capacity_words));
-          if (not l.A.unbounded) && p.A.capacity_words = 0 then
-            add
-              (D.error ~level:li ~partition:p.A.part_name D.Arch_malformed
-                 (Printf.sprintf "partition %s of bounded level %s has zero capacity"
-                    p.A.part_name l.A.level_name));
           if p.A.bandwidth <= 0.0 then
             add
               (D.error ~level:li ~partition:p.A.part_name D.Arch_malformed
@@ -56,64 +46,21 @@ let check_arch (a : A.t) =
          (Printf.sprintf "mac_throughput %d (must be >= 1)" a.A.mac_throughput));
   if a.A.mac_energy < 0.0 then
     add (D.warning D.Arch_malformed (Printf.sprintf "negative MAC energy %g" a.A.mac_energy));
-  List.rev !diags
+  List.map arch_diagnostic (A.violations a) @ List.rev !diags
 
 let check_workload (w : W.t) =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let dims = W.dim_names w in
-  List.iter
-    (fun (d, b) ->
-      if b <= 0 then
-        add
-          (D.error ~dim:d D.Workload_malformed (Printf.sprintf "dim %s has bound %d (must be >= 1)" d b)))
-    w.W.dims;
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun d ->
-      if Hashtbl.mem seen d then
-        add (D.error ~dim:d D.Workload_malformed (Printf.sprintf "dim %s declared twice" d));
-      Hashtbl.replace seen d ())
-    dims;
-  (match List.filter (fun (op : W.operand) -> op.W.kind = `Output) w.W.operands with
-  | [ _ ] -> ()
-  | outs ->
-    add
-      (D.error D.Workload_malformed
-         (Printf.sprintf "expected exactly 1 output operand, found %d" (List.length outs))));
-  List.iter
-    (fun (op : W.operand) ->
-      List.iter
-        (fun idx ->
-          (match idx with
-          | W.Dim _ -> ()
-          | W.Affine [] ->
-            add (D.error ~operand:op.W.name D.Workload_malformed "empty affine index")
-          | W.Affine terms ->
-            List.iter
-              (fun (d, c) ->
-                if c <= 0 then
-                  add
-                    (D.error ~dim:d ~operand:op.W.name D.Workload_malformed
-                       (Printf.sprintf "non-positive affine coefficient %d on %s" c d)))
-              terms);
-          List.iter
-            (fun d ->
-              if not (List.mem d dims) then
-                add
-                  (D.error ~dim:d ~operand:op.W.name D.Unknown_dim
-                     (Printf.sprintf "operand %s indexes unknown dim %s" op.W.name d)))
-            (W.index_dims idx))
-        op.W.indices)
-    w.W.operands;
-  List.iter
-    (fun d ->
-      let used = List.exists (fun (op : W.operand) -> W.is_indexing op d) w.W.operands in
-      if not used then
-        add
-          (D.error ~dim:d D.Workload_malformed (Printf.sprintf "dim %s indexes no operand" d)))
-    dims;
-  List.rev !diags
+  List.map
+    (fun v ->
+      let msg = W.violation_message v in
+      match (v : W.violation) with
+      | Unknown_dim { operand; dim } -> D.error ~dim ~operand D.Unknown_dim msg
+      | Nonpositive_bound { dim; _ } | Duplicate_dim dim | Unused_dim dim ->
+        D.error ~dim D.Workload_malformed msg
+      | Empty_affine { operand } -> D.error ~operand D.Workload_malformed msg
+      | Nonpositive_coefficient { operand; dim; _ } ->
+        D.error ~dim ~operand D.Workload_malformed msg
+      | Output_count _ -> D.error D.Workload_malformed msg)
+    (W.violations w)
 
 let check_config (c : Opt.config) =
   let diags = ref [] in

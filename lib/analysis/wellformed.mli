@@ -1,12 +1,12 @@
 (** Config / architecture / workload well-formedness (pass 4).
 
-    These checks re-derive the invariants that the smart constructors
-    ([Arch.make], [Workload.make]) enforce — plus the ones they do not
-    (interior unbounded levels, zero bandwidth, operand-to-storage
-    reachability) — as structured diagnostics on already-built values.
-    They are cheap (no cost-model evaluation) and are run by the serve
-    pipeline on every decoded request, so an inline architecture that
-    would crash or nonsense-cost the optimizer is rejected up front. *)
+    Renders every {!Sun_arch.Arch.violations} and
+    {!Sun_tensor.Workload.violations} of an already-built value as a
+    diagnostic, and checks what the constructors do not enforce (interior
+    unbounded levels, zero bandwidth, operand-to-storage reachability).
+    Cheap (no cost-model evaluation), so the serve pipeline runs it on
+    every decoded request and rejects an inline architecture that would
+    crash or nonsense-cost the optimizer up front. *)
 
 val check_arch : Sun_arch.Arch.t -> Diagnostic.t list
 

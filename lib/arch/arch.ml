@@ -18,24 +18,67 @@ type level = {
 
 type t = { arch_name : string; levels : level list; mac_energy : float; mac_throughput : int }
 
-let make ~name ~levels ~mac_energy ?(mac_throughput = 1) () =
-  if List.length levels < 2 then invalid_arg "Arch.make: need at least two levels";
-  let top = List.nth levels (List.length levels - 1) in
-  if not top.unbounded then invalid_arg "Arch.make: outermost level must be unbounded (DRAM)";
-  List.iter
-    (fun l ->
-      if l.fanout < 1 then invalid_arg (Printf.sprintf "Arch.make: fanout of %s < 1" l.level_name);
-      if l.partitions = [] then
-        invalid_arg (Printf.sprintf "Arch.make: level %s has no partitions" l.level_name);
-      List.iter
-        (fun p ->
+type violation =
+  | Too_few_levels of int
+  | Top_bounded of { level : int; name : string }
+  | Bad_fanout of { level : int; name : string; fanout : int }
+  | No_partitions of { level : int; name : string }
+  | Negative_capacity of { level : int; partition : string; capacity : int }
+  | Zero_capacity of { level : int; name : string; partition : string }
+  | Duplicate_partition of { level : int; name : string; partition : string }
+
+let violation_message = function
+  | Too_few_levels _ -> "need at least two levels"
+  | Top_bounded _ -> "outermost level must be unbounded (DRAM)"
+  | Bad_fanout { name; _ } -> Printf.sprintf "fanout of %s < 1" name
+  | No_partitions { name; _ } -> Printf.sprintf "level %s has no partitions" name
+  | Negative_capacity { partition; _ } -> Printf.sprintf "negative capacity in %s" partition
+  | Zero_capacity { name; _ } -> Printf.sprintf "zero capacity in bounded level %s" name
+  | Duplicate_partition { name; partition; _ } ->
+    Printf.sprintf "level %s has two partitions named %s" name partition
+
+let violations t =
+  let found = ref [] in
+  let report v = found := v :: !found in
+  let n = List.length t.levels in
+  if n < 2 then report (Too_few_levels n);
+  (match List.rev t.levels with
+  | top :: _ when not top.unbounded -> report (Top_bounded { level = n - 1; name = top.level_name })
+  | _ -> ());
+  List.iteri
+    (fun level l ->
+      let name = l.level_name in
+      if l.fanout < 1 then report (Bad_fanout { level; name; fanout = l.fanout });
+      if l.partitions = [] then report (No_partitions { level; name });
+      let rec parts earlier = function
+        | [] -> ()
+        | p :: rest ->
+          let partition = p.part_name in
           if p.capacity_words < 0 then
-            invalid_arg (Printf.sprintf "Arch.make: negative capacity in %s" p.part_name);
+            report (Negative_capacity { level; partition; capacity = p.capacity_words });
           if (not l.unbounded) && p.capacity_words = 0 then
-            invalid_arg (Printf.sprintf "Arch.make: zero capacity in bounded level %s" l.level_name))
-        l.partitions)
-    levels;
-  { arch_name = name; levels; mac_energy; mac_throughput }
+            report (Zero_capacity { level; name; partition });
+          if List.mem partition earlier then
+            report (Duplicate_partition { level; name; partition });
+          parts (partition :: earlier) rest
+      in
+      parts [] l.partitions)
+    t.levels;
+  List.rev !found
+
+let make ~name ~levels ~mac_energy ?(mac_throughput = 1) () =
+  let t = { arch_name = name; levels; mac_energy; mac_throughput } in
+  match violations t with
+  | [] -> t
+  | v :: _ -> invalid_arg ("Arch.make: " ^ violation_message v)
+
+let unroll_violation l instances =
+  if instances <= l.fanout then None
+  else
+    Some
+      (* sunstone-lint: allow SA070 rejected-candidate path only *)
+      (Printf.sprintf "level %s: spatial unrolling %d exceeds fanout %d" l.level_name instances
+         l.fanout)
 
 let num_levels t = List.length t.levels
 let level t i = List.nth t.levels i

@@ -34,9 +34,33 @@ type t = {
   mac_throughput : int;  (** MACs each leaf compute instance retires/cycle *)
 }
 
+(** A broken rule, where it is and the values involved. *)
+type violation =
+  | Too_few_levels of int
+  | Top_bounded of { level : int; name : string }
+  | Bad_fanout of { level : int; name : string; fanout : int }
+  | No_partitions of { level : int; name : string }
+  | Negative_capacity of { level : int; partition : string; capacity : int }
+  | Zero_capacity of { level : int; name : string; partition : string }
+      (** a capacity of 0 at a bounded level *)
+  | Duplicate_partition of { level : int; name : string; partition : string }
+      (** partitions match by name: each would be charged both's operands *)
+
+val violations : t -> violation list
+(** The architecture's structural rules, checked in this order: the level
+    count, an unbounded outermost level, then per level its fanout and
+    partition list, and per partition its capacity and a unique name. *)
+
+val violation_message : violation -> string
+
 val make : name:string -> levels:level list -> mac_energy:float -> ?mac_throughput:int -> unit -> t
-(** Validates (at least two levels, outermost unbounded, positive fanouts)
-    and builds. *)
+(** Builds an architecture, or raises [Invalid_argument] with
+    ["Arch.make: "] and the message of its first violation. *)
+
+val unroll_violation : level -> int -> string option
+(** The one fanout test, read by the cost model and the legality checker:
+    [None] when [n] spatial instances fit under the level, else the
+    rejection message. Allocates nothing when they fit. *)
 
 val num_levels : t -> int
 val level : t -> int -> level

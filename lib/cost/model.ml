@@ -454,14 +454,10 @@ let part_ref_at (info : op_info) l =
 let validate_lay ctx lay =
   ctx.sc_violation <- ctx.unstored;
   for l = 0 to ctx.nlevels - 1 do
-    let lvl = ctx.levels.(l) in
-    let sp = spatial_product lay l in
-    if sp > lvl.A.fanout && ctx.sc_violation = None then
-      ctx.sc_violation <-
-        Some
-          (* sunstone-lint: allow SA070 rejected-candidate path only *)
-          (Printf.sprintf "level %s: spatial unrolling %d exceeds fanout %d" lvl.A.level_name sp
-             lvl.A.fanout)
+    if ctx.sc_violation = None then
+      match A.unroll_violation ctx.levels.(l) (spatial_product lay l) with
+      | None -> ()
+      | violation -> ctx.sc_violation <- violation
   done;
   for l = 0 to ctx.nlevels - 1 do
     if ctx.sc_violation = None then begin

@@ -32,8 +32,6 @@ let total_spatial t =
 
 let footprint_at (_ : W.t) t ~level op = W.footprint (fun d -> tile_at t ~level d) op
 
-let ( let* ) = Result.bind
-
 let dim_position dims pos d =
   let n = Array.length dims in
   if pos < n && (dims.(pos) == d || String.equal dims.(pos) d) then pos
@@ -77,37 +75,53 @@ let complete_at_top w levels =
     completed
   end
 
+type violation =
+  | Unknown_dim of { level : int; kind : string; dim : dim }
+  | Nonpositive_factor of { level : int; kind : string; dim : dim; factor : int }
+  | Bad_coverage of { level : int; kind : string; missing : dim list; duplicated : dim list }
+  | Bad_order of { level : int; order : dim list }
+  | Bad_product of { dim : dim; product : int; bound : int }
+
+let violation_message = function
+  | Unknown_dim { dim; kind; _ } -> Printf.sprintf "unknown dim %s in %s factors" dim kind
+  | Nonpositive_factor { kind; dim; factor; _ } ->
+    Printf.sprintf "%s factor of %s is %d" kind dim factor
+  | Bad_coverage { kind; _ } ->
+    Printf.sprintf "%s factors must cover each workload dim exactly once" kind
+  | Bad_order _ -> "order is not a permutation of the workload dims"
+  | Bad_product { product; bound; _ } ->
+    Printf.sprintf "factors multiply to %d, bound is %d" product bound
+
 (* One pass over each level's lists, resolving every entry's dim to its
-   workload position: [seen] counts the entries per dim and [placed]
-   accumulates each dim's factor product. The checks run in a fixed order
-   — per level: known dims and positive factors (temporal, then spatial, in
-   list order), coverage (temporal, spatial), order; then the per-dim
-   products in workload order — so the first violated rule is the Error
-   payload and no exception escapes library code. *)
-let make w levels =
+   workload position: [seen] counts a list's entries per dim, and
+   [placed] multiplies in each list's first entry for a dim when that
+   factor is positive (on lists that pass, the only entry). *)
+let violations w levels =
+  let found = ref [] in
+  let report v = found := v :: !found in
   let dims = Array.of_list (W.dim_names w) in
   let n = Array.length dims in
   let placed = Array.make n 1 in
   let seen_temporal = Array.make n 0 and seen_spatial = Array.make n 0 in
-  let rec factors i kind seen pos = function
-    | [] -> Ok ()
-    | (d, f) :: rest ->
-      let j = dim_position dims pos d in
-      if j < 0 then Error (Printf.sprintf "level %d: unknown dim %s in %s factors" i d kind)
-      else if f < 1 then Error (Printf.sprintf "level %d: %s factor of %s is %d" i kind d f)
-      else begin
-        seen.(j) <- seen.(j) + 1;
-        placed.(j) <- placed.(j) * f;
-        factors i kind seen (pos + 1) rest
-      end
+  let rec factors level kind seen pos = function
+    | [] -> ()
+    | (dim, f) :: rest ->
+      let j = dim_position dims pos dim in
+      if j < 0 then report (Unknown_dim { level; kind; dim });
+      if f < 1 then report (Nonpositive_factor { level; kind; dim; factor = f })
+      else if j >= 0 && seen.(j) = 0 then placed.(j) <- placed.(j) * f;
+      if j >= 0 then seen.(j) <- seen.(j) + 1;
+      factors level kind seen (pos + 1) rest
   in
-  (* the mli contract: factor lists cover exactly the workload dims, once
-     each — a silently missing dim would default to factor 1 downstream *)
-  let covers i kind seen =
-    if Array.for_all (fun c -> c = 1) seen then Ok ()
-    else
-      Error
-        (Printf.sprintf "level %d: %s factors must cover each workload dim exactly once" i kind)
+  (* the mli contract: factor lists cover exactly the workload dims,
+     once each — a silently missing dim would default to factor 1
+     downstream *)
+  let covers level kind seen assoc =
+    if not (Array.for_all (fun c -> c = 1) seen && List.compare_length_with assoc n = 0) then begin
+      let where p = List.filteri (fun j _ -> p seen.(j)) (Array.to_list dims) in
+      let missing = where (fun c -> c = 0) and duplicated = where (fun c -> c > 1) in
+      report (Bad_coverage { level; kind; missing; duplicated })
+    end
   in
   (* [seen] doubles as the order's visited marks *)
   let rec permutes seen pos = function
@@ -120,31 +134,37 @@ let make w levels =
       (seen.(j) <- 1;
        permutes seen (pos + 1) rest)
   in
-  let rec check_levels i = function
-    | [] -> Ok ()
-    | lm :: rest ->
+  List.iteri
+    (fun level lm ->
       Array.fill seen_temporal 0 n 0;
       Array.fill seen_spatial 0 n 0;
-      let* () = factors i "temporal" seen_temporal 0 lm.temporal in
-      let* () = factors i "spatial" seen_spatial 0 lm.spatial in
-      let* () = covers i "temporal" seen_temporal in
-      let* () = covers i "spatial" seen_spatial in
+      factors level "temporal" seen_temporal 0 lm.temporal;
+      factors level "spatial" seen_spatial 0 lm.spatial;
+      covers level "temporal" seen_temporal lm.temporal;
+      covers level "spatial" seen_spatial lm.spatial;
       Array.fill seen_temporal 0 n 0;
       if not (permutes seen_temporal 0 lm.order) then
-        Error (Printf.sprintf "level %d: order is not a permutation of the workload dims" i)
-      else check_levels (i + 1) rest
-  in
-  let rec check_products j = function
-    | [] -> Ok ()
-    | (d, bound) :: rest ->
-      if placed.(j) <> bound then
-        Error (Printf.sprintf "dim %s: factors multiply to %d, bound is %d" d placed.(j) bound)
-      else check_products (j + 1) rest
-  in
-  let* () = check_levels 0 levels in
-  let* () = check_products 0 w.W.dims in
-  Ok { levels = Array.of_list levels }
+        report (Bad_order { level; order = lm.order }))
+    levels;
+  List.iteri
+    (fun j (dim, bound) ->
+      if placed.(j) <> bound then report (Bad_product { dim; product = placed.(j); bound }))
+    w.W.dims;
+  List.rev !found
 
+let make w levels =
+  match violations w levels with
+  | [] -> Ok { levels = Array.of_list levels }
+  | v :: _ ->
+    let where =
+      match v with
+      | Unknown_dim { level; _ }
+      | Nonpositive_factor { level; _ }
+      | Bad_coverage { level; _ }
+      | Bad_order { level; _ } -> Printf.sprintf "level %d" level
+      | Bad_product { dim; _ } -> "dim " ^ dim
+    in
+    Error (where ^ ": " ^ violation_message v)
 
 module Rows = struct
   type t = { temporal : int array array; spatial : int array array; order : int array array }

@@ -26,21 +26,40 @@ type level_mapping = {
 
 type t = { levels : level_mapping array }
 
-val make : Sun_tensor.Workload.t -> level_mapping list -> (t, string) result
-(** Structural validation: factor lists cover exactly the workload dims with
-    positive factors, orders are permutations of the dims, and per-dimension
-    factor products equal the workload bounds. (Capacity and fanout checks
-    need the architecture and live in the cost model.)
+(** A broken rule, where it is and the values involved. [kind] is
+    ["temporal"] or ["spatial"]. *)
+type violation =
+  | Unknown_dim of { level : int; kind : string; dim : dim }
+  | Nonpositive_factor of { level : int; kind : string; dim : dim; factor : int }
+  | Bad_coverage of { level : int; kind : string; missing : dim list; duplicated : dim list }
+      (** a dim missing, repeated or unknown; [missing] and [duplicated]
+          are the workload dims seen 0 and over 1 times *)
+  | Bad_order of { level : int; order : dim list }
+  | Bad_product of { dim : dim; product : int; bound : int }
+      (** [product] multiplies each list's first entry for [dim], when
+          that entry is >= 1 *)
+
+val violations : Sun_tensor.Workload.t -> level_mapping list -> violation list
+(** The structural rules: factor lists cover exactly the workload dims
+    with positive factors, orders are permutations of the dims, and each
+    dim's factors multiply to its bound. (Capacity and fanout need the
+    architecture.) Checks run level by level (dims known and factors
+    positive, temporal then spatial, in list order; then coverage,
+    temporal then spatial; then the order), then dim by dim for the
+    products.
 
     Entries may come in any order. Lists in workload order are the cheap
     case: each entry's dim is matched at its own list position first, and
-    any other order costs a scan of the dims per misplaced entry. A
-    rejection names the first violated rule, checked level by level (dims
-    known and factors positive, temporal then spatial, in list order; then
-    coverage, temporal then spatial; then the order), then dim by dim in
-    workload order for the products. This is the validator for external
-    input too ([Codec] decodes through it), so every rule is checked on every
-    call. *)
+    any other order costs a scan of the dims per misplaced entry. *)
+
+val violation_message : violation -> string
+(** What is wrong, without where: the violation's level or dim is its
+    location. *)
+
+val make : Sun_tensor.Workload.t -> level_mapping list -> (t, string) result
+(** Builds the mapping, or its first violation's message prefixed with
+    ["level L: "] or ["dim D: "]. [Codec] decodes external input through
+    it. *)
 
 val make_exn : Sun_tensor.Workload.t -> level_mapping list -> t
 

@@ -183,13 +183,6 @@ let enumerate_fixed_orders t =
    minimum over [enumerate]. *)
 let active_dims t = List.filter (fun d -> W.bound t.w d > 1) t.dims
 
-let size_active_orders t =
-  let orders_per_level = factorial (List.length (active_dims t)) in
-  let order_choices =
-    List.fold_left (fun acc _ -> acc *. orders_per_level) 1.0 (Listx.range t.num_levels)
-  in
-  size_no_orders t *. order_choices
-
 let enumerate_active_orders t =
   let active = active_dims t in
   let inactive = List.filter (fun d -> W.bound t.w d <= 1) t.dims in

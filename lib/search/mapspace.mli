@@ -43,5 +43,3 @@ val enumerate_active_orders : t -> Sun_mapping.Mapping.t Seq.t
     {!enumerate}, at a fraction of the order combinations. The audit's
     exhaustive oracle uses this. *)
 
-val size_active_orders : t -> float
-(** |{!enumerate_active_orders}| before joint-fanout filtering. *)

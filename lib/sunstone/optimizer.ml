@@ -327,27 +327,20 @@ let same_row a b = a == b || (Array.length a = Array.length b && same_from a b 0
 
 let same_rows a b = a == b || (Array.length a = Array.length b && Array.for_all2 same_row a b)
 
-(* The tiling scopes of one pass ({!Tile_tree.scope}): tile searches at the
-   pass's level share a fit test when the extents fixed below the tile are
-   the same row and they grow the same list. [pass_scopes st row g ~extents]
-   is the scope of that row and grow list [g], created on first use over
-   [extents], by grow position. *)
-let pass_scopes st =
+(* Tile searches share a fit test ({!Tile_tree.scope}) when the extents
+   fixed below the tile are the same row and they grow the same list. A
+   top-down pass always grows list 0, so its scopes differ only by row:
+   [scopes_by_row () row] is the scope spanning [row], created on first
+   use. (A bottom-up {!enumerate} fixes one row and makes one scope per
+   grow list.) *)
+let scopes_by_row () =
   let seen = ref [] in
-  fun row g ~extents ->
-    let slots =
-      match List.find_opt (fun (r, _) -> same_row r row) !seen with
-      | Some (_, slots) -> slots
-      | None ->
-        let slots = Array.make (Array.length st.grow_pos) None in
-        seen := (row, slots) :: !seen;
-        slots
-    in
-    match slots.(g) with
-    | Some scope -> scope
+  fun row ->
+    match List.find_opt (fun (r, _) -> same_row r row) !seen with
+    | Some (_, scope) -> scope
     | None ->
-      let scope = Tile_tree.scope extents in
-      slots.(g) <- Some scope;
+      let scope = Tile_tree.scope row in
+      seen := (row, scope) :: !seen;
       scope
 
 module Int_table = Hashtbl.Make (Int)
@@ -592,7 +585,6 @@ let dedup_candidates_from b ~from =
    on that list, so they are enumerated once per list, when the first
    order selecting it is reached ([[||]] for a list no order selects). *)
 let enumerate st b ~k placed =
-  let scopes = pass_scopes st in
   (* At capacious levels the maximal-tile frontier can be huge; keep the
      largest-volume tiles (more volume = fewer refills from above, the same
      monotonicity the Tiling Principle exploits). The sort is stable, so
@@ -609,12 +601,10 @@ let enumerate st b ~k placed =
     (* the extents left above [placed], by grow position; a scope spans
        them, and every search of these tiles divides them *)
     let remaining = Array.map (fun j -> st.bounds.(j) / placed.(j)) st.grow_pos.(g) in
+    let scope = Tile_tree.scope remaining in
     let tiles_for rem =
       let tiles =
-        cap_frontier
-          (search_tiles st
-             ~scope:(scopes placed g ~extents:remaining)
-             ~level:(k - 1) ~base:placed g ~remaining:rem)
+        cap_frontier (search_tiles st ~scope ~level:(k - 1) ~base:placed g ~remaining:rem)
       in
       st.tile_candidates <- st.tile_candidates + List.length tiles;
       List.map (fun a -> (a, row_of st g a)) tiles
@@ -653,7 +643,7 @@ type enumeration = {
 (* The groups of one prefix at pass [k]. They depend on the prefix only
    through its placed row, the extents fixed below the new tile, so the
    prefixes of a pass with one placed row share one {!enumerate}, found
-   in [enumerated] by the row the way {!pass_scopes} finds a scope. A
+   in [enumerated] by the row the way {!scopes_by_row} finds a scope. A
    shared enumeration adds the first one's [examined],
    [tile_candidates] and [unroll_candidates], the counts enumerating
    again would add, and no tile fit tests. *)
@@ -1036,7 +1026,7 @@ let top_down_pass st ~scopes ~orders ~k (prefix : Rows.t) =
      t_k x s_k x A_{k-1} *)
   let below = prefix.Rows.temporal.(k) in
   (* tiles grow every dim: grow list 0, whose positions are the rows' *)
-  let scope = scopes below 0 ~extents:below in
+  let scope = scopes below in
   let all_ones = Array.make (Array.length st.dim_array) 1 in
   let results = ref [] in
   let emit ~order ~spatial ~tile =
@@ -1146,7 +1136,7 @@ let optimize_top_down st =
   let rec run k prefixes =
     if k < 1 then prefixes
     else begin
-      let scopes = pass_scopes st in
+      let scopes = scopes_by_row () in
       let cands = List.concat_map (top_down_pass st ~scopes ~orders ~k) prefixes in
       match select (dedup_candidates cands) with
       | [] -> run (k - 1) prefixes

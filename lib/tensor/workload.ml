@@ -51,52 +51,66 @@ let footprint tile op =
 
 let operand_size t op = footprint (bound t) op
 
-let make ~name ~dims ~operands =
-  let known = List.map fst dims in
+type violation =
+  | Nonpositive_bound of { dim : dim; bound : int }
+  | Duplicate_dim of dim
+  | Unknown_dim of { operand : string; dim : dim }
+  | Empty_affine of { operand : string }
+  | Nonpositive_coefficient of { operand : string; dim : dim; coeff : int }
+  | Output_count of int
+  | Unused_dim of dim
+
+let violation_message = function
+  | Nonpositive_bound { dim; bound } -> Printf.sprintf "bound of %s is %d" dim bound
+  | Duplicate_dim d -> Printf.sprintf "duplicate dim %s" d
+  | Unknown_dim { operand; dim } -> Printf.sprintf "operand %s uses unknown dim %s" operand dim
+  | Empty_affine _ -> "empty affine index"
+  | Nonpositive_coefficient { dim; _ } -> Printf.sprintf "non-positive coefficient on %s" dim
+  | Output_count n -> Printf.sprintf "expected 1 output operand, got %d" n
+  | Unused_dim d -> Printf.sprintf "dim %s indexes no operand" d
+
+let violations t =
+  let found = ref [] in
+  let report v = found := v :: !found in
+  let known = dim_names t in
   List.iter
-    (fun (d, b) ->
-      if b <= 0 then invalid_arg (Printf.sprintf "Workload.make: bound of %s is %d" d b))
-    dims;
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (d, _) ->
-      if Hashtbl.mem seen d then invalid_arg (Printf.sprintf "Workload.make: duplicate dim %s" d);
-      Hashtbl.add seen d ())
-    dims;
+    (fun (dim, bound) -> if bound <= 0 then report (Nonpositive_bound { dim; bound }))
+    t.dims;
+  let dup earlier d =
+    if List.mem d earlier then report (Duplicate_dim d);
+    d :: earlier
+  in
+  ignore (List.fold_left dup [] known);
   List.iter
     (fun (op : operand) ->
       List.iter
         (fun idx ->
           List.iter
-            (fun d ->
-              if not (List.mem d known) then
-                invalid_arg (Printf.sprintf "Workload.make: operand %s uses unknown dim %s" op.name d))
+            (fun dim ->
+              if not (List.mem dim known) then report (Unknown_dim { operand = op.name; dim }))
             (index_dims idx);
           match idx with
           | Dim _ -> ()
+          | Affine [] -> report (Empty_affine { operand = op.name })
           | Affine terms ->
-            if terms = [] then invalid_arg "Workload.make: empty affine index";
             List.iter
-              (fun (d, c) ->
-                if c <= 0 then
-                  invalid_arg (Printf.sprintf "Workload.make: non-positive coefficient on %s" d))
+              (fun (dim, coeff) ->
+                if coeff <= 0 then
+                  report (Nonpositive_coefficient { operand = op.name; dim; coeff }))
               terms)
         op.indices)
-    operands;
-  (match List.filter (fun op -> op.kind = `Output) operands with
-  | [ _ ] -> ()
-  | outs ->
-    invalid_arg (Printf.sprintf "Workload.make: expected 1 output operand, got %d" (List.length outs)));
-  let used =
-    Sun_util.Listx.unique String.compare
-      (List.concat_map (fun op -> List.concat_map index_dims op.indices) operands)
-  in
-  List.iter
-    (fun d ->
-      if not (List.mem d used) then
-        invalid_arg (Printf.sprintf "Workload.make: dim %s indexes no operand" d))
-    known;
-  { name; dims; operands }
+    t.operands;
+  let outputs = List.length (List.filter (fun op -> op.kind = `Output) t.operands) in
+  if outputs <> 1 then report (Output_count outputs);
+  let used = List.concat_map indexing_dims t.operands in
+  List.iter (fun d -> if not (List.mem d used) then report (Unused_dim d)) known;
+  List.rev !found
+
+let make ~name ~dims ~operands =
+  let t = { name; dims; operands } in
+  match violations t with
+  | [] -> t
+  | v :: _ -> invalid_arg ("Workload.make: " ^ violation_message v)
 
 let pp_index ppf = function
   | Dim d -> Format.pp_print_string ppf d

@@ -30,11 +30,27 @@ type t = {
   operands : operand list;  (** exactly one [`Output] member *)
 }
 
+(** A broken rule, where it is and the values involved. *)
+type violation =
+  | Nonpositive_bound of { dim : dim; bound : int }
+  | Duplicate_dim of dim  (** each declaration after the first *)
+  | Unknown_dim of { operand : string; dim : dim }
+  | Empty_affine of { operand : string }
+  | Nonpositive_coefficient of { operand : string; dim : dim; coeff : int }
+  | Output_count of int  (** the number of [`Output] operands, when not 1 *)
+  | Unused_dim of dim  (** a declared dim that indexes no operand *)
+
+val violations : t -> violation list
+(** The workload's structural rules, checked in this order: bounds,
+    duplicate dims, each operand's indices (unknown dims, then an empty
+    affine index or non-positive coefficients), the output count, unused
+    dims. *)
+
+val violation_message : violation -> string
+
 val make : name:string -> dims:(dim * int) list -> operands:operand list -> t
-(** Validates and builds a workload. Raises [Invalid_argument] if bounds are
-    non-positive, an operand references an unknown dimension, a dimension is
-    referenced by no operand, or the number of [`Output] operands is not
-    exactly one. *)
+(** Builds a workload, or raises [Invalid_argument] with
+    ["Workload.make: "] and the message of its first violation. *)
 
 val dim_names : t -> dim list
 val bound : t -> dim -> int

@@ -179,6 +179,15 @@ let test_structural_violations () =
   let nonpos = { unit_level with M.temporal = List.map (fun d -> (d, if d = "K" then 0 else 1)) dims } in
   check_codes "nonpositive factor" [ "SA007" ]
     (Legality.check_levels conv1d [ nonpos; unit_level; top_level ]);
+  (* the location is the diagnostic's; only [Mapping.make] prefixes it *)
+  Alcotest.(check (list string))
+    "message carries no location" [ "temporal factor of K is 0" ]
+    (List.map
+       (fun (d : D.t) -> d.D.message)
+       (Legality.check_levels conv1d [ nonpos; unit_level; top_level ]));
+  Alcotest.(check (result reject string))
+    "make prefixes the level" (Error "level 0: temporal factor of K is 0")
+    (M.make conv1d [ nonpos; unit_level; top_level ]);
   let bad_order = { unit_level with M.order = List.map (fun _ -> List.hd dims) dims } in
   check_codes "duplicated order" [ "SA004" ]
     (Legality.check_levels conv1d [ bad_order; unit_level; top_level ]);
@@ -406,6 +415,214 @@ let capacity_agreement_props =
     [ "conventional"; "simba"; "toy" ]
 
 (* ------------------------------------------------------------------ *)
+(* One owner per rule: the checkers render the constructors' scans      *)
+(* ------------------------------------------------------------------ *)
+
+(* The toy L1 split into a 4-word partition for [a] and a 100-word one for
+   [b] and [out]. Partitions are matched by name, so under one shared name
+   both were charged all three operands, and a 2x2x2 matmul tile ([a] 4
+   words, [b] + [out] 8) overflowed the 4-word one ("footprint 12 exceeds
+   capacity 4"). The shared name is now a rule of [Arch]. *)
+let test_duplicate_partition_names () =
+  let matmul = Sun_tensor.Catalog.matmul ~m:4 ~n:4 ~k:4 () in
+  let split second =
+    set_level 0
+      (fun l ->
+        match l.A.partitions with
+        | [ p ] ->
+          {
+            l with
+            A.partitions =
+              [
+                { p with A.capacity_words = 4; accepts = `Roles [ "a" ] };
+                { p with A.part_name = second; capacity_words = 100 };
+              ];
+          }
+        | _ -> Alcotest.fail "toy L1 has one partition")
+      toy
+  in
+  let shared = split "L1" in
+  let expected = "Arch.make: level L1 has two partitions named L1" in
+  (match A.make ~name:"split" ~levels:shared.A.levels ~mac_energy:shared.A.mac_energy () with
+  | exception Invalid_argument msg -> Alcotest.(check string) "make rejects" expected msg
+  | _ -> Alcotest.fail "make accepts two partitions named L1");
+  (match Sun_serve.Codec.decode_arch (Sun_serve.Codec.encode_arch shared) with
+  | Error msg -> Alcotest.(check string) "decode returns make's error" expected msg
+  | Ok _ -> Alcotest.fail "decode accepts two partitions named L1");
+  let diags = Wellformed.check_arch shared in
+  check_codes "duplicate partition name" [ "SA020" ] diags;
+  Alcotest.(check bool) "located at level 0, partition L1" true
+    (List.exists
+       (fun (d : D.t) -> d.D.where.D.level = Some 0 && d.D.where.D.partition = Some "L1")
+       diags);
+  (* named apart, the same split holds the tile *)
+  let apart = split "L1b" in
+  let a = A.make ~name:"split" ~levels:apart.A.levels ~mac_energy:apart.A.mac_energy () in
+  let tile = List.map (fun d -> (d, 2)) (W.dim_names matmul) in
+  let unit = List.map (fun d -> (d, 1)) (W.dim_names matmul) in
+  let order = W.dim_names matmul in
+  let levels =
+    [
+      { M.temporal = tile; order; spatial = unit };
+      { M.temporal = unit; order; spatial = unit };
+      { M.temporal = tile; order; spatial = unit };
+    ]
+  in
+  Alcotest.(check (list string)) "legal" []
+    (List.map (fun (d : D.t) -> d.D.message) (Legality.check_all matmul a levels));
+  match Sun_cost.Model.validate matmul a (M.make_exn matmul levels) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "model rejects: %s" msg
+
+(* A random mapping of a registry workload on toy, then 0-3 corruptions:
+   unknown dims, factors below 1, dropped and duplicated entries, bad
+   orders, wrong products, a dropped or repeated level, and shuffled
+   lists (legal, but off the positional fast path). *)
+let malformed_levels rng =
+  let workloads = Array.of_list (Registry.workloads ()) in
+  let _, w = workloads.(Sun_util.Rng.int rng (Array.length workloads)) in
+  let pick_index xs = Sun_util.Rng.int rng (max 1 (List.length xs)) in
+  let corrupt_assoc assoc =
+    let i = pick_index assoc in
+    let without = List.filteri (fun j _ -> j <> i) assoc in
+    match (Sun_util.Rng.int rng 6, List.nth_opt assoc i) with
+    | 0, _ -> ("Z", 1 + Sun_util.Rng.int rng 2) :: assoc
+    | 1, _ -> List.mapi (fun j (d, f) -> (d, if j = i then -Sun_util.Rng.int rng 2 else f)) assoc
+    | 2, _ -> without
+    | 3, Some e -> e :: assoc
+    | 4, _ -> List.mapi (fun j (d, f) -> (d, if j = i then f * 2 else f)) assoc
+    | _ -> Sun_util.Rng.shuffle rng assoc
+  in
+  let corrupt_order order =
+    let i = pick_index order in
+    let without = List.filteri (fun j _ -> j <> i) order in
+    match (Sun_util.Rng.int rng 4, List.nth_opt order i) with
+    | 0, _ -> without
+    | 1, Some d -> d :: order
+    | 2, _ -> "Z" :: without
+    | _ -> Sun_util.Rng.shuffle rng order
+  in
+  let corrupt levels =
+    let l = pick_index levels in
+    match Sun_util.Rng.int rng 4 with
+    | 0 -> List.filteri (fun j _ -> j <> l) levels
+    | 1 -> List.nth levels l :: levels
+    | kind ->
+      List.mapi
+        (fun j (lm : M.level_mapping) ->
+          if j <> l then lm
+          else if kind = 2 then
+            if Sun_util.Rng.bool rng then { lm with M.temporal = corrupt_assoc lm.M.temporal }
+            else { lm with M.spatial = corrupt_assoc lm.M.spatial }
+          else { lm with M.order = corrupt_order lm.M.order })
+        levels
+  in
+  let levels = Array.to_list (random_mapping rng w toy).M.levels in
+  let rec apply k levels = if k = 0 then levels else apply (k - 1) (corrupt levels) in
+  (w, apply (Sun_util.Rng.int rng 4) levels)
+
+let key (d : D.t) =
+  (D.code_id d.D.code, D.severity_name d.D.severity, d.D.where.D.level, d.D.where.D.dim)
+
+let owner_props =
+  let open QCheck in
+  let seeds = make ~print:string_of_int Gen.(int_bound 1_000_000) in
+  let raises f = match f () with _ -> None | exception Invalid_argument msg -> Some msg in
+  (* [make] raises exactly when the renderer reports an error, with the
+     renderer's first diagnostic as its message *)
+  let agrees ~prefix made diags =
+    match (made, D.errors diags) with
+    | None, [] -> true
+    | Some msg, d :: _ when msg = prefix ^ d.D.message -> true
+    | Some msg, [] -> Test.fail_reportf "make raises (%s), renderer reports nothing" msg
+    | Some msg, d :: _ -> Test.fail_reportf "make raises %S, renderer's first is %S" msg d.D.message
+    | None, d :: _ -> Test.fail_reportf "make accepts, renderer reports %s" d.D.message
+  in
+  [
+    Test.make ~count:1000 ~name:"check_levels renders what the old rules reported" seeds
+      (fun seed ->
+        let w, levels = malformed_levels (Sun_util.Rng.create seed) in
+        let sorted ds = List.sort compare (List.map key ds) in
+        sorted (Legality.check_levels ~arch:toy w levels)
+        = sorted (Legality_ref.check_levels ~arch:toy w levels)
+        || Test.fail_report "diagnostics differ from the reference");
+    Test.make ~count:1000 ~name:"workload make raises exactly on rendered errors" seeds
+      (fun seed ->
+        let rng = Sun_util.Rng.create seed in
+        let workloads = Array.of_list (Registry.workloads ()) in
+        let _, w = workloads.(Sun_util.Rng.int rng (Array.length workloads)) in
+        let some_dim () = fst (Sun_util.Rng.pick rng w.W.dims) in
+        let corrupt (w : W.t) =
+          match Sun_util.Rng.int rng 7 with
+          | 0 ->
+            let d = some_dim () in
+            let bound = -Sun_util.Rng.int rng 2 in
+            { w with W.dims = List.map (fun (e, b) -> (e, if e = d then bound else b)) w.W.dims }
+          | 1 -> { w with W.dims = Sun_util.Rng.pick rng w.W.dims :: w.W.dims }
+          | 2 -> { w with W.dims = w.W.dims @ [ ("U", 2) ] }
+          | 3 ->
+            let index =
+              Sun_util.Rng.pick rng [ W.Dim "Q"; W.Affine []; W.Affine [ (some_dim (), 0) ] ]
+            in
+            let op = { W.name = "extra"; kind = `Input; indices = [ index ] } in
+            { w with W.operands = op :: w.W.operands }
+          | 4 ->
+            let is_input (op : W.operand) = op.W.kind = `Input in
+            { w with W.operands = List.filter is_input w.W.operands }
+          | 5 ->
+            let outputs = List.filter (fun (op : W.operand) -> op.W.kind = `Output) w.W.operands in
+            { w with W.operands = outputs @ w.W.operands }
+          | _ -> { w with W.operands = Sun_util.Rng.shuffle rng w.W.operands }
+        in
+        let rec apply k w = if k = 0 then w else apply (k - 1) (corrupt w) in
+        let w = apply (Sun_util.Rng.int rng 4) w in
+        agrees ~prefix:"Workload.make: "
+          (raises (fun () -> W.make ~name:w.W.name ~dims:w.W.dims ~operands:w.W.operands))
+          (Wellformed.check_workload w));
+    Test.make ~count:1000 ~name:"arch make raises exactly on rendered errors" seeds
+      (fun seed ->
+        let rng = Sun_util.Rng.create seed in
+        let _, a = Sun_util.Rng.pick rng Sun_arch.Presets.all in
+        let on_level f (a : A.t) =
+          let i = Sun_util.Rng.int rng (A.num_levels a) in
+          set_level i f a
+        in
+        let on_partition f =
+          on_level (fun l ->
+              match l.A.partitions with
+              | [] -> l
+              | ps ->
+                let i = Sun_util.Rng.int rng (List.length ps) in
+                { l with A.partitions = List.mapi (fun j p -> if j = i then f p else p) ps })
+        in
+        let corrupt (a : A.t) =
+          match Sun_util.Rng.int rng 7 with
+          | 0 -> { a with A.levels = List.tl a.A.levels }
+          | 1 -> set_level (A.num_levels a - 1) (fun l -> { l with A.unbounded = false }) a
+          | 2 -> on_level (fun l -> { l with A.fanout = -Sun_util.Rng.int rng 2 }) a
+          | 3 -> on_level (fun l -> { l with A.partitions = [] }) a
+          | 4 -> on_partition (fun p -> { p with A.capacity_words = -Sun_util.Rng.int rng 2 }) a
+          | 5 ->
+            on_level
+              (fun l ->
+                match l.A.partitions with
+                | p :: _ -> { l with A.partitions = p :: l.A.partitions }
+                | [] -> l)
+              a
+          | _ -> on_partition (fun p -> { p with A.part_name = "dup" }) a
+        in
+        let rec apply k a =
+          if k = 0 || A.num_levels a = 0 then a else apply (k - 1) (corrupt a)
+        in
+        let a = apply (Sun_util.Rng.int rng 4) a in
+        agrees ~prefix:"Arch.make: "
+          (raises (fun () ->
+               A.make ~name:a.A.arch_name ~levels:a.A.levels ~mac_energy:a.A.mac_energy
+                 ~mac_throughput:a.A.mac_throughput ()))
+          (Wellformed.check_arch a));
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sun_analysis"
@@ -430,6 +647,7 @@ let () =
           Alcotest.test_case "workloads" `Quick test_workload_wellformed;
           Alcotest.test_case "configs" `Quick test_config_wellformed;
           Alcotest.test_case "workload-arch pairs" `Quick test_pair_wellformed;
+          Alcotest.test_case "duplicate partition names" `Quick test_duplicate_partition_names;
         ] );
       ( "pruning",
         [ Alcotest.test_case "registry is sound" `Quick test_pruning_registry_clean ] );
@@ -439,4 +657,5 @@ let () =
           Alcotest.test_case "differential vs exhaustive" `Slow test_admissibility_differential;
         ] );
       ("capacity", List.map QCheck_alcotest.to_alcotest capacity_agreement_props);
+      ("one owner", List.map QCheck_alcotest.to_alcotest owner_props);
     ]
