@@ -458,8 +458,9 @@ let test_refine_no_build_errors () =
    shared-verdict column counts the bottom-up candidates whose outcome
    was replayed from their group: a change to which candidates share a
    verdict moves it, and the rest of the row only if the sharing was
-   wrong. *)
-let check_counts_pinned ?(config = Opt.default_config) rows =
+   wrong. With [~seed_from] each row is a warm search, seeded with the
+   winner of a cold search of the same layer under that configuration. *)
+let check_counts_pinned ?(config = Opt.default_config) ?seed_from rows =
   List.iter
     (fun (name, arch, examined, evaluated, pruned, eval_errors, tile_fit_tests, shared, edp_bits) ->
       let w =
@@ -467,7 +468,15 @@ let check_counts_pinned ?(config = Opt.default_config) rows =
         | Ok w -> w
         | Error msg -> Alcotest.fail msg
       in
-      match Opt.optimize ~config w arch with
+      let seed =
+        Option.map
+          (fun config ->
+            match Opt.optimize ~config w arch with
+            | Ok r -> Array.to_list r.Opt.mapping.M.levels
+            | Error msg -> Alcotest.failf "%s seed search failed: %s" name msg)
+          seed_from
+      in
+      match Opt.optimize ~config ?seed w arch with
       | Error msg -> Alcotest.failf "%s failed: %s" name msg
       | Ok r ->
         let s = r.Opt.stats in
@@ -508,6 +517,18 @@ let test_other_paths_counts_pinned () =
     ];
   check_counts_pinned ~config:(on Opt.Tiling_first)
     [ ("resnet18/conv3_x", P.simba_like, 5335, 1163, 42, 75, 2763, 463, 0x42c9001a799ed6d6L) ]
+
+(* The seeded fork's two heuristics, pinned. Seeded with its own cold
+   winner, conv4_x keeps the seed as incumbent through every pass, so the
+   enumeration's best gets the second refinement. Seeded with the winner
+   of a beam-1 unrefined search, conv5_x displaces the seed early, and
+   the pruning margin then cuts prefixes the exact test would keep. *)
+let test_warm_counts_pinned () =
+  check_counts_pinned ~seed_from:Opt.default_config
+    [ ("resnet18/conv4_x", P.conventional, 5160, 260, 355, 12, 614, 33, 0x42d342cebd032a45L) ];
+  check_counts_pinned
+    ~seed_from:{ Opt.default_config with Opt.beam_width = 1; refine = false }
+    [ ("resnet18/conv5_x", P.simba_like, 5377, 283, 624, 6, 1298, 86, 0x42d5dd361cc82342L) ]
 
 (* Table VI: the intra-level optimization order barely affects mapping
    quality on realistic layers (tiles cannot saturate the large channel
@@ -829,6 +850,7 @@ let () =
           Alcotest.test_case "cold simba counts pinned" `Quick test_search_counts_pinned;
           Alcotest.test_case "top-down and intra-order counts pinned" `Quick
             test_other_paths_counts_pinned;
+          Alcotest.test_case "warm counts pinned" `Quick test_warm_counts_pinned;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
