@@ -62,6 +62,21 @@ if [ -n "$stray" ]; then
 fi
 echo "one owner per rule: ok"
 
+echo "== one owner for the seeded fork"
+# A warm search differs from a cold one only through Incumbent: the seed
+# slot, the best enumerated mapping kept beside it, the pruning margin and
+# the seed's EDP live in lib/sunstone/incumbent.ml, and the search phases
+# read the margin-applied alpha it exposes. One of these names in any
+# other lib/ module spreads the fork back into the search.
+stray=$(grep -rnw --include='*.ml' -e best_alt -e best_is_seed -e prune_margin -e seed_edp lib |
+  grep -v '^lib/sunstone/incumbent\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "seeded fork: named outside lib/sunstone/incumbent.ml:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+echo "seeded fork: ok"
+
 echo "== sunstone check (static analysis over the registry)"
 dune exec bin/sunstone_cli.exe -- check --admissibility
 

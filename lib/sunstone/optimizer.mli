@@ -27,9 +27,9 @@
     is far bigger and the partial-energy bound is weaker, which is exactly
     the effect Table VI reports. *)
 
-type direction = Bottom_up | Top_down
+type direction = Search_state.direction = Bottom_up | Top_down
 
-type intra_order = Ordering_first | Tiling_first | Unrolling_first
+type intra_order = Search_state.intra_order = Ordering_first | Tiling_first | Unrolling_first
 (** Order in which the per-level sub-optimizations are enumerated (Table
     VI, rows 1-3). Each pass fixes the loop orders first, so only the
     tile/unroll nesting varies: [Unrolling_first] searches tiles under each
@@ -38,7 +38,7 @@ type intra_order = Ordering_first | Tiling_first | Unrolling_first
     identical candidates, counts and EDP; both stay so Table VI keeps its
     three rows and the codec its wire values. *)
 
-type config = {
+type config = Search_state.config = {
   direction : direction;
   intra : intra_order;
   beam_width : int;  (** prefixes kept between passes *)
@@ -95,7 +95,7 @@ type stats = {
 
 type result = { mapping : Sun_mapping.Mapping.t; cost : Sun_cost.Model.cost; stats : stats }
 
-type injection = No_injection | Corrupt_first_build
+type injection = Search_state.injection = No_injection | Corrupt_first_build
 (** Test hook for the error accounting: [Corrupt_first_build] doubles one
     factor of the first candidate a search pass scores, so the row check
     fails exactly once ([stats.build_errors >= 1]) while the search still
