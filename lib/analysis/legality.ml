@@ -4,10 +4,9 @@ module M = Sun_mapping.Mapping
 module D = Diagnostic
 module Probe = Sun_cost.Probe
 
-let level_mismatch ~levels (a : A.t) =
-  D.error D.Level_mismatch
-    (Printf.sprintf "mapping has %d levels, architecture %s has %d" levels a.A.arch_name
-       (A.num_levels a))
+let level_mismatch ~levels a =
+  Option.to_list
+    (Option.map (D.error D.Level_mismatch) (Sun_cost.Model.level_count_violation a levels))
 
 let structural_diagnostic v =
   let msg = M.violation_message v in
@@ -22,14 +21,14 @@ let structural_diagnostic v =
 
 let check_levels ?arch (w : W.t) (levels : M.level_mapping list) =
   let n = List.length levels in
-  (match arch with Some a when n <> A.num_levels a -> [ level_mismatch ~levels:n a ] | _ -> [])
+  (match arch with Some a -> level_mismatch ~levels:n a | None -> [])
   @ List.map structural_diagnostic (M.violations w levels)
 
 let check ?(binding = Fun.id) (w : W.t) (a : A.t) (m : M.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let nlevels = min (M.num_levels m) (A.num_levels a) in
-  if M.num_levels m <> A.num_levels a then add (level_mismatch ~levels:(M.num_levels m) a);
+  List.iter add (level_mismatch ~levels:(M.num_levels m) a);
   let probe = Probe.create w in
   let fit = Probe.fit_table probe w a ~binding in
   let ext = Probe.extents probe in

@@ -6,44 +6,31 @@ module D = Diagnostic
 let arch_diagnostic v =
   let msg = A.violation_message v in
   match (v : A.violation) with
-  | Too_few_levels _ -> D.error D.Arch_malformed msg
-  | Top_bounded { level; _ } | Bad_fanout { level; _ } | No_partitions { level; _ } ->
+  | Too_few_levels _ | Bad_mac_throughput _ -> D.error D.Arch_malformed msg
+  | Top_bounded { level; _ } | Interior_unbounded { level; _ } ->
     D.error ~level D.Arch_malformed msg
+  | Bad_fanout { level; _ } | No_partitions { level; _ } -> D.error ~level D.Arch_malformed msg
   | Negative_capacity { level; partition; _ }
   | Zero_capacity { level; partition; _ }
-  | Duplicate_partition { level; partition; _ } ->
+  | Duplicate_partition { level; partition; _ }
+  | Nonpositive_bandwidth { level; partition; _ } ->
     D.error ~level ~partition D.Arch_malformed msg
 
-(* [Arch.violations] states the rules [Arch.make] enforces; the ones below
-   it does not: only the outermost level may be unbounded, bandwidths are
-   positive, and energies and MAC throughput are in range. *)
+(* [Arch.violations] states the rules [Arch.make] enforces; the two
+   warnings below flag values the model accepts: negative energies. *)
 let check_arch (a : A.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let top = A.num_levels a - 1 in
   List.iteri
     (fun li (l : A.level) ->
-      if l.A.unbounded && li <> top then
-        add
-          (D.error ~level:li D.Arch_malformed
-             (Printf.sprintf "level %s is unbounded but is not the outermost level" l.A.level_name));
       List.iter
         (fun (p : A.partition) ->
-          if p.A.bandwidth <= 0.0 then
-            add
-              (D.error ~level:li ~partition:p.A.part_name D.Arch_malformed
-                 (Printf.sprintf "partition %s has non-positive bandwidth %g" p.A.part_name
-                    p.A.bandwidth));
           if p.A.read_energy < 0.0 || p.A.write_energy < 0.0 then
             add
               (D.warning ~level:li ~partition:p.A.part_name D.Arch_malformed
                  (Printf.sprintf "partition %s has negative access energy" p.A.part_name)))
         l.A.partitions)
     a.A.levels;
-  if a.A.mac_throughput < 1 then
-    add
-      (D.error D.Arch_malformed
-         (Printf.sprintf "mac_throughput %d (must be >= 1)" a.A.mac_throughput));
   if a.A.mac_energy < 0.0 then
     add (D.warning D.Arch_malformed (Printf.sprintf "negative MAC energy %g" a.A.mac_energy));
   List.map arch_diagnostic (A.violations a) @ List.rev !diags

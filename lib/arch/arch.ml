@@ -21,21 +21,29 @@ type t = { arch_name : string; levels : level list; mac_energy : float; mac_thro
 type violation =
   | Too_few_levels of int
   | Top_bounded of { level : int; name : string }
+  | Interior_unbounded of { level : int; name : string }
   | Bad_fanout of { level : int; name : string; fanout : int }
   | No_partitions of { level : int; name : string }
   | Negative_capacity of { level : int; partition : string; capacity : int }
   | Zero_capacity of { level : int; name : string; partition : string }
   | Duplicate_partition of { level : int; name : string; partition : string }
+  | Nonpositive_bandwidth of { level : int; partition : string; bandwidth : float }
+  | Bad_mac_throughput of int
 
 let violation_message = function
   | Too_few_levels _ -> "need at least two levels"
   | Top_bounded _ -> "outermost level must be unbounded (DRAM)"
+  | Interior_unbounded { name; _ } ->
+    Printf.sprintf "level %s is unbounded but is not the outermost level" name
   | Bad_fanout { name; _ } -> Printf.sprintf "fanout of %s < 1" name
   | No_partitions { name; _ } -> Printf.sprintf "level %s has no partitions" name
   | Negative_capacity { partition; _ } -> Printf.sprintf "negative capacity in %s" partition
   | Zero_capacity { name; _ } -> Printf.sprintf "zero capacity in bounded level %s" name
   | Duplicate_partition { name; partition; _ } ->
     Printf.sprintf "level %s has two partitions named %s" name partition
+  | Nonpositive_bandwidth { partition; bandwidth; _ } ->
+    Printf.sprintf "partition %s has non-positive bandwidth %g" partition bandwidth
+  | Bad_mac_throughput n -> Printf.sprintf "mac_throughput %d (must be >= 1)" n
 
 let violations t =
   let found = ref [] in
@@ -48,6 +56,7 @@ let violations t =
   List.iteri
     (fun level l ->
       let name = l.level_name in
+      if l.unbounded && level < n - 1 then report (Interior_unbounded { level; name });
       if l.fanout < 1 then report (Bad_fanout { level; name; fanout = l.fanout });
       if l.partitions = [] then report (No_partitions { level; name });
       let rec parts earlier = function
@@ -60,10 +69,13 @@ let violations t =
             report (Zero_capacity { level; name; partition });
           if List.mem partition earlier then
             report (Duplicate_partition { level; name; partition });
+          if p.bandwidth <= 0.0 then
+            report (Nonpositive_bandwidth { level; partition; bandwidth = p.bandwidth });
           parts (partition :: earlier) rest
       in
       parts [] l.partitions)
     t.levels;
+  if t.mac_throughput < 1 then report (Bad_mac_throughput t.mac_throughput);
   List.rev !found
 
 let make ~name ~levels ~mac_energy ?(mac_throughput = 1) () =

@@ -38,6 +38,8 @@ type t = {
 type violation =
   | Too_few_levels of int
   | Top_bounded of { level : int; name : string }
+  | Interior_unbounded of { level : int; name : string }
+      (** only the outermost level may skip capacity checks *)
   | Bad_fanout of { level : int; name : string; fanout : int }
   | No_partitions of { level : int; name : string }
   | Negative_capacity of { level : int; partition : string; capacity : int }
@@ -45,11 +47,16 @@ type violation =
       (** a capacity of 0 at a bounded level *)
   | Duplicate_partition of { level : int; name : string; partition : string }
       (** partitions match by name: each would be charged both's operands *)
+  | Nonpositive_bandwidth of { level : int; partition : string; bandwidth : float }
+      (** the model divides traffic by bandwidth *)
+  | Bad_mac_throughput of int  (** the model divides the MACs by it *)
 
 val violations : t -> violation list
 (** The architecture's structural rules, checked in this order: the level
-    count, an unbounded outermost level, then per level its fanout and
-    partition list, and per partition its capacity and a unique name. *)
+    count, an unbounded outermost level, then per level that only the
+    outermost is unbounded, its fanout and its partition list, per
+    partition its capacity, a unique name and a positive bandwidth, and
+    last a MAC throughput of at least 1. *)
 
 val violation_message : violation -> string
 

@@ -477,11 +477,13 @@ let validate_lay ctx lay =
   done;
   match ctx.sc_violation with None -> Ok () | Some msg -> Error msg
 
-let validate_ctx ctx m =
-  if M.num_levels m <> ctx.nlevels then
-    Error
-      (Printf.sprintf "mapping has %d levels, architecture has %d" (M.num_levels m) ctx.nlevels)
-  else validate_lay ctx (convert_into ctx m)
+let level_count_violation (a : A.t) levels =
+  let n = A.num_levels a in
+  if levels = n then None
+  else
+    Some
+      (* sunstone-lint: allow SA070 rejected-candidate path only *)
+      (Printf.sprintf "mapping has %d levels, architecture %s has %d" levels a.A.arch_name n)
 
 (* ------------------------------------------------------------------ *)
 (* Access counting                                                      *)
@@ -781,14 +783,11 @@ let tel_rejected = Sun_telemetry.Metrics.counter "model.evaluate_rejected"
    because the [Ok lay] wrapper was the last per-call allocation of the
    accepted score path. *)
 let level_count_ok ctx nlevels =
-  nlevels = ctx.nlevels
-  || begin
-       ctx.sc_violation <-
-         Some
-           (* sunstone-lint: allow SA070 rejected-candidate path only *)
-           (Printf.sprintf "mapping has %d levels, architecture has %d" nlevels ctx.nlevels);
-       false
-     end
+  match level_count_violation ctx.arch nlevels with
+  | None -> true
+  | violation ->
+    ctx.sc_violation <- violation;
+    false
 
 let lay_ok ctx lay = match validate_lay ctx lay with Ok () -> true | Error _ -> false
 
@@ -799,6 +798,8 @@ let prepare_rows ctx (r : M.Rows.t) =
 
 let violation_message ctx =
   match ctx.sc_violation with Some msg -> msg | None -> "mapping is valid"
+
+let validate_ctx ctx m = if prepare ctx m then Ok () else Error (violation_message ctx)
 
 (* The accepted path writes the context-owned score and returns the
    preallocated [Ok]; telemetry counts each call once. *)

@@ -78,6 +78,11 @@ val partitions : ctx -> (string * int) array
     gid order — level-major, declaration order within a level. Pinned by a
     unit test; serialized caches depend on this order being stable. *)
 
+val level_count_violation : Sun_arch.Arch.t -> int -> string option
+(** The level-count rule (SA005) for every checker: [Some] message when a
+    mapping with the given number of levels does not have one level per
+    architecture level. *)
+
 val validate_ctx : ctx -> Sun_mapping.Mapping.t -> (unit, string) result
 val evaluate_ctx : ctx -> Sun_mapping.Mapping.t -> (cost, string) result
 

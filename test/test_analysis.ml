@@ -197,6 +197,30 @@ let test_structural_violations () =
   check_codes "level count" [ "SA005" ]
     (Legality.check_levels ~arch:toy conv1d [ unit_level; top_level ])
 
+(* The level-count rule (SA005) has one owner, the model's: the model
+   and both legality checks reject the same mismatches, with one
+   message, and accept the same match. *)
+let test_level_count () =
+  let n_toy = A.num_levels toy in
+  let sa005 =
+    List.filter_map (fun (d : D.t) -> if d.D.code = D.Level_mismatch then Some d.D.message else None)
+  in
+  List.iter
+    (fun n ->
+      let m = M.single_level conv1d ~num_levels:n in
+      let what = Printf.sprintf "%d levels" n in
+      let expected =
+        if n = n_toy then []
+        else [ Printf.sprintf "mapping has %d levels, architecture toy has %d" n n_toy ]
+      in
+      Alcotest.(check (list string)) (what ^ ": Model.validate") expected
+        (match Sun_cost.Model.validate conv1d toy m with Ok () -> [] | Error msg -> [ msg ]);
+      Alcotest.(check (list string)) (what ^ ": Legality.check") expected
+        (sa005 (Legality.check conv1d toy m));
+      Alcotest.(check (list string)) (what ^ ": Legality.check_levels") expected
+        (sa005 (Legality.check_levels ~arch:toy conv1d (Array.to_list m.M.levels))))
+    [ 1; 2; n_toy; n_toy + 1 ]
+
 (* ------------------------------------------------------------------ *)
 (* Well-formedness (pass 4)                                             *)
 (* ------------------------------------------------------------------ *)
@@ -222,6 +246,36 @@ let test_arch_wellformed () =
   check_codes "zero bandwidth" [ "SA020" ]
     (Wellformed.check_arch
        (set_level 0 (set_partitions (fun p -> { p with A.bandwidth = 0.0 })) toy))
+
+(* The rules the cost model divides by are [Arch]'s own: [make] raises,
+   the codec refuses the document, and the checker renders the same
+   message as SA020. *)
+let test_arch_model_rules () =
+  List.iter
+    (fun (what, (a : A.t), msg) ->
+      (match
+         A.make ~name:a.A.arch_name ~levels:a.A.levels ~mac_energy:a.A.mac_energy
+           ~mac_throughput:a.A.mac_throughput ()
+       with
+      | exception Invalid_argument e -> Alcotest.(check string) (what ^ ": make") ("Arch.make: " ^ msg) e
+      | _ -> Alcotest.failf "%s: make accepts" what);
+      (match Sun_serve.Codec.decode_arch (Sun_serve.Codec.encode_arch a) with
+      | Error e -> Alcotest.(check string) (what ^ ": decode") ("Arch.make: " ^ msg) e
+      | Ok _ -> Alcotest.failf "%s: decode accepts" what);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": check") [ ("SA020", msg) ]
+        (List.map
+           (fun (d : D.t) -> (D.code_id d.D.code, d.D.message))
+           (D.errors (Wellformed.check_arch a))))
+    [
+      ( "interior unbounded",
+        set_level 0 (fun l -> { l with A.unbounded = true }) toy,
+        "level L1 is unbounded but is not the outermost level" );
+      ( "zero bandwidth",
+        set_level 0 (set_partitions (fun p -> { p with A.bandwidth = 0.0 })) toy,
+        "partition L1 has non-positive bandwidth 0" );
+      ("zero MAC throughput", { toy with A.mac_throughput = 0 }, "mac_throughput 0 (must be >= 1)");
+    ]
 
 let test_workload_wellformed () =
   List.iter
@@ -596,7 +650,7 @@ let owner_props =
                 { l with A.partitions = List.mapi (fun j p -> if j = i then f p else p) ps })
         in
         let corrupt (a : A.t) =
-          match Sun_util.Rng.int rng 7 with
+          match Sun_util.Rng.int rng 10 with
           | 0 -> { a with A.levels = List.tl a.A.levels }
           | 1 -> set_level (A.num_levels a - 1) (fun l -> { l with A.unbounded = false }) a
           | 2 -> on_level (fun l -> { l with A.fanout = -Sun_util.Rng.int rng 2 }) a
@@ -609,7 +663,10 @@ let owner_props =
                 | p :: _ -> { l with A.partitions = p :: l.A.partitions }
                 | [] -> l)
               a
-          | _ -> on_partition (fun p -> { p with A.part_name = "dup" }) a
+          | 6 -> on_partition (fun p -> { p with A.part_name = "dup" }) a
+          | 7 -> on_level (fun l -> { l with A.unbounded = true }) a
+          | 8 -> on_partition (fun p -> { p with A.bandwidth = -.Sun_util.Rng.float rng 1.0 }) a
+          | _ -> { a with A.mac_throughput = -Sun_util.Rng.int rng 2 }
         in
         let rec apply k a =
           if k = 0 || A.num_levels a = 0 then a else apply (k - 1) (corrupt a)
@@ -640,10 +697,12 @@ let () =
           Alcotest.test_case "capacity overflow (SA001)" `Quick test_capacity_overflow;
           Alcotest.test_case "unroll overflow (SA002)" `Quick test_unroll_overflow;
           Alcotest.test_case "structural violations" `Quick test_structural_violations;
+          Alcotest.test_case "level count (SA005)" `Quick test_level_count;
         ] );
       ( "wellformed",
         [
           Alcotest.test_case "architectures" `Quick test_arch_wellformed;
+          Alcotest.test_case "rules the model divides by" `Quick test_arch_model_rules;
           Alcotest.test_case "workloads" `Quick test_workload_wellformed;
           Alcotest.test_case "configs" `Quick test_config_wellformed;
           Alcotest.test_case "workload-arch pairs" `Quick test_pair_wellformed;
