@@ -25,7 +25,15 @@
     Top-down (the Table VI ablation) runs the same per-level machinery from
     DRAM inward; because on-chip capacities are large, its per-pass frontier
     is far bigger and the partial-energy bound is weaker, which is exactly
-    the effect Table VI reports. *)
+    the effect Table VI reports.
+
+    This module is the driver. The phases are private modules of
+    [sun_core]: [Search_state] (one call's state and the row, tile and
+    unroll helpers), [Enumeration] (a bottom-up pass's groups and
+    candidates), [Bottom_up] (the per-candidate bound, score and beam,
+    and the pass loop), [Top_down], and [Incumbent], which owns the
+    incumbent and everything a transferred seed changes: the pruning
+    margin and the second refinement. *)
 
 type direction = Search_state.direction = Bottom_up | Top_down
 

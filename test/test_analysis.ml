@@ -702,11 +702,11 @@ let () =
       ( "wellformed",
         [
           Alcotest.test_case "architectures" `Quick test_arch_wellformed;
-          Alcotest.test_case "rules the model divides by" `Quick test_arch_model_rules;
           Alcotest.test_case "workloads" `Quick test_workload_wellformed;
           Alcotest.test_case "configs" `Quick test_config_wellformed;
           Alcotest.test_case "workload-arch pairs" `Quick test_pair_wellformed;
           Alcotest.test_case "duplicate partition names" `Quick test_duplicate_partition_names;
+          Alcotest.test_case "rules the model divides by" `Quick test_arch_model_rules;
         ] );
       ( "pruning",
         [ Alcotest.test_case "registry is sound" `Quick test_pruning_registry_clean ] );
