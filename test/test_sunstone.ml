@@ -233,7 +233,7 @@ let test_optimizer_finds_valid () =
     Alcotest.(check bool) "evaluated counted" true (r.Opt.stats.Opt.evaluated > 0);
     Alcotest.(check int) "no build errors on a natural search" 0 r.Opt.stats.Opt.build_errors
 
-(* Regression: Optimizer.score used to swallow Mapping.make failures
+(* Regression: the optimizer's score used to swallow Mapping.make failures
    silently. An injected corruption of the first scored candidate (its
    first temporal factor is doubled, breaking exact dimension coverage)
    must surface in stats.build_errors while the search still succeeds on
