@@ -203,7 +203,8 @@ let test_structural_violations () =
 let test_level_count () =
   let n_toy = A.num_levels toy in
   let sa005 =
-    List.filter_map (fun (d : D.t) -> if d.D.code = D.Level_mismatch then Some d.D.message else None)
+    List.filter_map (fun (d : D.t) ->
+        if d.D.code = D.Level_mismatch then Some d.D.message else None)
   in
   List.iter
     (fun n ->
@@ -257,7 +258,8 @@ let test_arch_model_rules () =
          A.make ~name:a.A.arch_name ~levels:a.A.levels ~mac_energy:a.A.mac_energy
            ~mac_throughput:a.A.mac_throughput ()
        with
-      | exception Invalid_argument e -> Alcotest.(check string) (what ^ ": make") ("Arch.make: " ^ msg) e
+      | exception Invalid_argument e ->
+        Alcotest.(check string) (what ^ ": make") ("Arch.make: " ^ msg) e
       | _ -> Alcotest.failf "%s: make accepts" what);
       (match Sun_serve.Codec.decode_arch (Sun_serve.Codec.encode_arch a) with
       | Error e -> Alcotest.(check string) (what ^ ": decode") ("Arch.make: " ^ msg) e
