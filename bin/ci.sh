@@ -25,11 +25,23 @@ echo "== bench/perf smoke (every benchmark code path on tiny inputs)"
 # that breaks what the benchmark checks fails here rather than in a run.
 dune exec bench/perf/perf.exe -- --smoke >/dev/null
 
-echo "== sunstone check --src (srclint scan of lib/, bin/ and bench/)"
+echo "== srclint (source scan of lib/, bin/ and bench/)"
 # The rules themselves are gated by test_srclint in dune runtest: every
-# fixture must fire, the cross-module pairs must need the directory scan,
-# and SA063's lib/cost scope must neither over- nor under-reach.
-dune exec bin/sunstone_cli.exe -- check --src --json >/dev/null
+# fixture must fire, every source code of the SA table must fire on some
+# fixture, and the cross-module pair must need the directory scan.
+dune exec bin/srclint.exe -- --json >/dev/null
+
+echo "== the shipped binary links no linter"
+# The source linter is a development tool (lib/srclint, bin/srclint.ml).
+# A symbol of one of its modules in the sunstone binary means the shipped
+# scheduler links it again.
+linked=$(nm _build/default/bin/sunstone_cli.exe |
+  grep -c 'camlSun_\(analysis\|srclint\)__\(Lexer\|Srcmod\|Rules\|Allocsum\|Suppress\|Srclint\)' || true)
+if [ "$linked" -ne 0 ]; then
+  echo "shipped binary: sunstone links $linked linter symbol(s)" >&2
+  exit 1
+fi
+echo "shipped binary: ok (no linter symbols)"
 
 echo "== capacity predicate (one owner of the partition membership rule)"
 # Which operands share a partition is decided by Probe.stored_by_partition
@@ -80,7 +92,7 @@ echo "seeded fork: ok"
 echo "== sunstone check (static analysis over the registry)"
 dune exec bin/sunstone_cli.exe -- check --admissibility
 
-echo "== sunstone audit (differential pruning oracles + unit lint)"
+echo "== sunstone audit (differential pruning oracles)"
 dune exec bin/sunstone_cli.exe -- audit --kernels 3
 
 echo "== audit injection (a broken pruning rule must fail the audit)"

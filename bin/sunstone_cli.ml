@@ -412,17 +412,6 @@ let check_cmd =
     let doc = "Emit machine-readable JSON instead of human-readable lines." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let src_arg =
-    let doc =
-      "Run the srclint source-analysis pass over the repository at $(docv) (default $(b,.)) \
-       instead of the registry passes: fork-safety, event-loop blocking, fd discipline, \
-       signal-handler safety, determinism and exception-swallowing rules over the lib/, bin/ \
-       and bench/ subtrees. Findings are silenced by inline comments of the form (* \
-       sunstone-lint: allow SAxxx reason *); suppressions matching nothing are reported as \
-       stale."
-    in
-    Arg.(value & opt ~vopt:(Some ".") (some string) None & info [ "src" ] ~docv:"DIR" ~doc)
-  in
   let list_rules_arg =
     let doc =
       "Print the full SA diagnostic code table (code, severity, summary, scope) and exit."
@@ -449,44 +438,17 @@ let check_cmd =
         table;
     0
   in
-  let check_src ~json dir =
-    let roots =
-      List.filter
-        (fun p -> Sys.file_exists p && Sys.is_directory p)
-        (List.map (Filename.concat dir) [ "lib"; "bin"; "bench" ])
-    in
-    if roots = [] then begin
-      Printf.eprintf "cannot scan %s: no lib/, bin/ or bench/ subtree\n" dir;
-      1
-    end
-    else begin
-      let r = Sun_analysis.Srclint.scan ~roots () in
-      print_check_results ~json
-        [
-          {
-            pass = "srclint";
-            subject = String.concat " " (List.map Filename.basename roots);
-            note =
-              Printf.sprintf "%d files, %d tokens scanned, %d suppressed hit(s)"
-                r.Sun_analysis.Srclint.files_scanned r.Sun_analysis.Srclint.tokens_seen
-                r.Sun_analysis.Srclint.suppressed;
-            diags = Sun_analysis.Srclint.diagnostics r;
-          };
-        ]
-    end
-  in
-  let run mapping_file admissibility json src list_rules_flag =
+  let run mapping_file admissibility json list_rules_flag =
     if list_rules_flag then list_rules ~json
     else
-    match (mapping_file, src) with
-    | Some file, _ -> (
+    match mapping_file with
+    | Some file -> (
       match check_mapping_file file with
       | Error msg ->
         Printf.eprintf "cannot check %s: %s\n" file msg;
         1
       | Ok r -> print_check_results ~json [ r ])
-    | None, Some dir -> check_src ~json dir
-    | None, None ->
+    | None ->
       let wellformed =
         List.map
           (fun (name, a) ->
@@ -540,9 +502,9 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:
          "Run the static-analysis passes: mapping legality, pruning soundness, bound \
-          admissibility, config/arch well-formedness, (with $(b,--src)) the srclint source \
-          scan, and (with $(b,--list-rules)) the SA code table")
-    Term.(const run $ mapping_arg $ admissibility_arg $ json_arg $ src_arg $ list_rules_arg)
+          admissibility, config/arch well-formedness, and (with $(b,--list-rules)) the SA code \
+          table")
+    Term.(const run $ mapping_arg $ admissibility_arg $ json_arg $ list_rules_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sunstone audit: the mapspace auditor                                 *)
@@ -591,25 +553,12 @@ let audit_cmd =
           })
         (Audit.check_kernels ~inject ~limit:kernels ())
     in
-    let units =
-      List.map
-        (fun (r : Sun_analysis.Unitlint.report) ->
-          {
-            pass = "units";
-            subject = r.Sun_analysis.Unitlint.arch;
-            note =
-              Printf.sprintf "%d quantities checked" r.Sun_analysis.Unitlint.quantities_checked;
-            diags = r.Sun_analysis.Unitlint.diagnostics;
-          })
-        (Sun_analysis.Unitlint.check_presets ())
-    in
-    print_check_results ~json (audits @ units)
+    print_check_results ~json audits
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Run the mapspace auditor: differential trie/tiling oracles against brute force and \
-          the cost-model unit lint")
+         "Run the mapspace auditor: differential trie/tiling oracles against brute force")
     Term.(const run $ kernels_arg $ json_arg $ inject_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -22,23 +22,10 @@ type code =
   | Frontier_incomplete
   | Best_mismatch
   | Cost_drift
-  | Marshal_outside_pool
-  | Fork_outside_pool
-  | Shared_channel_write
-  | Toplevel_mutable
   | Partial_function
-  | Unit_nonfinite
-  | Unit_negative
-  | Unit_implausible
-  | Blocking_in_loop
-  | Fd_leak
-  | Signal_unsafe
-  | Nondeterminism
   | Exception_swallowed
   | Stale_suppression
   | Hot_allocation
-  | Hot_io
-  | Hot_nontail
   | Hot_unresolved
   | Hot_stale
 
@@ -73,23 +60,10 @@ let code_id = function
   | Frontier_incomplete -> "SA035"
   | Best_mismatch -> "SA036"
   | Cost_drift -> "SA037"
-  | Marshal_outside_pool -> "SA040"
-  | Fork_outside_pool -> "SA041"
-  | Shared_channel_write -> "SA042"
-  | Toplevel_mutable -> "SA043"
   | Partial_function -> "SA044"
-  | Unit_nonfinite -> "SA050"
-  | Unit_negative -> "SA051"
-  | Unit_implausible -> "SA052"
-  | Blocking_in_loop -> "SA060"
-  | Fd_leak -> "SA061"
-  | Signal_unsafe -> "SA062"
-  | Nondeterminism -> "SA063"
   | Exception_swallowed -> "SA064"
   | Stale_suppression -> "SA065"
   | Hot_allocation -> "SA070"
-  | Hot_io -> "SA071"
-  | Hot_nontail -> "SA072"
   | Hot_unresolved -> "SA073"
   | Hot_stale -> "SA074"
 
@@ -115,23 +89,10 @@ let code_name = function
   | Frontier_incomplete -> "frontier-incomplete"
   | Best_mismatch -> "pruned-best-mismatch"
   | Cost_drift -> "cost-drift"
-  | Marshal_outside_pool -> "marshal-outside-pool"
-  | Fork_outside_pool -> "fork-outside-pool"
-  | Shared_channel_write -> "shared-channel-write"
-  | Toplevel_mutable -> "toplevel-mutable-state"
   | Partial_function -> "partial-function"
-  | Unit_nonfinite -> "unit-nonfinite"
-  | Unit_negative -> "unit-negative"
-  | Unit_implausible -> "unit-implausible"
-  | Blocking_in_loop -> "blocking-in-event-loop"
-  | Fd_leak -> "fd-leak"
-  | Signal_unsafe -> "signal-handler-unsafe"
-  | Nondeterminism -> "determinism-hazard"
   | Exception_swallowed -> "exception-swallowed"
   | Stale_suppression -> "stale-suppression"
   | Hot_allocation -> "hot-path-allocation"
-  | Hot_io -> "hot-path-io"
-  | Hot_nontail -> "hot-path-nontail-recursion"
   | Hot_unresolved -> "hot-annotation-unresolved"
   | Hot_stale -> "hot-annotation-stale"
 
@@ -141,10 +102,8 @@ let all_codes =
     Nonpositive_factor; Pruning_unsound; Bound_overshoot; Optimum_pruned; Arch_malformed;
     Config_invalid; Workload_malformed; Operand_unstored; Order_not_subsumed; Trie_incomplete;
     Frontier_not_maximal; Frontier_overflow; Frontier_incomplete; Best_mismatch; Cost_drift;
-    Marshal_outside_pool; Fork_outside_pool; Shared_channel_write;
-    Toplevel_mutable; Partial_function; Unit_nonfinite; Unit_negative; Unit_implausible;
-    Blocking_in_loop; Fd_leak; Signal_unsafe; Nondeterminism; Exception_swallowed;
-    Stale_suppression; Hot_allocation; Hot_io; Hot_nontail; Hot_unresolved; Hot_stale;
+    Partial_function; Exception_swallowed; Stale_suppression; Hot_allocation; Hot_unresolved;
+    Hot_stale;
   ]
 
 let code_of_id id = List.find_opt (fun c -> code_id c = id) all_codes
@@ -160,7 +119,7 @@ let code_summary = function
   | Pruning_unsound -> "a dim dropped by the search is not a non-reuse dim"
   | Bound_overshoot -> "committed-level energy exceeds a complete mapping's energy"
   | Optimum_pruned -> "the alpha-beta search lost the reference optimum"
-  | Arch_malformed -> "interior unbounded level, empty/zero-capacity partition, or bad fanout"
+  | Arch_malformed -> "an architecture breaks an Arch.violations rule; a negative energy warns"
   | Config_invalid -> "optimizer config outside its documented domain"
   | Workload_malformed -> "workload breaks its own structural invariants"
   | Operand_unstored -> "no partition at any level accepts an operand's role"
@@ -171,23 +130,10 @@ let code_summary = function
   | Frontier_incomplete -> "frontier differs from the brute-force maximal set"
   | Best_mismatch -> "pruned-search best differs from the exhaustive best"
   | Cost_drift -> "a served mapping's claimed cost differs on re-evaluation"
-  | Marshal_outside_pool -> "Marshal used outside the fork pool module"
-  | Fork_outside_pool -> "Unix.fork used outside the fork pool module"
-  | Shared_channel_write -> "stdout/stderr write from library (worker-reachable) code"
-  | Toplevel_mutable -> "mutable toplevel state reachable from worker code"
   | Partial_function -> "banned partial function or escape hatch in lib/"
-  | Unit_nonfinite -> "a cost-model quantity is NaN or infinite"
-  | Unit_negative -> "a cost-model quantity that must be nonnegative is negative"
-  | Unit_implausible -> "a cost-model quantity far outside its plausible range"
-  | Blocking_in_loop -> "blocking syscall reachable from the serve event loop"
-  | Fd_leak -> "fd created but never closed (or forwarded to on_child_fork) in its module"
-  | Signal_unsafe -> "signal handler does more than set a ref/Atomic flag"
-  | Nondeterminism -> "Hashtbl order, wall clock, or Random outside sanctioned modules"
   | Exception_swallowed -> "try ... with _ -> silently discarding the error in lib/"
   | Stale_suppression -> "an inline lint suppression matching no hit"
   | Hot_allocation -> "allocation reachable from a declared hot root"
-  | Hot_io -> "IO or a broad raise reachable from a declared hot root"
-  | Hot_nontail -> "non-tail self-recursion reachable from a declared hot root"
   | Hot_unresolved -> "a (* sunstone-hot *) annotation the call graph cannot resolve"
   | Hot_stale -> "a stale or duplicate (* sunstone-hot *) annotation"
 
@@ -200,16 +146,9 @@ let code_scope = function
   | Order_not_subsumed | Trie_incomplete | Frontier_not_maximal | Frontier_overflow
   | Frontier_incomplete | Best_mismatch | Cost_drift ->
     "mapspace audit"
-  | Marshal_outside_pool | Fork_outside_pool | Shared_channel_write | Toplevel_mutable
-  | Partial_function ->
-    "src: lib/"
-  | Unit_nonfinite | Unit_negative | Unit_implausible -> "cost-model units"
-  | Blocking_in_loop -> "src: lib/serve"
-  | Fd_leak | Signal_unsafe | Exception_swallowed -> "src: lib/"
-  | Nondeterminism -> "src: lib/serve, lib/cost"
+  | Partial_function | Exception_swallowed -> "src: lib/"
   | Stale_suppression -> "src: any scanned file"
-  | Hot_allocation | Hot_io | Hot_nontail | Hot_unresolved | Hot_stale ->
-    "src: (* sunstone-hot *) roots, whole program"
+  | Hot_allocation | Hot_unresolved | Hot_stale -> "src: (* sunstone-hot *) roots, whole program"
 
 let nominal_severity = function
   | Stale_suppression -> Warning
@@ -227,8 +166,6 @@ let rule_table () =
   List.map
     (fun c -> (code_id c, severity_name (nominal_severity c), code_summary c, code_scope c))
     all_codes
-
-let no_location = { level = None; dim = None; operand = None; partition = None }
 
 let make severity ?level ?dim ?operand ?partition code message =
   { code; severity; where = { level; dim; operand; partition }; message }

@@ -20,7 +20,8 @@ type code =
   | Pruning_unsound  (** SA010: a dim dropped by the search is not a non-reuse dim *)
   | Bound_overshoot  (** SA011: committed-level energy exceeds a complete mapping's energy *)
   | Optimum_pruned  (** SA012: the alpha-beta search lost the reference optimum *)
-  | Arch_malformed  (** SA020: interior unbounded level, empty/zero-capacity partition, bad fanout *)
+  | Arch_malformed
+      (** SA020: an {!Sun_arch.Arch.violations} rule is broken; a negative energy warns *)
   | Config_invalid  (** SA021: optimizer config outside its documented domain *)
   | Workload_malformed  (** SA022: workload breaks its own structural invariants *)
   | Operand_unstored  (** SA030: no partition at any level accepts an operand's role *)
@@ -31,23 +32,10 @@ type code =
   | Frontier_incomplete  (** SA035: frontier differs from the brute-force maximal set *)
   | Best_mismatch  (** SA036: pruned-search best differs from the exhaustive best *)
   | Cost_drift  (** SA037: a served mapping's claimed cost differs on re-evaluation *)
-  | Marshal_outside_pool  (** SA040: [Marshal] used outside the fork pool module *)
-  | Fork_outside_pool  (** SA041: [Unix.fork] used outside the fork pool module *)
-  | Shared_channel_write  (** SA042: stdout/stderr write from library (worker-reachable) code *)
-  | Toplevel_mutable  (** SA043: mutable toplevel state reachable from worker code *)
   | Partial_function  (** SA044: banned partial function or escape hatch in lib/ *)
-  | Unit_nonfinite  (** SA050: a cost-model quantity is NaN or infinite *)
-  | Unit_negative  (** SA051: a cost-model quantity that must be nonnegative is negative *)
-  | Unit_implausible  (** SA052: a cost-model quantity far outside its plausible range *)
-  | Blocking_in_loop  (** SA060: blocking syscall reachable from the [serve] event loop *)
-  | Fd_leak  (** SA061: fd created but never closed (or forwarded to [on_child_fork]) in its module *)
-  | Signal_unsafe  (** SA062: signal handler does more than set a [ref]/[Atomic] flag *)
-  | Nondeterminism  (** SA063: Hashtbl iteration order, wall clock, or [Random] outside sanctioned modules *)
   | Exception_swallowed  (** SA064: [try ... with _ ->] silently discarding the error in lib/ *)
   | Stale_suppression  (** SA065: an inline lint suppression matching no hit *)
   | Hot_allocation  (** SA070: allocation reachable from a [(* sunstone-hot *)] root *)
-  | Hot_io  (** SA071: IO or a broad [raise] reachable from a hot root *)
-  | Hot_nontail  (** SA072: non-tail self-recursion reachable from a hot root *)
   | Hot_unresolved  (** SA073: hot annotation on a function the call graph cannot find *)
   | Hot_stale  (** SA074: stale or duplicate hot annotation *)
 
@@ -72,18 +60,6 @@ val all_codes : code list
 val code_of_id : string -> code option
 (** Inverse of {!code_id}; [None] on unknown ids. *)
 
-val code_summary : code -> string
-(** One-line human summary of what the code flags; exhaustive over {!code},
-    so adding a constructor without a summary is a compile error. *)
-
-val code_scope : code -> string
-(** Short description of where the pass looks (registry pass, source subtree,
-    hot roots, ...). *)
-
-val nominal_severity : code -> severity
-(** The severity the code is normally reported at; individual diagnostics may
-    downgrade (e.g. informational skips). *)
-
 val rule_table : unit -> (string * string * string * string) list
 (** [(id, severity, summary, scope)] for every code in {!all_codes}, in SA-id
     order — the single source of truth behind [sunstone check --list-rules]. *)
@@ -92,8 +68,6 @@ val severity_name : severity -> string
 
 val severity_of_name : string -> severity option
 (** Inverse of {!severity_name}. *)
-
-val no_location : location
 
 val error :
   ?level:int -> ?dim:string -> ?operand:string -> ?partition:string -> code -> string -> t

@@ -15,25 +15,20 @@ let arch_diagnostic v =
   | Duplicate_partition { level; partition; _ }
   | Nonpositive_bandwidth { level; partition; _ } ->
     D.error ~level ~partition D.Arch_malformed msg
+  | Nonfinite_energy e -> D.error ?level:e.e_level ?partition:e.e_partition D.Arch_malformed msg
 
-(* [Arch.violations] states the rules [Arch.make] enforces; the two
-   warnings below flag values the model accepts: negative energies. *)
+(* [Arch.violations] states the rules [Arch.make] enforces; the warnings
+   flag a value the model accepts: a negative energy. *)
 let check_arch (a : A.t) =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  List.iteri
-    (fun li (l : A.level) ->
-      List.iter
-        (fun (p : A.partition) ->
-          if p.A.read_energy < 0.0 || p.A.write_energy < 0.0 then
-            add
-              (D.warning ~level:li ~partition:p.A.part_name D.Arch_malformed
-                 (Printf.sprintf "partition %s has negative access energy" p.A.part_name)))
-        l.A.partitions)
-    a.A.levels;
-  if a.A.mac_energy < 0.0 then
-    add (D.warning D.Arch_malformed (Printf.sprintf "negative MAC energy %g" a.A.mac_energy));
-  List.map arch_diagnostic (A.violations a) @ List.rev !diags
+  List.map arch_diagnostic (A.violations a)
+  @ List.filter_map
+      (fun (e : A.energy) ->
+        if e.A.e_pj < 0.0 then
+          Some
+            (D.warning ?level:e.A.e_level ?partition:e.A.e_partition D.Arch_malformed
+               (Printf.sprintf "%s is negative (%g)" e.A.e_name e.A.e_pj))
+        else None)
+      (A.energies a)
 
 let check_workload (w : W.t) =
   List.map

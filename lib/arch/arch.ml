@@ -18,6 +18,8 @@ type level = {
 
 type t = { arch_name : string; levels : level list; mac_energy : float; mac_throughput : int }
 
+type energy = { e_level : int option; e_partition : string option; e_name : string; e_pj : float }
+
 type violation =
   | Too_few_levels of int
   | Top_bounded of { level : int; name : string }
@@ -29,6 +31,7 @@ type violation =
   | Duplicate_partition of { level : int; name : string; partition : string }
   | Nonpositive_bandwidth of { level : int; partition : string; bandwidth : float }
   | Bad_mac_throughput of int
+  | Nonfinite_energy of energy
 
 let violation_message = function
   | Too_few_levels _ -> "need at least two levels"
@@ -44,6 +47,25 @@ let violation_message = function
   | Nonpositive_bandwidth { partition; bandwidth; _ } ->
     Printf.sprintf "partition %s has non-positive bandwidth %g" partition bandwidth
   | Bad_mac_throughput n -> Printf.sprintf "mac_throughput %d (must be >= 1)" n
+  | Nonfinite_energy e -> Printf.sprintf "%s is not finite (%g)" e.e_name e.e_pj
+
+let energies t =
+  let energy e_level e_partition e_name e_pj = { e_level; e_partition; e_name; e_pj } in
+  List.concat
+    (List.mapi
+       (fun level l ->
+         let at = Some level in
+         List.concat_map
+           (fun p ->
+             let part = Some p.part_name in
+             [
+               energy at part ("read energy of partition " ^ p.part_name) p.read_energy;
+               energy at part ("write energy of partition " ^ p.part_name) p.write_energy;
+             ])
+           l.partitions
+         @ [ energy at None ("NoC hop energy of level " ^ l.level_name) l.noc_hop_energy ])
+       t.levels)
+  @ [ energy None None "MAC energy" t.mac_energy ]
 
 let violations t =
   let found = ref [] in
@@ -69,13 +91,16 @@ let violations t =
             report (Zero_capacity { level; name; partition });
           if List.mem partition earlier then
             report (Duplicate_partition { level; name; partition });
-          if p.bandwidth <= 0.0 then
+          if not (p.bandwidth > 0.0) then
             report (Nonpositive_bandwidth { level; partition; bandwidth = p.bandwidth });
           parts (partition :: earlier) rest
       in
       parts [] l.partitions)
     t.levels;
   if t.mac_throughput < 1 then report (Bad_mac_throughput t.mac_throughput);
+  List.iter
+    (fun e -> if not (Float.is_finite e.e_pj) then report (Nonfinite_energy e))
+    (energies t);
   List.rev !found
 
 let make ~name ~levels ~mac_energy ?(mac_throughput = 1) () =

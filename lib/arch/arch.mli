@@ -34,6 +34,13 @@ type t = {
   mac_throughput : int;  (** MACs each leaf compute instance retires/cycle *)
 }
 
+type energy = {
+  e_level : int option;  (** [None] for the MAC energy *)
+  e_partition : string option;  (** [None] for NoC hop and MAC energies *)
+  e_name : string;  (** e.g. ["read energy of partition L1"] *)
+  e_pj : float;
+}
+
 (** A broken rule, where it is and the values involved. *)
 type violation =
   | Too_few_levels of int
@@ -50,15 +57,22 @@ type violation =
   | Nonpositive_bandwidth of { level : int; partition : string; bandwidth : float }
       (** the model divides traffic by bandwidth *)
   | Bad_mac_throughput of int  (** the model divides the MACs by it *)
+  | Nonfinite_energy of energy  (** the model sums energies into the EDP *)
 
 val violations : t -> violation list
 (** The architecture's structural rules, checked in this order: the level
     count, an unbounded outermost level, then per level that only the
     outermost is unbounded, its fanout and its partition list, per
-    partition its capacity, a unique name and a positive bandwidth, and
-    last a MAC throughput of at least 1. *)
+    partition its capacity, a unique name and a positive bandwidth (NaN
+    is not positive), then a MAC throughput of at least 1, and last that
+    every {!energies} entry is finite. *)
 
 val violation_message : violation -> string
+
+val energies : t -> energy list
+(** Every per-event energy the model charges, in level order: each
+    partition's read and write energy, each level's NoC hop energy, then
+    the MAC energy. *)
 
 val make : name:string -> levels:level list -> mac_energy:float -> ?mac_throughput:int -> unit -> t
 (** Builds an architecture, or raises [Invalid_argument] with

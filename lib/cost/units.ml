@@ -29,8 +29,6 @@ external charge : 'c count t -> 'c rate t -> energy t = "%mulfloat"
 let sum a = Array.fold_left ( +. ) 0.0 a
 let[@inline] max a b = Float.max a b
 let[@inline] gt a b = a > b
-let[@inline] is_finite x = Float.is_finite x
-let[@inline] is_nonneg x = x >= 0.0
 
 module Arr = struct
   type 'u arr = floatarray

@@ -67,8 +67,6 @@ val sum : 'u t array -> 'u t
 
 val max : 'u t -> 'u t -> 'u t
 val gt : 'u t -> 'u t -> bool
-val is_finite : 'u t -> bool
-val is_nonneg : 'u t -> bool
 
 (** Unit-tagged flat float arrays ([floatarray]-backed) for the evaluator's
     preallocated scratch: unboxed get/set — again via primitives — with the

@@ -70,13 +70,11 @@ let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (* sunstone-lint: allow SA060 bounded local-disk cache read, not socket IO *)
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let evict_if_full t =
   if Hashtbl.length t.table >= t.capacity then begin
     let victim = ref None in
-    (* sunstone-lint: allow SA063 min-scan for the LRU victim; order-insensitive *)
     Hashtbl.iter
       (fun key entry ->
         match !victim with
@@ -213,7 +211,7 @@ let nearest_many ?exclude_bounds t ~family ~bounds ~k =
   in
   let excluded bs = match exclude_bounds with Some ex -> ex = bs | None -> false in
   let matches = ref [] in
-  (* sunstone-lint: allow SA063 scan sorted by a total (distance, key) order; iteration order cannot change the ranking *)
+  (* sorted below by a total (distance, key) order, so iteration order cannot change the ranking *)
   Hashtbl.iter
     (fun key entry ->
       match entry.family with

@@ -209,7 +209,6 @@ let submit t ~key payload =
   match idle_worker with
   | None -> invalid_arg "Parpool.submit: no idle worker (check Parpool.idle first)"
   | Some w ->
-    (* sunstone-lint: allow SA063 telemetry-only timing; never reaches scheduling or the wire *)
     let started = if Tel.enabled () then Unix.gettimeofday () else 0.0 in
     send t w { key; payload; attempt = 0; started }
 
@@ -260,7 +259,6 @@ let rec collect t ~block =
             if Tel.enabled () then begin
               Tel.count "parpool.completed" 1;
               if job.started > 0.0 then
-                (* sunstone-lint: allow SA063 telemetry-only histogram sample *)
                 Tel.observe (Tel.histogram "parpool.job_s") (Unix.gettimeofday () -. job.started)
             end;
             match (Marshal.from_string frame 0 : (_, string) result) with

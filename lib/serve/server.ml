@@ -486,7 +486,6 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
      respawned worker's whole lifetime. *)
   let close_sockets_in_child () =
     (try Unix.close listen_fd with Unix.Unix_error (_, _, _) -> ());
-    (* sunstone-lint: allow SA063 fd close-all in the forked child; order is irrelevant *)
     Hashtbl.iter
       (fun _ c -> try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ())
       st.conns
@@ -516,7 +515,6 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
     | _ -> ());
     if st.draining && !drain_started = None then drain_started := Some (now ());
     let kill_all_conns () =
-      (* sunstone-lint: allow SA063 kill order never reaches the wire; every conn dies alike *)
       List.iter (kill_conn st) (Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [])
     in
     (match force_flag with
@@ -536,7 +534,6 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
     else begin
     if st.draining then begin
       (* no more reads: answer what is admitted, close what is finished *)
-      (* sunstone-lint: allow SA063 close scan; each conn's output order is its own queue's *)
       let cids = Hashtbl.fold (fun cid _ acc -> cid :: acc) st.conns [] in
       List.iter
         (fun cid ->
@@ -554,7 +551,6 @@ let serve ?cache ?(config = Opt.default_config) ?(jobs = 1) ?(max_queue = max_in
     in
     if (st.draining && quiescent) || idle_exit then running := false
     else begin
-      (* sunstone-lint: allow SA063 feeds select's fd sets: membership only, never ordered output *)
       let conn_list = Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] in
       (* [max_conns] keeps every fd number below FD_SETSIZE, which
          [Unix.select] cannot represent: at the cap the listen fd simply

@@ -47,5 +47,3 @@ type t = { tokens : token array; comments : comment list }
 val lex : string -> t
 (** Tokenize a whole compilation unit. Never raises; on malformed input the
     stream simply ends at the point the lexer could no longer make progress. *)
-
-val is_keyword : string -> bool

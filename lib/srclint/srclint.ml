@@ -1,4 +1,4 @@
-module D = Diagnostic
+module D = Sun_analysis.Diagnostic
 
 type hit = {
   h_path : string;
@@ -39,17 +39,17 @@ let hit_string h = Printf.sprintf "%s:%d:%s" h.h_path h.h_line h.h_text
 
 let diagnostics r = List.map (fun h -> h.h_diag) r.hits @ r.stale
 
-(* Two-phase scan: load and model every file first (the project rules need
-   the whole program), then run the per-file rules, then the project rules —
-   routing every project finding through its owning file's inline
-   suppressions so (* sunstone-lint: allow SA070 ... *) works identically
-   for both rule families. Stale-suppression warnings come last, after both
-   families had their chance to mark a suppression used. *)
-let scan ?rules ?project_rules ~roots () =
-  let rules = match rules with Some r -> r | None -> Rules.default_rules () in
-  let project_rules =
-    match project_rules with Some r -> r | None -> Rules.project_rules ()
-  in
+(* Per-file rules run on library code only, unless [lib_only] is off (the
+   fixtures live under test/). *)
+let under_lib path = List.mem "lib" (String.split_on_char '/' path)
+
+(* Two-phase scan: load and model every file first (the hot-path pass needs
+   the whole program), then run the per-file rules, then the hot-path pass
+   — routing every finding through its owning file's inline suppressions,
+   so (* sunstone-lint: allow SA070 ... *) works for both. Stale-suppression
+   warnings come last, after both had their chance to mark a suppression
+   used. *)
+let scan ?(lib_only = true) ~roots () =
   let files = List.concat_map walk roots in
   let models =
     List.filter_map
@@ -86,19 +86,12 @@ let scan ?rules ?project_rules ~roots () =
   in
   Array.iteri
     (fun fi sm ->
-      let path = sm.Srcmod.sm_path in
-      List.iter
-        (fun (r : Rules.rule) ->
-          if not (r.Rules.r_exempt path) then List.iter (record fi) (r.Rules.r_check sm))
-        rules)
+      if (not lib_only) || under_lib sm.Srcmod.sm_path then
+        List.iter (record fi) (Rules.check_file sm))
     marr;
-  let project = Srcmod.project_of_files models in
   List.iter
-    (fun (pr : Rules.project_rule) ->
-      List.iter
-        (fun (pf : Rules.project_finding) -> record pf.Rules.pf_file pf.Rules.pf_finding)
-        (pr.Rules.pr_check project))
-    project_rules;
+    (fun (pf : Rules.project_finding) -> record pf.Rules.pf_file pf.Rules.pf_finding)
+    (Rules.check_project (Srcmod.project_of_files models));
   let stale = ref [] in
   Array.iteri
     (fun fi sm -> stale := !stale @ Suppress.stale ~path:sm.Srcmod.sm_path sups.(fi))

@@ -1,7 +1,7 @@
 (** The srclint scan driver: walk roots, model every file, run the
-    per-file {!Rules} and the whole-program {!Rules.project_rules} (the
-    cross-module SA060 and the SA070–SA074 hot-path passes), apply inline
-    {!Suppress} comments, and report structured {!Diagnostic}s.
+    per-file {!Rules.check_file} and the whole-program
+    {!Rules.check_project} (the SA070, SA073 and SA074 hot-path pass),
+    apply inline {!Suppress} comments, and report structured diagnostics.
 
     Hits are errors; stale inline suppressions are SA065 warnings, so a
     silenced rule cannot rot without being seen. Inline comments are the
@@ -12,7 +12,7 @@ type hit = {
   h_line : int;
   h_col : int;
   h_text : string;  (** the offending source line, trimmed *)
-  h_diag : Diagnostic.t;
+  h_diag : Sun_analysis.Diagnostic.t;
 }
 
 type report = {
@@ -20,7 +20,7 @@ type report = {
   tokens_seen : int;
   hits : hit list;  (** after suppression, in file/rule order *)
   suppressed : int;  (** inline-suppressed findings *)
-  stale : Diagnostic.t list;  (** SA065 warnings *)
+  stale : Sun_analysis.Diagnostic.t list;  (** SA065 warnings *)
 }
 
 val walk : string -> string list
@@ -31,17 +31,11 @@ val walk : string -> string list
 val hit_string : hit -> string
 (** Grep-style ["path:line:text"]. *)
 
-val diagnostics : report -> Diagnostic.t list
+val diagnostics : report -> Sun_analysis.Diagnostic.t list
 (** Hit diagnostics followed by stale-suppression warnings. *)
 
-val scan :
-  ?rules:Rules.rule list ->
-  ?project_rules:Rules.project_rule list ->
-  roots:string list ->
-  unit ->
-  report
-(** Scan every file under [roots]. [rules] defaults to
-    {!Rules.default_rules}; pass [Rules.unscoped] rules to lint fixtures.
-    [project_rules] defaults to {!Rules.project_rules} and runs regardless
-    of which per-file rules were chosen — the production clean-tree gate and
-    the fixture gates exercise the same whole-program passes. *)
+val scan : ?lib_only:bool -> roots:string list -> unit -> report
+(** Scan every file under [roots]. The per-file rules (SA044, SA064) run
+    only on paths with a [lib] segment unless [lib_only] is [false], which
+    the fixtures under [test/] need; the hot-path pass always runs on the
+    whole set of files. *)

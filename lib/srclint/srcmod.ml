@@ -3,7 +3,6 @@ type occurrence = {
   o_line : int;
   o_col : int;
   o_path : string list;
-  o_raw : string list;
   o_bare : bool;
 }
 
@@ -20,7 +19,6 @@ type t = {
   sm_lines : string array;
   sm_lex : Lexer.t;
   sm_opens : string list list;
-  sm_aliases : (string * string list) list;
   sm_bindings : binding list;
   sm_occurrences : occurrence list;
 }
@@ -82,7 +80,6 @@ let collect_occurrences aliases (lx : Lexer.t) =
           o_line = tok.Lexer.t_line;
           o_col = tok.Lexer.t_col;
           o_path = resolve_path aliases raw;
-          o_raw = raw;
           o_bare = bare;
         }
         :: !out;
@@ -213,7 +210,6 @@ let of_source ~path src =
     sm_lines = split_lines src;
     sm_lex = lx;
     sm_opens = opens;
-    sm_aliases = aliases;
     sm_bindings = bindings;
     sm_occurrences = collect_occurrences aliases lx;
   }

@@ -10,8 +10,8 @@
     - {b toplevel bindings}: column-0 [let]/[and] items with their name,
       parameter-ness, and body token span — the unit of reachability;
     - {b the call graph}: binding → references to other toplevel
-      bindings, stitched across files by {!project_of_files} for the SA060
-      and SA070–SA074 reachability passes.
+      bindings, stitched across files by {!project_of_files} for the
+      hot-path pass.
 
     Like the lexer this is deliberately an approximation: local shadowing
     inside a body is not tracked, and patterns more exotic than tuples keep
@@ -23,7 +23,6 @@ type occurrence = {
   o_line : int;
   o_col : int;
   o_path : string list;  (** resolved components (aliases applied, [Stdlib] stripped) *)
-  o_raw : string list;  (** components as written *)
   o_bare : bool;  (** a single unqualified lowercase identifier *)
 }
 
@@ -40,7 +39,6 @@ type t = {
   sm_lines : string array;
   sm_lex : Lexer.t;
   sm_opens : string list list;  (** toplevel [open] paths, outermost first *)
-  sm_aliases : (string * string list) list;  (** [module X = Path] aliases *)
   sm_bindings : binding list;
   sm_occurrences : occurrence list;
 }
@@ -77,20 +75,10 @@ type project = {
   p_lib_dirs : (string, string) Hashtbl.t;  (** dune library prefix -> dir *)
 }
 
-val file_module : string -> string
-(** ["lib/cost/model.ml"] -> ["Model"]. *)
-
 val project_of_files : t list -> project
 (** Build the project graph; reads each distinct directory's [dune] file (if
     any) to learn library prefixes. Directories without a [dune] file (e.g.
     fixture trees) still resolve same-directory [M.x] calls. *)
-
-val resolve_call : project -> int -> occurrence -> (int * binding) option
-(** Resolve one occurrence seen in the given file to its target binding,
-    or [None] when it does not denote a toplevel binding in the project. *)
-
-val callees : project -> int -> binding -> (int * binding) list
-(** Distinct call-graph successors of a binding, in first-occurrence order. *)
 
 val project_reachable :
   ?stop:(int -> string -> bool) ->
@@ -102,5 +90,5 @@ val project_reachable :
     [(file, binding, display chain)] triples; the chain starts at the root
     and renders intra-file nodes bare and cross-file nodes as [Module.name].
     Nodes for which [stop] holds are not visited (and not expanded) — the
-    hook behind [(* sunstone-cold *)] boundaries and scope fences. Empty
+    hook behind [(* sunstone-cold *)] boundaries. Empty
     when the root does not exist. *)

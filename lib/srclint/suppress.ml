@@ -1,4 +1,4 @@
-module D = Diagnostic
+module D = Sun_analysis.Diagnostic
 
 type suppression = {
   s_code : string;

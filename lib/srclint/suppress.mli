@@ -31,5 +31,5 @@ val target_line : Lexer.t -> Lexer.comment -> int
 val suppresses : suppression list -> code:string -> line:int -> bool
 (** True when some suppression covers [code] on [line]; marks it used. *)
 
-val stale : path:string -> suppression list -> Diagnostic.t list
+val stale : path:string -> suppression list -> Sun_analysis.Diagnostic.t list
 (** SA065 warnings for suppressions that matched no diagnostic. *)

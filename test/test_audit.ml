@@ -1,9 +1,7 @@
 module W = Sun_tensor.Workload
-module A = Sun_arch.Arch
 module Opt = Sun_core.Optimizer
 module D = Sun_analysis.Diagnostic
 module Audit = Sun_analysis.Audit
-module Unitlint = Sun_analysis.Unitlint
 module J = Sun_serve.Json
 module Pipeline = Sun_serve.Pipeline
 module Cache = Sun_serve.Cache
@@ -183,44 +181,6 @@ let test_pipeline_recheck_gate () =
   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
 
 (* ------------------------------------------------------------------ *)
-(* Unit lint                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let set_level i f (a : A.t) =
-  { a with A.levels = List.mapi (fun j l -> if j = i then f l else l) a.A.levels }
-
-let set_partitions f (l : A.level) = { l with A.partitions = List.map f l.A.partitions }
-
-let test_unitlint_presets_clean () =
-  let reports = Unitlint.check_presets () in
-  Alcotest.(check bool) "covers every preset" true
-    (List.length reports = List.length Sun_arch.Presets.all);
-  List.iter
-    (fun (r : Unitlint.report) ->
-      Alcotest.(check (list string)) (r.Unitlint.arch ^ " lints clean") []
-        (List.map (fun (d : D.t) -> d.D.message) r.Unitlint.diagnostics);
-      Alcotest.(check bool) (r.Unitlint.arch ^ " checked quantities") true
-        (r.Unitlint.quantities_checked > 0))
-    reports
-
-let test_unitlint_synthetic () =
-  let nan_arch =
-    set_level 0 (set_partitions (fun p -> { p with A.read_energy = Float.nan })) toy
-  in
-  Alcotest.(check bool) "NaN energy raises SA050" true
-    (has_code "SA050" (Unitlint.check_arch nan_arch).Unitlint.diagnostics);
-  let neg_arch =
-    set_level 0 (set_partitions (fun p -> { p with A.write_energy = -1.0 })) toy
-  in
-  Alcotest.(check bool) "negative energy raises SA051" true
-    (has_code "SA051" (Unitlint.check_arch neg_arch).Unitlint.diagnostics);
-  let joules_arch = { toy with A.mac_energy = 1e9 } in
-  let diags = (Unitlint.check_arch joules_arch).Unitlint.diagnostics in
-  Alcotest.(check bool) "implausible magnitude raises SA052" true (has_code "SA052" diags);
-  (* magnitude complaints are warnings, not hard failures *)
-  Alcotest.(check bool) "SA052 is a warning" true (not (D.has_errors diags))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sun_audit"
@@ -236,10 +196,5 @@ let () =
         [
           Alcotest.test_case "direct recheck gate" `Quick test_recheck_direct;
           Alcotest.test_case "pipeline rejects corrupted cost" `Quick test_pipeline_recheck_gate;
-        ] );
-      ( "unitlint",
-        [
-          Alcotest.test_case "presets are clean" `Quick test_unitlint_presets_clean;
-          Alcotest.test_case "synthetic faults" `Quick test_unitlint_synthetic;
         ] );
     ]

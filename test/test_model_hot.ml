@@ -468,10 +468,10 @@ let test_static_dynamic_agreement () =
       List.filter Sys.file_exists (List.map (Filename.concat root) [ "lib"; "bin"; "bench" ])
     in
     if roots <> [] then begin
-      let module Srclint = Sun_analysis.Srclint in
+      let module Srclint = Sun_srclint.Srclint in
       let module D = Sun_analysis.Diagnostic in
       let r = Srclint.scan ~roots () in
-      let hot_codes = [ "SA070"; "SA071"; "SA072"; "SA073"; "SA074" ] in
+      let hot_codes = [ "SA070"; "SA073"; "SA074" ] in
       let hot_hits =
         List.filter
           (fun (h : Srclint.hit) -> List.mem (D.code_id h.Srclint.h_diag.D.code) hot_codes)

@@ -1,8 +1,7 @@
 module D = Sun_analysis.Diagnostic
-module Lexer = Sun_analysis.Lexer
-module Srcmod = Sun_analysis.Srcmod
-module Rules = Sun_analysis.Rules
-module Srclint = Sun_analysis.Srclint
+module Lexer = Sun_srclint.Lexer
+module Srcmod = Sun_srclint.Srcmod
+module Srclint = Sun_srclint.Srclint
 
 let has_code id diags = List.exists (fun (d : D.t) -> D.code_id d.D.code = id) diags
 
@@ -10,7 +9,10 @@ let count_code id (r : Srclint.report) =
   List.length
     (List.filter (fun (h : Srclint.hit) -> D.code_id h.Srclint.h_diag.D.code = id) r.Srclint.hits)
 
-let unscoped_rules () = Rules.unscoped (Rules.default_rules ())
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec at i = i + m <= n && (String.sub hay i m = needle || at (i + 1)) in
+  m > 0 && at 0
 
 let token_texts lx =
   Array.to_list (Array.map (fun t -> t.Lexer.t_text) lx.Lexer.tokens)
@@ -34,7 +36,7 @@ let test_lexer_basics () =
   (match lx.Lexer.comments with
   | [ c ] ->
     Alcotest.(check bool) "nested text kept" true
-      (Rules.contains_sub c.Lexer.c_text "nested");
+      (contains c.Lexer.c_text "nested");
     Alcotest.(check int) "comment line" 1 c.Lexer.c_line
   | _ -> Alcotest.fail "expected exactly one comment");
   Alcotest.(check bool) "comment words are not tokens" false
@@ -123,7 +125,7 @@ let test_suppression_semantics () =
     ^ "let bad4 xs = List.hd xs (* sunstone-lint: allow SA044 *)\n"
   in
   with_temp_file src (fun path ->
-      let r = Srclint.scan ~rules:(unscoped_rules ()) ~roots:[ path ] () in
+      let r = Srclint.scan ~lib_only:false ~roots:[ path ] () in
       Alcotest.(check int) "both suppression forms honoured" 2 r.Srclint.suppressed;
       Alcotest.(check int) "unsuppressed hits remain" 2 (count_code "SA044" r);
       Alcotest.(check bool) "reasonless allow is not a suppression" true
@@ -132,45 +134,38 @@ let test_suppression_semantics () =
         (List.map (fun (d : D.t) -> d.D.message) r.Srclint.stale))
 
 (* ------------------------------------------------------------------ *)
-(* Fork-hygiene rules (SA040-SA044) on planted violations               *)
+(* SA044 on planted violations                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_forksafe_violations () =
-  let planted =
-    [
-      "let table = Hashtbl.create 17";
-      "let first xs = List.hd xs";
-      "let log msg = print_endline msg";
-      "(* a comment mentioning Unix.fork does not count *)";
-    ]
-  in
+let test_planted_violations () =
   let scan lines =
     with_temp_file (String.concat "\n" lines ^ "\n") (fun path ->
-        Srclint.scan ~rules:(Rules.forksafe_rules ()) ~roots:[ path ] ())
+        Srclint.scan ~lib_only:false ~roots:[ path ] ())
   in
-  let r = scan (planted @ [ "let snapshot v = Marshal.to_string v []" ]) in
+  let planted =
+    [ "(* a comment mentioning Option.get does not count *)"; "let first xs = List.hd xs" ]
+  in
+  let r = scan planted in
   Alcotest.(check int) "one file scanned" 1 r.Srclint.files_scanned;
-  let diags = Srclint.diagnostics r in
-  Alcotest.(check bool) "toplevel mutable (SA043)" true (has_code "SA043" diags);
-  Alcotest.(check bool) "partial function (SA044)" true (has_code "SA044" diags);
-  Alcotest.(check bool) "shared channel write (SA042)" true (has_code "SA042" diags);
-  Alcotest.(check bool) "marshal outside pool (SA040)" true (has_code "SA040" diags);
-  Alcotest.(check bool) "commented fork is ignored" false (has_code "SA041" diags);
-  (* an inline allow on the Marshal site suppresses exactly that hit *)
+  Alcotest.(check int) "the call is flagged, the comment is not" 1 (count_code "SA044" r);
+  (* an inline allow on the site suppresses exactly that hit *)
   let r' =
     scan
-      (planted
-      @ [
-          "(* sunstone-lint: allow SA040 snapshotting is this fixture's whole point *)";
-          "let snapshot v = Marshal.to_string v []";
-        ])
+      [
+        "(* sunstone-lint: allow SA044 taking the head is this fixture's whole point *)";
+        "let first xs = List.hd xs";
+        "let second xs = Option.get xs";
+      ]
   in
-  Alcotest.(check bool) "inline-suppressed hit gone" false
-    (has_code "SA040" (Srclint.diagnostics r'));
-  Alcotest.(check int) "suppression counted" 1 r'.Srclint.suppressed
+  Alcotest.(check int) "inline-suppressed hit gone, the other stays" 1 (count_code "SA044" r');
+  Alcotest.(check int) "suppression counted" 1 r'.Srclint.suppressed;
+  (* outside lib/, production scope leaves library-only rules silent *)
+  Alcotest.(check int) "lib-only scope" 0
+    (count_code "SA044"
+       (with_temp_file "let first xs = List.hd xs\n" (fun path -> Srclint.scan ~roots:[ path ] ())))
 
 (* ------------------------------------------------------------------ *)
-(* Fixtures: every daemon-era rule demonstrably fires                   *)
+(* Fixtures: every rule demonstrably fires                              *)
 (* ------------------------------------------------------------------ *)
 
 (* The fixtures and the production tree live in the source checkout, found
@@ -192,42 +187,12 @@ let fixture_path name =
   if not (Sys.file_exists path) then Alcotest.failf "fixture %s is missing" path;
   path
 
-let with_fixture name f =
-  f (Srclint.scan ~rules:(unscoped_rules ()) ~roots:[ fixture_path name ] ())
+let with_fixture name f = f (Srclint.scan ~lib_only:false ~roots:[ fixture_path name ] ())
 
-let test_fixture_sa060 () =
-  with_fixture "sa060_block.ml" (fun r ->
-      Alcotest.(check int) "one blocking call flagged" 1 (count_code "SA060" r);
-      match
-        List.find_opt
-          (fun (h : Srclint.hit) -> D.code_id h.Srclint.h_diag.D.code = "SA060")
-          r.Srclint.hits
-      with
-      | Some h ->
-        Alcotest.(check bool) "message names the call chain" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "serve -> helper")
-      | None -> Alcotest.fail "SA060 hit missing")
-
-let test_fixture_sa061 () =
-  with_fixture "sa061_fd.ml" (fun r ->
-      Alcotest.(check int) "one leak flagged" 1 (count_code "SA061" r);
-      match
-        List.find_opt
-          (fun (h : Srclint.hit) -> D.code_id h.Srclint.h_diag.D.code = "SA061")
-          r.Srclint.hits
-      with
-      | Some h ->
-        Alcotest.(check bool) "names the leaked binding" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "fd_leaked")
-      | None -> Alcotest.fail "SA061 hit missing")
-
-let test_fixture_sa062 () =
-  with_fixture "sa062_signal.ml" (fun r ->
-      Alcotest.(check int) "only the busy handler flagged" 1 (count_code "SA062" r))
-
-let test_fixture_sa063 () =
-  with_fixture "sa063_det.ml" (fun r ->
-      Alcotest.(check int) "hashtbl + wall clock + random" 3 (count_code "SA063" r))
+let test_fixture_sa044 () =
+  with_fixture "sa044_partial.ml" (fun r ->
+      Alcotest.(check int) "List.hd, failwith and assert false; not the comment or string" 3
+        (count_code "SA044" r))
 
 let test_fixture_sa064 () =
   with_fixture "sa064_swallow.ml" (fun r ->
@@ -268,20 +233,6 @@ let test_fixture_sa070 () =
         Alcotest.(check int) "flagged at the allocation site" 10 h.Srclint.h_line
       | None -> Alcotest.fail "SA070 hit missing")
 
-let test_fixture_sa071 () =
-  with_fixture "sa071_io.ml" (fun r ->
-      Alcotest.(check int) "one hot IO flagged" 1 (count_code "SA071" r);
-      Alcotest.(check int) "no allocation hit piggybacks" 0 (count_code "SA070" r))
-
-let test_fixture_sa072 () =
-  with_fixture "sa072_rec.ml" (fun r ->
-      Alcotest.(check int) "non-tail self-recursion flagged" 1 (count_code "SA072" r);
-      match hit_with_code "SA072" r with
-      | Some h ->
-        Alcotest.(check bool) "names the recursive binding" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "'sum'")
-      | None -> Alcotest.fail "SA072 hit missing")
-
 let test_fixture_sa073 () =
   with_fixture "sa073_unresolved.ml" (fun r ->
       Alcotest.(check int) "unresolved hot annotation flagged" 1 (count_code "SA073" r))
@@ -292,25 +243,12 @@ let test_fixture_sa074 () =
       match hit_with_code "SA074" r with
       | Some h ->
         Alcotest.(check bool) "explains the function requirement" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "must be functions")
+          (contains h.Srclint.h_diag.D.message "must be functions")
       | None -> Alcotest.fail "SA074 hit missing")
 
-(* The tentpole's reason to exist: the same root file is provably clean
-   under the old per-file view (a scan of just that file) and dirty under
-   the whole-program view (a scan of the directory, which resolves the
-   dotted call into the sibling module). One pair per cross-module pass. *)
-let test_cross_module_sa060 () =
-  with_fixture "sa060_cross/feeder.ml" (fun r ->
-      Alcotest.(check int) "single-file scan misses the blocking call" 0
-        (count_code "SA060" r));
-  with_fixture "sa060_cross" (fun r ->
-      Alcotest.(check int) "directory scan resolves Pump.next" 1 (count_code "SA060" r);
-      match hit_with_code "SA060" r with
-      | Some h ->
-        Alcotest.(check bool) "chain crosses the module boundary" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "serve -> Pump.next")
-      | None -> Alcotest.fail "SA060 hit missing")
-
+(* The same root file is clean under the per-file view (a scan of just
+   that file) and dirty under the whole-program view (a scan of the
+   directory, which resolves the dotted call into the sibling module). *)
 let test_cross_module_sa070 () =
   with_fixture "sa070_cross/ticker.ml" (fun r ->
       Alcotest.(check int) "single-file scan misses the allocation" 0
@@ -320,7 +258,7 @@ let test_cross_module_sa070 () =
       match hit_with_code "SA070" r with
       | Some h ->
         Alcotest.(check bool) "chain crosses the module boundary" true
-          (Rules.contains_sub h.Srclint.h_diag.D.message "tick_hot -> Gen.step")
+          (contains h.Srclint.h_diag.D.message "tick_hot -> Gen.step")
       | None -> Alcotest.fail "SA070 hit missing")
 
 (* ------------------------------------------------------------------ *)
@@ -339,11 +277,23 @@ let test_rule_table_sync () =
       Alcotest.(check bool) (id ^ " has a summary") true (String.length summary > 0);
       Alcotest.(check bool) (id ^ " has a scope") true (String.length scope > 0))
     D.all_codes table;
-  List.iter
-    (fun id ->
-      Alcotest.(check bool) (id ^ " listed") true
-        (List.exists (fun (id', _, _, _) -> id' = id) table))
-    [ "SA070"; "SA071"; "SA072"; "SA073"; "SA074" ]
+  (* The rule set and the table cannot drift: every source code of the
+     table fires on some fixture, and every code a fixture yields is a
+     source code of the table. *)
+  let src_ids =
+    List.filter_map
+      (fun (id, _, _, scope) ->
+        if String.length scope >= 4 && String.sub scope 0 4 = "src:" then Some id else None)
+      table
+  in
+  let r = Srclint.scan ~lib_only:false ~roots:[ fixture_path "" ] () in
+  let fixture_ids =
+    List.sort_uniq compare (List.map (fun (d : D.t) -> D.code_id d.D.code) (Srclint.diagnostics r))
+  in
+  Alcotest.(check (list string)) "source codes no fixture fires" []
+    (List.filter (fun id -> not (List.mem id fixture_ids)) src_ids);
+  Alcotest.(check (list string)) "fixture codes outside the table's source rows" []
+    (List.filter (fun id -> not (List.mem id src_ids)) fixture_ids)
 
 (* ------------------------------------------------------------------ *)
 (* Lexer token extents: monotone, non-overlapping, faithful to source   *)
@@ -389,41 +339,6 @@ let lexer_extents_prop =
         toks;
       true)
 
-(* SA063's production scope is lib/serve plus lib/cost (the cost model
-   and its probes keep hashtables on the search path). Stage the cost fixture under both a
-   lib/cost/ and a lib/arch/ path and scan with the *scoped* rules: the
-   same source must fire in cost and stay silent in arch. *)
-let test_sa063_cost_scope () =
-  let src = In_channel.with_open_text (fixture_path "sa063_cost.ml") In_channel.input_all in
-  let tmp = Filename.temp_file "sun_sa063" "" in
-  Sys.remove tmp;
-  Fun.protect
-    ~finally:(fun () ->
-      let rm p = if Sys.file_exists p then Sys.remove p in
-      rm (Filename.concat tmp "lib/cost/sa063_cost.ml");
-      rm (Filename.concat tmp "lib/arch/sa063_cost.ml");
-      let rmdir p = if Sys.file_exists p then Sys.rmdir p in
-      rmdir (Filename.concat tmp "lib/cost");
-      rmdir (Filename.concat tmp "lib/arch");
-      rmdir (Filename.concat tmp "lib");
-      rmdir tmp)
-    (fun () ->
-      let mkdir p = try Sys.mkdir p 0o755 with Sys_error _ -> () in
-      List.iter
-        (fun sub ->
-          let dir = Filename.concat tmp sub in
-          mkdir tmp;
-          mkdir (Filename.dirname dir);
-          mkdir dir;
-          Out_channel.with_open_text (Filename.concat dir "sa063_cost.ml") (fun oc ->
-              Out_channel.output_string oc src))
-        [ "lib/cost"; "lib/arch" ];
-      let scan sub =
-        Srclint.scan ~rules:(Rules.default_rules ()) ~roots:[ Filename.concat tmp sub ] ()
-      in
-      Alcotest.(check int) "fires under lib/cost" 3 (count_code "SA063" (scan "lib/cost"));
-      Alcotest.(check int) "silent under lib/arch" 0 (count_code "SA063" (scan "lib/arch")))
-
 (* ------------------------------------------------------------------ *)
 (* The shipping tree satisfies the full production rule set             *)
 (* ------------------------------------------------------------------ *)
@@ -434,27 +349,12 @@ let test_tree_clean () =
   List.iter
     (fun d -> if not (Sys.file_exists d) then Alcotest.failf "source subtree %s is missing" d)
     roots;
-  let r = Srclint.scan ~rules:(Rules.default_rules ()) ~roots () in
+  let r = Srclint.scan ~roots () in
   Alcotest.(check (list string)) "production scan is clean" []
     (List.map Srclint.hit_string r.Srclint.hits);
   Alcotest.(check (list string)) "no stale suppressions" []
     (List.map (fun (d : D.t) -> d.D.message) r.Srclint.stale);
   Alcotest.(check bool) "scanned the whole tree" true (r.Srclint.files_scanned > 40)
-
-(* ------------------------------------------------------------------ *)
-(* contains_sub: iterative, survives pathological lines                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_contains_sub () =
-  Alcotest.(check bool) "finds" true (Rules.contains_sub "abcdef" "cde");
-  Alcotest.(check bool) "misses" false (Rules.contains_sub "abcdef" "xyz");
-  Alcotest.(check bool) "empty needle" false (Rules.contains_sub "abc" "");
-  Alcotest.(check bool) "needle longer than hay" false (Rules.contains_sub "ab" "abc");
-  let mega = String.make 2_000_000 'a' in
-  Alcotest.(check bool) "worst case self-similar miss" false
-    (Rules.contains_sub mega (String.make 64 'a' ^ "b"));
-  Alcotest.(check bool) "finds at the very end" true
-    (Rules.contains_sub (mega ^ "needle") "needle")
 
 let test_walk_single_file () =
   with_temp_file "let fine x = x\n" (fun path ->
@@ -480,23 +380,16 @@ let () =
           Alcotest.test_case "inline forms and reasons" `Quick test_suppression_semantics;
         ] );
       ( "forksafe",
-        [ Alcotest.test_case "planted violations" `Quick test_forksafe_violations ] );
+        [ Alcotest.test_case "planted violations" `Quick test_planted_violations ] );
       ( "fixtures",
         [
-          Alcotest.test_case "SA060 blocking in loop" `Quick test_fixture_sa060;
-          Alcotest.test_case "SA061 fd leak" `Quick test_fixture_sa061;
-          Alcotest.test_case "SA062 busy signal handler" `Quick test_fixture_sa062;
-          Alcotest.test_case "SA063 determinism hazards" `Quick test_fixture_sa063;
+          Alcotest.test_case "SA044 partial functions" `Quick test_fixture_sa044;
           Alcotest.test_case "SA064 exception swallowing" `Quick test_fixture_sa064;
           Alcotest.test_case "SA065 stale suppression" `Quick test_fixture_sa065;
           Alcotest.test_case "SA070 hot allocation + chain golden" `Quick test_fixture_sa070;
-          Alcotest.test_case "SA071 hot IO" `Quick test_fixture_sa071;
-          Alcotest.test_case "SA072 non-tail recursion" `Quick test_fixture_sa072;
           Alcotest.test_case "SA073 unresolved hot annotation" `Quick test_fixture_sa073;
           Alcotest.test_case "SA074 stale hot annotation" `Quick test_fixture_sa074;
-          Alcotest.test_case "SA060 cross-module pair" `Quick test_cross_module_sa060;
           Alcotest.test_case "SA070 cross-module pair" `Quick test_cross_module_sa070;
-          Alcotest.test_case "SA063 lib/cost scoping" `Quick test_sa063_cost_scope;
         ] );
       ( "rules",
         [ Alcotest.test_case "--list-rules table in sync" `Quick test_rule_table_sync ] );
@@ -505,7 +398,6 @@ let () =
       ( "tree",
         [
           Alcotest.test_case "production scan is clean" `Quick test_tree_clean;
-          Alcotest.test_case "contains_sub pathological" `Quick test_contains_sub;
           Alcotest.test_case "walk accepts file roots" `Quick test_walk_single_file;
         ] );
     ]
