@@ -181,6 +181,58 @@ let test_pipeline_recheck_gate () =
   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs))
 
 (* ------------------------------------------------------------------ *)
+(* Unit lint: the energy rules the former Unitlint pass checked, now    *)
+(* owned by [Arch.violations] (finite) and [Wellformed] (non-negative)  *)
+(* ------------------------------------------------------------------ *)
+
+module A = Sun_arch.Arch
+module Wellformed = Sun_analysis.Wellformed
+
+let set_level i f (a : A.t) =
+  { a with A.levels = List.mapi (fun j l -> if j = i then f l else l) a.A.levels }
+
+let set_partitions f (l : A.level) = { l with A.partitions = List.map f l.A.partitions }
+
+let test_unitlint_presets_clean () =
+  List.iter
+    (fun (name, a) ->
+      Alcotest.(check (list string)) (name ^ " lints clean") []
+        (List.map (fun (d : D.t) -> d.D.message) (Wellformed.check_arch a));
+      let es = A.energies a in
+      Alcotest.(check bool) (name ^ " checked quantities") true (es <> []);
+      List.iter
+        (fun (e : A.energy) ->
+          Alcotest.(check bool) (name ^ ": " ^ e.A.e_name ^ " finite, non-negative") true
+            (Float.is_finite e.A.e_pj && e.A.e_pj >= 0.))
+        es)
+    Sun_arch.Presets.all
+
+let test_unitlint_synthetic () =
+  let remake (a : A.t) =
+    A.make ~name:a.A.arch_name ~levels:a.A.levels ~mac_energy:a.A.mac_energy
+      ~mac_throughput:a.A.mac_throughput ()
+  in
+  let nan_arch =
+    set_level 0 (set_partitions (fun p -> { p with A.read_energy = Float.nan })) toy
+  in
+  Alcotest.(check bool) "NaN energy raises in make" true
+    (match remake nan_arch with exception Invalid_argument _ -> true | _ -> false);
+  let diags = Wellformed.check_arch nan_arch in
+  Alcotest.(check bool) "NaN energy is an SA020 error" true
+    (has_code "SA020" diags && D.has_errors diags);
+  let inf_arch = { toy with A.mac_energy = Float.infinity } in
+  Alcotest.(check bool) "infinite energy is an SA020 error" true
+    (D.has_errors (Wellformed.check_arch inf_arch));
+  let neg_arch =
+    set_level 0 (set_partitions (fun p -> { p with A.write_energy = -1.0 })) toy
+  in
+  ignore (remake neg_arch);
+  let diags = Wellformed.check_arch neg_arch in
+  Alcotest.(check bool) "negative energy raises SA020" true (has_code "SA020" diags);
+  (* a negative energy is the model's to accept: a warning, not an error *)
+  Alcotest.(check bool) "negative energy is a warning" true (not (D.has_errors diags))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "sun_audit"
@@ -196,5 +248,10 @@ let () =
         [
           Alcotest.test_case "direct recheck gate" `Quick test_recheck_direct;
           Alcotest.test_case "pipeline rejects corrupted cost" `Quick test_pipeline_recheck_gate;
+        ] );
+      ( "unitlint",
+        [
+          Alcotest.test_case "presets are clean" `Quick test_unitlint_presets_clean;
+          Alcotest.test_case "synthetic faults" `Quick test_unitlint_synthetic;
         ] );
     ]
