@@ -2,8 +2,8 @@
    evaluation (run with no arguments or a subset of
    table1/table3/table6/fig6/fig7/fig8/fig9, plus the extra
    ablation/versatility/scalability studies), timing each driver. Its
-   other modes write the audit, evaluate, transfer and search ledgers or
-   profile one search set. *)
+   other modes write the evaluate, transfer and search ledgers or profile
+   one search set. *)
 
 let run_experiment name driver =
   Printf.printf "==============================================================\n";
@@ -14,60 +14,6 @@ let run_experiment name driver =
   print_string output;
   if output <> "" && output.[String.length output - 1] <> '\n' then print_newline ();
   Printf.printf "-- %s done in %.1fs\n\n%!" name (Unix.gettimeofday () -. started)
-
-(* Auditor scaling: time Audit.check_kernels over growing prefixes of the
-   bundled kernel family and persist the curve (plus the per-kernel
-   exhaustive-enumeration sizes that drive it) to BENCH_audit.json, so the
-   differential oracle's cost stays visible as kernels are added. *)
-let audit_bench () =
-  let module Audit = Sun_analysis.Audit in
-  let module Json = Sun_serve.Json in
-  let total = List.length (Audit.kernels ()) in
-  Printf.printf "audit: differential oracle over %d bundled kernels\n%!" total;
-  let rows =
-    List.map
-      (fun limit ->
-        let started = Unix.gettimeofday () in
-        let reports = Audit.check_kernels ~limit () in
-        let elapsed = Unix.gettimeofday () -. started in
-        let mappings =
-          List.fold_left (fun acc r -> acc + r.Audit.mappings_enumerated) 0 reports
-        in
-        let diags =
-          List.fold_left (fun acc r -> acc + List.length r.Audit.diagnostics) 0 reports
-        in
-        Printf.printf "  kernels %-2d %8.3fs  %7d mappings enumerated, %d diagnostics\n%!"
-          limit elapsed mappings diags;
-        Json.Obj
-          [
-            ("kernels", Json.Int limit);
-            ("wall_s", Json.Float elapsed);
-            ("mappings_enumerated", Json.Int mappings);
-            ("diagnostics", Json.Int diags);
-            ( "reports",
-              Json.List
-                (List.map
-                   (fun r ->
-                     Json.Obj
-                       [
-                         ("kernel", Json.String r.Audit.kernel);
-                         ("orders_kept", Json.Int r.Audit.orders_kept);
-                         ("orders_total", Json.Int r.Audit.orders_total);
-                         ("frontier_checked", Json.Int r.Audit.frontier_checked);
-                         ("mappings_enumerated", Json.Int r.Audit.mappings_enumerated);
-                         ("exhaustive_edp", Json.Float r.Audit.exhaustive_edp);
-                         ("search_edp", Json.Float r.Audit.search_edp);
-                       ])
-                   reports) );
-          ])
-      (List.init total (fun i -> i + 1))
-  in
-  let out = "BENCH_audit.json" in
-  let oc = open_out out in
-  output_string oc (Json.to_string_pretty (Json.Obj [ ("audit", Json.List rows) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "audit: wrote %s\n" out
 
 (* Cost-model hot path: evaluations/sec of the allocation-free evaluator
    (full, score-only, and score-only on packed rows, the form the search
@@ -480,7 +426,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let known = List.map fst Sun_experiments.Figures.all in
   match args with
-  | [ "audit" ] -> audit_bench ()
   | [ "evaluate" ] -> evaluate_bench ()
   | [ "transfer" ] -> transfer_bench ()
   | [ "search" ] -> search_bench ()
@@ -499,8 +444,8 @@ let () =
         | Some driver -> run_experiment name driver
         | None ->
           Printf.eprintf
-            "unknown experiment %S; known: %s, 'audit', 'evaluate', 'transfer', \
-             'search' or 'profile SET [--reps N]'\n"
+            "unknown experiment %S; known: %s, 'evaluate', 'transfer', 'search' or \
+             'profile SET [--reps N]'\n"
             name
             (String.concat ", " known);
           exit 2)

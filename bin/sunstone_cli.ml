@@ -8,8 +8,9 @@
    sunstone serve --listen unix:/tmp/sun.sock [--jobs 4] [--max-queue 64]
    sunstone client --connect unix:/tmp/sun.sock -i reqs.jsonl -o out.jsonl
    sunstone export -w matmul -a simba -o mapping.json
-   sunstone check [--admissibility] [--json]
+   sunstone check [--json]
    sunstone check --mapping mapping.json
+   sunstone audit [--kernels N] [--inject order|frontier]
    sunstone experiment fig6              - run a paper experiment *)
 
 open Cmdliner
@@ -401,13 +402,6 @@ let check_cmd =
     let doc = "Check the legality of one exported mapping document instead of the registry." in
     Arg.(value & opt (some string) None & info [ "mapping" ] ~docv:"FILE" ~doc)
   in
-  let admissibility_arg =
-    let doc =
-      "Also run the alpha-beta bound admissibility pass: exhaustive differential search on a \
-       suite of small workloads."
-    in
-    Arg.(value & flag & info [ "admissibility" ] ~doc)
-  in
   let json_arg =
     let doc = "Emit machine-readable JSON instead of human-readable lines." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -438,7 +432,7 @@ let check_cmd =
         table;
     0
   in
-  let run mapping_file admissibility json list_rules_flag =
+  let run mapping_file json list_rules_flag =
     if list_rules_flag then list_rules ~json
     else
     match mapping_file with
@@ -477,34 +471,14 @@ let check_cmd =
             })
           (Sun_analysis.Pruning.check_many (Registry.workloads ()))
       in
-      let admissible =
-        if not admissibility then []
-        else
-          List.map
-            (fun (r : Sun_analysis.Admissibility.report) ->
-              {
-                pass = "admissibility";
-                subject =
-                  Printf.sprintf "%s on %s" r.Sun_analysis.Admissibility.workload
-                    r.Sun_analysis.Admissibility.arch;
-                note =
-                  Printf.sprintf "%d mappings enumerated, exhaustive EDP %.4e, search EDP %.4e"
-                    r.Sun_analysis.Admissibility.mappings_checked
-                    r.Sun_analysis.Admissibility.exhaustive_edp
-                    r.Sun_analysis.Admissibility.search_edp;
-                diags = r.Sun_analysis.Admissibility.diagnostics;
-              })
-            (Sun_analysis.Admissibility.check_suite ())
-      in
-      print_check_results ~json (wellformed @ pruning @ admissible)
+      print_check_results ~json (wellformed @ pruning)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Run the static-analysis passes: mapping legality, pruning soundness, bound \
-          admissibility, config/arch well-formedness, and (with $(b,--list-rules)) the SA code \
-          table")
-    Term.(const run $ mapping_arg $ admissibility_arg $ json_arg $ list_rules_arg)
+         "Run the static-analysis passes: mapping legality, pruning soundness, config/arch \
+          well-formedness, and (with $(b,--list-rules)) the SA code table")
+    Term.(const run $ mapping_arg $ json_arg $ list_rules_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sunstone audit: the mapspace auditor                                 *)
@@ -545,10 +519,11 @@ let audit_cmd =
             subject = Printf.sprintf "%s on %s" r.Audit.kernel r.Audit.arch;
             note =
               Printf.sprintf
-                "%d/%d orders kept, %d frontier tiles, %d mappings enumerated, exhaustive EDP \
-                 %.6e, pruned EDP %.6e"
+                "%d/%d orders kept, %d frontier tiles, %d mappings enumerated (%d bound chains), \
+                 exhaustive EDP %.6e, pruned EDP %.6e"
                 r.Audit.orders_kept r.Audit.orders_total r.Audit.frontier_checked
-                r.Audit.mappings_enumerated r.Audit.exhaustive_edp r.Audit.search_edp;
+                r.Audit.mappings_enumerated r.Audit.bound_checked r.Audit.exhaustive_edp
+                r.Audit.search_edp;
             diags = r.Audit.diagnostics;
           })
         (Audit.check_kernels ~inject ~limit:kernels ())
@@ -558,7 +533,8 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Run the mapspace auditor: differential trie/tiling oracles against brute force")
+         "Run the mapspace auditor: the bound chain, trie, tiling, optimality and alpha-beta \
+          oracles against brute-force enumeration")
     Term.(const run $ kernels_arg $ json_arg $ inject_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -19,54 +19,30 @@ type kernel_report = {
   orders_kept : int;
   frontier_checked : int;
   mappings_enumerated : int;
+  bound_checked : int;
   exhaustive_edp : float;
   search_edp : float;
+  no_prune_edp : float;
   diagnostics : D.t list;
 }
 
 let rel_tol = 1e-9
 
+(* Relative slack of the bound chain, both for a bound against the
+   mapping's cost and for which mappings count as at or below the running
+   best. *)
+let bound_tol = 1e-6
+
 (* ------------------------------------------------------------------ *)
-(* Probe-derived reuse signatures (independent of the trie's tables)    *)
+(* Reuse-signature subsumption (over [Pruning.scan])                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Same semantic probe as [Pruning]: growing dim [d] changes operand
-   [op]'s footprint iff [d] indexes it. [Probe] serves it — its footprint
-   arithmetic mirrors [W.footprint] directly (bit-identical, pinned by
-   QCheck), so the oracle still derives reuse from the projection
-   arithmetic and not from the trie's or the evaluator's tables. *)
-let probe_changes_footprint probe (op : W.operand) d =
-  Probe.changes_footprint probe ~op:op.W.name ~dim:d
-
-(* Per-operand reuse an innermost-first dim sequence earns: the fully
-   reused dims absorbed before the first footprint-changing one, plus a
-   partial-reuse flag when that blocker is a sliding-window dim. *)
-let scan_reuse probe (op : W.operand) innermost_first =
-  let sliding = W.sliding_dims op in
-  let rec go full = function
-    | [] -> (List.sort String.compare full, false)
-    | d :: rest ->
-      if not (probe_changes_footprint probe op d) then go (d :: full) rest
-      else (List.sort String.compare full, List.mem d sliding)
-  in
-  go [] innermost_first
-
-type rich_sig = (string * (string list * bool)) list
-(** per operand name: (sorted full-reuse dims, partial flag); only operands
-    with some reuse appear, sorted by name. *)
-
-let rich_sig_of_seq probe (w : W.t) innermost_first : rich_sig =
-  List.filter_map
-    (fun (op : W.operand) ->
-      let full, partial = scan_reuse probe op innermost_first in
-      if full = [] && not partial then None else Some (op.W.name, (full, partial)))
-    w.W.operands
-  |> List.sort compare
+let sig_of_order probe w order = Pruning.scan probe w (List.rev order)
 
 (* [a] subsumed by [b]: [b] earns at least the reuse [a] does, operand by
    operand — any tiling run under [b]'s order refills each buffer no more
    often than under [a]'s. *)
-let sig_leq (a : rich_sig) (b : rich_sig) =
+let sig_leq (a : Pruning.reuse) (b : Pruning.reuse) =
   List.for_all
     (fun (name, (full_a, partial_a)) ->
       match List.assoc_opt name b with
@@ -77,7 +53,7 @@ let sig_leq (a : rich_sig) (b : rich_sig) =
 
 let string_of_order order = "[" ^ String.concat ", " order ^ "]"
 
-let string_of_sig (s : rich_sig) =
+let string_of_sig (s : Pruning.reuse) =
   if s = [] then "(no reuse)"
   else
     String.concat "; "
@@ -88,20 +64,91 @@ let string_of_sig (s : rich_sig) =
          s)
 
 (* ------------------------------------------------------------------ *)
-(* Exhaustive oracle: best EDP over the full (active-order) mapspace     *)
+(* Bound chain (SA011)                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let exhaustive_best ctx space =
-  let checked = ref 0 and best = ref infinity in
+let search_prefix w (m : M.t) ~k =
+  let dims = W.dim_names w in
+  let ones = List.map (fun d -> (d, 1)) dims in
+  {
+    M.levels =
+      Array.mapi
+        (fun l (lm : M.level_mapping) ->
+          if l < k then lm
+          else if l = k then { lm with M.temporal = ones }
+          else { M.temporal = ones; order = dims; spatial = ones })
+        m.M.levels;
+  }
+
+(* The search's prefix bounds at every boundary of a complete mapping must
+   stay below the mapping's true energy and cycles — otherwise the
+   alpha-beta test could prune a prefix of this very mapping while it is
+   the optimum. *)
+let bound_chain w ctx m (cost : Model.cost) =
+  List.concat_map
+    (fun k ->
+      let energy_lb, cycles_lb =
+        Model.prefix_lower_bounds ctx ~fixed_levels:k (search_prefix w m ~k)
+      in
+      let check what lb actual unit =
+        if lb <= actual *. (1.0 +. bound_tol) then []
+        else
+          [
+            D.error ~level:k D.Bound_overshoot
+              (Printf.sprintf "prefix %s bound %.6e%s at boundary %d exceeds the mapping's %.6e%s"
+                 what lb unit k actual unit);
+          ]
+      in
+      check "energy" energy_lb cost.Model.energy_pj " pJ"
+      @ check "cycles" cycles_lb cost.Model.cycles "")
+    (Listx.range (Array.length m.M.levels))
+
+let search_config = { Opt.default_config with Opt.beam_width = 64 }
+
+let check_bound ?(samples = 64) ?(seed = 0x5057) w a =
+  let ctx = Model.context w a in
+  let space = Mapspace.create w a in
+  let rng = Sun_util.Rng.create seed in
+  let checked = ref 0 and diags = ref [] in
+  let consider m =
+    match Model.evaluate_ctx ctx m with
+    | Error _ -> ()
+    | Ok cost ->
+      incr checked;
+      diags := List.rev_append (bound_chain w ctx m cost) !diags
+  in
+  for _ = 1 to samples do
+    consider (Mapspace.sample space rng)
+  done;
+  (* the search's own incumbent is the mapping the bound must protect *)
+  (match Opt.optimize ~config:search_config w a with
+  | Ok r -> consider r.Opt.mapping
+  | Error _ -> ());
+  (!checked, List.rev !diags)
+
+(* ------------------------------------------------------------------ *)
+(* Exhaustive oracle: one walk over the active-order mapspace           *)
+(* ------------------------------------------------------------------ *)
+
+type walk = { best : float; enumerated : int; chained : int; chain_diags : D.t list }
+
+(* The exhaustive best, and the bound chain on every mapping at or below
+   the running best: exactly the mappings pruning could cost us. *)
+let exhaustive w ctx space =
+  let best = ref infinity and enumerated = ref 0 and chained = ref 0 and diags = ref [] in
   Seq.iter
     (fun m ->
       match Model.evaluate_ctx ctx m with
       | Error _ -> ()
       | Ok cost ->
-        incr checked;
+        incr enumerated;
+        if cost.Model.edp <= !best *. (1.0 +. bound_tol) then begin
+          incr chained;
+          diags := List.rev_append (bound_chain w ctx m cost) !diags
+        end;
         if cost.Model.edp < !best then best := cost.Model.edp)
     (Mapspace.enumerate_active_orders space);
-  (!best, !checked)
+  { best = !best; enumerated = !enumerated; chained = !chained; chain_diags = List.rev !diags }
 
 (* Best EDP over all tilings when order [pi] is imposed at every level —
    the empirical half of a subsumption certificate. *)
@@ -130,10 +177,10 @@ let audit_orders ~inject probe w ctx space ~exhaustive_edp =
   let candidates = Trie.candidates w in
   let cand_sigs =
     List.map
-      (fun (c : Trie.candidate) -> (c, rich_sig_of_seq probe w (List.rev c.Trie.order)))
+      (fun (c : Trie.candidate) -> (c, sig_of_order probe w c.Trie.order))
       candidates
   in
-  let order_sigs = List.map (fun pi -> (pi, rich_sig_of_seq probe w (List.rev pi))) all_orders in
+  let order_sigs = List.map (fun pi -> (pi, sig_of_order probe w pi)) all_orders in
   let dominators s = List.filter (fun (_, cs) -> sig_leq s cs) cand_sigs in
   (* injection: drop a candidate that is the sole dominator of some order
      (guaranteeing a subsumption hole); if redundancy covers everything,
@@ -313,50 +360,52 @@ let audit_frontier ~inject probe w a =
 let check_frontier ?(inject = No_injection) w a = audit_frontier ~inject (Probe.create w) w a
 
 (* ------------------------------------------------------------------ *)
-(* Pruned-best vs exhaustive-best (SA036)                               *)
+(* Searched vs exhaustive best (SA036), alpha-beta on vs off (SA012)    *)
 (* ------------------------------------------------------------------ *)
 
-let search_config = { Opt.default_config with Opt.beam_width = 64 }
-
-let audit_best w a ~exhaustive_edp ~enumerated =
-  let diags = ref [] in
-  let search_edp =
-    match Opt.optimize ~config:search_config w a with
-    | Ok r -> r.Opt.cost.Model.edp
-    | Error _ -> nan
+let audit_best w a (walk : walk) =
+  let searched config =
+    match Opt.optimize ~config w a with Ok r -> r.Opt.cost.Model.edp | Error _ -> nan
   in
-  if enumerated = 0 then
-    diags :=
+  let search_edp = searched search_config in
+  let no_prune_edp = searched { search_config with Opt.alpha_beta = false } in
+  let best = walk.best in
+  let best_diags =
+    if walk.enumerated = 0 then
       [
-        D.error D.Best_mismatch
-          (Printf.sprintf "no valid mapping of %s on %s exists to audit against" w.W.name
-             a.A.arch_name);
+        Printf.sprintf "no valid mapping of %s on %s exists to audit against" w.W.name
+          a.A.arch_name;
       ]
-  else if Float.is_nan search_edp then
-    diags :=
+    else if Float.is_nan search_edp then
+      [ "pruned search found no mapping although the space contains valid ones" ]
+    else if search_edp > best *. (1.0 +. rel_tol) then
       [
-        D.error D.Best_mismatch
-          "pruned search found no mapping although the space contains valid ones";
+        Printf.sprintf "pruned search EDP %.9e misses the exhaustive optimum %.9e over %d mappings"
+          search_edp best walk.enumerated;
       ]
-  else if search_edp > exhaustive_edp *. (1.0 +. rel_tol) then
-    diags :=
+    else if search_edp < best *. (1.0 -. rel_tol) then
       [
-        D.error D.Best_mismatch
-          (Printf.sprintf
-             "pruned search EDP %.9e misses the exhaustive optimum %.9e over %d mappings"
-             search_edp exhaustive_edp enumerated);
+        Printf.sprintf
+          "pruned search EDP %.9e beats the exhaustive oracle %.9e: the oracle's enumeration is \
+           incomplete"
+          search_edp best;
       ]
-  else if search_edp < exhaustive_edp *. (1.0 -. rel_tol) then
-    diags :=
+    else []
+  in
+  let ab_diags =
+    (* [Float.equal] holds for two NaNs: neither search found a mapping *)
+    if Float.equal search_edp no_prune_edp
+       || Float.abs (search_edp -. no_prune_edp) <= rel_tol *. Float.abs no_prune_edp
+    then []
+    else
       [
-        D.error D.Best_mismatch
-          (Printf.sprintf
-             "pruned search EDP %.9e beats the exhaustive oracle %.9e: the oracle's enumeration \
-              is incomplete"
-             search_edp exhaustive_edp);
+        D.error D.Optimum_pruned
+          (Printf.sprintf "alpha-beta pruning changed the search's answer: EDP %.9e with it vs \
+                           %.9e without"
+             search_edp no_prune_edp);
       ]
-  else ();
-  (search_edp, !diags)
+  in
+  (search_edp, no_prune_edp, List.map (D.error D.Best_mismatch) best_diags @ ab_diags)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel family and drivers                                            *)
@@ -364,35 +413,62 @@ let audit_best w a ~exhaustive_edp ~enumerated =
 
 let kernels () =
   let arch = Sun_arch.Presets.toy () in
+  let mv =
+    W.make ~name:"mv-8x4"
+      ~dims:[ ("I", 8); ("J", 4) ]
+      ~operands:
+        [
+          { W.name = "y"; kind = `Output; indices = [ W.Dim "I" ] };
+          { W.name = "A"; kind = `Input; indices = [ W.Dim "I"; W.Dim "J" ] };
+          { W.name = "x"; kind = `Input; indices = [ W.Dim "J" ] };
+        ]
+  in
+  let ttv =
+    W.make ~name:"ttv-4x4x2"
+      ~dims:[ ("I", 4); ("J", 4); ("K", 2) ]
+      ~operands:
+        [
+          { W.name = "y"; kind = `Output; indices = [ W.Dim "I"; W.Dim "J" ] };
+          { W.name = "T"; kind = `Input; indices = [ W.Dim "I"; W.Dim "J"; W.Dim "K" ] };
+          { W.name = "v"; kind = `Input; indices = [ W.Dim "K" ] };
+        ]
+  in
   let c = Sun_tensor.Catalog.conv1d ~k:1 ~c:2 ~p:4 ~r:2 () in
-  [
-    ("sddmm-2x2x2", Sun_tensor.Catalog.sddmm ~i:2 ~j:2 ~k:2 (), arch);
-    ("mmc-2x2x2x1", Sun_tensor.Catalog.mmc ~i:2 ~j:2 ~k:2 ~l:1 (), arch);
-    ("ttmc-2x2x2x1x1", Sun_tensor.Catalog.ttmc ~i:2 ~j:2 ~k:2 ~l:1 ~m:1 (), arch);
-    ("conv1d-1x2x4x2", c, arch);
-    ("mttkrp-4x2x2x1", Sun_tensor.Catalog.mttkrp ~i:4 ~j:2 ~k:2 ~l:1 (), arch);
-  ]
+  List.map
+    (fun (name, w) -> (name, w, arch))
+    [
+      ("mv-8x4", mv);
+      ("sddmm-2x2x2", Sun_tensor.Catalog.sddmm ~i:2 ~j:2 ~k:2 ());
+      ("mmc-2x2x2x1", Sun_tensor.Catalog.mmc ~i:2 ~j:2 ~k:2 ~l:1 ());
+      ("ttmc-2x2x2x1x1", Sun_tensor.Catalog.ttmc ~i:2 ~j:2 ~k:2 ~l:1 ~m:1 ());
+      ("conv1d-1x2x4x2", c);
+      ("mttkrp-4x2x2x1", Sun_tensor.Catalog.mttkrp ~i:4 ~j:2 ~k:2 ~l:1 ());
+      ("ttv-4x4x2", ttv);
+      ("matmul-4x4x2", Sun_tensor.Catalog.matmul ~m:4 ~n:4 ~k:2 ());
+    ]
 
-let check_kernel ?(inject = No_injection) (name, w, a) =
+let check_kernel ~inject (name, w, a) =
   let ctx = Model.context w a in
   let space = Mapspace.create w a in
   let probe = Probe.create w in
-  let exhaustive_edp, enumerated = exhaustive_best ctx space in
+  let walk = exhaustive w ctx space in
   let orders_total, orders_kept, order_diags =
-    audit_orders ~inject probe w ctx space ~exhaustive_edp
+    audit_orders ~inject probe w ctx space ~exhaustive_edp:walk.best
   in
   let frontier_checked, frontier_diags = audit_frontier ~inject probe w a in
-  let search_edp, best_diags = audit_best w a ~exhaustive_edp ~enumerated in
+  let search_edp, no_prune_edp, best_diags = audit_best w a walk in
   {
     kernel = name;
     arch = a.A.arch_name;
     orders_total;
     orders_kept;
     frontier_checked;
-    mappings_enumerated = enumerated;
-    exhaustive_edp;
+    mappings_enumerated = walk.enumerated;
+    bound_checked = walk.chained;
+    exhaustive_edp = walk.best;
     search_edp;
-    diagnostics = order_diags @ frontier_diags @ best_diags;
+    no_prune_edp;
+    diagnostics = walk.chain_diags @ order_diags @ frontier_diags @ best_diags;
   }
 
 let check_kernels ?(inject = No_injection) ?(limit = 0) () =
@@ -427,14 +503,14 @@ let recheck ?binding w a m ~claimed_energy ~claimed_edp =
     in
     let probe = Probe.create w in
     let cand_sigs =
-      List.map (fun (c : Trie.candidate) -> rich_sig_of_seq probe w (List.rev c.Trie.order))
+      List.map (fun (c : Trie.candidate) -> sig_of_order probe w c.Trie.order)
         (Trie.candidates w)
     in
     let order_diags =
       List.concat
         (List.mapi
            (fun l (lm : M.level_mapping) ->
-             let s = rich_sig_of_seq probe w (List.rev lm.M.order) in
+             let s = sig_of_order probe w lm.M.order in
              if List.exists (fun cs -> sig_leq s cs) cand_sigs then []
              else
                [

@@ -117,8 +117,8 @@ let code_summary = function
   | Unknown_dim -> "a factor or order names a dim the workload does not declare"
   | Nonpositive_factor -> "a temporal or spatial factor below 1"
   | Pruning_unsound -> "a dim dropped by the search is not a non-reuse dim"
-  | Bound_overshoot -> "committed-level energy exceeds a complete mapping's energy"
-  | Optimum_pruned -> "the alpha-beta search lost the reference optimum"
+  | Bound_overshoot -> "a prefix's alpha-beta bound exceeds a complete mapping's cost"
+  | Optimum_pruned -> "alpha-beta pruning changed the search's best EDP"
   | Arch_malformed -> "an architecture breaks an Arch.violations rule; a negative energy warns"
   | Config_invalid -> "optimizer config outside its documented domain"
   | Workload_malformed -> "workload breaks its own structural invariants"

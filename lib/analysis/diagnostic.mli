@@ -18,8 +18,8 @@ type code =
   | Unknown_dim  (** SA006: a factor or order names a dim the workload does not declare *)
   | Nonpositive_factor  (** SA007: a temporal or spatial factor below 1 *)
   | Pruning_unsound  (** SA010: a dim dropped by the search is not a non-reuse dim *)
-  | Bound_overshoot  (** SA011: committed-level energy exceeds a complete mapping's energy *)
-  | Optimum_pruned  (** SA012: the alpha-beta search lost the reference optimum *)
+  | Bound_overshoot  (** SA011: a prefix's alpha-beta bound exceeds a complete mapping's cost *)
+  | Optimum_pruned  (** SA012: alpha-beta pruning changed the search's best EDP *)
   | Arch_malformed
       (** SA020: an {!Sun_arch.Arch.violations} rule is broken; a negative energy warns *)
   | Config_invalid  (** SA021: optimizer config outside its documented domain *)

@@ -11,30 +11,34 @@ type report = {
   diagnostics : Diagnostic.t list;
 }
 
-(* Semantic probe: does growing dim [d] change operand [op]'s tile
-   footprint? Evaluated on the projection arithmetic itself (two footprint
-   evaluations), so it cannot agree with a buggy dim-name table by
-   construction. Probing at extent 2 vs 1 suffices: every axis extent is
-   affine in each dim extent with non-negative coefficients, so it either
-   never moves or moves already at 2. The evaluations go through the
-   check-scoped [Probe] — bit-identical to direct [W.footprint]
-   recomputation (pinned by QCheck). *)
-let probe_changes_footprint probe (op : W.operand) d =
-  Probe.changes_footprint probe ~op:op.W.name ~dim:d
+type reuse = (string * (string list * bool)) list
 
-(* Independent innermost-first reuse scan of a suffix for one operand,
-   driven by the probe (full reuse) and the affine structure (partial
-   reuse), mirroring the cost model's refill absorption. *)
-let scan_suffix probe (op : W.operand) suffix =
-  let sliding = W.sliding_dims op in
-  let rec go full = function
-    | [] -> (List.sort String.compare full, false)
-    | d :: rest ->
-      if not (probe_changes_footprint probe op d) then go (d :: full) rest
-      else if List.mem d sliding then (List.sort String.compare full, true)
-      else (List.sort String.compare full, false)
+(* Independent innermost-first reuse scan, mirroring the cost model's
+   refill absorption: per operand, the dims absorbed before the first one
+   that changes its footprint (full reuse), plus a partial-reuse flag when
+   that blocker is a sliding-window dim. The footprint test is a semantic
+   probe on the projection arithmetic itself (two footprint evaluations),
+   so it cannot agree with a buggy dim-name table by construction. Probing
+   at extent 2 vs 1 suffices: every axis extent is affine in each dim
+   extent with non-negative coefficients, so it either never moves or
+   moves already at 2. [Probe]'s footprints are bit-identical to direct
+   [W.footprint] recomputation (pinned by QCheck). *)
+let scan probe (w : W.t) innermost_first : reuse =
+  let scan_op (op : W.operand) =
+    let sliding = W.sliding_dims op in
+    let rec go full = function
+      | [] -> (List.sort String.compare full, false)
+      | d :: rest ->
+        if not (Probe.changes_footprint probe ~op:op.W.name ~dim:d) then go (d :: full) rest
+        else (List.sort String.compare full, List.mem d sliding)
+    in
+    go [] innermost_first
   in
-  go [] suffix
+  List.filter_map
+    (fun (op : W.operand) ->
+      match scan_op op with [], false -> None | r -> Some (op.W.name, r))
+    w.W.operands
+  |> List.sort compare
 
 let signature_of_scans scans =
   List.concat_map
@@ -60,7 +64,7 @@ let check (w : W.t) =
         (fun d ->
           let indexing = List.mem d e.Reuse.indexed_by in
           let reused = List.mem d e.Reuse.reused_by in
-          let changes = probe_changes_footprint probe op d in
+          let changes = Probe.changes_footprint probe ~op:op.W.name ~dim:d in
           if indexing && reused then
             add
               (D.error ~dim:d ~operand:op.W.name D.Pruning_unsound
@@ -95,13 +99,7 @@ let check (w : W.t) =
           (D.error D.Pruning_unsound
              (Printf.sprintf "trie order [%s] is not a permutation of the workload dims"
                 (String.concat ", " c.Trie.order)));
-      let scans =
-        List.filter_map
-          (fun (op : W.operand) ->
-            let full, partial = scan_suffix probe op c.Trie.suffix in
-            if full = [] && not partial then None else Some (op.W.name, (full, partial)))
-          w.W.operands
-      in
+      let scans = scan probe w c.Trie.suffix in
       let expected = signature_of_scans scans in
       if expected <> c.Trie.signature then
         add
@@ -109,8 +107,7 @@ let check (w : W.t) =
              (Printf.sprintf "suffix [%s]: trie signature disagrees with independent reuse scan"
                 (String.concat ", " c.Trie.suffix)));
       let expected_reused =
-        List.sort String.compare
-          (List.filter_map (fun (n, (full, _)) -> if full <> [] then Some n else None) scans)
+        List.filter_map (fun (n, (full, _)) -> if full <> [] then Some n else None) scans
       in
       if expected_reused <> List.sort String.compare c.Trie.reused_operands then
         add
@@ -132,7 +129,7 @@ let check (w : W.t) =
               (fun d ->
                 if not (List.mem d grow) then begin
                   incr dropped_checked;
-                  if probe_changes_footprint probe op d then
+                  if Probe.changes_footprint probe ~op:op_name ~dim:d then
                     add
                       (D.error ~dim:d ~operand:op_name D.Pruning_unsound
                          (Printf.sprintf

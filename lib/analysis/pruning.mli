@@ -29,6 +29,18 @@ type report = {
   diagnostics : Diagnostic.t list;
 }
 
+type reuse = (string * (string list * bool)) list
+(** Per operand name, sorted: (sorted full-reuse dims, partial-reuse
+    flag). Only operands with some reuse appear. *)
+
+val scan : Sun_cost.Probe.t -> Sun_tensor.Workload.t -> Sun_tensor.Workload.dim list -> reuse
+(** The reuse an innermost-first dim sequence earns, derived from the
+    footprint probe alone: per operand, the dims absorbed before the first
+    one that changes its footprint, plus a partial flag when that blocker
+    is a sliding-window dim. The one reuse scan of the analysis passes:
+    this pass checks trie signatures with it, {!Audit} its subsumption
+    oracle and serve-side recheck. *)
+
 val check : Sun_tensor.Workload.t -> report
 
 val check_many : (string * Sun_tensor.Workload.t) list -> report list

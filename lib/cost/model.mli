@@ -123,8 +123,8 @@ val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> fl
     the committed unrolls times the full fanout above, each committed
     boundary's traffic over its bandwidth times an upper bound on its
     instance count, and the top-boundary floor. This is the one bound behind
-    {!Sun_core.Optimizer}'s alpha-beta test; [sunstone check
-    --admissibility] verifies it against exhaustively enumerated mappings. *)
+    {!Sun_core.Optimizer}'s alpha-beta test; [sunstone audit] verifies it
+    against exhaustively enumerated mappings. *)
 
 type bounds = { mutable lb_energy_pj : float; mutable lb_cycles : float }
 

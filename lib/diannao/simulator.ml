@@ -144,8 +144,3 @@ let naive ?(nfu_width = 16) w =
     }
   in
   { events; energy }
-
-let pp_energy ppf e =
-  Format.fprintf ppf
-    "@[<v>DRAM %.3e  NBin %.3e  SB %.3e  NBout %.3e@,MAC %.3e  instr %.3e  reorder %.3e  total %.3e@]"
-    e.dram e.nbin e.sb e.nbout e.mac e.instruction_fetch e.reorder (total e)

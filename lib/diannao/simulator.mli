@@ -42,5 +42,3 @@ val naive : ?nfu_width:int -> Sun_tensor.Workload.t -> result
     use (the NFU's intrinsic input broadcast is still granted), outputs
     accumulate on chip and are written back once. Only MAC and DRAM energy
     is spent. *)
-
-val pp_energy : Format.formatter -> energy -> unit

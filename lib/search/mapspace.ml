@@ -164,12 +164,6 @@ let enumerate_with t ~orders_per_level =
         orders_per_level)
     assignments
 
-let enumerate t =
-  let all_orders = Listx.permutations t.dims in
-  let per_level = List.init t.num_levels (fun _ -> all_orders) in
-  let order_combos = List.of_seq (seq_cartesian per_level) in
-  enumerate_with t ~orders_per_level:(List.to_seq order_combos)
-
 let enumerate_fixed_orders t =
   let canonical = List.init t.num_levels (fun _ -> t.dims) in
   enumerate_with t ~orders_per_level:(Seq.return canonical)
@@ -180,7 +174,7 @@ let enumerate_fixed_orders t =
    position in a loop order can never change a mapping's cost. Pinning them
    outermost and permuting only the active dims visits one representative
    per cost-equivalence class — the minimum over this space equals the
-   minimum over [enumerate]. *)
+   minimum over every full permutation per level. *)
 let active_dims t = List.filter (fun d -> W.bound t.w d > 1) t.dims
 
 let enumerate_active_orders t =

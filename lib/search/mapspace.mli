@@ -27,19 +27,17 @@ val sample : t -> Sun_util.Rng.t -> Sun_mapping.Mapping.t
 (** A uniform-ish random mapping: random per-dimension factor chains,
     random per-level orders, spatial factors drawn within fanout. *)
 
-val enumerate : t -> Sun_mapping.Mapping.t Seq.t
-(** Every mapping of the space. Only sensible on tiny workloads; the
-    sequence is produced lazily. *)
-
 val enumerate_fixed_orders : t -> Sun_mapping.Mapping.t Seq.t
 (** The tiling/unrolling space under one canonical loop order per level —
     a cheaper ground truth when order is held fixed. *)
 
 val enumerate_active_orders : t -> Sun_mapping.Mapping.t Seq.t
-(** Like {!enumerate}, but per-level orders only permute dims with workload
-    bound > 1 (bound-1 dims are pinned outermost). The cost model skips
-    factor-1 loops, so every skipped order is cost-identical to a visited
-    one: the minimum over this space provably equals the minimum over
-    {!enumerate}, at a fraction of the order combinations. The audit's
-    exhaustive oracle uses this. *)
+(** Every tiling and unrolling of the space, crossed with per-level orders
+    that permute only the dims with workload bound > 1 (bound-1 dims are
+    pinned outermost). The cost model skips factor-1 loops, so every
+    skipped order is cost-identical to a visited one: the minimum over
+    this space provably equals the minimum over all |dims|!-per-level
+    orders, and when every bound is above 1 it is that whole space. Only
+    sensible on tiny workloads; the sequence is produced lazily. The
+    audit's exhaustive oracle uses this. *)
 

@@ -222,11 +222,6 @@ let nearest_many ?exclude_bounds t ~family ~bounds ~k =
   let sorted = List.sort (fun (d, key, _) (d', key', _) -> compare (d, key) (d', key')) !matches in
   List.filteri (fun i _ -> i < k) (List.map (fun (_, _, v) -> v) sorted)
 
-let nearest ?exclude_bounds t ~family ~bounds =
-  match nearest_many ?exclude_bounds t ~family ~bounds ~k:1 with
-  | value :: _ -> Some value
-  | [] -> None
-
 let stats t =
   {
     hits = t.hits;

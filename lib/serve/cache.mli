@@ -73,26 +73,22 @@ val store : t -> string -> Json.t -> unit
 
 val nearest_many :
   ?exclude_bounds:int array -> t -> family:string -> bounds:int array -> k:int -> Json.t list
-(** Up to [k] in-memory documents of the shape family, closest structural
-    bounds first (same metric, exclusion and determinism rules as
-    {!nearest}). {!Transfer} scores each candidate's rescaled seed with
-    the cost model and keeps the cheapest: bounds distance is only a proxy
-    for how well a neighbor's mapping survives rescaling. *)
-
-val nearest : ?exclude_bounds:int array -> t -> family:string -> bounds:int array -> Json.t option
-(** [nearest t ~family ~bounds] returns the in-memory document of the same
-    shape family ({!Fingerprint.structural}) whose stored structural
-    ["bounds"] vector is closest to [bounds] (sum of per-dim
-    [|ln(b/b')|]), or [None] when the family has no cached member.
+(** [nearest_many t ~family ~bounds ~k] returns up to [k] in-memory
+    documents of the same shape family ({!Fingerprint.structural}), the
+    closest stored structural ["bounds"] vector to [bounds] first (sum of
+    per-dim [|ln(b/b')|]); [[]] when the family has no cached member.
     [exclude_bounds] drops members whose bounds vector equals it exactly —
     benchmarks measuring cross-layer transfer use it to keep a layer from
-    seeding itself with its own cached result. Only
-    documents carrying ["family"]/["bounds"] fields participate (the
-    pipeline stores them; see {!Transfer}). This is a read-only probe: it
-    touches neither the hit/miss counters nor the LRU order, and ties
-    break deterministically on the entry key, so results are independent
-    of hash-table iteration order. Disk-only entries are not scanned; they
-    join the index when a {!find} promotes them. *)
+    seeding itself with its own cached result. Only documents carrying
+    ["family"]/["bounds"] fields participate (the pipeline stores them;
+    see {!Transfer}), and {!Transfer} scores each candidate's rescaled
+    seed with the cost model and keeps the cheapest: bounds distance is
+    only a proxy for how well a neighbor's mapping survives rescaling.
+    This is a read-only probe: it touches neither the hit/miss counters
+    nor the LRU order, and ties break deterministically on the entry key,
+    so results are independent of hash-table iteration order. Disk-only
+    entries are not scanned; they join the index when a {!find} promotes
+    them. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

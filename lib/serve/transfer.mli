@@ -14,8 +14,9 @@
 
     Neighbor selection: cached documents carry their
     {!Fingerprint.structural} family key, structural bound vector and dim
-    names ({!stored_fields}); {!Cache.nearest} picks the member with the
-    closest bounds (sum of per-dim [|ln(b/b')|]). The neighbor's mapping
+    names ({!stored_fields}); {!Cache.nearest_many} returns the three
+    members with the closest bounds (sum of per-dim [|ln(b/b')|]), and
+    the rescaled seed with the lowest EDP wins. Each neighbor's mapping
     is renamed through the positional structural-dim correspondence and
     rescaled to the new bounds: innermost-first, every factor keeps its
     gcd with the dim's remaining budget, so per-dim products match the
@@ -80,8 +81,9 @@ val find_seed :
   Sun_arch.Arch.t ->
   Sun_mapping.Mapping.level_mapping list option
 (** The full parent-side transfer probe: family digest,
-    {!Cache.nearest}, {!seed_of_doc}. Read-only with respect to the cache
-    (no stats, no LRU refresh). [exclude_self] (default [false]) skips
+    {!Cache.nearest_many} (three neighbors), {!seed_of_doc} on each, and
+    the rescaled seed with the lowest EDP. Read-only with respect to the
+    cache (no stats, no LRU refresh). [exclude_self] (default [false]) skips
     cached members with exactly the query's structural bounds, so a
     warm-cache benchmark re-running a catalog measures cross-layer
     transfer rather than each layer reading back its own result. *)

@@ -42,7 +42,7 @@ let complete (st : S.t) (b : E.buf) = Rows.complete_into ~bounds:st.bounds b.loa
    product of {!Model.prefix_lower_bounds_rows}' energy and cycles bounds —
    already exceeds the incumbent's alpha. Both bounds are admissible, so
    against an unseeded incumbent the test never cuts a prefix holding a
-   better completion ([sunstone check --admissibility] pins this).
+   better completion ([sunstone audit]'s bound chain pins this).
    Bottom-up the test is sharp: with high reuse most of the energy is
    charged at the lowest levels, so the committed energy sits close to
    the final energy. The bound's EDP is kept in verdict slot [v];

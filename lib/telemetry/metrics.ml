@@ -240,11 +240,6 @@ let duration_str v =
   else if v < 1.0 then Printf.sprintf "%.2fms" (v *. 1e3)
   else Printf.sprintf "%.3fs" v
 
-let bucket_label i =
-  let bound e = duration_str (Float.ldexp 1.0 e) in
-  if i >= num_buckets - 1 then ">=" ^ bound (num_buckets - 2 + min_exponent)
-  else "<" ^ bound (i + min_exponent)
-
 let render_table ~header ~rows =
   let widths = Array.of_list (List.map String.length header) in
   List.iter

@@ -107,6 +107,3 @@ val save : string -> snapshot -> (unit, string) result
 
 val num_buckets : int
 (** Number of histogram buckets; [h_buckets] arrays have this length. *)
-
-val bucket_label : int -> string
-(** Upper bound of bucket [i], e.g. ["<1ms"]; the last bucket is open. *)

@@ -28,8 +28,6 @@ let prime_factorization n =
 let count_divisors n =
   List.fold_left (fun acc (_, k) -> acc * (k + 1)) 1 (prime_factorization n)
 
-let is_divisor n d = d >= 1 && n mod d = 0
-
 let next_divisor n d =
   check_pos "next_divisor" n;
   let rec loop c = if c > n then None else if n mod c = 0 then Some c else loop (c + 1) in

@@ -28,8 +28,5 @@ val next_divisor : int -> int -> int option
 (** [next_divisor n d] is the smallest divisor of [n] strictly greater than
     [d], or [None] if [d >= n]. *)
 
-val is_divisor : int -> int -> bool
-(** [is_divisor n d] is [true] iff [d] divides [n]. *)
-
 val cdiv : int -> int -> int
 (** Ceiling division on positive integers. *)

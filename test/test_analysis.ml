@@ -6,7 +6,7 @@ module D = Sun_analysis.Diagnostic
 module Legality = Sun_analysis.Legality
 module Wellformed = Sun_analysis.Wellformed
 module Pruning = Sun_analysis.Pruning
-module Adm = Sun_analysis.Admissibility
+module Audit = Sun_analysis.Audit
 module Registry = Sun_serve.Registry
 
 let conv1d =
@@ -382,30 +382,14 @@ let test_pruning_registry_clean () =
   Alcotest.(check bool) "conv1d probes dropped dims" true (conv.Pruning.dropped_dims_checked > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Bound admissibility (pass 3)                                         *)
+(* Bound admissibility: the audit's bound chain on sampled mappings   *)
 (* ------------------------------------------------------------------ *)
 
 let test_admissibility_monotone () =
-  let r = Adm.check_bound conv1d toy in
+  let checked, diags = Audit.check_bound conv1d toy in
   Alcotest.(check (list string)) "bound chain clean" []
-    (List.map (fun (d : D.t) -> d.D.message) r.Adm.diagnostics);
-  Alcotest.(check bool) "checked samples" true (r.Adm.mappings_checked > 0)
-
-let test_admissibility_differential () =
-  let reports = Adm.check_suite () in
-  Alcotest.(check bool) "at least three small workloads" true (List.length reports >= 3);
-  List.iter
-    (fun (r : Adm.report) ->
-      Alcotest.(check (list string)) (r.Adm.workload ^ " admissible") []
-        (List.map (fun (d : D.t) -> d.D.message) r.Adm.diagnostics);
-      Alcotest.(check bool) (r.Adm.workload ^ " enumerated") true (r.Adm.mappings_checked > 100);
-      let rel = abs_float (r.Adm.search_edp -. r.Adm.exhaustive_edp) /. r.Adm.exhaustive_edp in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s search hits exhaustive optimum (rel %.2e)" r.Adm.workload rel)
-        true (rel <= 1e-9);
-      Alcotest.(check bool) (r.Adm.workload ^ " alpha-beta changes nothing") true
-        (abs_float (r.Adm.search_edp -. r.Adm.no_prune_edp) /. r.Adm.exhaustive_edp <= 1e-9))
-    reports
+    (List.map (fun (d : D.t) -> d.D.message) diags);
+  Alcotest.(check bool) "checked samples" true (checked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* One capacity predicate: legality, validation and the fit table agree *)
@@ -760,7 +744,6 @@ let () =
       ( "admissibility",
         [
           Alcotest.test_case "bound monotone on samples" `Quick test_admissibility_monotone;
-          Alcotest.test_case "differential vs exhaustive" `Slow test_admissibility_differential;
         ] );
       ("capacity", List.map QCheck_alcotest.to_alcotest capacity_agreement_props);
       ("one owner", List.map QCheck_alcotest.to_alcotest owner_props);

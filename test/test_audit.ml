@@ -29,11 +29,14 @@ let report_diags reports =
    moved it. *)
 let golden =
   [
+    ("mv-8x4", 2, 2, 5, 944, 138703.02141485168);
     ("sddmm-2x2x2", 3, 6, 4, 11448, 20495.448971425722);
     ("mmc-2x2x2x1", 8, 24, 4, 12096, 12286.621094475413);
     ("ttmc-2x2x2x1x1", 10, 120, 4, 11448, 13998.124604887564);
     ("conv1d-1x2x4x2", 4, 24, 5, 27000, 27759.110351621461);
     ("mttkrp-4x2x2x1", 7, 24, 4, 23112, 47791.526479675478);
+    ("ttv-4x4x2", 2, 6, 8, 52272, 222749.54206624423);
+    ("matmul-4x4x2", 3, 6, 4, 57888, 118363.36270629299);
   ]
 
 let test_golden_differential () =
@@ -51,34 +54,41 @@ let test_golden_differential () =
         Alcotest.(check int) (name ^ " frontier points") frontier r.Audit.frontier_checked;
         Alcotest.(check int) (name ^ " mappings enumerated") mappings
           r.Audit.mappings_enumerated;
-        let rel x y = abs_float (x -. y) /. abs_float y in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s exhaustive EDP matches golden (rel %.2e)" name
-             (rel r.Audit.exhaustive_edp edp))
-          true
-          (rel r.Audit.exhaustive_edp edp <= 1e-9);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s pruned best == exhaustive best (rel %.2e)" name
-             (rel r.Audit.search_edp r.Audit.exhaustive_edp))
-          true
-          (rel r.Audit.search_edp r.Audit.exhaustive_edp <= 1e-9))
+        Alcotest.(check bool) (name ^ " bound chain checked") true (r.Audit.bound_checked > 0);
+        let within what x y =
+          let rel = abs_float (x -. y) /. abs_float y in
+          Alcotest.(check bool) (Printf.sprintf "%s %s (rel %.2e)" name what rel) true
+            (rel <= 1e-9)
+        in
+        within "exhaustive EDP matches golden" r.Audit.exhaustive_edp edp;
+        within "pruned best == exhaustive best" r.Audit.search_edp r.Audit.exhaustive_edp;
+        within "no-prune best == exhaustive best" r.Audit.no_prune_edp r.Audit.exhaustive_edp)
     golden
 
+(* Each injected fault must fire on every bundled kernel, not only on
+   whichever one a [--kernels 1] prefix happens to pick. *)
+let check_fires code reports =
+  Alcotest.(check int) "every kernel audited" (List.length golden) (List.length reports);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r.Audit.kernel ^ ": " ^ code ^ " fires") true
+        (has_code code r.Audit.diagnostics);
+      Alcotest.(check bool) (r.Audit.kernel ^ ": an error") true
+        (D.has_errors r.Audit.diagnostics))
+    reports
+
 let test_inject_order () =
-  let diags = report_diags (Audit.check_kernels ~inject:Audit.Drop_order_candidate ~limit:1 ()) in
-  Alcotest.(check bool) "SA031 fires" true (has_code "SA031" diags);
-  Alcotest.(check bool) "SA031 is an error" true (D.has_errors diags);
+  let reports = Audit.check_kernels ~inject:Audit.Drop_order_candidate () in
+  check_fires "SA031" reports;
   (* the diagnostic carries the cost certificate *)
   Alcotest.(check bool) "certificate names the exhaustive best" true
     (List.exists
        (fun (d : D.t) ->
          D.code_id d.D.code = "SA031" && contains ~needle:"exhaustive best" d.D.message)
-       diags)
+       (report_diags reports))
 
 let test_inject_frontier () =
-  let diags = report_diags (Audit.check_kernels ~inject:Audit.Shrink_frontier ~limit:1 ()) in
-  Alcotest.(check bool) "SA035 fires" true (has_code "SA035" diags);
-  Alcotest.(check bool) "frontier loss is an error" true (D.has_errors diags)
+  check_fires "SA035" (Audit.check_kernels ~inject:Audit.Shrink_frontier ())
 
 (* 720 has 30 divisors, so the optimizer's 20-rung ladders drop some:
    the tiling oracle checks the thinned grid too, and a frontier point

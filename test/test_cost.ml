@@ -178,7 +178,7 @@ let test_breakdown_sums () =
 (* The search's alpha-beta bounds on the prefixes of a complete mapping. *)
 let prefix_bounds w arch m ~k =
   Model.prefix_lower_bounds (Model.context w arch) ~fixed_levels:k
-    (Sun_analysis.Admissibility.search_prefix w m ~k)
+    (Sun_analysis.Audit.search_prefix w m ~k)
 
 let test_lower_bound () =
   let full = Model.evaluate_exn conv arch algorithm4 in

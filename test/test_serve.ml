@@ -497,9 +497,7 @@ let family_doc fam bounds tag =
       ("tag", J.Int tag);
     ]
 
-let tag_of = function
-  | Some doc -> (match J.member "tag" doc with Some (J.Int t) -> t | _ -> -1)
-  | None -> -1
+let tag_of doc = match J.member "tag" doc with Some (J.Int t) -> t | _ -> -1
 
 let test_cache_nearest_family () =
   let c = Cache.create () in
@@ -508,19 +506,19 @@ let test_cache_nearest_family () =
   Cache.store c "k2" (family_doc "f" [ 64; 8 ] 2);
   Cache.store c "other" (family_doc "g" [ 8; 8 ] 3);
   Cache.store c "plain" (J.Int 9);
+  let tags ?exclude_bounds ?(family = "f") k =
+    List.map tag_of (Cache.nearest_many ?exclude_bounds c ~family ~bounds:[| 8; 8 |] ~k)
+  in
   (* exact member wins; other families and non-family docs never match *)
-  Alcotest.(check int) "exact bounds" 1 (tag_of (Cache.nearest c ~family:"f" ~bounds:[| 8; 8 |]));
+  Alcotest.(check (list int)) "exact bounds" [ 1 ] (tags 1);
   (* excluding the exact bounds falls to the log-closest member:
      |ln(8/4)| = 0.69 beats |ln(8/64)| = 2.08 *)
-  Alcotest.(check int) "exclusion falls to next closest" 0
-    (tag_of (Cache.nearest ~exclude_bounds:[| 8; 8 |] c ~family:"f" ~bounds:[| 8; 8 |]));
-  (* nearest_many ranks the whole family and caps at k *)
-  let tags k =
-    List.map (fun d -> tag_of (Some d)) (Cache.nearest_many c ~family:"f" ~bounds:[| 8; 8 |] ~k)
-  in
+  Alcotest.(check (list int)) "exclusion falls to next closest" [ 0 ]
+    (tags ~exclude_bounds:[| 8; 8 |] 1);
+  (* the whole family is ranked and capped at k *)
   Alcotest.(check (list int)) "ranked by distance" [ 1; 0; 2 ] (tags 3);
   Alcotest.(check (list int)) "capped at k" [ 1; 0 ] (tags 2);
-  Alcotest.(check int) "unknown family" (-1) (tag_of (Cache.nearest c ~family:"h" ~bounds:[| 8; 8 |]));
+  Alcotest.(check (list int)) "unknown family" [] (tags ~family:"h" 1);
   (* probes perturb neither the stats nor the LRU accounting *)
   let s = Cache.stats c in
   Alcotest.(check int) "no probe hits" 0 s.Cache.hits;
