@@ -391,6 +391,30 @@ let test_admissibility_monotone () =
     (List.map (fun (d : D.t) -> d.D.message) diags);
   Alcotest.(check bool) "checked samples" true (checked > 0)
 
+(* The kernels the old three-workload admissibility suite checked now run
+   inside the audit family; the search must still reach their exhaustive
+   optimum, with and without alpha-beta. *)
+let test_admissibility_differential () =
+  let reports = Audit.check_kernels () in
+  List.iter
+    (fun name ->
+      match List.find_opt (fun (r : Audit.kernel_report) -> r.Audit.kernel = name) reports with
+      | None -> Alcotest.failf "%s missing from the audit family" name
+      | Some r ->
+        Alcotest.(check (list string)) (name ^ " admissible") []
+          (List.map (fun (d : D.t) -> d.D.message) r.Audit.diagnostics);
+        Alcotest.(check bool) (name ^ " enumerated") true (r.Audit.mappings_enumerated > 100);
+        let rel x = abs_float (x -. r.Audit.exhaustive_edp) /. r.Audit.exhaustive_edp in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s search hits exhaustive optimum (rel %.2e)" name
+             (rel r.Audit.search_edp))
+          true
+          (rel r.Audit.search_edp <= 1e-9);
+        Alcotest.(check bool) (name ^ " alpha-beta changes nothing") true
+          (abs_float (r.Audit.search_edp -. r.Audit.no_prune_edp) /. r.Audit.exhaustive_edp
+          <= 1e-9))
+    [ "matmul-4x4x2"; "mv-8x4"; "ttv-4x4x2" ]
+
 (* ------------------------------------------------------------------ *)
 (* One capacity predicate: legality, validation and the fit table agree *)
 (* ------------------------------------------------------------------ *)
@@ -744,6 +768,7 @@ let () =
       ( "admissibility",
         [
           Alcotest.test_case "bound monotone on samples" `Quick test_admissibility_monotone;
+          Alcotest.test_case "differential vs exhaustive" `Slow test_admissibility_differential;
         ] );
       ("capacity", List.map QCheck_alcotest.to_alcotest capacity_agreement_props);
       ("one owner", List.map QCheck_alcotest.to_alcotest owner_props);
