@@ -161,9 +161,11 @@ echo "golden parity: ok"
 echo "== telemetry counter parity (--metrics at --jobs 1 vs --jobs 4)"
 # Workers ship their telemetry back as snapshots merged by the parent, so
 # the optimizer/model/serve counter totals must not depend on the worker
-# count. parpool.* (its per-worker counters depend on the worker count)
-# and histograms (with several workers deferred requests re-classify) are
-# excluded by the grep.
+# count. parpool.* (its per-worker counters depend on the worker count) is
+# excluded by the grep. Of the histograms, which are timings, only the
+# count of each serve.*_s span is compared: the parent classifies each
+# request once, so parse, gate and cache spans are one per request at any
+# worker count, parked duplicates included.
 set +e
 dune exec bin/sunstone_cli.exe -- batch -i test/fixtures/batch_mixed.jsonl \
   -o /dev/null --cache-dir "$PARITY_TMP/cache-tel-seq" --jobs 1 \
@@ -172,14 +174,19 @@ dune exec bin/sunstone_cli.exe -- batch -i test/fixtures/batch_mixed.jsonl \
   -o /dev/null --cache-dir "$PARITY_TMP/cache-tel-par" --jobs 4 \
   --metrics "$PARITY_TMP/par-metrics.json" 2>/dev/null
 set -e
-# counter lines are `"name": N`; histogram lines carry a `{` payload
-grep -E '"(optimizer|model|serve)\.' "$PARITY_TMP/seq-metrics.json" | grep -v '{' >"$PARITY_TMP/seq-counters"
-grep -E '"(optimizer|model|serve)\.' "$PARITY_TMP/par-metrics.json" | grep -v '{' >"$PARITY_TMP/par-counters"
+# counter lines are `"name": N`; histogram lines carry a `{` payload whose
+# first field is the span count
+for run in seq par; do
+  grep -E '"(optimizer|model|serve)\.' "$PARITY_TMP/$run-metrics.json" | grep -v '{' \
+    >"$PARITY_TMP/$run-counters"
+  grep -oE '"serve\.[a-z_]+_s": \{"count": [0-9]+' "$PARITY_TMP/$run-metrics.json" \
+    >>"$PARITY_TMP/$run-counters"
+done
 if ! diff -u "$PARITY_TMP/seq-counters" "$PARITY_TMP/par-counters"; then
-  echo "telemetry parity: --jobs 4 counter totals differ from --jobs 1" >&2
+  echo "telemetry parity: --jobs 4 counter totals or serve span counts differ from --jobs 1" >&2
   exit 1
 fi
-echo "telemetry parity: ok ($(wc -l <"$PARITY_TMP/seq-counters" | tr -d ' ') counters identical)"
+echo "telemetry parity: ok ($(wc -l <"$PARITY_TMP/seq-counters" | tr -d ' ') counters and span counts identical)"
 
 echo "== serve daemon (live replay parity, warm cache, SIGHUP, SIGTERM drain)"
 # The daemon must answer a cold replay of the mixed fixture byte-identically

@@ -80,28 +80,47 @@ let search_prefix w (m : M.t) ~k =
         m.M.levels;
   }
 
+(* The overshoots of one (boundary, quantity) over a set of mappings: how
+   many mappings, and the worst by bound-to-cost ratio. *)
+type overshoot = { mutable count : int; mutable lb : float; mutable actual : float }
+
+let quantities = [| ("energy", " pJ"); ("cycles", "") |]
+
 (* The search's prefix bounds at every boundary of a complete mapping must
    stay below the mapping's true energy and cycles — otherwise the
    alpha-beta test could prune a prefix of this very mapping while it is
-   the optimum. *)
-let bound_chain w ctx m (cost : Model.cost) =
-  List.concat_map
-    (fun k ->
-      let energy_lb, cycles_lb =
-        Model.prefix_lower_bounds ctx ~fixed_levels:k (search_prefix w m ~k)
-      in
-      let check what lb actual unit =
-        if lb <= actual *. (1.0 +. bound_tol) then []
-        else
-          [
-            D.error ~level:k D.Bound_overshoot
-              (Printf.sprintf "prefix %s bound %.6e%s at boundary %d exceeds the mapping's %.6e%s"
-                 what lb unit k actual unit);
-          ]
-      in
-      check "energy" energy_lb cost.Model.energy_pj " pJ"
-      @ check "cycles" cycles_lb cost.Model.cycles "")
-    (Listx.range (Array.length m.M.levels))
+   the optimum. The bound is the one the search calls, on packed rows;
+   overshoots accumulate in [tally], keyed by (boundary, quantity). *)
+let bound_chain tally w ctx m (cost : Model.cost) =
+  let note k q lb actual =
+    if not (lb <= actual *. (1.0 +. bound_tol)) then
+      match Hashtbl.find_opt tally (k, q) with
+      | None -> Hashtbl.replace tally (k, q) { count = 1; lb; actual }
+      | Some o ->
+        o.count <- o.count + 1;
+        if lb /. actual > o.lb /. o.actual then begin
+          o.lb <- lb;
+          o.actual <- actual
+        end
+  in
+  for k = 0 to Array.length m.M.levels - 1 do
+    let rows = M.Rows.of_levels w (search_prefix w m ~k).M.levels in
+    let b = Model.prefix_lower_bounds_rows ctx ~fixed_levels:k rows in
+    note k 0 b.Model.lb_energy_pj cost.Model.energy_pj;
+    note k 1 b.Model.lb_cycles cost.Model.cycles
+  done
+
+(* One SA011 per (boundary, quantity) that overshot, boundary-major. *)
+let chain_diags tally =
+  List.map
+    (fun ((k, q), o) ->
+      let what, unit = quantities.(q) in
+      D.error ~level:k D.Bound_overshoot
+        (Printf.sprintf
+           "prefix %s bound exceeds the mapping's %s at boundary %d on %d mapping(s); worst: \
+            bound %.6e%s vs %.6e%s (ratio %.6g)"
+           what what k o.count o.lb unit o.actual unit (o.lb /. o.actual)))
+    (List.sort compare (List.of_seq (Hashtbl.to_seq tally)))
 
 let search_config = { Opt.default_config with Opt.beam_width = 64 }
 
@@ -109,13 +128,13 @@ let check_bound ?(samples = 64) ?(seed = 0x5057) w a =
   let ctx = Model.context w a in
   let space = Mapspace.create w a in
   let rng = Sun_util.Rng.create seed in
-  let checked = ref 0 and diags = ref [] in
+  let checked = ref 0 and tally = Hashtbl.create 8 in
   let consider m =
     match Model.evaluate_ctx ctx m with
     | Error _ -> ()
     | Ok cost ->
       incr checked;
-      diags := List.rev_append (bound_chain w ctx m cost) !diags
+      bound_chain tally w ctx m cost
   in
   for _ = 1 to samples do
     consider (Mapspace.sample space rng)
@@ -124,7 +143,7 @@ let check_bound ?(samples = 64) ?(seed = 0x5057) w a =
   (match Opt.optimize ~config:search_config w a with
   | Ok r -> consider r.Opt.mapping
   | Error _ -> ());
-  (!checked, List.rev !diags)
+  (!checked, chain_diags tally)
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive oracle: one walk over the active-order mapspace           *)
@@ -135,7 +154,7 @@ type walk = { best : float; enumerated : int; chained : int; chain_diags : D.t l
 (* The exhaustive best, and the bound chain on every mapping at or below
    the running best: exactly the mappings pruning could cost us. *)
 let exhaustive w ctx space =
-  let best = ref infinity and enumerated = ref 0 and chained = ref 0 and diags = ref [] in
+  let best = ref infinity and enumerated = ref 0 and chained = ref 0 and tally = Hashtbl.create 8 in
   Seq.iter
     (fun m ->
       match Model.evaluate_ctx ctx m with
@@ -144,11 +163,11 @@ let exhaustive w ctx space =
         incr enumerated;
         if cost.Model.edp <= !best *. (1.0 +. bound_tol) then begin
           incr chained;
-          diags := List.rev_append (bound_chain w ctx m cost) !diags
+          bound_chain tally w ctx m cost
         end;
         if cost.Model.edp < !best then best := cost.Model.edp)
     (Mapspace.enumerate_active_orders space);
-  { best = !best; enumerated = !enumerated; chained = !chained; chain_diags = List.rev !diags }
+  { best = !best; enumerated = !enumerated; chained = !chained; chain_diags = chain_diags tally }
 
 (* Best EDP over all tilings when order [pi] is imposed at every level —
    the empirical half of a subsumption certificate. *)

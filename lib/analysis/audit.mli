@@ -8,10 +8,14 @@
     the beam-64 search with alpha-beta on and off:
 
     - {b bound chain} (SA011): on every enumerated mapping at or below the
-      running best, the bounds [Model.prefix_lower_bounds] gives the
-      search's prefix at each boundary ({!search_prefix}) stay at or below
-      the mapping's true energy and cycles (1e-6 relative). A violation
-      means alpha-beta could prune a prefix of the optimum.
+      running best, the bounds [Model.prefix_lower_bounds_rows] — the
+      entry point the search calls — gives the packed rows of the search's
+      prefix at each boundary ({!search_prefix}) stay at or below the
+      mapping's true energy and cycles (1e-6 relative). A violation means
+      alpha-beta could prune a prefix of the optimum. A kernel reports one
+      SA011 per boundary and quantity (energy or cycles) that overshot,
+      with the number of overshooting mappings and the worst overshoot:
+      bound, cost and their ratio.
     - {b ordering} (SA031/SA032): every one of the |dims|! loop orders must
       be subsumed by a kept trie candidate — its {!Pruning.scan} reuse
       (full-reuse dim set, partial-reuse flag) contained in the
@@ -79,14 +83,15 @@ val search_prefix :
 (** The prefix the bottom-up search holds at boundary [k] on its way to a
     complete mapping: levels below [k] whole, level [k]'s order and spatial
     unrolls with its temporal factors reset to 1, and the levels above at
-    their initial all-ones value — the shape [Model.prefix_lower_bounds]
-    is called on. *)
+    their initial all-ones value — the shape the search bounds with
+    [Model.prefix_lower_bounds_rows]. *)
 
 val check_bound :
   ?samples:int -> ?seed:int -> Sun_tensor.Workload.t -> Sun_arch.Arch.t -> int * Diagnostic.t list
 (** The bound chain alone, on any workload: [samples] (default 64)
     mapspace samples plus the search's own best mapping. The mappings
-    checked and the diagnostics; deterministic for a fixed [seed]. *)
+    checked and the diagnostics, one SA011 per boundary and quantity as
+    in the audit; deterministic for a fixed [seed]. *)
 
 val recheck :
   ?binding:Sun_cost.Model.binding ->

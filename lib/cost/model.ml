@@ -953,10 +953,6 @@ let bounds_into ctx lay ~fixed_levels =
     b.lb_cycles <- (if compute_cycles >= fs.f_lb_bw then compute_cycles else fs.f_lb_bw)
   end
 
-let prefix_lower_bounds ctx ~fixed_levels m =
-  bounds_into ctx (convert_into ctx m) ~fixed_levels;
-  (ctx.sc_bounds.lb_energy_pj, ctx.sc_bounds.lb_cycles)
-
 (* sunstone-hot *)
 let prefix_lower_bounds_rows ctx ~fixed_levels r =
   bounds_into ctx (load_rows ctx r) ~fixed_levels;

@@ -108,12 +108,15 @@ val score_rows : ctx -> Sun_mapping.Mapping.Rows.t -> (score, string) result
     allocates nothing and returns the same context-owned record as
     [score_ctx]. *)
 
-val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> float * float
-(** [(energy, cycles)] lower bounds for a bottom-up search prefix: levels
-    below [fixed_levels] are whole, level [fixed_levels] has its order and
-    spatial unrolls committed with its temporal factors still 1, and the
-    levels above are at their initial all-ones value. No completion of the
-    prefix costs less energy or fewer cycles.
+type bounds = { mutable lb_energy_pj : float; mutable lb_cycles : float }
+
+val prefix_lower_bounds_rows : ctx -> fixed_levels:int -> Sun_mapping.Mapping.Rows.t -> bounds
+(** Energy and cycles lower bounds for a bottom-up search prefix, on packed
+    rows (with {!score_rows}' preconditions): levels below [fixed_levels]
+    are whole, level [fixed_levels] has its order and spatial unrolls
+    committed with its temporal factors still 1, and the levels above are
+    at their initial all-ones value. No completion of the prefix costs
+    less energy or fewer cycles.
 
     The energy member charges the MACs, the committed streaming reads and
     every boundary at or below [fixed_levels], plus the mandatory
@@ -123,15 +126,10 @@ val prefix_lower_bounds : ctx -> fixed_levels:int -> Sun_mapping.Mapping.t -> fl
     the committed unrolls times the full fanout above, each committed
     boundary's traffic over its bandwidth times an upper bound on its
     instance count, and the top-boundary floor. This is the one bound behind
-    {!Sun_core.Optimizer}'s alpha-beta test; [sunstone audit] verifies it
-    against exhaustively enumerated mappings. *)
-
-type bounds = { mutable lb_energy_pj : float; mutable lb_cycles : float }
-
-val prefix_lower_bounds_rows : ctx -> fixed_levels:int -> Sun_mapping.Mapping.Rows.t -> bounds
-(** {!prefix_lower_bounds} on packed rows (with {!score_rows}'
-    preconditions): the same two floats, in a context-owned record the next
-    call overwrites. Allocates nothing. *)
+    {!Sun_core.Optimizer}'s alpha-beta test; [sunstone audit] verifies it,
+    through this same entry point, against exhaustively enumerated
+    mappings. The result is a context-owned record the next call
+    overwrites. Allocates nothing. *)
 
 val score_with_top : ctx -> int array -> (score, string) result
 (** [score_with_top ctx top] scores the rows the last

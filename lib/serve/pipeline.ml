@@ -52,13 +52,11 @@ let request_config ~base json =
 
 (* Default ids use the same 1-based line number as the [line] field of
    error responses, so "line3" always means input line 3. *)
-let default_id ~index = Printf.sprintf "line%d" (index + 1)
-
-let request_id ~index json =
-  match Json.member "id" json with
-  | Some (Json.String s) -> s
-  | Some v -> Json.to_string v
-  | None -> default_id ~index
+let request_id ~index parsed =
+  match Result.map (Json.member "id") parsed with
+  | Ok (Some (Json.String s)) -> s
+  | Ok (Some v) -> Json.to_string v
+  | Ok None | Error _ -> Printf.sprintf "line%d" (index + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Response construction                                                *)
@@ -96,144 +94,149 @@ let result_response ~id ~status ~fingerprint ~workload_name ~arch_name ~mapping_
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The two phases of a request                                          *)
+(* Classify: the parent side of a request                               *)
 (* ------------------------------------------------------------------ *)
-
-(* A usable cached document was computed by this version of the search and
-   decodes into a valid mapping and cost for this workload; anything else
-   (an older search, truncated write survivors, schema drift) is a miss. *)
-let decode_cached w doc =
-  let* () = if Transfer.current doc then Ok () else Error "stale search version" in
-  let* mapping_json = Json.field "mapping" doc in
-  let* cost_json = Json.field "cost" doc in
-  let* (_ : Sun_mapping.Mapping.t) = Codec.decode_mapping w mapping_json in
-  let* cost = Codec.decode_cost cost_json in
-  Ok (mapping_json, cost_json, cost)
 
 (* Errors in the request chain carry the static-analysis diagnostics that
    produced them (empty for plain decode failures). *)
 let plain r = Result.map_error (fun msg -> (msg, [])) r
 
-(* Everything about a request that can be decided without searching. *)
-type parsed = {
+(* Everything a worker needs to search or evaluate a request, as plain
+   data: no closure, so it marshals to a worker as is. The config's
+   [binding] stays in each side's own base config ({!task_config}). *)
+type task = {
   id : string;
+  line : int;  (* 1-based input line, for error responses *)
   workload_name : string;
   w : Sun_tensor.Workload.t;
   arch_name : string;
   a : Sun_arch.Arch.t;
-  config : Opt.config;
+  beam : int;
+  direction : Opt.direction;
   fingerprint : string;
   eval_mapping : Json.t option;
+  (* Test-only hooks, honored on the worker side: ["x-sunstone-test-crash":
+     true] kills its worker mid-job (both the first attempt and the pool's
+     retry, so the request surfaces as an error); ["x-sunstone-test-crash-once":
+     PATH] kills the worker only while PATH exists and removes it first, so
+     the retry succeeds; ["x-sunstone-test-corrupt-cost": true] doubles the
+     claimed numbers so tests can prove the response gate fires. *)
+  crash : bool;
+  crash_once : string option;
+  corrupt_cost : bool;
 }
 
-let parse_request ~config:base ~index line =
-  Tel.span "serve.parse_s" @@ fun () ->
-  match Json.of_string line with
-  | Error msg -> Error (default_id ~index, "bad request: " ^ msg, [])
-  | Ok json ->
-    let id = request_id ~index json in
-    Result.map_error
-      (fun (msg, diagnostics) -> (id, msg, diagnostics))
-      (let* () =
-         match Json.member "v" json with
-         | None -> Ok ()
-         | Some (Json.Int v) when v = Codec.version -> Ok ()
-         | Some v -> Error (Printf.sprintf "unsupported request version %s" (Json.to_string v), [])
-       in
-       let* workload_name, w =
-         plain (resolve "workload" Codec.decode_workload Registry.find_workload json)
-       in
-       let* arch_name, a = plain (resolve "arch" Codec.decode_arch Registry.find_arch json) in
-       let* config = plain (request_config ~base json) in
-       (* static well-formedness gate: an inline arch or workload that would
-          crash or nonsense-cost the optimizer is rejected with diagnostics *)
-       let wf =
-         Tel.span "serve.gate_s" (fun () -> Sun_analysis.Wellformed.check_request ~config w a)
-       in
-       let* () =
-         if D.has_errors wf then Error ("request rejected by static analysis", D.errors wf)
-         else Ok ()
-       in
-       Ok
-         {
-           id;
-           workload_name;
-           w;
-           arch_name;
-           a;
-           config;
-           fingerprint = Fingerprint.request ~config w a;
-           eval_mapping = Json.member "mapping" json;
-         })
+let task_config ~base t = { base with Opt.beam_width = t.beam; direction = t.direction }
 
-(* The worker side of a request: the actual search or evaluation. Never
-   consults the cache; instead returns the document the parent should
-   store, keeping the parent the single cache writer. *)
-let compute ?seed ~config ~index line =
-  let timer = Sun_util.Stopwatch.start () in
-  let line_no = index + 1 in
-  match parse_request ~config ~index line with
-  | Error (id, msg, diagnostics) ->
-    (Failed, error_response ~diagnostics ~line:line_no ~id msg, None,
-     Sun_util.Stopwatch.elapsed_s timer)
-  | Ok p -> (
-    let finish = function
-      | Ok (outcome, response, store) -> (outcome, response, store, Sun_util.Stopwatch.elapsed_s timer)
-      | Error (msg, diagnostics) ->
-        (Failed, error_response ~diagnostics ~line:line_no ~id:p.id msg, None,
-         Sun_util.Stopwatch.elapsed_s timer)
+(* Parses nothing: the driver parsed the line once, this decides the rest.
+   Returns the echoed id and the task, or why the request fails. *)
+let classify ~config:base ~index parsed =
+  Tel.span "serve.parse_s" @@ fun () ->
+  let id = request_id ~index parsed in
+  ( id,
+    let* json = Result.map_error (fun msg -> ("bad request: " ^ msg, [])) parsed in
+    let* () =
+      match Json.member "v" json with
+      | None -> Ok ()
+      | Some (Json.Int v) when v = Codec.version -> Ok ()
+      | Some v -> Error (Printf.sprintf "unsupported request version %s" (Json.to_string v), [])
     in
-    match p.eval_mapping with
+    let* workload_name, w =
+      plain (resolve "workload" Codec.decode_workload Registry.find_workload json)
+    in
+    let* arch_name, a = plain (resolve "arch" Codec.decode_arch Registry.find_arch json) in
+    let* config = plain (request_config ~base json) in
+    (* static well-formedness gate: an inline arch or workload that would
+       crash or nonsense-cost the optimizer is rejected with diagnostics *)
+    let wf =
+      Tel.span "serve.gate_s" (fun () -> Sun_analysis.Wellformed.check_request ~config w a)
+    in
+    let* () =
+      if D.has_errors wf then Error ("request rejected by static analysis", D.errors wf)
+      else Ok ()
+    in
+    Ok
+      {
+        id;
+        line = index + 1;
+        workload_name;
+        w;
+        arch_name;
+        a;
+        beam = config.Opt.beam_width;
+        direction = config.Opt.direction;
+        fingerprint = Fingerprint.request ~config w a;
+        eval_mapping = Json.member "mapping" json;
+        crash = Json.member "x-sunstone-test-crash" json = Some (Json.Bool true);
+        crash_once =
+          (match Json.member "x-sunstone-test-crash-once" json with
+          | Some (Json.String path) -> Some path
+          | _ -> None);
+        corrupt_cost = Json.member "x-sunstone-test-corrupt-cost" json <> None;
+      } )
+
+(* A usable cached document was computed by this version of the search and
+   decodes into a valid mapping and cost for this workload; anything else
+   (an older search, truncated write survivors, schema drift) is a miss.
+   The mapping is answered in [w]'s own dim names: a workload spelled with
+   other names shares the fingerprint, and {!Transfer.stored_levels} renames
+   the stored levels through the document's [sdims]. Re-encoding a mapping
+   the document spelled alike gives back its stored bytes. *)
+let decode_cached w doc =
+  let* () = if Transfer.current doc then Ok () else Error "stale search version" in
+  let* cost_json = Json.field "cost" doc in
+  let* cost = Codec.decode_cost cost_json in
+  let* levels = Transfer.stored_levels w doc in
+  let* m = Sun_mapping.Mapping.make w levels in
+  Ok (Codec.encode_mapping m, cost_json, cost)
+
+(* ------------------------------------------------------------------ *)
+(* Compute: the worker side of a request                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The search or evaluation of a classified request. Never consults the
+   cache; instead returns the document the parent should store, keeping
+   the parent the single cache writer. *)
+let compute ?seed ~config:base t =
+  let timer = Sun_util.Stopwatch.start () in
+  let config = task_config ~base t in
+  let result =
+    match t.eval_mapping with
     | Some mapping_json ->
       (* evaluate a caller-supplied mapping instead of searching *)
-      finish
-        (let* levels = plain (Codec.decode_mapping_raw mapping_json) in
-         let diags = Sun_analysis.Legality.check_all p.w p.a levels in
-         let* () =
-           if D.has_errors diags then Error ("mapping rejected by static analysis", D.errors diags)
-           else Ok ()
-         in
-         let* m = plain (Sun_mapping.Mapping.make p.w levels) in
-         let* cost =
-           plain (Tel.span "serve.compute_s" (fun () -> Sun_cost.Model.evaluate p.w p.a m))
-         in
-         Ok
-           ( Computed,
-             result_response ~id:p.id ~status:"evaluated" ~fingerprint:p.fingerprint
-               ~workload_name:p.workload_name ~arch_name:p.arch_name ~mapping_json
-               ~cost_json:(Codec.encode_cost cost) ~cost
-               ~wall_s:(Sun_util.Stopwatch.elapsed_s timer),
-             None ))
-    | None ->
-      finish
-        (match
-           Tel.span "serve.compute_s" (fun () -> Opt.optimize ~config:p.config ?seed p.w p.a)
-         with
-        | Error msg -> Error (Printf.sprintf "no valid mapping: %s" msg, [])
-        | Ok r ->
-          (* Response gate: re-check legality, re-derive the cost (SA037 on
-             drift) and re-verify order subsumption before the mapping is
-             returned or cached. The test hook ["x-sunstone-test-corrupt-cost":
-             true] doubles the claimed numbers so tests can prove the gate
-             fires. *)
-          let claimed_energy, claimed_edp =
-            let corrupt =
-              match Json.of_string line with
-              | Ok json -> Json.member "x-sunstone-test-corrupt-cost" json <> None
-              | Error _ -> false
-            in
-            if corrupt then
-              (r.Opt.cost.Sun_cost.Model.energy_pj *. 2.0, r.Opt.cost.Sun_cost.Model.edp *. 2.0)
-            else (r.Opt.cost.Sun_cost.Model.energy_pj, r.Opt.cost.Sun_cost.Model.edp)
-          in
-          let audit =
-            Tel.span "serve.recheck_s" (fun () ->
-                Sun_analysis.Audit.recheck ~binding:p.config.Opt.binding p.w p.a r.Opt.mapping
-                  ~claimed_energy ~claimed_edp)
-          in
-          if D.has_errors audit then
-            Error ("mapping rejected by audit recheck", D.errors audit)
-          else
+      let* levels = plain (Codec.decode_mapping_raw mapping_json) in
+      let diags = Sun_analysis.Legality.check_all t.w t.a levels in
+      let* () =
+        if D.has_errors diags then Error ("mapping rejected by static analysis", D.errors diags)
+        else Ok ()
+      in
+      let* m = plain (Sun_mapping.Mapping.make t.w levels) in
+      let* cost =
+        plain (Tel.span "serve.compute_s" (fun () -> Sun_cost.Model.evaluate t.w t.a m))
+      in
+      Ok
+        ( Computed,
+          result_response ~id:t.id ~status:"evaluated" ~fingerprint:t.fingerprint
+            ~workload_name:t.workload_name ~arch_name:t.arch_name ~mapping_json
+            ~cost_json:(Codec.encode_cost cost) ~cost
+            ~wall_s:(Sun_util.Stopwatch.elapsed_s timer),
+          None )
+    | None -> (
+      match Tel.span "serve.compute_s" (fun () -> Opt.optimize ~config ?seed t.w t.a) with
+      | Error msg -> Error (Printf.sprintf "no valid mapping: %s" msg, [])
+      | Ok r ->
+        (* Response gate: re-check legality, re-derive the cost (SA037 on
+           drift) and re-verify order subsumption before the mapping is
+           returned or cached. *)
+        let claim_scale = if t.corrupt_cost then 2.0 else 1.0 in
+        let audit =
+          Tel.span "serve.recheck_s" (fun () ->
+              Sun_analysis.Audit.recheck ~binding:config.Opt.binding t.w t.a r.Opt.mapping
+                ~claimed_energy:(r.Opt.cost.Sun_cost.Model.energy_pj *. claim_scale)
+                ~claimed_edp:(r.Opt.cost.Sun_cost.Model.edp *. claim_scale))
+        in
+        if D.has_errors audit then Error ("mapping rejected by audit recheck", D.errors audit)
+        else
           let mapping_json = Codec.encode_mapping r.Opt.mapping in
           let cost_json = Codec.encode_cost r.Opt.cost in
           let doc =
@@ -243,14 +246,22 @@ let compute ?seed ~config ~index line =
                ({!Transfer}) *)
             Json.Obj
               ([ ("v", Json.Int Codec.version); ("mapping", mapping_json); ("cost", cost_json) ]
-              @ Transfer.stored_fields ~config:p.config p.w p.a)
+              @ Transfer.stored_fields ~config t.w t.a)
           in
           Ok
             ( Computed,
-              result_response ~id:p.id ~status:"computed" ~fingerprint:p.fingerprint
-                ~workload_name:p.workload_name ~arch_name:p.arch_name ~mapping_json ~cost_json
+              result_response ~id:t.id ~status:"computed" ~fingerprint:t.fingerprint
+                ~workload_name:t.workload_name ~arch_name:t.arch_name ~mapping_json ~cost_json
                 ~cost:r.Opt.cost ~wall_s:(Sun_util.Stopwatch.elapsed_s timer),
-              Some (p.fingerprint, doc) )))
+              Some (t.fingerprint, doc) ))
+  in
+  let outcome, response, store =
+    match result with
+    | Ok r -> r
+    | Error (msg, diagnostics) ->
+      (Failed, error_response ~diagnostics ~line:t.line ~id:t.id msg, None)
+  in
+  (outcome, response, store, Sun_util.Stopwatch.elapsed_s timer)
 
 (* ------------------------------------------------------------------ *)
 (* Outcome counters                                                     *)
@@ -298,35 +309,15 @@ let count cnt outcome wall =
 (* Worker side                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Test-only crash hooks, honored on the worker side: a request carrying
-   ["x-sunstone-test-crash": true] kills its worker mid-job (both the first
-   attempt and the pool's retry, so the request surfaces as an error);
-   ["x-sunstone-test-crash-once": PATH] kills the worker only while PATH
-   exists and removes it first, so the retry succeeds. *)
-let worker_crash_hooks line =
-  match Json.of_string line with
-  | Error _ -> ()
-  | Ok json -> (
-    (match Json.member "x-sunstone-test-crash-once" json with
-    | Some (Json.String path) when Sys.file_exists path ->
-      (try Sys.remove path with Sys_error _ -> ());
-      Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ());
-    match Json.member "x-sunstone-test-crash" json with
-    | Some (Json.Bool true) -> Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ())
+let crash_hooks t =
+  (match t.crash_once with
+  | Some path when Sys.file_exists path ->
+    (try Sys.remove path with Sys_error _ -> ());
+    Unix.kill (Unix.getpid ()) Sys.sigkill
+  | _ -> ());
+  if t.crash then Unix.kill (Unix.getpid ()) Sys.sigkill
 
-(* The id of a crashed request has to be recovered in the parent: the
-   worker that knew it is gone. *)
-let crash_error_response ~index ~line msg =
-  let id =
-    match Json.of_string line with
-    | Ok json -> request_id ~index json
-    | Error _ -> default_id ~index
-  in
-  error_response ~line:(index + 1) ~id msg
-
-type work = int * string * Sun_mapping.Mapping.level_mapping list option
+type work = task * Sun_mapping.Mapping.level_mapping list option
 
 type work_reply =
   outcome * string * (string * Json.t) option * float * Tel.snapshot option
@@ -336,10 +327,10 @@ type work_reply =
    with the result; the parent merges it on receipt. A crashed attempt's
    counts die with the process, so a retried job is counted exactly once —
    keeping totals independent of the worker count. *)
-let worker ~config ((index, line, seed) : work) : work_reply =
-  worker_crash_hooks line;
+let worker ~config ((t, seed) : work) : work_reply =
+  crash_hooks t;
   if Tel.enabled () then Tel.reset ();
-  let outcome, response, store, wall = compute ?seed ~config ~index line in
+  let outcome, response, store, wall = compute ?seed ~config t in
   let tel = if Tel.enabled () then Some (Tel.snapshot ()) else None in
   (outcome, Json.to_string response, store, wall, tel)
 
@@ -350,8 +341,9 @@ let worker ~config ((index, line, seed) : work) : work_reply =
 type 'a job = {
   key : int;
   index : int;
-  line : string;
+  id : string;
   slot : 'a;
+  request : (task, string * D.t list) result;
   mutable fp : string option;
   mutable seed : Sun_mapping.Mapping.level_mapping list option;
 }
@@ -380,14 +372,16 @@ let router ?cache ?on_child_fork ~config ~jobs ~answer ~ready () =
 
 let pool r = r.pool
 
-let job ~key ~index ~line slot = { key; index; line; slot; fp = None; seed = None }
+let job r ~key ~index json slot =
+  let id, request = classify ~config:r.config ~index json in
+  { key; index; id; slot; request; fp = None; seed = None }
 
-(* The parent side of a request (the parent is the only cache user): answer
-   it when no compute is needed — malformed, statically rejected or a cache
-   hit — else park it behind the job computing its fingerprint, or claim
-   the fingerprint and hand it to the driver's ready queue. The in-flight
-   check comes before the cache lookup, so cache counters do not depend on
-   the worker count. *)
+(* The parent side of a classified request (the parent is the only cache
+   user): answer it when no compute is needed — rejected or a cache hit —
+   else park it behind the job computing its fingerprint, or claim the
+   fingerprint and hand it to the driver's ready queue. The in-flight check
+   comes before the cache lookup, so cache counters do not depend on the
+   worker count. A parked job routed again repeats only these two steps. *)
 let rec route r job =
   let timer = Sun_util.Stopwatch.start () in
   let dispatch fp seed =
@@ -396,39 +390,39 @@ let rec route r job =
     job.seed <- seed;
     r.ready job
   in
-  match parse_request ~config:r.config ~index:job.index job.line with
-  | Error (id, msg, diagnostics) ->
+  match job.request with
+  | Error (msg, diagnostics) ->
     r.answer job Failed
-      (Json.to_string (error_response ~diagnostics ~line:(job.index + 1) ~id msg))
+      (Json.to_string (error_response ~diagnostics ~line:(job.index + 1) ~id:job.id msg))
       (Sun_util.Stopwatch.elapsed_s timer)
-  | Ok p -> (
-    match (p.eval_mapping, r.cache) with
+  | Ok t -> (
+    match (t.eval_mapping, r.cache) with
     | Some _, _ | None, None ->
       (* evaluations never touch the cache; without one every search computes *)
       dispatch None None
     | None, Some c -> (
-      match Hashtbl.find_opt r.parked p.fingerprint with
+      match Hashtbl.find_opt r.parked t.fingerprint with
       | Some parked -> Queue.add job parked
       | None -> (
         let cached =
-          match Tel.span "serve.cache_s" (fun () -> Cache.find c p.fingerprint) with
+          match Tel.span "serve.cache_s" (fun () -> Cache.find c t.fingerprint) with
           | None -> None
-          | Some doc -> Result.to_option (decode_cached p.w doc)
+          | Some doc -> Result.to_option (decode_cached t.w doc)
         in
         match cached with
         | Some (mapping_json, cost_json, cost) ->
           let wall_s = Sun_util.Stopwatch.elapsed_s timer in
           r.answer job Hit
             (Json.to_string
-               (result_response ~id:p.id ~status:"hit" ~fingerprint:p.fingerprint
-                  ~workload_name:p.workload_name ~arch_name:p.arch_name ~mapping_json
+               (result_response ~id:t.id ~status:"hit" ~fingerprint:t.fingerprint
+                  ~workload_name:t.workload_name ~arch_name:t.arch_name ~mapping_json
                   ~cost_json ~cost ~wall_s))
             wall_s
         | None ->
           (* miss: try to warm-start from the nearest cached family member
              (parent-side — workers never see the cache) *)
-          dispatch (Some p.fingerprint)
-            (Transfer.find_seed ~cache:c ~config:p.config p.w p.a))))
+          dispatch (Some t.fingerprint)
+            (Transfer.find_seed ~cache:c ~config:(task_config ~base:r.config t) t.w t.a))))
 
 (* A fingerprint landed (stored, failed, expired or dropped): everything
    parked on it is routed again — normally a cache hit now, or a fresh
@@ -444,16 +438,20 @@ and release r job =
       Hashtbl.remove r.parked fp;
       Queue.iter (route r) parked)
 
+(* only a classified request reaches [ready] *)
 let submit r job =
   Hashtbl.replace r.dispatched job.key job;
-  Parpool.submit r.pool ~key:job.key (job.index, job.line, job.seed)
+  Parpool.submit r.pool ~key:job.key (Result.get_ok job.request, job.seed)
 
 let complete r (key, reply) =
   match Hashtbl.find_opt r.dispatched key with
   | None -> ()
   | Some job ->
     Hashtbl.remove r.dispatched key;
-    let failed msg = Json.to_string (crash_error_response ~index:job.index ~line:job.line msg) in
+    (* the worker that knew the response is gone: answer from the job *)
+    let failed msg =
+      Json.to_string (error_response ~line:(job.index + 1) ~id:job.id msg)
+    in
     let outcome, response, wall =
       match reply with
       | Parpool.Done (outcome, response, store, wall, tel) ->
@@ -514,7 +512,7 @@ let run_channels ?cache ?(config = Opt.default_config) ?(jobs = 1) ic oc =
           else begin
             Tel.count "serve.requests" 1;
             cnt.c_requests <- cnt.c_requests + 1;
-            route r (job ~key:(cnt.c_requests - 1) ~index:(!index - 1) ~line ());
+            route r (job r ~key:(cnt.c_requests - 1) ~index:(!index - 1) (Json.of_string line) ());
             true
           end
       in

@@ -119,27 +119,38 @@ val summary_line : summary -> string
 
 (** {2 The routing core}
 
-    What the batch driver and the daemon ({!Server}) share: classify each
-    request in the parent (parse, well-formedness gate, fingerprint, cache
-    lookup, transfer seed), claim its fingerprint or park it behind the
-    request already computing that fingerprint, compute it on a worker, and
-    turn the worker's reply into a response, storing the result in the
-    cache. A driver supplies where responses go ([answer]) and how jobs
-    wait for an idle worker ([ready]); it keeps its own input, output
-    order and dispatch policy. *)
+    What the batch driver and the daemon ({!Server}) share. A driver parses
+    each line once ([Json.of_string]) and hands the value to {!job}, which
+    classifies it in the parent, once: version check, registry or inline
+    resolve of [workload] and [arch], the [beam] / [top_down] overrides,
+    the {!Sun_analysis.Wellformed} gate, {!Fingerprint.request}, the
+    [mapping] field and the [x-sunstone-test-*] hook fields. The job keeps
+    the result. {!route} then claims the fingerprint or parks the job
+    behind the request already computing it, looks the fingerprint up in
+    the cache and picks a transfer seed; a parked job routed again repeats
+    only the in-flight check and the cache lookup. A worker receives plain
+    data — workload, arch, beam and direction, fingerprint, names, id,
+    evaluation mapping, seed and hook flags — and only searches or
+    evaluates, rechecks and encodes; the config's [binding] is the worker's
+    own base config's. {!complete} turns the worker's reply into a
+    response, storing the result in the cache. A driver supplies where
+    responses go ([answer]) and how jobs wait for an idle worker ([ready]);
+    it keeps its own input, output order and dispatch policy. *)
+
+type task
+(** A classified request, as the plain data a worker computes from. *)
 
 type 'a job = private {
   key : int;  (** pool key, unique among the driver's jobs *)
   index : int;  (** 0-based input line: default ids and error [line]s *)
-  line : string;  (** the raw request *)
+  id : string;  (** the echoed id, also of crash, worker-error and expiry responses *)
   slot : 'a;  (** the driver's own data, e.g. where the response goes *)
+  request : (task, string * Sun_analysis.Diagnostic.t list) result;
+      (** the classified request, or why it is rejected (with diagnostics) *)
   mutable fp : string option;  (** fingerprint this job holds in flight *)
   mutable seed : Sun_mapping.Mapping.level_mapping list option;
-      (** transfer seed resolved at classify time, shipped with the job *)
+      (** transfer seed resolved at routing time, shipped with the job *)
 }
-
-val job : key:int -> index:int -> line:string -> 'a -> 'a job
-(** A fresh job carrying the driver's [slot]. *)
 
 type 'a router
 type work
@@ -152,19 +163,26 @@ val router :
 (** Creates the pool: up to [jobs] workers, forked by the first
     {!submit}s that find none idle, and [?on_child_fork] as in
     {!Parpool.create}. A run whose every request is answered in the
-    parent (cache hits, rejected lines) forks nothing.
+    parent (cache hits, rejected lines) forks nothing. [config] is the base
+    optimizer config of both sides.
     [answer job outcome response wall_s] receives every final response,
     serialized; it is called once per routed job.
     [ready job] receives each job that needs compute; the driver passes it
     to {!submit} once a worker is idle, or to {!release} if it drops it. *)
+
+val job : 'a router -> key:int -> index:int -> (Json.t, string) result -> 'a -> 'a job
+(** [job r ~key ~index parsed slot] classifies one parsed request line
+    ([Error] is the parse failure, answered as ["bad request: ..."]) into
+    a fresh job carrying the driver's [slot]. Times the classification as
+    [serve.parse_s] and the gate as [serve.gate_s]. *)
 
 val pool : 'a router -> (work, work_reply) Parpool.t
 (** For idleness, completions and shutdown; drivers call {!submit} and
     {!complete} rather than {!Parpool.submit} and matching replies. *)
 
 val route : 'a router -> 'a job -> unit
-(** Classifies a fresh job and answers it, parks it, or hands it to
-    [ready]. Never raises. *)
+(** Answers a fresh job (rejected or a cache hit), parks it, or hands it
+    to [ready]. Never raises. *)
 
 val submit : 'a router -> 'a job -> unit
 (** Ships a [ready] job to an idle worker. *)
@@ -172,7 +190,8 @@ val submit : 'a router -> 'a job -> unit
 val complete : 'a router -> int * work_reply Parpool.reply -> unit
 (** Handles one pool completion: merges the worker's telemetry, stores
     the result in the cache, answers the job (a raised job or a twice
-    crashed worker becomes an error response), then {!release}s it. *)
+    crashed worker becomes an error response with the job's id), then
+    {!release}s it. *)
 
 val release : 'a router -> 'a job -> unit
 (** Gives up the job's fingerprint and routes every job parked behind it
@@ -185,14 +204,6 @@ val error_response : ?diagnostics:Sun_analysis.Diagnostic.t list -> line:int -> 
   string -> Json.t
 (** A [status:"error"] response; [line] is 1-based. *)
 
-val crash_error_response : index:int -> line:string -> string -> Json.t
-(** Error response for a request answered without its worker's reply:
-    re-derives the id from the raw input [line] in the parent ([index] is
-    0-based). *)
-
-val request_id : index:int -> Json.t -> string
-(** The echoed id of a parsed request: its ["id"] field, or
-    {!default_id} when absent. *)
-
-val default_id : index:int -> string
-(** ["line<index+1>"], the id of a request that has none. *)
+val request_id : index:int -> (Json.t, string) result -> string
+(** The echoed id of a parsed request line: its ["id"] field, or
+    ["line<index+1>"] when it has none or did not parse. *)

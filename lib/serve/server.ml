@@ -291,8 +291,7 @@ let stats_response st ~id =
       ("telemetry", telemetry);
     ]
 
-let parse_deadline ~now json =
-  match Json.member "deadline_ms" json with
+let parse_deadline ~now = function
   | None -> Ok infinity
   | Some (Json.Int ms) when ms >= 0 -> Ok (now +. (float_of_int ms /. 1000.))
   | Some _ -> Error "bad request: deadline_ms must be a non-negative integer"
@@ -306,7 +305,7 @@ let expire st (item : item) =
   st.s_expired <- st.s_expired + 1;
   settle st item Pipeline.Failed
     (Json.to_string
-       (Pipeline.crash_error_response ~index:item.index ~line:item.line "deadline exceeded"))
+       (Pipeline.error_response ~line:(item.index + 1) ~id:item.id "deadline exceeded"))
 
 (* Pop the ready queue in (deadline, admission) order while workers are
    idle. Requests whose deadline already passed, and requests whose
@@ -331,20 +330,20 @@ let rec dispatch_ready st r ~now =
 (* Input                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The line's one parse: the id, the control field and the deadline are
+   read here, and the router classifies the same value. *)
 let process_line st r ~max_queue ~now conn line =
   conn.lines_read <- conn.lines_read + 1;
   let idx = conn.lines_read - 1 in
   if String.trim line <> "" then begin
     let json = Json.of_string line in
-    let id =
-      match json with
-      | Ok j -> Pipeline.request_id ~index:idx j
-      | Error _ -> Pipeline.default_id ~index:idx
-    in
+    let id = Pipeline.request_id ~index:idx json in
+    (* an unparsable line has no fields; classification turns it into the
+       same parse-error response batch would give *)
+    let field name = Result.fold ~ok:(Json.member name) ~error:(fun _ -> None) json in
     let ord = conn.admitted in
     conn.admitted <- ord + 1;
-    let control = match json with Ok j -> Json.member "control" j | Error _ -> None in
-    match control with
+    match field "control" with
     | Some (Json.String "stats") -> answer conn ord (Json.to_string (stats_response st ~id))
     | Some v ->
       answer conn ord
@@ -362,12 +361,7 @@ let process_line st r ~max_queue ~now conn line =
              (overloaded_response ~id ~line:(idx + 1) ~queue:st.waiting ~max_queue))
       end
       else
-        let deadline =
-          (* an unparsable line carries no deadline; classification below
-             turns it into the same parse-error response batch would give *)
-          match json with Error _ -> Ok infinity | Ok j -> parse_deadline ~now:(now ()) j
-        in
-        match deadline with
+        match parse_deadline ~now:(now ()) (field "deadline_ms") with
         | Error msg ->
           Pipeline.tally Pipeline.Failed;
           st.s_errors <- st.s_errors + 1;
@@ -377,7 +371,7 @@ let process_line st r ~max_queue ~now conn line =
           st.next_seq <- seq + 1;
           st.waiting <- st.waiting + 1;
           Pipeline.route r
-            (Pipeline.job ~key:seq ~index:idx ~line { cid = conn.cid; ord; deadline }))
+            (Pipeline.job r ~key:seq ~index:idx json { cid = conn.cid; ord; deadline }))
   end
 
 let read_conn st r ~max_queue ~now conn =

@@ -8,6 +8,8 @@ module Opt = Sun_core.Optimizer
    DESIGN.md for when. *)
 let search_version = 1
 
+let ( let* ) = Result.bind
+
 let current doc = Json.member "search" doc = Some (Json.Int search_version)
 
 (* The fields the pipeline adds to every stored document: the search version
@@ -140,19 +142,20 @@ let rescale ~binding (w : W.t) (a : A.t) levels =
     Array.to_list arr
   end
 
+let stored_levels (w : W.t) doc =
+  let* sdims =
+    Option.to_result ~none:"no sdims" (Option.bind (Json.member "sdims" doc) string_list)
+  in
+  let* levels = Result.bind (Json.field "mapping" doc) Codec.decode_mapping_raw in
+  match List.combine sdims (Fingerprint.structural_dims w) with
+  | exception Invalid_argument _ -> Error "sdims do not line up with the workload's dims"
+  | rename ->
+    Option.to_result ~none:"a stored dim outside sdims"
+      (rename_levels (Fun.flip List.assoc_opt rename) levels)
+
 let seed_of_doc ~config (w : W.t) (a : A.t) doc =
-  match (Json.member "sdims" doc, Json.member "mapping" doc) with
-  | Some sdims_json, Some mapping_json when current doc -> (
-    match (string_list sdims_json, Codec.decode_mapping_raw mapping_json) with
-    | Some sdims, Ok levels when List.length sdims = List.length (W.dim_names w) -> (
-      let new_sdims = Fingerprint.structural_dims w in
-      let rename = Hashtbl.create 8 in
-      List.iter2 (fun old_d new_d -> Hashtbl.replace rename old_d new_d) sdims new_sdims;
-      match rename_levels (Hashtbl.find_opt rename) levels with
-      | Some renamed -> Some (rescale ~binding:config.Opt.binding w a renamed)
-      | None -> None)
-    | _ -> None)
-  | _ -> None
+  if not (current doc) then None
+  else Option.map (rescale ~binding:config.Opt.binding w a) (Result.to_option (stored_levels w doc))
 
 (* How many nearest family members to rescale and score. Bounds distance
    is a proxy: a slightly farther neighbor whose factors survive rescaling

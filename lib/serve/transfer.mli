@@ -56,6 +56,15 @@ val stored_fields :
     {!search_version}, the structural family digest, the bounds and the
     workload's own dim names, both in structural order. *)
 
+val stored_levels :
+  Sun_tensor.Workload.t -> Json.t -> (Sun_mapping.Mapping.level_mapping list, string) result
+(** A stored document's mapping levels renamed into [w]'s dim names: its
+    ["sdims"] line up position by position with [w]'s
+    {!Fingerprint.structural_dims}, the structural correspondence a
+    fingerprint or family match implies. Identity when the document was
+    stored for a workload with [w]'s dim names. The levels are not checked
+    against [w]'s bounds. *)
+
 val seed_of_doc :
   config:Sun_core.Optimizer.config ->
   Sun_tensor.Workload.t ->

@@ -8,7 +8,7 @@
     fanout between them (maximal unrollings of the same reuse dimensions).
     Partial schedules are scored by completing them naively at DRAM and
     keeping the best [beam_width]; alpha-beta pruning discards prefixes
-    whose admissible EDP lower bound ({!Sun_cost.Model.prefix_lower_bounds})
+    whose admissible EDP lower bound ({!Sun_cost.Model.prefix_lower_bounds_rows})
     already exceeds the best complete schedule found.
 
     Candidates are packed rows ({!Sun_mapping.Mapping.Rows}) that share

@@ -177,8 +177,12 @@ let test_breakdown_sums () =
 
 (* The search's alpha-beta bounds on the prefixes of a complete mapping. *)
 let prefix_bounds w arch m ~k =
-  Model.prefix_lower_bounds (Model.context w arch) ~fixed_levels:k
-    (Sun_analysis.Audit.search_prefix w m ~k)
+  let prefix = Sun_analysis.Audit.search_prefix w m ~k in
+  let b =
+    Model.prefix_lower_bounds_rows (Model.context w arch) ~fixed_levels:k
+      (M.Rows.of_levels w prefix.M.levels)
+  in
+  (b.Model.lb_energy_pj, b.Model.lb_cycles)
 
 let test_lower_bound () =
   let full = Model.evaluate_exn conv arch algorithm4 in

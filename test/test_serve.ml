@@ -1067,6 +1067,33 @@ let test_pipeline_parallel_dedup () =
   let s', _, _ = run_batch ~jobs:4 requests in
   Alcotest.(check int) "no cache: all computed" 3 s'.Pipeline.computed
 
+(* One workload spelled with two sets of dim names has one fingerprint,
+   so the second spelling is a hit, answered in its own dim names with the
+   stored cost's bytes. *)
+let test_pipeline_dim_spellings_hit () =
+  let spelled (dm, dn, dk) = matmul_like ~name:"mm" ~m:4 ~n:4 ~k:2 [ dm; dn; dk ] (dm, dn, dk) in
+  let mnk = spelled ("M", "N", "K") and xyz = spelled ("X", "Y", "Z") in
+  let request w =
+    Printf.sprintf {|{"workload":%s,"arch":"toy"}|} (J.to_string (Codec.encode_workload w))
+  in
+  let cache = Cache.create () in
+  let s, responses, _ = run_batch ~cache [ request mnk; request xyz; request mnk; request xyz ] in
+  Alcotest.(check (list string)) "second spelling hits" [ "computed"; "hit"; "hit"; "hit" ]
+    (List.map (fun r -> ok (J.as_string (response_field "status" r))) responses);
+  Alcotest.(check int) "one search" 1 s.Pipeline.computed;
+  Alcotest.(check int) "pipeline hits = cache hits" s.Pipeline.hits (Cache.stats cache).Cache.hits;
+  let first = List.nth responses 0 and other = List.nth responses 1 in
+  let mapping r w = Codec.decode_mapping w (response_field "mapping" r) in
+  Alcotest.(check bool) "hit mapping in its own dim names" true
+    (Result.is_ok (mapping other xyz) && Result.is_error (mapping other mnk));
+  Alcotest.(check string) "cost byte-equal"
+    (J.to_string (response_field "cost" first))
+    (J.to_string (response_field "cost" other));
+  Alcotest.(check string) "mapping renamed, not rescaled"
+    (J.to_string (Codec.encode_mapping (ok (mapping first mnk))))
+    (String.map (function 'X' -> 'M' | 'Y' -> 'N' | 'Z' -> 'K' | c -> c)
+       (J.to_string (response_field "mapping" other)))
+
 (* A crash-hook batch at one and at two workers: the same responses,
    modulo wall_s, each checked by [check]. *)
 let crash_runs_agree ~requests ~check =
@@ -1261,8 +1288,8 @@ let test_pipeline_transfer_seeding () =
    optimizer.* and model.* counts are merged back from workers, serve.*
    counts are tallied in the parent. parpool.* is excluded because its
    per-worker counters depend on the worker count, and histograms are
-   excluded because with several workers deferred requests re-classify,
-   adding span observations a one-worker run never makes. *)
+   timings (their serve.* span counts are pinned per request by
+   [test_one_classify_per_request]). *)
 let parity_counters snap =
   let prefixed p name =
     String.length name >= String.length p && String.sub name 0 (String.length p) = p
@@ -1831,6 +1858,50 @@ let test_registry_built_once () =
     (Registry.workloads ());
   Alcotest.(check bool) "one catalog" true (Registry.workloads () == Registry.workloads ())
 
+(* The parent classifies each request once: one parse span per request and
+   one gate span per request that parses, whatever the worker count, for
+   duplicates parked in flight too, and in the daemon as in batch. *)
+let test_one_classify_per_request () =
+  let fixture =
+    List.filter (fun l -> String.trim l <> "") (read_lines "fixtures/batch_mixed.jsonl")
+  in
+  (* 9 requests, of which r1, line 2, r3 and line 9 reach the gate; the
+     duplicates park behind the first conv1d at more than one worker *)
+  let dup = {|{"workload":"conv1d","arch":"toy","id":"dup"}|} in
+  let requests = fixture @ [ dup; dup ] in
+  let counts f =
+    Tel.set_enabled true;
+    Tel.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Tel.reset ();
+        Tel.set_enabled false)
+      (fun () ->
+        f ();
+        let snap = Tel.snapshot () in
+        let spans name =
+          match List.assoc_opt name snap.Tel.s_hists with Some h -> h.Tel.h_count | None -> 0
+        in
+        ( Option.value ~default:0 (List.assoc_opt "serve.requests" snap.Tel.s_counters),
+          spans "serve.parse_s",
+          spans "serve.gate_s" ))
+  in
+  let check what (requests, parses, gates) n =
+    Alcotest.(check int) (what ^ ": requests") (11 * n) requests;
+    Alcotest.(check int) (what ^ ": one parse per request") requests parses;
+    Alcotest.(check int) (what ^ ": one gate per parsed request") (6 * n) gates
+  in
+  List.iter
+    (fun jobs ->
+      check (Printf.sprintf "batch --jobs %d" jobs)
+        (counts (fun () -> ignore (run_batch ~cache:(Cache.create ()) ~jobs requests)))
+        1)
+    [ 1; 4 ];
+  check "daemon, two connections"
+    (counts (fun () ->
+         ignore (serve_clients ~cache:(Cache.create ()) ~jobs:2 [ requests; requests ])))
+    2
+
 let () =
   Alcotest.run "sun_serve"
     [
@@ -1905,6 +1976,7 @@ let () =
           Alcotest.test_case "default ids are 1-based" `Quick test_pipeline_default_ids_one_based;
           Alcotest.test_case "--jobs 4 parity with --jobs 1" `Quick test_pipeline_jobs_parity;
           Alcotest.test_case "parallel in-flight dedup" `Quick test_pipeline_parallel_dedup;
+          Alcotest.test_case "dim spellings share a hit" `Quick test_pipeline_dim_spellings_hit;
           Alcotest.test_case "worker crash contained" `Quick test_pipeline_worker_crash_contained;
           Alcotest.test_case "worker crash-once retried" `Quick
             test_pipeline_worker_crash_once_is_retried;
@@ -1923,6 +1995,7 @@ let () =
           Alcotest.test_case "--jobs counter parity" `Quick test_telemetry_jobs_parity;
           Alcotest.test_case "--jobs counter parity under crash+retry" `Quick
             test_telemetry_parity_under_crash_retry;
+          Alcotest.test_case "one classify per request" `Quick test_one_classify_per_request;
         ] );
       ( "edf",
         [
